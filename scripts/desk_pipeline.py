@@ -14,11 +14,12 @@ import time
 import numpy as np
 
 from titletag.corpus import synth_corpus
-from titletag.crf import TrainConfig, train_crf
+from titletag.crf import train_crf
 from titletag.evaluation import compare_models, score
 from titletag.gazetteer import sample_gazetteer
 from titletag.labeling import LabeledSequence, auto_tag
 from titletag.neural import train_lstm_crf
+from titletag.optim import TrainConfig
 
 
 def evaluate(model, test):

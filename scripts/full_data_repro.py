@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from titletag.crf import TrainConfig, train_crf
+from titletag.crf import train_crf
 from titletag.evaluation import score
 from titletag.labeling import LabeledSequence, read_conll
 from titletag.neural import train_lstm_crf
+from titletag.optim import TrainConfig
 
 EXPECTED_TOTALS = {"RES": 310570, "FUN": 255974, "LOC": 9998, "O": 66948}
 EXPECTED_LENGTHS = {"min": 1, "max": 21, "avg": 3.0, "median": 3}

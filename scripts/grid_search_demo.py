@@ -12,10 +12,11 @@ import sys
 import numpy as np
 
 from titletag.corpus import synth_corpus
-from titletag.crf import TrainConfig, train_crf
+from titletag.crf import train_crf
 from titletag.evaluation import grid_search
 from titletag.gazetteer import sample_gazetteer
 from titletag.labeling import auto_tag
+from titletag.optim import TrainConfig
 
 
 def main(argv=None) -> int:

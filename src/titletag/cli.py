@@ -24,7 +24,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, model_io, title2vec
 from .corpus import REGION_ORDER, load_corpus, synth_corpus, write_corpus
-from .crf import CrfModel, TrainConfig, train_crf, train_logreg
+from .crf import CrfModel, train_crf, train_logreg
 from .errors import FormatError, TrainingDivergedError
 from .gazetteer import (
     Gazetteer,
@@ -38,6 +38,7 @@ from .gazetteer import (
 )
 from .labeling import LabeledSequence, auto_tag, dumps_conll, read_conll, write_conll
 from .neural import LstmCrfModel, train_lstm_crf, train_lstm_softmax
+from .optim import TrainConfig
 from .title2vec import (
     BiLmEmbeddings,
     BiLmModel,
@@ -120,17 +121,21 @@ def _render_rows(rows: list[tuple[str, str]], fmt: str) -> str:
 
 
 def _load_tagger(model_path: str, gazetteer_path: str | None, embeddings_path: str | None):
-    kind, _, _ = model_io.load_model(model_path)
+    kind, meta, arrays = model_io.load_model(model_path)
     if kind in ("crf", "logreg"):
         gaz = read_gazetteer(gazetteer_path) if gazetteer_path else None
-        return CrfModel.load(model_path, gazetteer=gaz)
+        return CrfModel.from_parsed(model_path, kind, meta, arrays, gazetteer=gaz)
     if kind in ("lstm", "lstm-crf"):
-        provider = None
-        if embeddings_path:
-            bilm = BiLmModel.load(embeddings_path)
-            provider = BiLmEmbeddings(bilm, content_hash=model_io.file_hash(embeddings_path))
-        return LstmCrfModel.load(model_path, provider=provider)
+        provider = _bilm_provider(embeddings_path)
+        return LstmCrfModel.from_parsed(model_path, kind, meta, arrays, provider=provider)
     raise ValueError(f"{model_path}: model kind {kind!r} cannot tag token sequences")
+
+
+def _bilm_provider(path: str | None) -> BiLmEmbeddings | None:
+    """Frozen embeddings from a language model file; None without a file."""
+    if not path:
+        return None
+    return BiLmEmbeddings(BiLmModel.load(path), content_hash=model_io.file_hash(path))
 
 
 def _read_tokens(path: str, fmt: str) -> list[tuple[str, ...]]:
@@ -313,10 +318,7 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
     _announce_seed(args)
     cfg = _build_config(args)
     data = read_conll(args.train)
-    provider = None
-    if args.embeddings:
-        bilm = BiLmModel.load(args.embeddings)
-        provider = BiLmEmbeddings(bilm, content_hash=model_io.file_hash(args.embeddings))
+    provider = _bilm_provider(args.embeddings)
     trainer = train_lstm_crf if args.model_kind == "lstm-crf" else train_lstm_softmax
     model = trainer(
         data,

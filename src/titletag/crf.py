@@ -10,53 +10,19 @@ Viterbi degenerates to a per-position argmax.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
 from . import model_io
-from .errors import TrainingDivergedError
 from .gazetteer import Gazetteer
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
-
-log = logging.getLogger(__name__)
+from .optim import TrainConfig, fit
 
 UNK_TOKEN = "<unk>"
 _BOS = "<s>"
 _EOS = "</s>"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Shared training knobs; the defaults follow the tuned CRF values."""
-
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    epochs: int = 10
-    optimizer: str = "sgd"  # "sgd" or "adam"
-    seed: int = 0
-    word_dropout: float = 0.05
-    variational_dropout: float = 0.5
-    clip_norm: float | None = 5.0  # used by the recurrent taggers only
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        for name in ("word_dropout", "variational_dropout"):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {p}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be positive or None, got {self.clip_norm}")
 
 
 class FeatureVocab:
@@ -278,25 +244,34 @@ class CrfModel:
     def predict(self, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
         return viterbi_decode(self, tokens)
 
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {
+            "emit": self.emission_weights,
+            "trans": self.trans,
+            "start": self.start,
+            "stop": self.stop,
+        }
+
     def save(self, path) -> None:
         meta = {
             "labels": list(LABEL_STRINGS),
             "features": list(self.vocab.features),
             "uses_gazetteer": self.gazetteer is not None,
         }
-        arrays = {
-            "emit": self.emission_weights,
-            "trans": self.trans,
-            "start": self.start,
-            "stop": self.stop,
-        }
-        model_io.save_model(path, self.kind, meta, arrays)
+        model_io.save_model(path, self.kind, meta, self._arrays())
 
     @classmethod
     def load(cls, path, gazetteer: Gazetteer | None = None) -> "CrfModel":
-        kind, meta, arrays = model_io.load_model(path)
+        return cls.from_parsed(path, *model_io.load_model(path), gazetteer=gazetteer)
+
+    @classmethod
+    def from_parsed(
+        cls, path, kind: str, meta: dict, arrays: dict, gazetteer: Gazetteer | None = None
+    ) -> "CrfModel":
+        """Build the model from an already parsed container (see model_io.load_model)."""
         if kind not in ("crf", "logreg"):
             raise ValueError(f"{path}: expected a crf or logreg model, found {kind!r}")
+        model_io.check_meta(path, meta, {"labels": list, "features": list, "uses_gazetteer": bool})
         if list(meta["labels"]) != list(LABEL_STRINGS):
             raise ValueError(f"{path}: label set does not match this build")
         if meta["uses_gazetteer"] and gazetteer is None:
@@ -306,10 +281,7 @@ class CrfModel:
         vocab = FeatureVocab.from_features(meta["features"])
         model = cls(kind=kind, gazetteer=gazetteer if meta["uses_gazetteer"] else None,
                     vocab=vocab, capacity=max(len(vocab), 1))
-        model._emit[: len(vocab)] = arrays["emit"]
-        model.trans = arrays["trans"]
-        model.start = arrays["start"]
-        model.stop = arrays["stop"]
+        model_io.fill_arrays(path, arrays, model._arrays())
         model.vocab.freeze()
         return model
 
@@ -379,18 +351,21 @@ def apply_word_dropout(tokens: Sequence[str], p: float, rng: np.random.Generator
     return tuple(UNK_TOKEN if rng.random() < p else tok for tok in tokens)
 
 
+_DENSE = ("trans", "start", "stop")
+
+
 class _Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def apply(self, model: CrfModel, emit_grad, tgrad, sgrad, pgrad, scale, update_transitions):
+    def apply(self, model: CrfModel, grad: dict, scale: float, update_transitions: bool):
         step = self.lr * scale
-        for fid, g in emit_grad.items():
+        for fid, g in grad["emit"].items():
             model._emit[fid] -= step * g
         if update_transitions:
-            model.trans -= step * tgrad
-            model.start -= step * sgrad
-            model.stop -= step * pgrad
+            for name in _DENSE:
+                param = getattr(model, name)
+                param -= step * grad[name]
 
 
 class _Adam:
@@ -403,10 +378,9 @@ class _Adam:
         self.t = 0
         self.m_emit = np.zeros_like(model._emit)
         self.v_emit = np.zeros_like(model._emit)
-        self.dense: dict[str, tuple[np.ndarray, np.ndarray]] = {
-            "trans": (np.zeros((N_LABELS, N_LABELS)), np.zeros((N_LABELS, N_LABELS))),
-            "start": (np.zeros(N_LABELS), np.zeros(N_LABELS)),
-            "stop": (np.zeros(N_LABELS), np.zeros(N_LABELS)),
+        self.dense = {
+            name: (np.zeros_like(getattr(model, name)), np.zeros_like(getattr(model, name)))
+            for name in _DENSE
         }
 
     def _grow(self, model: CrfModel) -> None:
@@ -432,18 +406,14 @@ class _Adam:
             v[idx] = b2 * v[idx] + (1 - b2) * grad * grad
             param[idx] -= self.lr * (m[idx] / bias1) / (np.sqrt(v[idx] / bias2) + self.EPS)
 
-    def apply(self, model: CrfModel, emit_grad, tgrad, sgrad, pgrad, scale, update_transitions):
+    def apply(self, model: CrfModel, grad: dict, scale: float, update_transitions: bool):
         self._grow(model)
         self.t += 1
-        for fid, g in emit_grad.items():
+        for fid, g in grad["emit"].items():
             self._step(model._emit, g * scale, self.m_emit, self.v_emit, idx=fid)
         if update_transitions:
-            m, v = self.dense["trans"]
-            self._step(model.trans, tgrad * scale, m, v)
-            m, v = self.dense["start"]
-            self._step(model.start, sgrad * scale, m, v)
-            m, v = self.dense["stop"]
-            self._step(model.stop, pgrad * scale, m, v)
+            for name in _DENSE:
+                self._step(getattr(model, name), grad[name] * scale, *self.dense[name])
 
 
 def _run_training(
@@ -453,44 +423,30 @@ def _run_training(
         raise ValueError("no training data")
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(cfg.learning_rate, model) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
-    n = len(data)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            batch_idx = order[lo : lo + cfg.batch_size]
-            emit_grad: dict[int, np.ndarray] = {}
-            tgrad = np.zeros((N_LABELS, N_LABELS))
-            sgrad = np.zeros(N_LABELS)
-            pgrad = np.zeros(N_LABELS)
-            batch_loss = 0.0
-            for j in batch_idx:
-                example = data[int(j)]
-                tokens = apply_word_dropout(example.tokens, cfg.word_dropout, rng)
-                rows = model.featurize(tokens, extend=True)
-                loss, grad = nll_and_gradient(model, example, feature_ids=rows)
-                batch_loss += loss
-                for fid, g in grad["emit"].items():
-                    seen = emit_grad.get(fid)
-                    if seen is None:
-                        emit_grad[fid] = g
-                    else:
-                        seen += g
-                tgrad += grad["trans"]
-                sgrad += grad["start"]
-                pgrad += grad["stop"]
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}"
-                )
-            opt.apply(
-                model, emit_grad, tgrad, sgrad, pgrad,
-                scale=1.0 / len(batch_idx), update_transitions=update_transitions,
-            )
-            epoch_loss += batch_loss
-        mean_loss = epoch_loss / n
-        model.history.append(mean_loss)
-        log.info("%s epoch %d/%d: mean nll %.6f", model.kind, epoch + 1, cfg.epochs, mean_loss)
+    acc: dict = {}
+
+    def batch(indices: list[int]) -> tuple[float, int]:
+        acc.update(emit={}, **{name: np.zeros_like(getattr(model, name)) for name in _DENSE})
+        batch_loss = 0.0
+        for j in indices:
+            tokens = apply_word_dropout(data[j].tokens, cfg.word_dropout, rng)
+            rows = model.featurize(tokens, extend=True)
+            loss, grad = nll_and_gradient(model, data[j], feature_ids=rows)
+            batch_loss += loss
+            for fid, g in grad["emit"].items():
+                seen = acc["emit"].get(fid)
+                if seen is None:
+                    acc["emit"][fid] = g
+                else:
+                    seen += g
+            for name in _DENSE:
+                acc[name] += grad[name]
+        return batch_loss, len(indices)
+
+    def update(scale: float) -> None:
+        opt.apply(model, acc, scale, update_transitions)
+
+    fit(model.kind, len(data), cfg, rng, batch, update, model.history)
     model.vocab.freeze()
     return model
 

@@ -12,9 +12,9 @@ import logging
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
-from .crf import TrainConfig
 from .errors import TrainingDivergedError
 from .labeling import LabeledSequence
+from .optim import TrainConfig
 
 log = logging.getLogger(__name__)
 

@@ -4,6 +4,8 @@ A single LSTM layer with gates packed row-wise as [input; forget; output;
 candidate], run over whole batches of equal-length sequences, with
 hand-derived backpropagation through time. An optional per-sequence mask
 multiplies the recurrent hidden state at every step (variational dropout).
+Layers stack into a multi-layer network with one or two directions per
+layer, and batches are formed from groups of equal-length sequences.
 """
 
 from __future__ import annotations
@@ -110,3 +112,79 @@ class LstmCell:
             dh_rec = dxh[:, self.input_dim :]
             dh_next = dh_rec if mask is None else dh_rec * mask
         return dxs, dW, db
+
+
+def _directed(a: np.ndarray, direction: int) -> np.ndarray:
+    return a if direction == 0 else a[:, ::-1]
+
+
+def stack_run(layers: list[tuple], xs: np.ndarray, masks=None, want_cache: bool = False):
+    """Run a stacked LSTM over xs (B, T, dim).
+
+    layers[l] holds one cell per direction: the first reads left to right, a
+    second one right to left, and the layer's output concatenates their
+    states along the last axis. masks[l], when given, holds the matching
+    per-direction recurrent masks. Returns every layer's output and the
+    caches that stack_backprop needs.
+    """
+    masks = masks or [(None,) * len(cells) for cells in layers]
+    outputs, caches = [], []
+    inp = xs
+    for cells, layer_masks in zip(layers, masks):
+        hs, layer_caches = [], []
+        for k, (cell, mask) in enumerate(zip(cells, layer_masks)):
+            h, cache = cell.run(_directed(inp, k), mask=mask, want_cache=want_cache)
+            hs.append(_directed(h, k))
+            layer_caches.append(cache)
+        inp = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=2)
+        outputs.append(inp)
+        caches.append(layer_caches)
+    return outputs, caches
+
+
+def stack_backprop(layers: list[tuple], caches, d_top: np.ndarray, grad_of: dict, masks=None):
+    """Backpropagate d_top (the top layer's output gradient) through the stack.
+
+    Adds each cell's weight gradients into grad_of[id(cell.W)] and
+    grad_of[id(cell.b)]; returns the gradient on the stack's inputs.
+    """
+    masks = masks or [(None,) * len(cells) for cells in layers]
+    d_out = d_top
+    for l in range(len(layers) - 1, -1, -1):
+        d_in = None
+        lo = 0
+        for k, (cell, cache, mask) in enumerate(zip(layers[l], caches[l], masks[l])):
+            dh = _directed(d_out[..., lo : lo + cell.hidden], k)
+            lo += cell.hidden
+            dxs, dW, db = cell.backprop(cache, dh, mask=mask)
+            grad_of[id(cell.W)] += dW
+            grad_of[id(cell.b)] += db
+            d_in = _directed(dxs, k) if d_in is None else d_in + _directed(dxs, k)
+        d_out = d_in
+    return d_out
+
+
+def direction_cells(
+    input_dim: int, upper_dim: int, hidden: int, layers: int, rng: np.random.Generator
+) -> list[LstmCell]:
+    """One direction's cells; layers above the first read upper_dim inputs."""
+    return [LstmCell(input_dim if l == 0 else upper_dim, hidden, rng) for l in range(layers)]
+
+
+def cell_arrays(fwd_cells: list[LstmCell], bwd_cells: list[LstmCell]) -> dict[str, np.ndarray]:
+    """Saved arrays of paired direction stacks: fwd{l}.W, fwd{l}.b, bwd{l}.W,
+    bwd{l}.b for each layer l, in that order."""
+    arrays: dict[str, np.ndarray] = {}
+    for l, (fwd, bwd) in enumerate(zip(fwd_cells, bwd_cells)):
+        for prefix, cell in (("fwd", fwd), ("bwd", bwd)):
+            arrays[f"{prefix}{l}.W"] = cell.W
+            arrays[f"{prefix}{l}.b"] = cell.b
+    return arrays
+
+
+def length_groups(seqs: list) -> list[list[int]]:
+    """Positions of seqs grouped by length, ascending, stable within a group."""
+    groups: dict[int, list[int]] = {}
+    for pos, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(pos)
+    return [groups[length] for length in sorted(groups)]

@@ -59,16 +59,26 @@ def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
         header = json.loads(data[header_start : header_start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable header: {exc}", path=str(path)) from None
+    if not isinstance(header, dict):
+        raise FormatError("header is not a JSON object", path=str(path))
     for key in ("format_version", "kind", "meta", "arrays"):
         if key not in header:
             raise FormatError(f"header is missing {key!r}", path=str(path))
     if header["format_version"] != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {header['format_version']!r}", path=str(path))
+    if not isinstance(header["meta"], dict) or not isinstance(header["arrays"], list):
+        raise FormatError("header 'meta' must be an object and 'arrays' a list", path=str(path))
 
     arrays: dict[str, np.ndarray] = {}
     offset = header_start + header_len
     for item in header["arrays"]:
-        name, shape = item["name"], tuple(item["shape"])
+        entry = item if isinstance(item, dict) else {}
+        name, shape = entry.get("name"), entry.get("shape")
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(dim) is int and dim >= 0 for dim in shape)):
+            raise FormatError(f"bad manifest entry {item!r}: expected a name and a list of "
+                              "non-negative dimensions", path=str(path))
+        shape = tuple(shape)
         count = 1
         for dim in shape:
             count *= dim
@@ -81,6 +91,30 @@ def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after the last array", path=str(path))
     return header["kind"], header["meta"], arrays
+
+
+def check_meta(path: str | Path, meta: dict, fields: dict[str, type]) -> None:
+    """Raise FormatError unless meta holds every field with its JSON type;
+    list fields (labels, features, vocabularies) must hold strings."""
+    for key, kind in fields.items():
+        value = meta.get(key)
+        if type(value) is not kind or (kind is list and not all(type(v) is str for v in value)):
+            what = "list of strings" if kind is list else kind.__name__
+            raise FormatError(f"model metadata {key!r} is missing or not a {what}", path=str(path))
+
+
+def fill_arrays(path: str | Path, stored: dict[str, np.ndarray], model: dict) -> None:
+    """Copy stored arrays into the same-named arrays of a model built from its
+    metadata; FormatError if one is missing or its shape disagrees."""
+    for name, target in model.items():
+        found = stored.get(name)
+        if found is None or found.shape != target.shape:
+            got = "missing" if found is None else f"of shape {list(found.shape)}"
+            raise FormatError(
+                f"array {name!r} is {got}; the metadata implies shape {list(target.shape)}",
+                path=str(path),
+            )
+        target[...] = found
 
 
 def file_hash(path: str | Path) -> str:

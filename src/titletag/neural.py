@@ -9,7 +9,6 @@ come from a trainable lookup table or a frozen bidirectional-LM provider.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from typing import Sequence
 
@@ -17,12 +16,9 @@ import numpy as np
 
 from . import model_io, optim
 from .crf import apply_word_dropout, sequence_marginals, viterbi_path
-from .errors import TrainingDivergedError
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
-from .lstm import LstmCell, softmax_ce
+from .lstm import cell_arrays, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run
 from .title2vec import BiLmEmbeddings, Vocab
-
-log = logging.getLogger(__name__)
 
 
 class TrainableEmbeddings:
@@ -70,14 +66,8 @@ class LstmCrfModel:
         self.kind = kind
         if rng is None:
             rng = np.random.default_rng(0)
-        self.fwd_cells = [
-            LstmCell(provider.dim if l == 0 else 2 * hidden_size, hidden_size, rng)
-            for l in range(layers)
-        ]
-        self.bwd_cells = [
-            LstmCell(provider.dim if l == 0 else 2 * hidden_size, hidden_size, rng)
-            for l in range(layers)
-        ]
+        self.fwd_cells = direction_cells(provider.dim, 2 * hidden_size, hidden_size, layers, rng)
+        self.bwd_cells = direction_cells(provider.dim, 2 * hidden_size, hidden_size, layers, rng)
         bound = 1.0 / np.sqrt(2 * hidden_size)
         self.proj_W = rng.uniform(-bound, bound, size=(2 * hidden_size, N_LABELS))
         self.proj_b = np.zeros(N_LABELS)
@@ -100,39 +90,17 @@ class LstmCrfModel:
             params.append(self.provider.table)
         return params
 
+    def _stack(self) -> list[tuple]:
+        return list(zip(self.fwd_cells, self.bwd_cells))
+
     def encode(self, xs: np.ndarray, masks=None, want_cache: bool = False):
         """Encode (B, T, dim) inputs into (B, T, 2*hidden) states.
 
         masks is a per-layer list of (forward, backward) recurrent dropout
         masks of shape (B, hidden), or None in eval mode.
         """
-        cachebook = []
-        inp = xs
-        for l in range(self.layers):
-            mf, mb = masks[l] if masks is not None else (None, None)
-            hf, cache_f = self.fwd_cells[l].run(inp, mask=mf, want_cache=want_cache)
-            hb_rev, cache_b = self.bwd_cells[l].run(inp[:, ::-1], mask=mb, want_cache=want_cache)
-            hb = hb_rev[:, ::-1]
-            inp = np.concatenate([hf, hb], axis=2)
-            cachebook.append((cache_f, cache_b))
-        return inp, cachebook
-
-    def _encode_backprop(self, cachebook, masks, d_enc, grad_of):
-        H = self.hidden_size
-        d_out = d_enc
-        for l in range(self.layers - 1, -1, -1):
-            mf, mb = masks[l] if masks is not None else (None, None)
-            cache_f, cache_b = cachebook[l]
-            dx_f, dWf, dbf = self.fwd_cells[l].backprop(cache_f, d_out[..., :H], mask=mf)
-            dx_b_rev, dWb, dbb = self.bwd_cells[l].backprop(
-                cache_b, d_out[:, ::-1, H:], mask=mb
-            )
-            grad_of[id(self.fwd_cells[l].W)] += dWf
-            grad_of[id(self.fwd_cells[l].b)] += dbf
-            grad_of[id(self.bwd_cells[l].W)] += dWb
-            grad_of[id(self.bwd_cells[l].b)] += dbb
-            d_out = dx_f + dx_b_rev[:, ::-1]
-        return d_out
+        outputs, caches = stack_run(self._stack(), xs, masks, want_cache)
+        return outputs[-1], caches
 
     def _embed_group(self, token_group: list[tuple[str, ...]]) -> np.ndarray:
         if self.provider.trainable:
@@ -203,10 +171,18 @@ class LstmCrfModel:
         grad_of[id(self.proj_W)] += enc.reshape(-1, 2 * self.hidden_size).T @ demis.reshape(-1, N_LABELS)
         grad_of[id(self.proj_b)] += demis.sum(axis=(0, 1))
         d_enc = demis @ self.proj_W.T
-        dx = self._encode_backprop(caches, masks, d_enc, grad_of)
+        dx = stack_backprop(self._stack(), caches, d_enc, grad_of, masks)
         if self.provider.trainable:
             np.add.at(grad_of[id(self.provider.table)], ids, dx)
         return loss
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        arrays = {"embed": self.provider.table} if self.provider.trainable else {}
+        arrays.update(cell_arrays(self.fwd_cells, self.bwd_cells))
+        arrays.update({"proj.W": self.proj_W, "proj.b": self.proj_b})
+        if self.kind == "lstm-crf":
+            arrays.update(trans=self.trans, start=self.start, stop=self.stop)
+        return arrays
 
     def save(self, path) -> None:
         meta: dict = {
@@ -214,7 +190,6 @@ class LstmCrfModel:
             "hidden": self.hidden_size,
             "layers": self.layers,
         }
-        arrays: dict[str, np.ndarray] = {}
         if self.provider.trainable:
             meta["provider"] = {
                 "type": "table",
@@ -222,39 +197,35 @@ class LstmCrfModel:
                 "vocab": list(self.provider.vocab.tokens),
                 "min_count": self.provider.vocab.min_count,
             }
-            arrays["embed"] = self.provider.table
         else:
             meta["provider"] = {
                 "type": "bilm",
                 "dim": self.provider.dim,
                 "content_hash": getattr(self.provider, "content_hash", None),
             }
-        for l in range(self.layers):
-            arrays[f"fwd{l}.W"] = self.fwd_cells[l].W
-            arrays[f"fwd{l}.b"] = self.fwd_cells[l].b
-            arrays[f"bwd{l}.W"] = self.bwd_cells[l].W
-            arrays[f"bwd{l}.b"] = self.bwd_cells[l].b
-        arrays["proj.W"] = self.proj_W
-        arrays["proj.b"] = self.proj_b
-        if self.kind == "lstm-crf":
-            arrays["trans"] = self.trans
-            arrays["start"] = self.start
-            arrays["stop"] = self.stop
-        model_io.save_model(path, self.kind, meta, arrays)
+        model_io.save_model(path, self.kind, meta, self._arrays())
 
     @classmethod
     def load(cls, path, provider: BiLmEmbeddings | None = None) -> "LstmCrfModel":
-        kind, meta, arrays = model_io.load_model(path)
+        return cls.from_parsed(path, *model_io.load_model(path), provider=provider)
+
+    @classmethod
+    def from_parsed(
+        cls, path, kind: str, meta: dict, arrays: dict, provider: BiLmEmbeddings | None = None
+    ) -> "LstmCrfModel":
+        """Build the model from an already parsed container (see model_io.load_model)."""
         if kind not in ("lstm-crf", "lstm"):
             raise ValueError(f"{path}: expected an lstm or lstm-crf model, found {kind!r}")
+        model_io.check_meta(path, meta, {"labels": list, "hidden": int, "layers": int,
+                                         "provider": dict})
         if list(meta["labels"]) != list(LABEL_STRINGS):
             raise ValueError(f"{path}: label set does not match this build")
         spec = meta["provider"]
+        model_io.check_meta(path, spec, {"type": str, "dim": int})
         if spec["type"] == "table":
+            model_io.check_meta(path, spec, {"vocab": list, "min_count": int})
             vocab = Vocab(spec["vocab"], min_count=spec["min_count"])
-            table = TrainableEmbeddings(vocab, spec["dim"])
-            table.table = arrays["embed"]
-            provider = table
+            provider = TrainableEmbeddings(vocab, spec["dim"])
         else:
             if provider is None:
                 raise ValueError(
@@ -271,23 +242,8 @@ class LstmCrfModel:
                     f"{path}: embedding provider hash mismatch: model expects {stored_hash}"
                 )
         model = cls(provider, hidden_size=meta["hidden"], layers=meta["layers"], kind=kind)
-        for l in range(model.layers):
-            model.fwd_cells[l].W = arrays[f"fwd{l}.W"]
-            model.fwd_cells[l].b = arrays[f"fwd{l}.b"]
-            model.bwd_cells[l].W = arrays[f"bwd{l}.W"]
-            model.bwd_cells[l].b = arrays[f"bwd{l}.b"]
-        model.proj_W = arrays["proj.W"]
-        model.proj_b = arrays["proj.b"]
-        if kind == "lstm-crf":
-            model.trans = arrays["trans"]
-            model.start = arrays["start"]
-            model.stop = arrays["stop"]
+        model_io.fill_arrays(path, arrays, model._arrays())
         return model
-
-
-def bilstm_emissions(model: LstmCrfModel, tokens: Sequence[str]) -> np.ndarray:
-    """Emission scores of one token sequence under the BiLSTM encoder."""
-    return model.emissions(tokens)
 
 
 def batch_nll(model: LstmCrfModel, examples: Sequence[LabeledSequence]) -> float:
@@ -295,18 +251,11 @@ def batch_nll(model: LstmCrfModel, examples: Sequence[LabeledSequence]) -> float
     if not examples:
         raise ValueError("no examples")
     total = 0.0
-    for group in _group_by_length(list(range(len(examples))), examples):
+    for group in length_groups([ex.tokens for ex in examples]):
         toks = [examples[j].tokens for j in group]
         ys = np.array([examples[j].label_ids() for j in group], dtype=np.int64)
         total += model._group_pass(toks, ys, None, None)
     return total / len(examples)
-
-
-def _group_by_length(indices, examples) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for j in indices:
-        groups.setdefault(len(examples[j].tokens), []).append(j)
-    return [groups[length] for length in sorted(groups)]
 
 
 def _sample_masks(model: LstmCrfModel, batch_size: int, p: float, rng: np.random.Generator):
@@ -340,42 +289,19 @@ def _train_bilstm(
         provider = TrainableEmbeddings(Vocab.from_counts(counts), embedding_dim, rng)
     model = LstmCrfModel(provider, hidden_size=hidden_size, layers=layers, kind=kind, rng=rng)
     params = model.parameters()
-    opt = optim.make_optimizer(cfg.optimizer, cfg.learning_rate, params)
-    n = len(data)
+    grads, update = optim.dense_update(cfg, params)
+    grad_of = {id(p): g for p, g in zip(params, grads)}
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            batch_idx = [int(j) for j in order[lo : lo + cfg.batch_size]]
-            dropped = [apply_word_dropout(data[j].tokens, cfg.word_dropout, rng) for j in batch_idx]
-            grads = [np.zeros_like(p) for p in params]
-            grad_of = {id(p): g for p, g in zip(params, grads)}
-            batch_loss = 0.0
-            groups: dict[int, list[int]] = {}
-            for pos, j in enumerate(batch_idx):
-                groups.setdefault(len(data[j].tokens), []).append(pos)
-            for length in sorted(groups):
-                members = groups[length]
-                toks = [dropped[pos] for pos in members]
-                ys = np.array(
-                    [data[batch_idx[pos]].label_ids() for pos in members], dtype=np.int64
-                )
-                masks = _sample_masks(model, len(members), cfg.variational_dropout, rng)
-                batch_loss += model._group_pass(toks, ys, masks, grad_of)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}"
-                )
-            scale = 1.0 / len(batch_idx)
-            for g in grads:
-                g *= scale
-            optim.clip_grads_(grads, cfg.clip_norm)
-            opt.step(params, grads)
-            epoch_loss += batch_loss
-        mean_loss = epoch_loss / n
-        model.history.append(mean_loss)
-        log.info("%s epoch %d/%d: mean loss %.6f", kind, epoch + 1, cfg.epochs, mean_loss)
+    def batch(indices: list[int]) -> tuple[float, int]:
+        dropped = [apply_word_dropout(data[j].tokens, cfg.word_dropout, rng) for j in indices]
+        batch_loss = 0.0
+        for group in length_groups(dropped):
+            ys = np.array([data[indices[pos]].label_ids() for pos in group], dtype=np.int64)
+            masks = _sample_masks(model, len(group), cfg.variational_dropout, rng)
+            batch_loss += model._group_pass([dropped[pos] for pos in group], ys, masks, grad_of)
+        return batch_loss, len(indices)
+
+    optim.fit(kind, len(data), cfg, rng, batch, update, model.history)
     return model
 
 

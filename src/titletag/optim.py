@@ -1,4 +1,5 @@
-"""Dense-parameter optimizers and gradient clipping for the recurrent models.
+"""Training configuration, the shared training loop, and the dense-parameter
+optimizers and gradient clipping of the recurrent models.
 
 Parameters are updated in place; callers pass the same parameter list in the
 same order on every step.
@@ -6,7 +7,73 @@ same order on every step.
 
 from __future__ import annotations
 
+import logging
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
+
+from .errors import TrainingDivergedError
+
+log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Shared training knobs; the defaults follow the tuned CRF values."""
+
+    learning_rate: float = 0.1
+    batch_size: int = 32
+    epochs: int = 10
+    optimizer: str = "sgd"  # "sgd" or "adam"
+    seed: int = 0
+    word_dropout: float = 0.05
+    variational_dropout: float = 0.5
+    clip_norm: float | None = 5.0  # used by the recurrent taggers only
+
+    def __post_init__(self) -> None:
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        for name in ("word_dropout", "variational_dropout"):
+            p = getattr(self, name)
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {p}")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ValueError(f"clip_norm must be positive or None, got {self.clip_norm}")
+
+
+def fit(name: str, n: int, cfg: TrainConfig, rng: np.random.Generator,
+        batch: Callable[[list[int]], tuple[float, int]], update: Callable[[float], None],
+        history: list[float]) -> None:
+    """Mini-batch training loop over n examples.
+
+    Each epoch draws a fresh permutation from rng and cuts it into batches.
+    batch(indices) accumulates gradients and returns (loss sum, count);
+    update(1 / count) then applies them. The mean loss per counted unit of
+    each epoch is appended to history. A non-finite batch loss raises
+    TrainingDivergedError before any update.
+    """
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss, epoch_count = 0.0, 0
+        for lo in range(0, n, cfg.batch_size):
+            loss, count = batch([int(j) for j in order[lo : lo + cfg.batch_size]])
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss in epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}"
+                )
+            update(1.0 / count)
+            epoch_loss += loss
+            epoch_count += count
+        mean_loss = epoch_loss / epoch_count
+        history.append(mean_loss)
+        log.info("%s epoch %d/%d: mean loss %.6f", name, epoch + 1, cfg.epochs, mean_loss)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
@@ -62,3 +129,23 @@ def make_optimizer(name: str, lr: float, params: list[np.ndarray]):
     if name == "sgd":
         return Sgd(lr)
     raise ValueError(f"unknown optimizer {name!r}")
+
+
+def dense_update(cfg: TrainConfig, params: list[np.ndarray]):
+    """Gradient buffers for params and the update step of fit that applies them.
+
+    The step scales the accumulated grads, clips them to cfg.clip_norm, runs
+    the configured optimizer, then zeroes the buffers for the next batch.
+    """
+    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, params)
+    grads = [np.zeros_like(p) for p in params]
+
+    def update(scale: float) -> None:
+        for g in grads:
+            g *= scale
+        clip_grads_(grads, cfg.clip_norm)
+        opt.step(params, grads)
+        for g in grads:
+            g.fill(0.0)
+
+    return grads, update

@@ -9,7 +9,6 @@ dimension D + 2*H*L. Vectors serialize to a hashed plain-text store.
 from __future__ import annotations
 
 import hashlib
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,10 +18,8 @@ import numpy as np
 
 from . import model_io, optim
 from .corpus import Corpus
-from .errors import FormatError, TrainingDivergedError
-from .lstm import LstmCell, softmax_ce
-
-log = logging.getLogger(__name__)
+from .errors import FormatError
+from .lstm import cell_arrays, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -96,12 +93,8 @@ class BiLmModel:
         if rng is None:
             rng = np.random.default_rng(0)
         self.embed = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
-        self.fwd_cells = [
-            LstmCell(dim if l == 0 else hidden, hidden, rng) for l in range(layers)
-        ]
-        self.bwd_cells = [
-            LstmCell(dim if l == 0 else hidden, hidden, rng) for l in range(layers)
-        ]
+        self.fwd_cells = direction_cells(dim, hidden, hidden, layers, rng)
+        self.bwd_cells = direction_cells(dim, hidden, hidden, layers, rng)
         bound = 1.0 / np.sqrt(hidden)
         self.fwd_out_W = rng.uniform(-bound, bound, size=(hidden, vocab.size))
         self.fwd_out_b = np.zeros(vocab.size)
@@ -120,6 +113,17 @@ class BiLmModel:
         params.extend([self.fwd_out_W, self.fwd_out_b, self.bwd_out_W, self.bwd_out_b])
         return params
 
+    def _direction(self, reverse: bool) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+        """One-direction stack and output layer of the backward (reverse) or forward LM."""
+        if reverse:
+            return [(cell,) for cell in self.bwd_cells], self.bwd_out_W, self.bwd_out_b
+        return [(cell,) for cell in self.fwd_cells], self.fwd_out_W, self.fwd_out_b
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {"embed": self.embed, **cell_arrays(self.fwd_cells, self.bwd_cells),
+                "fwd_out.W": self.fwd_out_W, "fwd_out.b": self.fwd_out_b,
+                "bwd_out.W": self.bwd_out_W, "bwd_out.b": self.bwd_out_b}
+
     def save(self, path) -> None:
         meta = {
             "vocab": list(self.vocab.tokens),
@@ -128,64 +132,19 @@ class BiLmModel:
             "hidden": self.hidden,
             "layers": self.layers,
         }
-        arrays: dict[str, np.ndarray] = {"embed": self.embed}
-        for l in range(self.layers):
-            arrays[f"fwd{l}.W"] = self.fwd_cells[l].W
-            arrays[f"fwd{l}.b"] = self.fwd_cells[l].b
-            arrays[f"bwd{l}.W"] = self.bwd_cells[l].W
-            arrays[f"bwd{l}.b"] = self.bwd_cells[l].b
-        arrays["fwd_out.W"] = self.fwd_out_W
-        arrays["fwd_out.b"] = self.fwd_out_b
-        arrays["bwd_out.W"] = self.bwd_out_W
-        arrays["bwd_out.b"] = self.bwd_out_b
-        model_io.save_model(path, "bilm", meta, arrays)
+        model_io.save_model(path, "bilm", meta, self._arrays())
 
     @classmethod
     def load(cls, path) -> "BiLmModel":
         kind, meta, arrays = model_io.load_model(path)
         if kind != "bilm":
             raise ValueError(f"{path}: expected a bilm model, found {kind!r}")
+        model_io.check_meta(path, meta, {"vocab": list, "min_count": int, "dim": int,
+                                         "hidden": int, "layers": int})
         vocab = Vocab(meta["vocab"], min_count=meta["min_count"])
         model = cls(vocab, meta["dim"], meta["hidden"], meta["layers"])
-        model.embed = arrays["embed"]
-        for l in range(model.layers):
-            model.fwd_cells[l].W = arrays[f"fwd{l}.W"]
-            model.fwd_cells[l].b = arrays[f"fwd{l}.b"]
-            model.bwd_cells[l].W = arrays[f"bwd{l}.W"]
-            model.bwd_cells[l].b = arrays[f"bwd{l}.b"]
-        model.fwd_out_W = arrays["fwd_out.W"]
-        model.fwd_out_b = arrays["fwd_out.b"]
-        model.bwd_out_W = arrays["bwd_out.W"]
-        model.bwd_out_b = arrays["bwd_out.b"]
+        model_io.fill_arrays(path, arrays, model._arrays())
         return model
-
-
-def _stack_run(cells: list[LstmCell], xs: np.ndarray, want_cache: bool = False):
-    """Run a stacked one-direction LSTM; layer l consumes layer l-1's states."""
-    layer_hs = []
-    layer_caches = []
-    inp = xs
-    for cell in cells:
-        hs, caches = cell.run(inp, want_cache=want_cache)
-        layer_hs.append(hs)
-        layer_caches.append(caches)
-        inp = hs
-    return layer_hs, layer_caches
-
-
-def _stack_backprop(cells, layer_caches, dh_top, weight_grads):
-    """Backpropagate through the stack; returns the gradient on the inputs.
-
-    weight_grads maps id(cell) -> (dW, db) accumulators.
-    """
-    dh = dh_top
-    for l in range(len(cells) - 1, -1, -1):
-        dxs, dW, db = cells[l].backprop(layer_caches[l], dh)
-        gW, gb = weight_grads[id(cells[l])]
-        gW += dW
-        gb += db
-        dh = dxs
-    return dh
 
 
 def _direction_batches(ids: np.ndarray, bos: int, eos: int, reverse: bool):
@@ -202,20 +161,12 @@ def _direction_batches(ids: np.ndarray, bos: int, eos: int, reverse: bool):
     return inputs, targets
 
 
-def _length_groups(items: list) -> list[list[int]]:
-    """Indices grouped by sequence length, ascending, stable within a group."""
-    groups: dict[int, list[int]] = {}
-    for pos, item in enumerate(items):
-        groups.setdefault(len(item), []).append(pos)
-    return [groups[length] for length in sorted(groups)]
-
-
 def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int = 1) -> BiLmModel:
     """Train the bidirectional LM; dims is (embedding, hidden, layers).
 
     Loss is mean cross-entropy per prediction over both directions; the
-    per-epoch perplexity exp(loss) is logged and recorded in model.history.
-    The dropout fields of the training config do not apply here.
+    per-epoch mean is logged and recorded in model.history (perplexity is
+    its exp). The dropout fields of the training config do not apply here.
     """
     dim, hidden, layers = dims
     if not corpus.titles:
@@ -224,35 +175,12 @@ def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int =
     rng = np.random.default_rng(cfg.seed)
     model = BiLmModel(vocab, dim, hidden, layers, rng=rng)
     sequences = [vocab.ids(title.tokens) for title in corpus.titles]
-    params = model.parameters()
-    opt = optim.make_optimizer(cfg.optimizer, cfg.learning_rate, params)
-    n = len(sequences)
+    grads, update = optim.dense_update(cfg, model.parameters())
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_ce = 0.0
-        epoch_preds = 0
-        for lo in range(0, n, cfg.batch_size):
-            batch = [sequences[int(j)] for j in order[lo : lo + cfg.batch_size]]
-            grads = [np.zeros_like(p) for p in params]
-            ce, preds = _bilm_batch(model, batch, grads)
-            if not np.isfinite(ce):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}"
-                )
-            scale = 1.0 / preds
-            for g in grads:
-                g *= scale
-            optim.clip_grads_(grads, cfg.clip_norm)
-            opt.step(params, grads)
-            epoch_ce += ce
-            epoch_preds += preds
-        mean_ce = epoch_ce / epoch_preds
-        model.history.append(mean_ce)
-        log.info(
-            "bilm epoch %d/%d: ce %.6f  perplexity %.3f",
-            epoch + 1, cfg.epochs, mean_ce, float(np.exp(mean_ce)),
-        )
+    def batch(indices: list[int]) -> tuple[float, int]:
+        return _bilm_batch(model, [sequences[j] for j in indices], grads)
+
+    optim.fit("bilm", len(sequences), cfg, rng, batch, update, model.history)
     return model
 
 
@@ -261,38 +189,29 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grads: list[np.ndarra
 
     Returns (ce_sum, prediction_count).
     """
-    params = model.parameters()
     if grads is not None:
-        grad_of = {id(p): g for p, g in zip(params, grads)}
-        cell_grads = {
-            id(cell): (grad_of[id(cell.W)], grad_of[id(cell.b)])
-            for cell in model.fwd_cells + model.bwd_cells
-        }
+        grad_of = {id(p): g for p, g in zip(model.parameters(), grads)}
     bos, eos = model.vocab.id(BOS), model.vocab.id(EOS)
     total_ce = 0.0
     total_preds = 0
-    for group in _length_groups(batch):
+    for group in length_groups(batch):
         ids = np.stack([batch[j] for j in group])
-        for reverse, cells, out_W, out_b in (
-            (False, model.fwd_cells, model.fwd_out_W, model.fwd_out_b),
-            (True, model.bwd_cells, model.bwd_out_W, model.bwd_out_b),
-        ):
+        for reverse in (False, True):
+            stack, out_W, out_b = model._direction(reverse)
             inputs, targets = _direction_batches(ids, bos, eos, reverse)
-            xs = model.embed[inputs]
-            layer_hs, layer_caches = _stack_run(cells, xs, want_cache=grads is not None)
-            logits = layer_hs[-1] @ out_W + out_b
+            outputs, caches = stack_run(stack, model.embed[inputs], want_cache=grads is not None)
+            top = outputs[-1]
+            logits = top @ out_W + out_b
             ce, dlogits = softmax_ce(logits, targets)
             total_ce += ce
             total_preds += targets.size
             if grads is None:
                 continue
-            top = layer_hs[-1]
             flat_h = top.reshape(-1, model.hidden)
             flat_d = dlogits.reshape(-1, model.vocab.size)
             grad_of[id(out_W)] += flat_h.T @ flat_d
             grad_of[id(out_b)] += flat_d.sum(axis=0)
-            dh_top = dlogits @ out_W.T
-            dxs = _stack_backprop(cells, layer_caches, dh_top, cell_grads)
+            dxs = stack_backprop(stack, caches, dlogits @ out_W.T, grad_of)
             np.add.at(grad_of[id(model.embed)], inputs, dxs)
     return total_ce, total_preds
 
@@ -324,31 +243,28 @@ def _direction_states(model: BiLmModel, tokens: Sequence[str], reverse: bool):
     """
     ids = model.vocab.ids(tokens)
     inputs, _ = _direction_batches(ids[None, :], model.vocab.id(BOS), model.vocab.id(EOS), reverse)
-    xs = model.embed[inputs]
-    cells = model.bwd_cells if reverse else model.fwd_cells
-    layer_hs, _ = _stack_run(cells, xs)
-    return [hs[0] for hs in layer_hs]
+    outputs, _ = stack_run(model._direction(reverse)[0], model.embed[inputs])
+    return [hs[0] for hs in outputs]
+
+
+def _logprobs(model: BiLmModel, tokens: Sequence[str], reverse: bool) -> np.ndarray:
+    if not tokens:
+        raise ValueError("empty token sequence")
+    _, out_W, out_b = model._direction(reverse)
+    logits = _direction_states(model, tokens, reverse)[-1] @ out_W + out_b
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
 def forward_logprobs(model: BiLmModel, tokens: Sequence[str]) -> np.ndarray:
     """(T+1, V) log-probabilities: row t predicts token t (row T predicts </s>)."""
-    if not tokens:
-        raise ValueError("empty token sequence")
-    states = _direction_states(model, tokens, reverse=False)
-    logits = states[-1] @ model.fwd_out_W + model.fwd_out_b
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    return _logprobs(model, tokens, reverse=False)
 
 
 def backward_logprobs(model: BiLmModel, tokens: Sequence[str]) -> np.ndarray:
     """(T+1, V) log-probabilities in right-to-left order: row r predicts
     token T-1-r (row T predicts <s>)."""
-    if not tokens:
-        raise ValueError("empty token sequence")
-    states = _direction_states(model, tokens, reverse=True)
-    logits = states[-1] @ model.bwd_out_W + model.bwd_out_b
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    return _logprobs(model, tokens, reverse=True)
 
 
 def embed_title(model: BiLmModel, tokens: Sequence[str]) -> np.ndarray:

@@ -1,9 +1,11 @@
 import argparse
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from titletag import cli
+from titletag import cli, model_io
 from titletag.title2vec import read_embeddings
 
 GOLD_CONLL = (
@@ -329,3 +331,105 @@ def test_build_config_clip_zero_disables():
 def test_build_config_bad_pair():
     with pytest.raises(ValueError):
         cli._build_config(flag_namespace(config=["learning_rate"]))
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """One tiny trained model of each container kind the CLI reads."""
+    work = tmp_path_factory.mktemp("models")
+    gold = work / "gold.conll"
+    gold.write_text(GOLD_CONLL, encoding="utf-8")
+    raw = work / "raw.txt"
+    raw.write_text("chief financial officer\nasia pacific sales\n", encoding="utf-8")
+    commands = {
+        "crf": ["train", "crf", "--train", str(gold)],
+        "lstm-crf": ["train", "lstm-crf", "--train", str(gold), "--hidden", "8",
+                     "--embedding-dim", "4"],
+        "bilm": ["train", "bilm", "--in", str(raw), "--dim", "4", "--hidden", "4"],
+    }
+    paths = {"gold": gold, "raw": raw}
+    for kind, argv in commands.items():
+        paths[kind] = work / f"{kind}.model"
+        assert cli.main([*argv, "--out", str(paths[kind]), "--seed", "0", "--epochs", "1"]) == 0
+    return paths
+
+
+def _edited_copy(src, dst, edit):
+    kind, meta, arrays = model_io.load_model(src)
+    edit(meta, arrays)
+    model_io.save_model(dst, kind, meta, arrays)
+    return dst
+
+
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+@pytest.mark.parametrize(
+    "kind,edit",
+    [
+        pytest.param("crf", lambda m, a: m.pop("labels"), id="crf-no-labels"),
+        pytest.param("crf", lambda m, a: m.pop("features"), id="crf-no-features"),
+        pytest.param("crf", lambda m, a: _set(m, "uses_gazetteer", "no"), id="crf-string-flag"),
+        pytest.param("crf", lambda m, a: m["features"].append(["w0=x"]), id="crf-list-feature"),
+        pytest.param("crf", lambda m, a: a.pop("stop"), id="crf-no-stop"),
+        pytest.param("crf", lambda m, a: _set(a, "emit", a["emit"][:-1]),
+                     id="crf-feature-count"),
+        pytest.param("crf", lambda m, a: _set(a, "start", a["start"][:-1]),
+                     id="crf-label-count"),
+        pytest.param("lstm-crf", lambda m, a: m.pop("labels"), id="lstm-no-labels"),
+        pytest.param("lstm-crf", lambda m, a: m.pop("provider"), id="lstm-no-provider"),
+        pytest.param("lstm-crf", lambda m, a: m["provider"].pop("vocab"), id="lstm-no-vocab"),
+        pytest.param("lstm-crf", lambda m, a: a.pop("proj.b"), id="lstm-no-proj-b"),
+        pytest.param("lstm-crf", lambda m, a: _set(m, "hidden", 4), id="lstm-hidden"),
+        pytest.param("lstm-crf", lambda m, a: _set(m, "hidden", "8"), id="lstm-string-hidden"),
+        pytest.param("lstm-crf", lambda m, a: _set(m, "layers", 2), id="lstm-layers"),
+        pytest.param("lstm-crf", lambda m, a: _set(m["provider"], "dim", 5), id="lstm-dim"),
+        pytest.param("lstm-crf", lambda m, a: m["provider"]["vocab"].append("zzz"),
+                     id="lstm-vocab-size"),
+        pytest.param("lstm-crf", lambda m, a: _set(a, "trans", a["trans"][:, :-1]),
+                     id="lstm-label-count"),
+    ],
+)
+def test_tag_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, kind, edit):
+    model = _edited_copy(small_models[kind], tmp_path / "bad.model", edit)
+    code, _, err = run(capsys, "tag", "--in", str(small_models["raw"]), "--model", str(model))
+    assert code == 4, err
+    assert "bad.model" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda m, a: m.pop("vocab"), id="no-vocab"),
+        pytest.param(lambda m, a: _set(m, "hidden", 3), id="hidden"),
+        pytest.param(lambda m, a: _set(m, "dim", 5), id="dim"),
+        pytest.param(lambda m, a: a.pop("fwd_out.b"), id="no-out-bias"),
+        pytest.param(lambda m, a: m["vocab"].append("zzz"), id="vocab-size"),
+        pytest.param(lambda m, a: m["vocab"].append({"token": "zzz"}), id="vocab-object"),
+    ],
+)
+def test_embed_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, edit):
+    model = _edited_copy(small_models["bilm"], tmp_path / "bad.model", edit)
+    code, _, err = run(capsys, "embed", "--model", str(model), "--in",
+                       str(small_models["raw"]), "--out", str(tmp_path / "v.txt"))
+    assert code == 4, err
+
+
+@pytest.mark.parametrize(
+    "manifest,payload",
+    [
+        pytest.param([{"shape": [2]}], b"\x00" * 8, id="no-name"),
+        pytest.param([{"name": "a", "shape": "2"}], b"\x00" * 8, id="string-shape"),
+        pytest.param([{"name": "a", "shape": [-1]}, {"name": "b", "shape": [2]}],
+                     b"\x00" * 4, id="negative-dim"),
+    ],
+)
+def test_tag_with_corrupt_container_exits_4(tmp_path, capsys, small_models, manifest, payload):
+    _, meta, _ = model_io.load_model(small_models["crf"])
+    blob = json.dumps({"format_version": 1, "kind": "crf", "meta": meta,
+                       "arrays": manifest}).encode()
+    model = tmp_path / "bad.model"
+    model.write_bytes(model_io.MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+    code, _, err = run(capsys, "tag", "--in", str(small_models["raw"]), "--model", str(model))
+    assert code == 4, err

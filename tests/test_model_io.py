@@ -100,3 +100,57 @@ def test_save_deterministic_bytes(tmp_path):
     save_model(a, "lstm", {"k": [3, 2, 1]}, arrays)
     save_model(b, "lstm", {"k": [3, 2, 1]}, arrays)
     assert a.read_bytes() == b.read_bytes()
+
+
+def write_container(path, header, payload=b""):
+    blob = json.dumps(header).encode()
+    path.write_bytes(b"IPODMDL1" + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+def container_header(arrays):
+    return {"format_version": 1, "kind": "crf", "meta": {}, "arrays": arrays}
+
+
+@pytest.mark.parametrize(
+    "header,payload",
+    [
+        pytest.param([1, 2], b"", id="header-list"),
+        pytest.param("just a string", b"", id="header-string"),
+        pytest.param({"format_version": 1, "kind": "crf", "meta": [], "arrays": []}, b"",
+                     id="meta-list"),
+        pytest.param(container_header({"name": "a", "shape": [1]}), b"\x00" * 4,
+                     id="arrays-object"),
+        pytest.param(container_header(["a"]), b"", id="entry-string"),
+        pytest.param(container_header([{"shape": [2]}]), b"\x00" * 8, id="no-name"),
+        pytest.param(container_header([{"name": 7, "shape": [2]}]), b"\x00" * 8,
+                     id="int-name"),
+        pytest.param(container_header([{"name": "a"}]), b"", id="no-shape"),
+        pytest.param(container_header([{"name": "a", "shape": "2"}]), b"\x00" * 8,
+                     id="string-shape"),
+        pytest.param(container_header([{"name": "a", "shape": 2}]), b"\x00" * 8,
+                     id="int-shape"),
+        pytest.param(container_header([{"name": "a", "shape": [2.0]}]), b"\x00" * 8,
+                     id="float-dim"),
+        pytest.param(container_header([{"name": "a", "shape": [True]}]), b"\x00" * 4,
+                     id="bool-dim"),
+        pytest.param(container_header([{"name": "a", "shape": [None]}]), b"", id="null-dim"),
+        # a negative count would move the read offset back into the header
+        pytest.param(
+            container_header([{"name": "a", "shape": [-1]}, {"name": "b", "shape": [2]}]),
+            b"\x00" * 4, id="negative-dim",
+        ),
+    ],
+)
+def test_malformed_manifest_rejected(tmp_path, header, payload):
+    path = tmp_path / "m.bin"
+    write_container(path, header, payload)
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_zero_sized_array_roundtrip(tmp_path):
+    path = tmp_path / "m.bin"
+    save_model(path, "crf", {}, {"empty": np.zeros((0, 13)), "v": np.ones(2)})
+    _, _, arrays = load_model(path)
+    assert arrays["empty"].shape == (0, 13)
+    np.testing.assert_array_equal(arrays["v"], [1.0, 1.0])
