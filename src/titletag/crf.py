@@ -2,10 +2,11 @@
 
 Scores decompose into per-position emission features times label weights
 plus label-transition, start and stop weights. The partition function uses
-the forward recursion in log space; gradients come from forward-backward
-marginals. The same class doubles as the logistic-regression baseline: with
-the transition block pinned at zero the path score factorizes per token and
-Viterbi degenerates to a per-position argmax.
+the forward recursion, each step one small matrix product in exp space with
+per-row rescaling; gradients come from forward-backward marginals. The same
+class doubles as the logistic-regression baseline: with the transition block
+pinned at zero the path score factorizes per token and Viterbi degenerates
+to a per-position argmax.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import model_io
 from .gazetteer import Gazetteer
@@ -101,15 +101,50 @@ def extract_features(tokens: Sequence[str], i: int, gazetteer: Gazetteer | None 
     return list(dict.fromkeys(feats))
 
 
+# Floor of a row max used as a shift: subtracting it from a row that is all
+# -inf then gives -inf, never NaN.
+_LOWEST = np.finfo(np.float64).min
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along axis; a row that is all -inf gives -inf."""
+    top = np.maximum(x.max(axis=axis, keepdims=True), _LOWEST)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
+
+
+def _log_matmul(scores: np.ndarray, exp_trans: np.ndarray, shift: float) -> np.ndarray:
+    """log(exp(scores) @ exp(trans)) for exp_trans = exp(trans - shift): one
+    small GEMM, each row rescaled by its max before leaving log space. A label
+    no finite path reaches gets log(0) = -inf; callers silence that warning."""
+    top = np.maximum(scores.max(axis=-1, keepdims=True), _LOWEST)
+    return np.log(np.exp(scores - top) @ exp_trans) + (top + shift)
+
+
+def _forward(
+    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Log forward scores alphas[..., t, y], plus exp(trans - shift) and the
+    shift (the largest transition weight if finite, else 0) for the backward pass."""
+    shift = float(trans.max())
+    shift = shift if np.isfinite(shift) else 0.0
+    exp_trans = np.exp(trans - shift)
+    alphas = np.empty_like(emissions)
+    alphas[..., 0, :] = start + emissions[..., 0, :]
+    for t in range(1, emissions.shape[-2]):
+        alphas[..., t, :] = (
+            _log_matmul(alphas[..., t - 1, :], exp_trans, shift) + emissions[..., t, :]
+        )
+    return alphas, exp_trans, shift
+
+
 def log_partition_scores(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> np.ndarray:
     """Log-sum over all label paths; emissions may carry leading batch axes."""
-    T = emissions.shape[-2]
-    alpha = start + emissions[..., 0, :]
-    for t in range(1, T):
-        alpha = logsumexp(alpha[..., :, None] + trans, axis=-2) + emissions[..., t, :]
-    return logsumexp(alpha + stop, axis=-1)
+    with np.errstate(divide="ignore"):
+        alphas, _, _ = _forward(emissions, trans, start)
+    return _logsumexp(alphas[..., -1, :] + stop, axis=-1)
 
 
 def sequence_marginals(
@@ -122,19 +157,15 @@ def sequence_marginals(
     the transition y -> y' between positions t and t+1.
     """
     T = emissions.shape[-2]
-    alphas = np.empty_like(emissions)
-    betas = np.empty_like(emissions)
-    alphas[..., 0, :] = start + emissions[..., 0, :]
-    for t in range(1, T):
-        alphas[..., t, :] = (
-            logsumexp(alphas[..., t - 1, :, None] + trans, axis=-2) + emissions[..., t, :]
-        )
-    logz = logsumexp(alphas[..., T - 1, :] + stop, axis=-1)
-    betas[..., T - 1, :] = stop
-    for t in range(T - 2, -1, -1):
-        betas[..., t, :] = logsumexp(
-            trans + (emissions[..., t + 1, :] + betas[..., t + 1, :])[..., None, :], axis=-1
-        )
+    with np.errstate(divide="ignore"):
+        alphas, exp_trans, shift = _forward(emissions, trans, start)
+        betas = np.empty_like(emissions)
+        betas[..., T - 1, :] = stop
+        for t in range(T - 2, -1, -1):
+            betas[..., t, :] = _log_matmul(
+                emissions[..., t + 1, :] + betas[..., t + 1, :], exp_trans.T, shift
+            )
+    logz = _logsumexp(alphas[..., T - 1, :] + stop, axis=-1)
     unary = np.exp(alphas + betas - np.asarray(logz)[..., None, None])
     pairwise = np.exp(
         alphas[..., :-1, :, None]

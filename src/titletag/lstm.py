@@ -182,6 +182,15 @@ def cell_arrays(fwd_cells: list[LstmCell], bwd_cells: list[LstmCell]) -> dict[st
     return arrays
 
 
+def cell_shapes(input_dim: int, upper_dim: int, hidden: int, layers: int):
+    """(name, shape) of each cell_arrays entry of two direction_cells stacks
+    with these dimensions, in the same order; computed lazily, per layer."""
+    for l in range(layers):
+        for prefix in ("fwd", "bwd"):
+            yield f"{prefix}{l}.W", (4 * hidden, (input_dim if l == 0 else upper_dim) + hidden)
+            yield f"{prefix}{l}.b", (4 * hidden,)
+
+
 def length_groups(seqs: list) -> list[list[int]]:
     """Positions of seqs grouped by length, ascending, stable within a group."""
     groups: dict[int, list[int]] = {}

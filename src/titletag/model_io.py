@@ -11,6 +11,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -103,18 +104,32 @@ def check_meta(path: str | Path, meta: dict, fields: dict[str, type]) -> None:
             raise FormatError(f"model metadata {key!r} is missing or not a {what}", path=str(path))
 
 
+def check_shapes(path: str | Path, stored: dict[str, np.ndarray], implied: Iterable) -> None:
+    """FormatError unless the (name, shape) pairs of implied are exactly the
+    stored arrays. implied may be a generator over a model's metadata,
+    checked before the model is built, so metadata alone cannot size an
+    allocation: the first missing or misshapen array stops the check."""
+    unmatched = set(stored)
+    for name, shape in implied:
+        found = stored.get(name)
+        if found is None or found.shape != tuple(shape):
+            got = "missing" if found is None else f"of shape {list(found.shape)}"
+            raise FormatError(
+                f"array {name!r} is {got}; the metadata implies shape {list(shape)}",
+                path=str(path),
+            )
+        unmatched.discard(name)
+    if unmatched:
+        raise FormatError(f"arrays {sorted(unmatched)} are not implied by the metadata",
+                          path=str(path))
+
+
 def fill_arrays(path: str | Path, stored: dict[str, np.ndarray], model: dict) -> None:
     """Copy stored arrays into the same-named arrays of a model built from its
     metadata; FormatError if one is missing or its shape disagrees."""
+    check_shapes(path, stored, ((name, target.shape) for name, target in model.items()))
     for name, target in model.items():
-        found = stored.get(name)
-        if found is None or found.shape != target.shape:
-            got = "missing" if found is None else f"of shape {list(found.shape)}"
-            raise FormatError(
-                f"array {name!r} is {got}; the metadata implies shape {list(target.shape)}",
-                path=str(path),
-            )
-        target[...] = found
+        target[...] = stored[name]
 
 
 def file_hash(path: str | Path) -> str:

@@ -17,7 +17,9 @@ import numpy as np
 from . import model_io, optim
 from .crf import apply_word_dropout, sequence_marginals, viterbi_path
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
-from .lstm import cell_arrays, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run
+from .lstm import (
+    cell_arrays, cell_shapes, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run,
+)
 from .title2vec import BiLmEmbeddings, Vocab
 
 
@@ -225,7 +227,6 @@ class LstmCrfModel:
         if spec["type"] == "table":
             model_io.check_meta(path, spec, {"vocab": list, "min_count": int})
             vocab = Vocab(spec["vocab"], min_count=spec["min_count"])
-            provider = TrainableEmbeddings(vocab, spec["dim"])
         else:
             if provider is None:
                 raise ValueError(
@@ -241,9 +242,27 @@ class LstmCrfModel:
                 raise ValueError(
                     f"{path}: embedding provider hash mismatch: model expects {stored_hash}"
                 )
+        table_rows = vocab.size if spec["type"] == "table" else None
+        model_io.check_shapes(path, arrays, cls._array_shapes(
+            kind, meta["hidden"], meta["layers"], spec["dim"], table_rows))
+        if table_rows is not None:
+            provider = TrainableEmbeddings(vocab, spec["dim"])
         model = cls(provider, hidden_size=meta["hidden"], layers=meta["layers"], kind=kind)
         model_io.fill_arrays(path, arrays, model._arrays())
         return model
+
+    @staticmethod
+    def _array_shapes(kind: str, hidden: int, layers: int, dim: int, table_rows: int | None):
+        """(name, shape) of each _arrays entry of a model with these
+        dimensions, in the same order, without building it."""
+        if table_rows is not None:
+            yield "embed", (table_rows, dim)
+        yield from cell_shapes(dim, 2 * hidden, hidden, layers)
+        yield "proj.W", (2 * hidden, N_LABELS)
+        yield "proj.b", (N_LABELS,)
+        if kind == "lstm-crf":
+            yield from (("trans", (N_LABELS, N_LABELS)), ("start", (N_LABELS,)),
+                        ("stop", (N_LABELS,)))
 
 
 def batch_nll(model: LstmCrfModel, examples: Sequence[LabeledSequence]) -> float:

@@ -19,7 +19,9 @@ import numpy as np
 from . import model_io, optim
 from .corpus import Corpus
 from .errors import FormatError
-from .lstm import cell_arrays, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run
+from .lstm import (
+    cell_arrays, cell_shapes, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run,
+)
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -142,9 +144,21 @@ class BiLmModel:
         model_io.check_meta(path, meta, {"vocab": list, "min_count": int, "dim": int,
                                          "hidden": int, "layers": int})
         vocab = Vocab(meta["vocab"], min_count=meta["min_count"])
+        model_io.check_shapes(path, arrays, cls._array_shapes(
+            vocab.size, meta["dim"], meta["hidden"], meta["layers"]))
         model = cls(vocab, meta["dim"], meta["hidden"], meta["layers"])
         model_io.fill_arrays(path, arrays, model._arrays())
         return model
+
+    @staticmethod
+    def _array_shapes(vocab_size: int, dim: int, hidden: int, layers: int):
+        """(name, shape) of each _arrays entry of a model with these
+        dimensions, in the same order, without building it."""
+        yield "embed", (vocab_size, dim)
+        yield from cell_shapes(dim, hidden, hidden, layers)
+        for prefix in ("fwd_out", "bwd_out"):
+            yield f"{prefix}.W", (hidden, vocab_size)
+            yield f"{prefix}.b", (vocab_size,)
 
 
 def _direction_batches(ids: np.ndarray, bos: int, eos: int, reverse: bool):

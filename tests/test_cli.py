@@ -1,6 +1,12 @@
 import argparse
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +390,8 @@ def _set(mapping, key, value):
         pytest.param("lstm-crf", lambda m, a: _set(m, "hidden", 4), id="lstm-hidden"),
         pytest.param("lstm-crf", lambda m, a: _set(m, "hidden", "8"), id="lstm-string-hidden"),
         pytest.param("lstm-crf", lambda m, a: _set(m, "layers", 2), id="lstm-layers"),
+        pytest.param("lstm-crf", lambda m, a: _set(m, "layers", 0), id="lstm-zero-layers"),
+        pytest.param("lstm-crf", lambda m, a: _set(m, "hidden", -8), id="lstm-negative-hidden"),
         pytest.param("lstm-crf", lambda m, a: _set(m["provider"], "dim", 5), id="lstm-dim"),
         pytest.param("lstm-crf", lambda m, a: m["provider"]["vocab"].append("zzz"),
                      id="lstm-vocab-size"),
@@ -403,6 +411,7 @@ def test_tag_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, kind, e
     [
         pytest.param(lambda m, a: m.pop("vocab"), id="no-vocab"),
         pytest.param(lambda m, a: _set(m, "hidden", 3), id="hidden"),
+        pytest.param(lambda m, a: _set(m, "layers", 0), id="zero-layers"),
         pytest.param(lambda m, a: _set(m, "dim", 5), id="dim"),
         pytest.param(lambda m, a: a.pop("fwd_out.b"), id="no-out-bias"),
         pytest.param(lambda m, a: m["vocab"].append("zzz"), id="vocab-size"),
@@ -433,3 +442,81 @@ def test_tag_with_corrupt_container_exits_4(tmp_path, capsys, small_models, mani
     model.write_bytes(model_io.MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
     code, _, err = run(capsys, "tag", "--in", str(small_models["raw"]), "--model", str(model))
     assert code == 4, err
+
+
+def _meta_edited_command(tmp_path, small_models, kind, edit):
+    model = _edited_copy(small_models[kind], tmp_path / "bad.model", edit)
+    if kind == "bilm":
+        return ["embed", "--model", str(model), "--in", str(small_models["raw"]),
+                "--out", str(tmp_path / "v.txt")]
+    return ["tag", "--in", str(small_models["raw"]), "--model", str(model)]
+
+
+# Bytes that building the small models' stacks from the edited meta would take:
+# lstm-crf has hidden 8 over 4-dim embeddings, bilm hidden 4 over dim 4; a
+# cell's W is (4*hidden, input + hidden) float64.
+@pytest.mark.parametrize(
+    "kind,edit,implied_bytes",
+    [
+        pytest.param("lstm-crf", lambda m, a: _set(m, "hidden", 1500),
+                     2 * 4 * 1500 * (4 + 1500) * 8, id="lstm-hidden"),
+        pytest.param("lstm-crf", lambda m, a: _set(m, "layers", 5000),
+                     2 * 4999 * 4 * 8 * (16 + 8) * 8, id="lstm-layers"),
+        pytest.param("lstm-crf", lambda m, a: _set(m["provider"], "dim", 200_000),
+                     2 * 4 * 8 * (200_000 + 8) * 8, id="lstm-dim"),
+        pytest.param("bilm", lambda m, a: _set(m, "hidden", 1500),
+                     2 * 4 * 1500 * (4 + 1500) * 8, id="bilm-hidden"),
+        pytest.param("bilm", lambda m, a: _set(m, "dim", 200_000),
+                     2 * 4 * 4 * (200_000 + 4) * 8, id="bilm-dim"),
+    ],
+)
+def test_large_meta_dims_exit_4_before_allocating(tmp_path, capsys, small_models, kind, edit,
+                                                  implied_bytes):
+    argv = _meta_edited_command(tmp_path, small_models, kind, edit)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4, err
+    assert peak < implied_bytes / 16, f"peak {peak} B against {implied_bytes} B implied"
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [("lstm-crf", "hidden"), ("lstm-crf", "dim"), ("bilm", "hidden"), ("bilm", "dim")],
+)
+def test_huge_meta_dims_exit_4(tmp_path, capsys, small_models, kind, key):
+    def edit(meta, arrays):
+        (meta["provider"] if key == "dim" and kind == "lstm-crf" else meta)[key] = 10**12
+
+    code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
+    assert code == 4, err
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """Training and evaluation never import scipy: it is not a dependency."""
+    gold = tmp_path / "gold.conll"
+    gold.write_text(GOLD_CONLL, encoding="utf-8")
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from titletag import cli
+        gold, work = sys.argv[1:]
+        commands = [
+            ["train", "crf", "--train", gold, "--out", work + "/crf.model", "--seed", "0"],
+            ["eval", "--gold", gold, "--model", work + "/crf.model"],
+            ["train", "lstm-crf", "--train", gold, "--out", work + "/lstm.model", "--seed", "0",
+             "--hidden", "8", "--embedding-dim", "4"],
+        ]
+        for argv in commands:
+            code = cli.main(argv)
+            if code != 0:
+                sys.exit(f"{' '.join(argv[:2])} exited {code}")
+    """)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, str(gold), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,109 @@ def test_batched_forward_matches_per_sequence():
         np.testing.assert_allclose(pairwise[b], p1, atol=1e-10)
     # posteriors are normalized distributions
     np.testing.assert_allclose(unary.sum(axis=-1), np.ones((B, T)), atol=1e-9)
+
+
+def test_logsumexp_handles_infinite_and_extreme_rows():
+    from titletag.crf import _logsumexp
+
+    inf = np.inf
+    x = np.array([
+        [-inf, -inf, -inf],
+        [-inf, 0.0, np.log(3.0)],
+        [700.0, 700.0, -700.0],
+        [-700.0, -700.0, -inf],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _logsumexp(x, axis=-1)
+        cols = _logsumexp(x.T, axis=0)
+        scalar = _logsumexp(np.full(4, -inf), axis=-1)
+    assert rows[0] == -inf and scalar == -inf
+    want = [np.log(4.0), 700.0 + np.log(2.0), -700.0 + np.log(2.0)]
+    np.testing.assert_allclose(rows[1:], want, rtol=1e-15)
+    np.testing.assert_array_equal(cols, rows)
+
+
+def test_lattice_without_a_finite_path_has_log_partition_minus_inf():
+    from titletag.crf import log_partition_scores
+
+    emis = np.zeros((2, 3, N_LABELS))
+    zeros = np.zeros(N_LABELS)
+    free_trans = np.zeros((N_LABELS, N_LABELS))
+    no_trans = np.full((N_LABELS, N_LABELS), -np.inf)
+    no_start = np.full(N_LABELS, -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(log_partition_scores(emis, no_trans, zeros, zeros) == -np.inf)
+        assert np.all(log_partition_scores(emis, free_trans, no_start, zeros) == -np.inf)
+        single = log_partition_scores(emis[0, :1], no_trans, zeros, zeros)
+    assert single == pytest.approx(np.log(N_LABELS))
+
+
+def brute_force_marginals(emissions, trans, start, stop):
+    """logZ, unary and pairwise posteriors of one sequence from every label
+    path's score at once; no recursion shared with the library."""
+    T, L = emissions.shape
+    paths = np.indices((L,) * T).reshape(T, -1).T  # (L**T, T)
+    pos = np.arange(T)
+    scores = start[paths[:, 0]] + stop[paths[:, -1]] + emissions[pos, paths].sum(axis=1)
+    if T > 1:
+        scores += trans[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+    top = scores.max()
+    weights = np.exp(scores - top)
+    total = weights.sum()
+    unary = np.zeros((T, L))
+    pairwise = np.zeros((T - 1, L, L))
+    for t in range(T):
+        np.add.at(unary[t], paths[:, t], weights / total)
+    for t in range(T - 1):
+        np.add.at(pairwise[t], (paths[:, t], paths[:, t + 1]), weights / total)
+    return top + np.log(total), unary, pairwise
+
+
+def extreme_lattice(rng, shape, scale=50.0, blocked=0.3):
+    """Emissions and weights uniform in [-scale, scale], with at least one
+    finite path per sequence. When blocked > 0, that share of the transition,
+    start and stop cells is -inf, and so are one whole transition row and
+    column: a label nothing can follow and one nothing can precede, so
+    some forward and backward scores are -inf."""
+    L = N_LABELS
+    while True:
+        emis = rng.uniform(-scale, scale, size=shape + (L,))
+        trans, start, stop = (rng.uniform(-scale, scale, size=s) for s in ((L, L), L, L))
+        for w in (trans, start, stop):
+            w[rng.random(w.shape) < blocked] = -np.inf
+        if blocked:
+            trans[rng.integers(L), :] = trans[:, rng.integers(L)] = -np.inf
+        flat = emis.reshape((-1,) + emis.shape[-2:])
+        if all(np.isfinite(brute_force_marginals(e, trans, start, stop)[0]) for e in flat):
+            return emis, trans, start, stop
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_forward_backward_matches_enumeration_with_extreme_and_blocked_cells(T, batch):
+    from titletag.crf import log_partition_scores, sequence_marginals
+
+    rng = np.random.default_rng(100 + 10 * T + len(batch))
+    for case in range(4 if T < 4 else 1):
+        emis, trans, start, stop = extreme_lattice(rng, batch + (T,), blocked=0.3 * (case % 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logz, unary, pairwise = sequence_marginals(emis, trans, start, stop)
+            logz_only = log_partition_scores(emis, trans, start, stop)
+        assert np.shape(logz) == batch and np.shape(logz_only) == batch
+        assert unary.shape == batch + (T, N_LABELS)
+        assert pairwise.shape == batch + (T - 1, N_LABELS, N_LABELS)
+        for b in np.ndindex(batch):
+            want_z, want_u, want_p = brute_force_marginals(emis[b], trans, start, stop)
+            assert logz[b] == pytest.approx(want_z, rel=1e-12), f"case {case}"
+            assert logz_only[b] == pytest.approx(want_z, rel=1e-12), f"case {case}"
+            np.testing.assert_allclose(unary[b], want_u, atol=1e-9)
+            np.testing.assert_allclose(pairwise[b], want_p, atol=1e-9)
+        np.testing.assert_allclose(unary.sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(pairwise.sum(axis=-1), unary[..., :-1, :], atol=1e-9)
+        np.testing.assert_allclose(pairwise.sum(axis=-2), unary[..., 1:, :], atol=1e-9)
 
 
 def test_extract_features_window_and_shape():

@@ -222,6 +222,20 @@ def test_frozen_provider_roundtrip(tmp_path):
         LstmCrfModel.load(path, provider=WrongDim())
 
 
+@pytest.mark.parametrize("kind", ["lstm-crf", "lstm"])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("trainable", [True, False])
+def test_array_shapes_match_built_model(kind, layers, trainable):
+    vocab = Vocab(("<unk>", "<s>", "</s>", "chief", "officer"))
+    provider = TrainableEmbeddings(vocab, 5) if trainable else BiLmEmbeddings(
+        BiLmModel(vocab, dim=3, hidden=2, layers=1), content_hash=None)
+    model = LstmCrfModel(provider, hidden_size=7, layers=layers, kind=kind)
+    built = [(name, arr.shape) for name, arr in model._arrays().items()]
+    implied = LstmCrfModel._array_shapes(kind, 7, layers, provider.dim,
+                                          vocab.size if trainable else None)
+    assert list(implied) == built
+
+
 def test_constructor_validation():
     provider = TrainableEmbeddings(toy_vocab(TOY), 4)
     with pytest.raises(ValueError):
