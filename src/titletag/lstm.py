@@ -6,6 +6,22 @@ hand-derived backpropagation through time. An optional per-sequence mask
 multiplies the recurrent hidden state at every step (variational dropout).
 Layers stack into a multi-layer network with one or two directions per
 layer, and batches are formed from groups of equal-length sequences.
+
+The cell follows the restructuring of Appleyard et al. 2016
+(arXiv:1604.01946): only work that depends on the previous step stays in
+the time loop. The input projection of all steps (plus the bias) is one
+GEMM before the loop, so a step multiplies only h_{t-1} by the recurrent
+block of W. Backprop stores each step's pre-activation gradient in a
+(T, B, 4H) buffer and after the loop forms dW as one GEMM per column block
+(input, recurrent), db as one sum and the input gradients as one GEMM.
+Caches are time-major arrays of shape (T, B, .), filled in place.
+
+The sigmoid is the plain 1 / (1 + exp(-x)) with overflow ignored: for
+x < -709 exp(-x) overflows to inf and the result is the exact limit 0, and
+elsewhere its relative error stays at a few ulp. It needs no branch or
+mask, so one call covers the packed [input; forget; output] block. The
+0.5 * (1 + tanh(x / 2)) form is no faster with numpy and loses all
+relative precision in the far negative tail (error 1.0 at x = -40).
 """
 
 from __future__ import annotations
@@ -14,12 +30,8 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -53,64 +65,83 @@ class LstmCell:
 
     def run(
         self, xs: np.ndarray, mask: np.ndarray | None = None, want_cache: bool = False
-    ) -> tuple[np.ndarray, list | None]:
+    ) -> tuple[np.ndarray, tuple | None]:
         """Run over xs of shape (B, T, input_dim); mask (B, hidden) scales h_{t-1}.
 
-        Returns hidden states (B, T, hidden) and, when requested, the
-        per-step caches needed by backprop.
+        xs may be any strided view (stack_run passes reversed ones). Returns
+        hidden states (B, T, hidden) and, when requested, the time-major
+        caches needed by backprop: the inputs (T*B, input_dim), h_{t-1} as
+        steps 1..T-1 read it (T-1, B, hidden), and the activated gates, c_t
+        and tanh(c_t), each (T, B, .).
         """
-        B, T, _ = xs.shape
+        B, T, D = xs.shape
         H = self.hidden
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        hs = np.empty((B, T, H))
-        caches: list | None = [] if want_cache else None
+        x = xs.transpose(1, 0, 2).reshape(T * B, D)
+        gates = (x @ self.W[:, :D].T).reshape(T, B, 4 * H)
+        gates += self.b
+        W_h = self.W[:, D:].T
+        hs = np.empty((T, B, H))
+        # h_in[t - 1] is h_{t-1} as step t reads it; step 0 reads zeros.
+        h_in = hs[:-1] if mask is None else np.empty((T - 1, B, H))
+        cs = np.empty((T, B, H))
+        tanh_cs = np.empty((T, B, H))
         for t in range(T):
-            h_in = h if mask is None else h * mask
-            xh = np.concatenate([xs[:, t], h_in], axis=1)
-            z = xh @ self.W.T + self.b
-            i = sigmoid(z[:, :H])
-            f = sigmoid(z[:, H : 2 * H])
-            o = sigmoid(z[:, 2 * H : 3 * H])
-            g = np.tanh(z[:, 3 * H :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h = o * tanh_c
-            hs[:, t] = h
-            if caches is not None:
-                caches.append((xh, i, f, o, g, c, tanh_c))
-            c = c_new
-        return hs, caches
+            z = gates[t]
+            if t:
+                if mask is not None:
+                    np.multiply(hs[t - 1], mask, out=h_in[t - 1])
+                z += h_in[t - 1] @ W_h
+            z[:, : 3 * H] = sigmoid(z[:, : 3 * H])
+            np.tanh(z[:, 3 * H :], out=z[:, 3 * H :])
+            i, f, o, g = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
+            np.multiply(i, g, out=cs[t])
+            if t:
+                cs[t] += f * cs[t - 1]
+            np.tanh(cs[t], out=tanh_cs[t])
+            np.multiply(o, tanh_cs[t], out=hs[t])
+        caches = (x, h_in, gates, cs, tanh_cs) if want_cache else None
+        return np.ascontiguousarray(hs.transpose(1, 0, 2)), caches
 
     def backprop(
-        self, caches: list, dhs: np.ndarray, mask: np.ndarray | None = None
+        self, caches: tuple, dhs: np.ndarray, mask: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backpropagate dhs (B, T, hidden); returns (dxs, dW, db)."""
+        x, h_in, gates, cs, tanh_cs = caches
         B, T, H = dhs.shape
-        dW = np.zeros_like(self.W)
-        db = np.zeros_like(self.b)
-        dxs = np.empty((B, T, self.input_dim))
+        D = self.input_dim
+        W_h = self.W[:, D:]
+        i, f, o, g = (gates[..., k * H : (k + 1) * H] for k in range(4))
+        # Local derivatives of every step, computed before the loop: a step's
+        # pre-activation gradient is dc times these on the input, forget and
+        # candidate blocks and dh times them on the output block.
+        dz_all = np.empty_like(gates)
+        dz_all[..., : 3 * H] = gates[..., : 3 * H] * (1.0 - gates[..., : 3 * H])
+        dz_all[..., :H] *= g
+        dz_all[0, :, H : 2 * H] = 0.0
+        dz_all[1:, :, H : 2 * H] *= cs[:-1]
+        dz_all[..., 2 * H : 3 * H] *= tanh_cs
+        dz_all[..., 3 * H :] = i * (1.0 - g * g)
+        dc_dh = o * (1.0 - tanh_cs * tanh_cs)
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            xh, i, f, o, g, c_prev, tanh_c = caches[t]
             dh = dhs[:, t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-            do = dh * tanh_c
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc_next = dc * f
-            dz = np.concatenate(
-                [di * i * (1 - i), df * f * (1 - f), do * o * (1 - o), dg * (1 - g * g)],
-                axis=1,
-            )
-            dW += dz.T @ xh
-            db += dz.sum(axis=0)
-            dxh = dz @ self.W
-            dxs[:, t] = dxh[:, : self.input_dim]
-            dh_rec = dxh[:, self.input_dim :]
-            dh_next = dh_rec if mask is None else dh_rec * mask
+            dc = dc_next + dh * dc_dh[t]
+            dz = dz_all[t].reshape(B, 4, H)
+            dz[:, :2] *= dc[:, None]
+            dz[:, 2] *= dh
+            dz[:, 3] *= dc
+            dc_next = dc * f[t]
+            if t:
+                dh_next = dz_all[t] @ W_h
+                if mask is not None:
+                    dh_next *= mask
+        dz_flat = dz_all.reshape(T * B, 4 * H)
+        dW = np.empty_like(self.W)
+        np.matmul(dz_flat.T, x, out=dW[:, :D])
+        np.matmul(dz_flat[B:].T, h_in.reshape(-1, H), out=dW[:, D:])
+        db = dz_flat.sum(axis=0)
+        dxs = (dz_flat @ self.W[:, :D]).reshape(T, B, D).transpose(1, 0, 2)
         return dxs, dW, db
 
 

@@ -45,7 +45,11 @@ def save_model(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nda
 
 
 def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a model container back as (kind, meta, arrays as float64)."""
+    """Read a model container back as (kind, meta, arrays as float64).
+
+    Every array must hold finite values only: a NaN or infinite weight would
+    otherwise load and decode silently into meaningless labels or vectors.
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) < len(MAGIC) + 8:
@@ -87,6 +91,8 @@ def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
         if offset + nbytes > len(data):
             raise FormatError(f"array {name!r} is truncated", path=str(path))
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(flat).all():
+            raise FormatError(f"array {name!r} holds NaN or infinite values", path=str(path))
         arrays[name] = flat.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(data):

@@ -16,11 +16,12 @@ import numpy as np
 
 from . import model_io, optim
 from .crf import apply_word_dropout, sequence_marginals, viterbi_path
+from .errors import FormatError
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
     cell_arrays, cell_shapes, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run,
 )
-from .title2vec import BiLmEmbeddings, Vocab
+from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 
 
 class TrainableEmbeddings:
@@ -226,8 +227,8 @@ class LstmCrfModel:
         model_io.check_meta(path, spec, {"type": str, "dim": int})
         if spec["type"] == "table":
             model_io.check_meta(path, spec, {"vocab": list, "min_count": int})
-            vocab = Vocab(spec["vocab"], min_count=spec["min_count"])
-        else:
+            vocab = stored_vocab(path, spec["vocab"], spec["min_count"])
+        elif spec["type"] == "bilm":
             if provider is None:
                 raise ValueError(
                     f"{path}: model uses frozen language-model embeddings; pass the provider"
@@ -242,6 +243,8 @@ class LstmCrfModel:
                 raise ValueError(
                     f"{path}: embedding provider hash mismatch: model expects {stored_hash}"
                 )
+        else:
+            raise FormatError(f"unknown embedding provider type {spec['type']!r}", path=str(path))
         table_rows = vocab.size if spec["type"] == "table" else None
         model_io.check_shapes(path, arrays, cls._array_shapes(
             kind, meta["hidden"], meta["layers"], spec["dim"], table_rows))

@@ -67,6 +67,14 @@ class Vocab:
         return cls(_SENTINELS + ordered, min_count=min_count)
 
 
+def stored_vocab(path, tokens: Sequence[str], min_count: int) -> Vocab:
+    """The vocabulary a model file stores; FormatError if it is malformed."""
+    try:
+        return Vocab(tokens, min_count=min_count)
+    except ValueError as exc:
+        raise FormatError(f"bad vocabulary: {exc}", path=str(path)) from None
+
+
 def build_vocab(corpus: Corpus, min_count: int = 1) -> Vocab:
     """Vocabulary over a corpus; tokens below min_count fall back to <unk>."""
     counts: Counter[str] = Counter()
@@ -143,7 +151,7 @@ class BiLmModel:
             raise ValueError(f"{path}: expected a bilm model, found {kind!r}")
         model_io.check_meta(path, meta, {"vocab": list, "min_count": int, "dim": int,
                                          "hidden": int, "layers": int})
-        vocab = Vocab(meta["vocab"], min_count=meta["min_count"])
+        vocab = stored_vocab(path, meta["vocab"], meta["min_count"])
         model_io.check_shapes(path, arrays, cls._array_shapes(
             vocab.size, meta["dim"], meta["hidden"], meta["layers"]))
         model = cls(vocab, meta["dim"], meta["hidden"], meta["layers"])

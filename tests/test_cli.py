@@ -371,6 +371,14 @@ def _set(mapping, key, value):
     mapping[key] = value
 
 
+def _duplicate_token(vocab):
+    vocab[-1] = vocab[-2]
+
+
+def _drop_sentinel(vocab):
+    vocab[0] = "zzz"
+
+
 @pytest.mark.parametrize(
     "kind,edit",
     [
@@ -397,6 +405,12 @@ def _set(mapping, key, value):
                      id="lstm-vocab-size"),
         pytest.param("lstm-crf", lambda m, a: _set(a, "trans", a["trans"][:, :-1]),
                      id="lstm-label-count"),
+        pytest.param("lstm-crf", lambda m, a: _duplicate_token(m["provider"]["vocab"]),
+                     id="lstm-duplicate-token"),
+        pytest.param("lstm-crf", lambda m, a: _drop_sentinel(m["provider"]["vocab"]),
+                     id="lstm-no-sentinel"),
+        pytest.param("lstm-crf", lambda m, a: _set(m["provider"], "type", "foo"),
+                     id="lstm-provider-type"),
     ],
 )
 def test_tag_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, kind, edit):
@@ -416,6 +430,8 @@ def test_tag_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, kind, e
         pytest.param(lambda m, a: a.pop("fwd_out.b"), id="no-out-bias"),
         pytest.param(lambda m, a: m["vocab"].append("zzz"), id="vocab-size"),
         pytest.param(lambda m, a: m["vocab"].append({"token": "zzz"}), id="vocab-object"),
+        pytest.param(lambda m, a: _duplicate_token(m["vocab"]), id="duplicate-token"),
+        pytest.param(lambda m, a: _drop_sentinel(m["vocab"]), id="no-sentinel"),
     ],
 )
 def test_embed_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, edit):
@@ -423,6 +439,7 @@ def test_embed_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, edit)
     code, _, err = run(capsys, "embed", "--model", str(model), "--in",
                        str(small_models["raw"]), "--out", str(tmp_path / "v.txt"))
     assert code == 4, err
+    assert "bad.model" in err
 
 
 @pytest.mark.parametrize(
@@ -493,6 +510,19 @@ def test_huge_meta_dims_exit_4(tmp_path, capsys, small_models, kind, key):
 
     code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
     assert code == 4, err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "kind,array", [("crf", "trans"), ("lstm-crf", "proj.W"), ("bilm", "embed")],
+)
+def test_non_finite_weights_exit_4(tmp_path, capsys, small_models, kind, array, value):
+    def edit(meta, arrays):
+        arrays[array].flat[0] = value
+
+    code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
+    assert code == 4, err
+    assert "bad.model" in err and repr(array) in err
 
 
 def test_cli_runs_without_scipy(tmp_path):
