@@ -15,16 +15,15 @@ import numpy as np
 
 from titletag.corpus import synth_corpus
 from titletag.crf import train_crf
-from titletag.evaluation import compare_models, score
+from titletag.evaluation import compare_models, predict_sequences, score
 from titletag.gazetteer import sample_gazetteer
-from titletag.labeling import LabeledSequence, auto_tag
+from titletag.labeling import auto_tag
 from titletag.neural import train_lstm_crf
 from titletag.optim import TrainConfig
 
 
 def evaluate(model, test):
-    pred = [LabeledSequence(ex.tokens, model.predict(ex.tokens)) for ex in test]
-    return score(test, pred)
+    return score(test, predict_sequences(model, [ex.tokens for ex in test]))
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from titletag.crf import train_crf
-from titletag.evaluation import score
-from titletag.labeling import LabeledSequence, read_conll
+from titletag.evaluation import predict_sequences, score
+from titletag.labeling import read_conll
 from titletag.neural import train_lstm_crf
 from titletag.optim import TrainConfig
 
@@ -85,8 +85,7 @@ def main(argv=None) -> int:
             ),
         }
         for name, model in models.items():
-            pred = [LabeledSequence(s.tokens, model.predict(s.tokens)) for s in test]
-            rep = score(test, pred)
+            rep = score(test, predict_sequences(model, [s.tokens for s in test]))
             em_ref, f1_ref = SCORE_BANDS[name]
             ok = abs(rep.em_token - em_ref) <= 0.5 and abs(rep.f1 - f1_ref) <= 0.5
             print(f"{name}: em={rep.em_token:.2f} f1={rep.f1:.2f} "

@@ -36,7 +36,7 @@ from .gazetteer import (
     sample_gazetteer,
     write_gazetteer,
 )
-from .labeling import LabeledSequence, auto_tag, dumps_conll, read_conll, write_conll
+from .labeling import auto_tag, dumps_conll, read_conll, write_conll
 from .neural import LstmCrfModel, train_lstm_crf, train_lstm_softmax
 from .optim import TrainConfig
 from .title2vec import (
@@ -263,7 +263,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     if args.model:
         # With a model, --gazetteer only supplies its lookup features.
         model = _load_tagger(args.model, args.gazetteer, args.embeddings)
-        sequences = [LabeledSequence(toks, model.predict(toks)) for toks in token_seqs]
+        sequences = evaluation.predict_sequences(model, token_seqs)
     else:
         gaz = read_gazetteer(args.gazetteer)
         sequences = [
@@ -352,7 +352,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pred = read_conll(args.pred)
     else:
         model = _load_tagger(args.model, args.gazetteer, args.embeddings)
-        pred = [LabeledSequence(g.tokens, model.predict(g.tokens)) for g in gold]
+        pred = evaluation.predict_sequences(model, [g.tokens for g in gold])
         if args.pred_out:
             write_conll(pred, args.pred_out)
     report = evaluation.score(gold, pred)

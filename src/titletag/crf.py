@@ -18,11 +18,16 @@ import numpy as np
 from . import model_io
 from .gazetteer import Gazetteer
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
+from .lstm import length_groups
 from .optim import TrainConfig, fit
 
 UNK_TOKEN = "<unk>"
 _BOS = "<s>"
 _EOS = "</s>"
+
+# Most sequences decoded in one batch: bounds the memory of a batched decode
+# when many sequences share a length.
+DECODE_CHUNK = 128
 
 
 class FeatureVocab:
@@ -194,20 +199,45 @@ def path_score(
 
 def viterbi_path(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
-) -> list[int]:
-    """Highest-scoring label path; ties resolve toward the lowest label index."""
-    T, L = emissions.shape
-    back = np.empty((T, L), dtype=np.int64)
-    score = start + emissions[0]
+) -> list[int] | np.ndarray:
+    """Highest-scoring label path; ties resolve toward the lowest label index.
+
+    emissions is (T, L) for one sequence, which gives a list of label ids, or
+    (B, T, L) for a batch of equal-length sequences, which gives a (B, T) id
+    array. A batch row does the same adds and argmaxes as the one-sequence
+    call on that row, so the two give equal paths.
+    """
+    single = emissions.ndim == 2
+    emis = emissions[None] if single else emissions
+    B, T, L = emis.shape
+    rows = np.arange(B)
+    back = np.empty((T, B, L), dtype=np.int64)
+    score = start + emis[:, 0]
     for t in range(1, T):
-        cand = score[:, None] + trans
-        back[t] = np.argmax(cand, axis=0)
-        score = cand[back[t], np.arange(L)] + emissions[t]
-    last = int(np.argmax(score + stop))
-    path = [last]
+        cand = score[:, :, None] + trans
+        back[t] = np.argmax(cand, axis=1)
+        score = cand[rows[:, None], back[t], np.arange(L)] + emis[:, t]
+    path = np.empty((B, T), dtype=np.int64)
+    path[:, -1] = np.argmax(score + stop, axis=1)
     for t in range(T - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
-    return path[::-1]
+        path[:, t - 1] = back[t, rows, path[:, t]]
+    return path[0].tolist() if single else path
+
+
+def decode_in_chunks(seqs: Sequence[Sequence[str]], chunk_paths) -> list[tuple[BioesLabel, ...]]:
+    """Labels of each sequence, in input order, decoded in chunks.
+
+    seqs is split into chunks of at most DECODE_CHUNK equal-length sequences;
+    chunk_paths(chunk) gets the positions of one chunk in seqs and returns
+    their label ids as a (len(chunk), T) array.
+    """
+    if not all(seqs):
+        raise ValueError("empty token sequence")
+    out: list = [None] * len(seqs)
+    for chunk in length_groups(seqs, DECODE_CHUNK):
+        for j, path in zip(chunk, chunk_paths(chunk).tolist()):
+            out[j] = tuple(ALL_LABELS[i] for i in path)
+    return out
 
 
 class CrfModel:
@@ -273,7 +303,19 @@ class CrfModel:
         return emis
 
     def predict(self, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
-        return viterbi_decode(self, tokens)
+        return self.predict_many([tokens])[0]
+
+    def predict_many(self, seqs: Sequence[Sequence[str]]) -> list[tuple[BioesLabel, ...]]:
+        """Most probable labeling of each sequence, in input order.
+
+        Emissions come per sequence (features are per sequence); Viterbi
+        runs once per chunk of equal-length sequences.
+        """
+        def paths(chunk: list[int]) -> np.ndarray:
+            emis = np.stack([self.emissions(seqs[j]) for j in chunk])
+            return viterbi_path(emis, self.trans, self.start, self.stop)
+
+        return decode_in_chunks(seqs, paths)
 
     def _arrays(self) -> dict[str, np.ndarray]:
         return {
@@ -367,12 +409,8 @@ def nll_and_gradient(
 
 
 def viterbi_decode(model: CrfModel, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
-    """Most probable BIOES labeling of a token sequence."""
-    if not tokens:
-        raise ValueError("empty token sequence")
-    emis = model.emissions(tokens)
-    path = viterbi_path(emis, model.trans, model.start, model.stop)
-    return tuple(ALL_LABELS[i] for i in path)
+    """Most probable BIOES labeling of a token sequence (model.predict)."""
+    return model.predict(tokens)
 
 
 def apply_word_dropout(tokens: Sequence[str], p: float, rng: np.random.Generator) -> tuple[str, ...]:

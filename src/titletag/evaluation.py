@@ -158,6 +158,12 @@ def score(gold: Sequence[LabeledSequence], pred: Sequence[LabeledSequence]) -> M
     )
 
 
+def predict_sequences(model, token_seqs: Sequence[Sequence[str]]) -> list[LabeledSequence]:
+    """The model's labeling of each token sequence, from one predict_many call."""
+    return [LabeledSequence(tuple(toks), labels)
+            for toks, labels in zip(token_seqs, model.predict_many(token_seqs))]
+
+
 def human_baseline(annotations: Sequence[Sequence[LabeledSequence]]) -> MetricsReport:
     """Mean pairwise agreement between annotators, expressed as a report.
 
@@ -268,10 +274,7 @@ def grid_search(
             log.warning("grid point %s diverged", settings)
             points.append(GridPoint(settings, 0.0, 0.0, failed=True))
             continue
-        pred = [
-            LabeledSequence(ex.tokens, model.predict(ex.tokens)) for ex in dev_gold
-        ]
-        report = score(dev_gold, pred)
+        report = score(dev_gold, predict_sequences(model, [ex.tokens for ex in dev_gold]))
         point = GridPoint(settings, report.f1, report.em_token)
         points.append(point)
         if best is None or point.f1 > best.f1:

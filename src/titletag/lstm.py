@@ -222,9 +222,17 @@ def cell_shapes(input_dim: int, upper_dim: int, hidden: int, layers: int):
             yield f"{prefix}{l}.b", (4 * hidden,)
 
 
-def length_groups(seqs: list) -> list[list[int]]:
-    """Positions of seqs grouped by length, ascending, stable within a group."""
+def length_groups(seqs: list, max_size: int | None = None) -> list[list[int]]:
+    """Positions of seqs grouped by length, ascending, stable within a group.
+
+    With max_size, a larger group is split into consecutive runs of at most
+    max_size positions.
+    """
     groups: dict[int, list[int]] = {}
     for pos, seq in enumerate(seqs):
         groups.setdefault(len(seq), []).append(pos)
-    return [groups[length] for length in sorted(groups)]
+    ordered = [groups[length] for length in sorted(groups)]
+    if max_size is None:
+        return ordered
+    return [group[lo : lo + max_size] for group in ordered
+            for lo in range(0, len(group), max_size)]

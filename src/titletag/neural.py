@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from . import model_io, optim
-from .crf import apply_word_dropout, sequence_marginals, viterbi_path
+from .crf import apply_word_dropout, decode_in_chunks, sequence_marginals, viterbi_path
 from .errors import FormatError
-from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
+from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
     cell_arrays, cell_shapes, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run,
 )
@@ -111,23 +111,35 @@ class LstmCrfModel:
             return self.provider.table[ids]
         return np.stack([self.provider.embed(toks) for toks in token_group])
 
+    def _chunk_emissions(self, token_group: list) -> np.ndarray:
+        """Label scores (B, T, n_labels) of equal-length sequences, one batch."""
+        enc, _ = self.encode(self._embed_group(token_group))
+        return enc @ self.proj_W + self.proj_b
+
     def emissions(self, tokens: Sequence[str]) -> np.ndarray:
         """Per-position label scores (T, n_labels) for one sequence."""
         if not tokens:
             raise ValueError("empty token sequence")
-        xs = self._embed_group([tuple(tokens)])
-        enc, _ = self.encode(xs)
-        return enc[0] @ self.proj_W + self.proj_b
+        return self._chunk_emissions([tokens])[0]
 
     def predict(self, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
-        """Decode one sequence; inference never batches, so the output is
-        independent of any surrounding batch composition."""
-        emis = self.emissions(tokens)
-        if self.kind == "lstm-crf":
-            path = viterbi_path(emis, self.trans, self.start, self.stop)
-        else:
-            path = [int(i) for i in np.argmax(emis, axis=1)]
-        return tuple(ALL_LABELS[int(i)] for i in path)
+        return self.predict_many([tokens])[0]
+
+    def predict_many(self, seqs: Sequence[Sequence[str]]) -> list[tuple[BioesLabel, ...]]:
+        """Decode each sequence, in input order.
+
+        Each chunk of equal-length sequences (crf.decode_in_chunks) is
+        encoded as one batch. A sequence's encoding does not depend on the
+        others in its chunk up to float rounding (about 1e-16), so its labels
+        equal those of decoding it alone unless two paths tie that closely.
+        """
+        def paths(chunk: list[int]) -> np.ndarray:
+            emis = self._chunk_emissions([seqs[j] for j in chunk])
+            if self.kind == "lstm-crf":
+                return viterbi_path(emis, self.trans, self.start, self.stop)
+            return np.argmax(emis, axis=-1)
+
+        return decode_in_chunks(seqs, paths)
 
     def _group_pass(self, token_group, label_ids, masks, grad_of) -> float:
         """Loss (summed over the group) and, when grad_of is given, gradients."""

@@ -338,9 +338,10 @@ class EmbeddingStore:
         self.dim = dim
         self.records = list(records)
         for rec in self.records:
-            if rec.vectors.ndim != 2 or rec.vectors.shape[1] != dim:
+            if rec.vectors.ndim != 2 or rec.vectors.shape[1] != dim or not len(rec.vectors):
                 raise ValueError(
-                    f"record {rec.title_id!r} has shape {rec.vectors.shape}, expected (*, {dim})"
+                    f"record {rec.title_id!r} has shape {rec.vectors.shape}, "
+                    f"expected (n >= 1, {dim})"
                 )
             if " " in rec.title_id or not rec.title_id:
                 raise ValueError(f"bad title id {rec.title_id!r}")
@@ -357,19 +358,22 @@ class EmbeddingStore:
 
 
 def _render_body(records: Sequence[TitleVectors]) -> str:
-    lines: list[str] = []
+    """One header line per record, then one line of repr() floats per token."""
+    parts = []
     for rec in records:
-        lines.append(f"{rec.title_id} {rec.vectors.shape[0]}")
-        for row in rec.vectors:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    return "".join(line + "\n" for line in lines)
+        rows = rec.vectors.tolist()
+        parts.append(f"{rec.title_id} {len(rows)}\n")
+        parts.append("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    return "".join(parts)
 
 
 def write_embeddings(store: EmbeddingStore, path) -> None:
     """Write the plain-text store; the header hash covers the record body."""
-    body = _render_body(store.records)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-    Path(path).write_text(f"ipod-emb v1 {store.dim} {digest}\n{body}", encoding="utf-8")
+    body = _render_body(store.records).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest()[:16]
+    with Path(path).open("wb") as fh:
+        fh.write(f"ipod-emb v1 {store.dim} {digest}\n".encode("utf-8"))
+        fh.write(body)
 
 
 def read_embeddings(path) -> EmbeddingStore:
@@ -403,7 +407,9 @@ def read_embeddings(path) -> EmbeddingStore:
         try:
             count = int(count_text)
         except ValueError:
-            raise FormatError(f"bad token count {count_text!r}", path=str(path), line=pos + 2) from None
+            count = 0
+        if count < 1:
+            raise FormatError(f"bad token count {count_text!r}", path=str(path), line=pos + 2)
         if pos + count >= len(lines):
             raise FormatError(f"record {title_id!r} is truncated", path=str(path), line=pos + 2)
         rows = []
@@ -411,9 +417,12 @@ def read_embeddings(path) -> EmbeddingStore:
             values = lines[pos + 1 + k].split(" ")
             if len(values) != dim:
                 raise FormatError(
-                    f"expected {dim} values, got {len(values)}", path=str(path), line=pos + 2 + k
+                    f"expected {dim} values, got {len(values)}", path=str(path), line=pos + 3 + k
                 )
-            rows.append([float(v) for v in values])
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError as exc:
+                raise FormatError(f"bad value: {exc}", path=str(path), line=pos + 3 + k) from None
         records.append(TitleVectors(title_id=title_id, vectors=np.array(rows)))
         pos += 1 + count
     return EmbeddingStore(dim=dim, records=records)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from titletag import cli, model_io
+from titletag.labeling import read_conll
 from titletag.title2vec import read_embeddings
 
 GOLD_CONLL = (
@@ -244,6 +245,46 @@ def test_train_eval_tag_with_model(tmp_path, capsys):
     )
     assert code == 0
     assert out.count("\t") == sum(1 for l in labeled.read_text().splitlines() if l)
+
+
+@pytest.fixture(scope="module")
+def tagging_files(tmp_path_factory):
+    """A dictionary-labeled synthetic corpus, its raw titles and the gazetteer."""
+    work = tmp_path_factory.mktemp("tagging")
+    paths = {name: work / name for name in ("gaz.tsv", "raw.txt", "labeled.conll")}
+    for argv in (
+        ["gazetteer", "build", "--sample", "--out", str(paths["gaz.tsv"])],
+        ["synth", "--seed", "12", "--count", "300", "--out", str(paths["raw.txt"])],
+        ["tag", "--in", str(paths["raw.txt"]), "--gazetteer", str(paths["gaz.tsv"]),
+         "--out", str(paths["labeled.conll"])],
+    ):
+        assert cli.main(argv) == 0
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["crf", "logreg", "lstm", "lstm-crf"])
+def test_tag_and_eval_write_per_title_predictions(tmp_path, capsys, tagging_files, kind):
+    gaz, labeled = str(tagging_files["gaz.tsv"]), str(tagging_files["labeled.conll"])
+    model_path = tmp_path / "model"
+    extra = ["--gazetteer", gaz] if kind in ("crf", "logreg") else ["--hidden", "8"]
+    code, _, err = run(capsys, "train", kind, "--train", labeled, *extra,
+                       "--epochs", "1", "--seed", "0", "--out", str(model_path))
+    assert code == 0, err
+    features = ["--gazetteer", gaz] if kind in ("crf", "logreg") else []
+    tagged, pred = tmp_path / "tagged.conll", tmp_path / "pred.conll"
+    code, _, err = run(capsys, "tag", "--in", str(tagging_files["raw.txt"]),
+                       "--model", str(model_path), *features, "--out", str(tagged))
+    assert code == 0, err
+    code, _, err = run(capsys, "eval", "--gold", labeled, "--model", str(model_path),
+                       *features, "--pred-out", str(pred))
+    assert code == 0, err
+
+    model = cli._load_tagger(str(model_path), gaz if features else None, None)
+    gold = read_conll(labeled)
+    for path in (tagged, pred):
+        written = read_conll(path)
+        assert [seq.tokens for seq in written] == [seq.tokens for seq in gold]
+        assert [seq.labels for seq in written] == [model.predict(seq.tokens) for seq in gold]
 
 
 def test_bilm_and_embed_roundtrip(tmp_path, capsys):

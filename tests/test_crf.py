@@ -66,6 +66,53 @@ def test_viterbi_tie_breaks_to_lowest_index():
     assert viterbi_path(emis, trans, start, stop) == [0, 4, 0]
 
 
+def _viterbi_rows_equal(emis, trans, start, stop):
+    batched = viterbi_path(emis, trans, start, stop)
+    assert batched.shape == emis.shape[:2]
+    for b in range(emis.shape[0]):
+        single = viterbi_path(emis[b], trans, start, stop)
+        assert isinstance(single, list)
+        assert batched[b].tolist() == single, f"row {b}"
+    return batched
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 7])
+@pytest.mark.parametrize("scores", ["normal", "integer", "blocked"])
+def test_batched_viterbi_rows_equal_single_calls(T, scores):
+    """Every batch row is exactly the one-sequence path, also under ties
+    (integer scores) and with -inf cells."""
+    rng = np.random.default_rng(100 + T)
+    B = 9
+    emis = rng.normal(size=(B, T, N_LABELS))
+    trans, start, stop = (rng.normal(size=(N_LABELS, N_LABELS)),
+                          rng.normal(size=N_LABELS), rng.normal(size=N_LABELS))
+    if scores == "integer":
+        emis, trans, start, stop = (np.round(a) for a in (emis, trans, start, stop))
+    elif scores == "blocked":
+        emis[rng.random(emis.shape) < 0.3] = -np.inf
+        trans[rng.random(trans.shape) < 0.3] = -np.inf
+        start[rng.random(N_LABELS) < 0.3] = -np.inf
+        emis[0] = -np.inf  # a row with no finite path at all
+    _viterbi_rows_equal(emis, trans, start, stop)
+
+
+def test_batched_viterbi_matches_enumeration():
+    rng = np.random.default_rng(14)
+    L = 5
+    for case in range(8):
+        T = int(rng.integers(1, 5))
+        emis = rng.normal(size=(3, T, L))
+        if case % 2:  # integer scores force ties
+            emis = np.round(emis)
+        trans, start, stop = rng.normal(size=(L, L)), rng.normal(size=L), rng.normal(size=L)
+        if case % 2:
+            trans, start, stop = np.round(trans), np.round(start), np.round(stop)
+        got = _viterbi_rows_equal(emis, trans, start, stop)
+        for b in range(len(emis)):
+            want, _ = brute_force_best_path(emis[b], trans, start, stop)
+            assert got[b].tolist() == want, f"case {case} row {b}"
+
+
 def test_batched_forward_matches_per_sequence():
     from titletag.crf import log_partition_scores, sequence_marginals
 

@@ -178,6 +178,9 @@ class FixedTagger:
     def predict(self, tokens):
         return tuple(BioesLabel.parse(l) for l in self.answers[tokens].split())
 
+    def predict_many(self, seqs):
+        return [self.predict(tokens) for tokens in seqs]
+
 
 DEV = [seq("a b", "S-RES S-FUN"), seq("c", "S-LOC")]
 PERFECT = {("a", "b"): "S-RES S-FUN", ("c",): "S-LOC"}

@@ -10,6 +10,7 @@ from titletag.title2vec import (
     TitleVectors,
     Vocab,
     _bilm_batch,
+    _render_body,
     backward_logprobs,
     batch_ce,
     build_vocab,
@@ -244,6 +245,70 @@ def test_embedding_file_truncated(tmp_path):
     path.write_text(f"ipod-emb v1 2 {digest}\n{body}", encoding="utf-8")
     with pytest.raises(FormatError):
         read_embeddings(path)
+
+
+def _write_body(path, dim, body):
+    import hashlib
+
+    digest = hashlib.sha256(body.encode()).hexdigest()[:16]
+    path.write_text(f"ipod-emb v1 {dim} {digest}\n{body}", encoding="utf-8")
+
+
+def _read_error(path) -> FormatError:
+    """The FormatError of reading path, run in a daemon thread so that a
+    reader that never returns fails the test instead of hanging it."""
+    import threading
+
+    caught = []
+
+    def read():
+        try:
+            read_embeddings(path)
+        except Exception as exc:  # noqa: BLE001 - the test inspects what was raised
+            caught.append(exc)
+
+    worker = threading.Thread(target=read, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "read_embeddings did not return"
+    assert len(caught) == 1 and isinstance(caught[0], FormatError), caught
+    return caught[0]
+
+
+@pytest.mark.parametrize(
+    "body,line",
+    [
+        pytest.param("a 1\n0.5 0.25\nb -1\n", 4, id="count-minus-1"),
+        pytest.param("a 1\n0.5 0.25\nb -2\n0.5 0.25\n", 4, id="count-minus-2"),
+        pytest.param("a 0\nb 1\n0.5 0.25\n", 2, id="count-0"),
+        pytest.param("a 2\n0.5 0.25\n0.1 x\n", 4, id="non-numeric-value"),
+        pytest.param("a 2\n0.5 0.25\n0.1\n", 4, id="short-row"),
+    ],
+)
+def test_embedding_file_bad_record_names_path_and_line(tmp_path, body, line):
+    path = tmp_path / "emb.txt"
+    _write_body(path, 2, body)
+    err = _read_error(path)
+    assert err.path == str(path) and err.line == line
+    assert str(err).startswith(f"{path}:{line}: ")
+
+
+def test_store_rejects_a_record_without_vectors():
+    with pytest.raises(ValueError):
+        EmbeddingStore(2, [TitleVectors("x", np.zeros((0, 2)))])
+
+
+def test_embedding_rows_render_as_per_element_repr():
+    values = [-0.0, 5e-324, 1e308, 1.0, 0.1, 1 / 3, -2.5e-300, 123456789.125]
+    rows = np.array([values, values[::-1]])
+    store = EmbeddingStore(len(values), [TitleVectors("t", rows), TitleVectors("u", rows[:1])])
+    want = "".join(
+        f"{rec.title_id} {rec.vectors.shape[0]}\n"
+        + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rec.vectors)
+        for rec in store.records
+    )
+    assert _render_body(store.records) == want
+    assert "-0.0 5e-324 1e+308 1.0 0.1 0.3333333333333333" in want
 
 
 def test_embedding_file_bad_header(tmp_path):
