@@ -3,12 +3,14 @@
 Two independent stacked LSTM language models (one per direction) share a
 token embedding table. A token's contextual vector concatenates its input
 embedding with every layer's hidden state from both directions, giving
-dimension D + 2*H*L. Vectors serialize to a hashed plain-text store.
+dimension D + 2*H*L. Vectors serialize to `.emb` files: a hashed text
+header and record table, then one little-endian float64 block.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -343,7 +345,8 @@ class EmbeddingStore:
                     f"record {rec.title_id!r} has shape {rec.vectors.shape}, "
                     f"expected (n >= 1, {dim})"
                 )
-            if " " in rec.title_id or not rec.title_id:
+            # One whitespace-free word, so the id fits on its `{id} {n}` line.
+            if rec.title_id.split() != [rec.title_id]:
                 raise ValueError(f"bad title id {rec.title_id!r}")
         self._pooled: np.ndarray | None = None
 
@@ -357,28 +360,116 @@ class EmbeddingStore:
         return self._pooled
 
 
-def _render_body(records: Sequence[TitleVectors]) -> str:
-    """One header line per record, then one line of repr() floats per token."""
-    parts = []
-    for rec in records:
-        rows = rec.vectors.tolist()
-        parts.append(f"{rec.title_id} {len(rows)}\n")
-        parts.append("".join(" ".join(map(repr, row)) + "\n" for row in rows))
-    return "".join(parts)
+# Longest first line read_embeddings takes as a v2 header.
+_HEADER_LIMIT = 256
 
 
 def write_embeddings(store: EmbeddingStore, path) -> None:
-    """Write the plain-text store; the header hash covers the record body."""
-    body = _render_body(store.records).encode("utf-8")
-    digest = hashlib.sha256(body).hexdigest()[:16]
+    """Write the store as `.emb` v2.
+
+    Line 1 is `ipod-emb v2 {dim} {records} {hash}`. One `{id} {n}` line per
+    record follows, then all vectors as one little-endian float64 block:
+    records in table order, rows in token order. The hash is the first 16
+    hex digits of the sha256 of the table bytes followed by the block bytes.
+    """
+    table = "".join(f"{rec.title_id} {len(rec.vectors)}\n" for rec in store.records).encode("utf-8")
+    blocks = [np.ascontiguousarray(rec.vectors, dtype="<f8") for rec in store.records]
+    digest = hashlib.sha256(table)
+    for block in blocks:
+        digest.update(block)
+    header = f"ipod-emb v2 {store.dim} {len(blocks)} {digest.hexdigest()[:16]}\n"
     with Path(path).open("wb") as fh:
-        fh.write(f"ipod-emb v1 {store.dim} {digest}\n".encode("utf-8"))
-        fh.write(body)
+        fh.write(header.encode("ascii"))
+        fh.write(table)
+        for block in blocks:
+            fh.write(block)
 
 
 def read_embeddings(path) -> EmbeddingStore:
+    """Read a `.emb` file, v2 (see write_embeddings) or the older v1 text.
+
+    Any malformed file, including bytes that are not UTF-8 where text is
+    expected, raises FormatError naming the path. The v2 reader checks the
+    block's size against the file's before it allocates, so a v2 file must
+    be a regular file; a v1 file may also be a pipe.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    with path.open("rb") as fh:
+        first = fh.readline(_HEADER_LIMIT)
+        if first.startswith(b"ipod-emb v2 "):
+            return _read_v2(path, fh, first)
+        text = _decode(path, first + fh.read())
+    return _read_v1(path, text)
+
+
+def _decode(path: Path, data: bytes) -> str:
+    """UTF-8 text with universal newlines, as Path.read_text returns it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8 text: {exc.reason}", path=str(path), line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_v2(path: Path, fh, first: bytes) -> EmbeddingStore:
+    """Check the header, the table and the block size before allocating,
+    then read the block into one array and check the hash."""
+    header = first[:-1].split(b" ") if first.endswith(b"\n") else []
+    if (len(header) != 5 or not header[2].isdigit() or not header[3].isdigit()
+            or int(header[2]) < 1):
+        raise FormatError(f"bad header {first[:80]!r}", path=str(path))
+    dim, n_records = int(header[2]), int(header[3])
+    pos = len(first)
+    digest = hashlib.sha256()
+    ids: list[str] = []
+    counts: list[int] = []
+    for line_no in range(2, n_records + 2):
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise FormatError("record table is truncated", path=str(path), line=line_no)
+        pos += len(line)
+        digest.update(line)
+        fields = line[:-1].split(b" ")
+        try:
+            title_id = fields[0].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("record id is not UTF-8", path=str(path), line=line_no) from None
+        if (len(fields) != 2 or title_id.split() != [title_id] or not fields[1].isdigit()
+                or int(fields[1]) < 1):
+            raise FormatError(f"bad record line {line[:80]!r}", path=str(path), line=line_no)
+        ids.append(title_id)
+        counts.append(int(fields[1]))
+    rows = sum(counts)
+    size = os.fstat(fh.fileno()).st_size - pos
+    if size != 8 * dim * rows:
+        raise FormatError(
+            f"expected {8 * dim * rows} bytes of vectors after the table, found {size}",
+            path=str(path),
+        )
+    block = np.empty(rows * dim, dtype="<f8")
+    if fh.readinto(block) != size:
+        raise FormatError("vector block is truncated", path=str(path))
+    digest.update(block)
+    if digest.hexdigest()[:16].encode("ascii") != header[4]:
+        raise FormatError(
+            f"content hash mismatch: header says {header[4].decode('ascii', 'replace')}, "
+            f"content hashes to {digest.hexdigest()[:16]}",
+            path=str(path),
+        )
+    block = block.reshape(rows, dim)
+    records = []
+    start = 0
+    for title_id, n in zip(ids, counts):
+        records.append(TitleVectors(title_id, block[start : start + n]))
+        start += n
+    return EmbeddingStore(dim=dim, records=records)
+
+
+def _read_v1(path: Path, text: str) -> EmbeddingStore:
+    """The v1 text store: header `ipod-emb v1 {dim} {hash}`, then per record
+    a line `{id} {n}` and n lines of dim repr() floats; the hash covers
+    everything after the header."""
     newline = text.find("\n")
     if newline < 0:
         raise FormatError("missing header line", path=str(path))

@@ -13,7 +13,7 @@ import pytest
 
 from titletag import cli, model_io
 from titletag.labeling import read_conll
-from titletag.title2vec import read_embeddings
+from titletag.title2vec import BiLmModel, Vocab, read_embeddings
 
 GOLD_CONLL = (
     "chief\tS-RES\nfinancial\tS-FUN\nofficer\tS-RES\n"
@@ -305,6 +305,20 @@ def test_bilm_and_embed_roundtrip(tmp_path, capsys):
     store = read_embeddings(emb)
     assert store.dim == 4 + 2 * 4 * 1
     assert len(store.records) == 15
+
+
+def test_embed_empty_input_writes_an_empty_store(tmp_path, capsys):
+    vocab = Vocab.from_counts({"chief": 1})
+    lm = tmp_path / "lm.bin"
+    BiLmModel(vocab, 2, 3, 1).save(lm)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    emb = tmp_path / "vectors.emb"
+    code, _, err = run(capsys, "embed", "--model", str(lm), "--in", str(empty), "--out", str(emb))
+    assert code == 0, err
+    assert emb.read_bytes().startswith(b"ipod-emb v2 8 0 ")
+    store = read_embeddings(emb)
+    assert store.dim == 2 + 2 * 3 and store.records == []
 
 
 def test_gridsearch_table(tmp_path, capsys):

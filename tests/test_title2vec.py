@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from titletag.corpus import Corpus, Title, synth_corpus
 from titletag.crf import TrainConfig
@@ -10,7 +14,6 @@ from titletag.title2vec import (
     TitleVectors,
     Vocab,
     _bilm_batch,
-    _render_body,
     backward_logprobs,
     batch_ce,
     build_vocab,
@@ -194,10 +197,9 @@ def store_fixture():
 def test_store_validation():
     with pytest.raises(ValueError):
         EmbeddingStore(3, [TitleVectors("x", np.zeros((2, 2)))])
-    with pytest.raises(ValueError):
-        EmbeddingStore(2, [TitleVectors("has space", np.zeros((1, 2)))])
-    with pytest.raises(ValueError):
-        EmbeddingStore(2, [TitleVectors("", np.zeros((1, 2)))])
+    for title_id in ("has space", "", "a\nb", "c\td", "e\u2028f", "g\r"):
+        with pytest.raises(ValueError):
+            EmbeddingStore(2, [TitleVectors(title_id, np.zeros((1, 2)))])
 
 
 def test_store_pooled():
@@ -219,37 +221,72 @@ def test_embedding_file_roundtrip_bit_exact(tmp_path):
     assert again.dim == 5
     assert [r.title_id for r in again.records] == ["a", "b"]
     for r1, r2 in zip(store.records, again.records):
-        np.testing.assert_array_equal(r1.vectors, r2.vectors)  # repr round-trips floats
+        np.testing.assert_array_equal(r1.vectors, r2.vectors)  # raw float64 bytes
+
+
+# store_fixture() as a v1 text body.
+V1_FIXTURE_BODY = "t0 2\n1.0 0.0\n1.0 0.0\nt1 1\n0.0 1.0\nt2 1\n1.0 0.0\n"
+
+
+def _write_v2(path) -> bytearray:
+    """Write store_fixture() as v2 and return the file bytes."""
+    write_embeddings(store_fixture(), path)
+    return bytearray(path.read_bytes())
+
+
+def _v2_block_start(data: bytes, records: int) -> int:
+    """Offset of the float block: after the header line and the table lines."""
+    pos = 0
+    for _ in range(records + 1):
+        pos = data.index(b"\n", pos) + 1
+    return pos
 
 
 def test_embedding_file_hash_tamper(tmp_path):
-    store = store_fixture()
     path = tmp_path / "emb.txt"
-    write_embeddings(store, path)
+    _write_body(path, 2, V1_FIXTURE_BODY)
+    assert len(read_embeddings(path).records) == 3
     text = path.read_text(encoding="utf-8")
     path.write_text(text.replace("1.0", "1.5", 1), encoding="utf-8")
     with pytest.raises(FormatError) as err:
         read_embeddings(path)
     assert "hash" in str(err.value)
 
+    path = tmp_path / "emb.emb"
+    data = _write_v2(path)
+    # "t0" -> "u0" in the table; a mantissa bit of the first value in the block.
+    for offset in (data.index(b"\n") + 1, _v2_block_start(data, 3) + 5):
+        tampered = bytearray(data)
+        tampered[offset] ^= 0x01
+        path.write_bytes(bytes(tampered))
+        with pytest.raises(FormatError) as err:
+            read_embeddings(path)
+        assert "hash" in str(err.value) and str(path) in str(err.value)
+
 
 def test_embedding_file_truncated(tmp_path):
-    store = store_fixture()
     path = tmp_path / "emb.txt"
-    write_embeddings(store, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    body = "\n".join(lines[1:-1]) + "\n"
-    import hashlib
-
-    digest = hashlib.sha256(body.encode()).hexdigest()[:16]
-    path.write_text(f"ipod-emb v1 2 {digest}\n{body}", encoding="utf-8")
+    lines = V1_FIXTURE_BODY.splitlines()
+    _write_body(path, 2, "\n".join(lines[:-1]) + "\n")
     with pytest.raises(FormatError):
         read_embeddings(path)
 
+    path = tmp_path / "emb.emb"
+    data = _write_v2(path)
+    for drop in (1, 2 * 8):  # the last byte; the last row
+        path.write_bytes(bytes(data[:-drop]))
+        with pytest.raises(FormatError):
+            read_embeddings(path)
+
+
+def test_embedding_file_trailing_bytes_v2(tmp_path):
+    path = tmp_path / "emb.emb"
+    data = _write_v2(path)
+    path.write_bytes(bytes(data) + b"\0")
+    assert _read_error(path).path == str(path)
+
 
 def _write_body(path, dim, body):
-    import hashlib
-
     digest = hashlib.sha256(body.encode()).hexdigest()[:16]
     path.write_text(f"ipod-emb v1 {dim} {digest}\n{body}", encoding="utf-8")
 
@@ -298,17 +335,137 @@ def test_store_rejects_a_record_without_vectors():
         EmbeddingStore(2, [TitleVectors("x", np.zeros((0, 2)))])
 
 
-def test_embedding_rows_render_as_per_element_repr():
-    values = [-0.0, 5e-324, 1e308, 1.0, 0.1, 1 / 3, -2.5e-300, 123456789.125]
+SPECIAL_VALUES = [-0.0, 5e-324, 1e308, 1.0, 0.1, 1 / 3, -2.5e-300, 123456789.125]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_embedding_special_values_roundtrip_v2(tmp_path):
+    nan_payload = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+    values = SPECIAL_VALUES + [np.nan, np.inf, -np.inf, nan_payload]
     rows = np.array([values, values[::-1]])
     store = EmbeddingStore(len(values), [TitleVectors("t", rows), TitleVectors("u", rows[:1])])
-    want = "".join(
-        f"{rec.title_id} {rec.vectors.shape[0]}\n"
+    path = tmp_path / "emb.emb"
+    write_embeddings(store, path)
+    again = read_embeddings(path)
+    assert [r.title_id for r in again.records] == ["t", "u"]
+    for r1, r2 in zip(store.records, again.records):
+        np.testing.assert_array_equal(_bits(r1.vectors), _bits(r2.vectors))
+
+
+def test_embedding_v1_repr_text_reads_bit_exact(tmp_path):
+    rows = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1]])
+    path = tmp_path / "emb.txt"
+    _write_body(path, len(SPECIAL_VALUES),
+                _render_v1(EmbeddingStore(len(SPECIAL_VALUES), [TitleVectors("t", rows)])))
+    (record,) = read_embeddings(path).records
+    np.testing.assert_array_equal(_bits(record.vectors), _bits(rows))
+
+
+def test_embedding_v1_not_utf8_is_a_format_error(tmp_path):
+    body = b"a 1\n0.5 \xff\n"
+    path = tmp_path / "emb.txt"
+    digest = hashlib.sha256(body).hexdigest()[:16]
+    path.write_bytes(f"ipod-emb v1 2 {digest}\n".encode() + body)
+    err = _read_error(path)
+    assert err.path == str(path) and err.line == 3
+
+
+def test_embedding_png_is_a_format_error(tmp_path):
+    path = tmp_path / "image.emb"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\x00\x00\x00\x01")
+    assert _read_error(path).path == str(path)
+
+
+@pytest.mark.parametrize(
+    "table,line",
+    [
+        pytest.param(b"a 1\nb 0\n", 3, id="count-0"),
+        pytest.param(b"a 1\nb -1\n", 3, id="count-minus-1"),
+        pytest.param(b"a 1\nb\t1\n", 3, id="tab-in-id"),
+        pytest.param(b"a 1\n\xff 1\n", 3, id="id-not-utf8"),
+        pytest.param(b"a 1\n", 3, id="table-truncated"),
+    ],
+)
+def test_embedding_v2_bad_table_names_path_and_line(tmp_path, table, line):
+    block = np.zeros(4).tobytes()
+    digest = hashlib.sha256(table + block).hexdigest()[:16]
+    path = tmp_path / "emb.emb"
+    path.write_bytes(f"ipod-emb v2 2 2 {digest}\n".encode() + table + block)
+    err = _read_error(path)
+    assert err.path == str(path) and err.line == line
+
+
+@pytest.mark.parametrize("header", [b"ipod-emb v2 0 0 e3b0c44298fc1c14\n",
+                                    b"ipod-emb v2 2 -1 e3b0c44298fc1c14\n",
+                                    b"ipod-emb v2 2 0\n",
+                                    b"ipod-emb v3 2 0 e3b0c44298fc1c14\n"])
+def test_embedding_v2_bad_header(tmp_path, header):
+    path = tmp_path / "emb.emb"
+    path.write_bytes(header)
+    assert _read_error(path).path == str(path)
+
+
+ids_st = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+).filter(lambda s: s.split() == [s])
+
+
+@st.composite
+def stores(draw, min_records=0):
+    dim = draw(st.integers(1, 8))
+    records = []
+    for _ in range(draw(st.integers(min_records, 5))):
+        n = draw(st.integers(1, 4))
+        bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n * dim, max_size=n * dim))
+        vectors = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, dim)
+        records.append(TitleVectors(draw(ids_st), vectors))
+    return EmbeddingStore(dim, records)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(store=stores())
+def test_embedding_v2_roundtrip_any_bits(tmp_path, store):
+    path = tmp_path / "h.emb"
+    write_embeddings(store, path)
+    again = read_embeddings(path)
+    assert again.dim == store.dim
+    assert [r.title_id for r in again.records] == [r.title_id for r in store.records]
+    for r1, r2 in zip(store.records, again.records):
+        np.testing.assert_array_equal(_bits(r1.vectors), _bits(r2.vectors))
+        assert r2.vectors.flags.writeable
+
+
+def _render_v1(store: EmbeddingStore) -> str:
+    """The v1 body of store: per record `{id} {n}`, then n rows of repr() floats."""
+    return "".join(
+        f"{rec.title_id} {len(rec.vectors)}\n"
         + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rec.vectors)
         for rec in store.records
     )
-    assert _render_body(store.records) == want
-    assert "-0.0 5e-324 1e+308 1.0 0.1 0.3333333333333333" in want
+
+
+# At least one record: with none, the header's dimension is the whole
+# content, and the hash covers only what follows the header.
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(store=stores(min_records=1), version=st.sampled_from(["v1", "v2"]), data=st.data())
+def test_embedding_file_corruption_is_a_format_error(tmp_path, store, version, data):
+    path = tmp_path / "h.emb"
+    if version == "v1":
+        _write_body(path, store.dim, _render_v1(store))
+    else:
+        write_embeddings(store, path)
+    raw = bytearray(path.read_bytes())
+    offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:offset]
+    else:
+        other = st.integers(0, 255).filter(lambda b: b != raw[offset])
+        raw[offset] = data.draw(other, label="byte")
+    path.write_bytes(bytes(raw))
+    assert _read_error(path).path == str(path)
 
 
 def test_embedding_file_bad_header(tmp_path):
