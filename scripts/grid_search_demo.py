@@ -13,7 +13,7 @@ import numpy as np
 
 from titletag.corpus import synth_corpus
 from titletag.crf import train_crf
-from titletag.evaluation import grid_search
+from titletag.evaluation import align_columns, grid_search
 from titletag.gazetteer import sample_gazetteer
 from titletag.labeling import auto_tag
 from titletag.optim import TrainConfig
@@ -45,11 +45,7 @@ def main(argv=None) -> int:
         dev,
         base=TrainConfig(seed=args.seed),
     )
-    lines = result.to_tsv().splitlines()
-    cells = [line.split("\t") for line in lines]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
-    for row in cells:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    sys.stdout.write(align_columns([line.split("\t") for line in result.to_tsv().splitlines()]))
     print(f"best: {dict(result.best.settings)} f1={result.best.f1:.2f}", file=sys.stderr)
     return 0
 

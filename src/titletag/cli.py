@@ -16,7 +16,7 @@ import functools
 import logging
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +49,7 @@ from .title2vec import (
 
 log = logging.getLogger(__name__)
 
-_CONFIG_TYPES = {
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "optimizer": str,
-    "seed": int,
-    "word_dropout": float,
-    "variational_dropout": float,
-    "clip_norm": float,
-}
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 _EXTRA_AXIS_TYPES = {"hidden_size": int, "layers": int, "embedding_dim": int}
 
 # argparse dest -> config field, for flags whose spelling differs
@@ -410,13 +401,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     if args.format == "tsv":
         text = result.to_tsv()
     else:
-        lines = result.to_tsv().splitlines()
-        cells = [line.split("\t") for line in lines]
-        widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
-        text = "".join(
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
-            for row in cells
-        )
+        text = evaluation.align_columns([line.split("\t") for line in result.to_tsv().splitlines()])
     _write_text(args.out, text)
     print(f"best: {dict(result.best.settings)} f1={result.best.f1:.2f}", file=sys.stderr)
     return 0

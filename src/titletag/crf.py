@@ -181,6 +181,37 @@ def sequence_marginals(
     return logz, unary, pairwise
 
 
+def crf_nll(
+    emissions: np.ndarray, ys: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Negative log-likelihood of the gold paths ys (B, T) under the
+    emissions (B, T, L) of equal-length sequences, summed over the batch.
+
+    Returns (loss, grads) with grads keyed "emissions", "trans", "start" and
+    "stop": expected minus gold counts, the transition, start and stop ones
+    summed over the batch.
+    """
+    B, T, _ = emissions.shape
+    logz, unary, pairwise = sequence_marginals(emissions, trans, start, stop)
+    b_idx = np.arange(B)[:, None]
+    t_idx = np.arange(T)[None, :]
+    gold = start[ys[:, 0]] + stop[ys[:, -1]] + emissions[b_idx, t_idx, ys].sum(axis=1)
+    if T > 1:
+        gold += trans[ys[:, :-1], ys[:, 1:]].sum(axis=1)
+    loss = float((logz - gold).sum())
+    dtrans = pairwise.sum(axis=(0, 1))
+    if T > 1:
+        np.subtract.at(dtrans, (ys[:, :-1].ravel(), ys[:, 1:].ravel()), 1.0)
+    dstart = unary[:, 0, :].sum(axis=0)
+    np.subtract.at(dstart, ys[:, 0], 1.0)
+    dstop = unary[:, -1, :].sum(axis=0)
+    np.subtract.at(dstop, ys[:, -1], 1.0)
+    # reuse the posterior buffer for the emission gradient
+    demis = unary
+    demis[b_idx, t_idx, ys] -= 1.0
+    return loss, {"emissions": demis, "trans": dtrans, "start": dstart, "stop": dstop}
+
+
 def path_score(
     emissions: np.ndarray,
     trans: np.ndarray,
@@ -368,44 +399,25 @@ def log_partition(model: CrfModel, tokens: Sequence[str]) -> float:
 
 
 def nll_and_gradient(
-    model: CrfModel,
-    example: LabeledSequence,
-    feature_ids: list[list[int]] | None = None,
+    model: CrfModel, example: LabeledSequence, feature_ids: list[list[int]]
 ) -> tuple[float, dict]:
-    """Negative log-likelihood of one example and its exact gradient.
-
-    The gradient is expected feature counts minus gold feature counts:
-    emission rows come back sparse as {feature id: vector over labels}.
-    Unseen features extend the vocab while it is unfrozen (training) and are
-    ignored once frozen (inference).
-    """
-    rows = feature_ids if feature_ids is not None else model.featurize(
-        example.tokens, extend=not model.vocab.frozen
-    )
-    ys = example.label_ids()
-    emis = model.emissions(example.tokens, feature_ids=rows)
-    logz, unary, pairwise = sequence_marginals(emis, model.trans, model.start, model.stop)
-    gold = path_score(emis, model.trans, model.start, model.stop, ys)
-    loss = float(logz) - gold
-
-    demis = unary.copy()
-    demis[np.arange(len(ys)), ys] -= 1.0
+    """Negative log-likelihood of one example, featurized as feature_ids, and
+    its exact gradient (crf_nll); emission rows come back sparse as
+    {feature id: vector over labels}."""
+    emis = model.emissions(example.tokens, feature_ids=feature_ids)
+    ys = np.array([example.label_ids()], dtype=np.int64)
+    loss, grad = crf_nll(emis[None], ys, model.trans, model.start, model.stop)
+    demis = grad.pop("emissions")[0]
     emit_grad: dict[int, np.ndarray] = {}
-    for t, ids in enumerate(rows):
+    for ids, row in zip(feature_ids, demis):
         for fid in ids:
             seen = emit_grad.get(fid)
             if seen is None:
-                emit_grad[fid] = demis[t].copy()
+                emit_grad[fid] = row.copy()
             else:
-                seen += demis[t]
-    tgrad = pairwise.sum(axis=0)
-    for t in range(len(ys) - 1):
-        tgrad[ys[t], ys[t + 1]] -= 1.0
-    sgrad = unary[0].copy()
-    sgrad[ys[0]] -= 1.0
-    pgrad = unary[-1].copy()
-    pgrad[ys[-1]] -= 1.0
-    return loss, {"emit": emit_grad, "trans": tgrad, "start": sgrad, "stop": pgrad}
+                seen += row
+    grad["emit"] = emit_grad
+    return loss, grad
 
 
 def viterbi_decode(model: CrfModel, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:

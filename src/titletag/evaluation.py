@@ -299,8 +299,13 @@ def compare_models(
         rows.append(row)
     if fmt == "tsv":
         return "\n".join("\t".join(r) for r in [headers] + rows) + "\n"
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-    out = []
-    for r in [headers] + rows:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    return align_columns([headers] + rows)
+
+
+def align_columns(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of cells as text: each column padded to its widest cell, cells
+    joined by two spaces, one line per row without trailing blanks."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )

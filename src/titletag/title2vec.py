@@ -337,6 +337,8 @@ class EmbeddingStore:
     """In-memory set of per-title contextual vectors with a fixed dimension."""
 
     def __init__(self, dim: int, records: Sequence[TitleVectors]):
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
         self.records = list(records)
         for rec in self.records:
@@ -479,7 +481,9 @@ def _read_v1(path: Path, text: str) -> EmbeddingStore:
     try:
         dim = int(header[2])
     except ValueError:
-        raise FormatError(f"bad dimension {header[2]!r}", path=str(path)) from None
+        dim = 0
+    if dim < 1:
+        raise FormatError(f"bad dimension {header[2]!r}", path=str(path))
     body = text[newline + 1 :]
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
     if digest != header[3]:

@@ -18,7 +18,7 @@ from titletag.crf import (
 from titletag.labeling import ALL_LABELS, LabeledSequence, auto_tag
 from titletag.errors import TrainingDivergedError
 
-from conftest import brute_force_best_path, brute_force_logz, central_difference
+from conftest import brute_force_best_path, brute_force_logz, central_difference, enumerate_paths
 
 N_LABELS = len(ALL_LABELS)
 
@@ -322,6 +322,41 @@ def test_nll_is_logz_minus_path_score():
     gold = path_score(emis, model.trans, model.start, model.stop, ex.label_ids())
     assert loss == pytest.approx(log_partition(model, ex.tokens) - gold, abs=1e-9)
     assert loss >= 0.0
+
+
+def test_crf_nll_batch_matches_enumeration_and_finite_differences():
+    """A batch of equal-length rows with distinct gold paths on a lattice
+    with -inf transition, start and stop cells."""
+    from titletag.crf import crf_nll, path_score
+
+    rng = np.random.default_rng(23)
+    B, T = 4, 3
+    emis, trans, start, stop = extreme_lattice(rng, (B, T), scale=2.0, blocked=0.3)
+    # Emissions are finite, so whether a path is blocked does not depend on the row.
+    finite = [p for p in enumerate_paths(T, N_LABELS)
+              if np.isfinite(path_score(emis[0], trans, start, stop, p))]
+    ys = np.array([finite[i] for i in rng.choice(len(finite), size=B, replace=False)])
+    loss, grads = crf_nll(emis, ys, trans, start, stop)
+    want = sum(
+        brute_force_logz(emis[b], trans, start, stop) - path_score(emis[b], trans, start, stop, ys[b])
+        for b in range(B)
+    )
+    assert loss == pytest.approx(want, rel=1e-12)
+
+    def f():
+        return crf_nll(emis, ys, trans, start, stop)[0]
+
+    for name, param in (("emissions", emis), ("trans", trans), ("start", start), ("stop", stop)):
+        assert grads[name].shape == param.shape
+        for idx in np.ndindex(param.shape):
+            if np.isfinite(param[idx]):
+                fd = central_difference(f, param, idx)
+                assert grads[name][idx] == pytest.approx(fd, abs=1e-6), (name, idx)
+            else:
+                assert grads[name][idx] == 0.0, (name, idx)
+    for b in range(B):
+        _, one = crf_nll(emis[b : b + 1], ys[b : b + 1], trans, start, stop)
+        np.testing.assert_allclose(grads["emissions"][b], one["emissions"][0], rtol=0, atol=1e-12)
 
 
 def test_crf_memorizes_small_dataset():

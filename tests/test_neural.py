@@ -122,8 +122,8 @@ def test_encoding_independent_of_batch_composition():
     model = build_model("lstm-crf", seed=7)
     t1 = ("chief", "financial", "officer")
     t2 = ("head", "of", "marketing")
-    xs1 = model._embed_group([t1])
-    xs_both = model._embed_group([t1, t2])
+    xs1, _ = model._embed_group([t1])
+    xs_both, _ = model._embed_group([t1, t2])
     enc1, _ = model.encode(xs1)
     enc_both, _ = model.encode(xs_both)
     np.testing.assert_allclose(enc_both[0], enc1[0], atol=1e-12)

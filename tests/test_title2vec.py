@@ -200,6 +200,9 @@ def test_store_validation():
     for title_id in ("has space", "", "a\nb", "c\td", "e\u2028f", "g\r"):
         with pytest.raises(ValueError):
             EmbeddingStore(2, [TitleVectors(title_id, np.zeros((1, 2)))])
+    for dim, records in ((0, [TitleVectors("a", np.zeros((1, 0)))]), (0, []), (-3, [])):
+        with pytest.raises(ValueError):
+            EmbeddingStore(dim, records)
 
 
 def test_store_pooled():
@@ -473,6 +476,10 @@ def test_embedding_file_bad_header(tmp_path):
     path.write_text("wrong v9 2 abc\n", encoding="utf-8")
     with pytest.raises(FormatError):
         read_embeddings(path)
+    # A v1 file without records and with a hash-valid body, at a bad dimension.
+    for dim in (0, -2):
+        _write_body(path, dim, "")
+        assert _read_error(path).path == str(path)
 
 
 def test_nearest_titles():
