@@ -6,7 +6,9 @@ the forward recursion, each step one small matrix product in exp space with
 per-row rescaling; gradients come from forward-backward marginals. The same
 class doubles as the logistic-regression baseline: with the transition block
 pinned at zero the path score factorizes per token and Viterbi degenerates
-to a per-position argmax.
+to a per-position argmax. Training splits each mini-batch into groups of
+equal-length titles, one objective call per group, over feature ids cached
+per post-dropout title, and updates only the emission rows a batch touches.
 """
 
 from __future__ import annotations
@@ -325,8 +327,8 @@ class CrfModel:
             self._ensure_capacity(len(self.vocab))
         return rows
 
-    def emissions(self, tokens: Sequence[str], feature_ids: list[list[int]] | None = None) -> np.ndarray:
-        rows = feature_ids if feature_ids is not None else self.featurize(tokens)
+    def emissions(self, tokens: Sequence[str]) -> np.ndarray:
+        rows = self.featurize(tokens)
         emis = np.zeros((len(rows), N_LABELS))
         for t, ids in enumerate(rows):
             if ids:
@@ -398,25 +400,48 @@ def log_partition(model: CrfModel, tokens: Sequence[str]) -> float:
     return float(log_partition_scores(emis, model.trans, model.start, model.stop))
 
 
+def flat_feature_ids(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature id rows (featurize) as (ids, counts): the ids of every position
+    in one flat array, and how many of them each position has."""
+    counts = np.array([len(ids) for ids in rows], dtype=np.int32)
+    ids = np.fromiter((fid for ids in rows for fid in ids), dtype=np.int32, count=int(counts.sum()))
+    return ids, counts
+
+
+def _sum_by(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, L) sums of the (N, L) rows by their index in [0, n), each sum
+    added in input order: one bincount over (index, column) pairs."""
+    L = rows.shape[1]
+    pairs = (index * L)[:, None] + np.arange(L)
+    return np.bincount(pairs.ravel(), weights=rows.ravel(), minlength=n * L).reshape(n, L)
+
+
+def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids, ascending, and for each the sum of its rows."""
+    slot = np.bincount(ids)
+    touched = np.flatnonzero(slot)
+    slot[touched] = np.arange(len(touched))
+    return touched, _sum_by(slot[ids], rows, len(touched))
+
+
 def nll_and_gradient(
-    model: CrfModel, example: LabeledSequence, feature_ids: list[list[int]]
+    model: CrfModel, examples: Sequence[LabeledSequence], ids: np.ndarray, counts: np.ndarray
 ) -> tuple[float, dict]:
-    """Negative log-likelihood of one example, featurized as feature_ids, and
-    its exact gradient (crf_nll); emission rows come back sparse as
-    {feature id: vector over labels}."""
-    emis = model.emissions(example.tokens, feature_ids=feature_ids)
-    ys = np.array([example.label_ids()], dtype=np.int64)
-    loss, grad = crf_nll(emis[None], ys, model.trans, model.start, model.stop)
-    demis = grad.pop("emissions")[0]
-    emit_grad: dict[int, np.ndarray] = {}
-    for ids, row in zip(feature_ids, demis):
-        for fid in ids:
-            seen = emit_grad.get(fid)
-            if seen is None:
-                emit_grad[fid] = row.copy()
-            else:
-                seen += row
-    grad["emit"] = emit_grad
+    """Negative log-likelihood of a group of equal-length examples, summed,
+    and its exact gradient (crf_nll).
+
+    The examples are featurized as (ids, counts) (flat_feature_ids of every
+    example, concatenated in order). grads["emit"] is (touched, rows): the
+    distinct feature ids, ascending, and the gradient row of each.
+    """
+    B, T = len(examples), len(examples[0].tokens)
+    positions = np.repeat(np.arange(B * T), counts)
+    # each position's weight rows summed in id order, as emissions() does
+    emis = _sum_by(positions, model._emit[ids], B * T).reshape(B, T, N_LABELS)
+    ys = np.array([ex.label_ids() for ex in examples], dtype=np.int64)
+    loss, grad = crf_nll(emis, ys, model.trans, model.start, model.stop)
+    demis = grad.pop("emissions").reshape(B * T, N_LABELS)
+    grad["emit"] = _sum_rows(ids, demis[positions])
     return loss, grad
 
 
@@ -441,8 +466,8 @@ class _Sgd:
 
     def apply(self, model: CrfModel, grad: dict, scale: float, update_transitions: bool):
         step = self.lr * scale
-        for fid, g in grad["emit"].items():
-            model._emit[fid] -= step * g
+        ids, rows = grad["emit"]
+        model._emit[ids] -= step * rows
         if update_transitions:
             for name in _DENSE:
                 param = getattr(model, name)
@@ -450,7 +475,8 @@ class _Sgd:
 
 
 class _Adam:
-    """Adam with lazy state updates on the sparse emission rows."""
+    """Adam with lazy state updates on the sparse emission rows: only the
+    rows a batch touches get new moments."""
 
     B1, B2, EPS = 0.9, 0.999, 1e-8
 
@@ -490,8 +516,8 @@ class _Adam:
     def apply(self, model: CrfModel, grad: dict, scale: float, update_transitions: bool):
         self._grow(model)
         self.t += 1
-        for fid, g in grad["emit"].items():
-            self._step(model._emit, g * scale, self.m_emit, self.v_emit, idx=fid)
+        ids, rows = grad["emit"]
+        self._step(model._emit, rows * scale, self.m_emit, self.v_emit, idx=ids)
         if update_transitions:
             for name in _DENSE:
                 self._step(getattr(model, name), grad[name] * scale, *self.dense[name])
@@ -504,24 +530,38 @@ def _run_training(
         raise ValueError("no training data")
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(cfg.learning_rate, model) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
+    # (ids, counts) of each post-dropout token tuple seen in this run; only a
+    # tuple's first featurizing can register features, so the vocab order is
+    # the one that featurizing every title in every epoch gives
+    cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
     acc: dict = {}
 
+    def features(tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        hit = cache.get(tokens)
+        if hit is None:
+            hit = cache[tokens] = flat_feature_ids(model.featurize(tokens, extend=True))
+        return hit
+
     def batch(indices: list[int]) -> tuple[float, int]:
-        acc.update(emit={}, **{name: np.zeros_like(getattr(model, name)) for name in _DENSE})
+        # draw dropout and featurize in batch order: it fixes the rng stream and vocab order
+        feats = [features(apply_word_dropout(data[j].tokens, cfg.word_dropout, rng))
+                 for j in indices]
+        examples = [data[j] for j in indices]
         batch_loss = 0.0
-        for j in indices:
-            tokens = apply_word_dropout(data[j].tokens, cfg.word_dropout, rng)
-            rows = model.featurize(tokens, extend=True)
-            loss, grad = nll_and_gradient(model, data[j], feature_ids=rows)
+        emit_parts = []
+        acc.update({name: np.zeros_like(getattr(model, name)) for name in _DENSE})
+        for group in length_groups([ex.tokens for ex in examples]):
+            loss, grad = nll_and_gradient(
+                model, [examples[g] for g in group],
+                np.concatenate([feats[g][0] for g in group]),
+                np.concatenate([feats[g][1] for g in group]),
+            )
             batch_loss += loss
-            for fid, g in grad["emit"].items():
-                seen = acc["emit"].get(fid)
-                if seen is None:
-                    acc["emit"][fid] = g
-                else:
-                    seen += g
+            emit_parts.append(grad["emit"])
             for name in _DENSE:
                 acc[name] += grad[name]
+        touched, rows = zip(*emit_parts)
+        acc["emit"] = _sum_rows(np.concatenate(touched), np.concatenate(rows))
         return batch_loss, len(indices)
 
     def update(scale: float) -> None:

@@ -9,6 +9,7 @@ from titletag.crf import (
     TrainConfig,
     apply_word_dropout,
     extract_features,
+    flat_feature_ids,
     log_partition,
     nll_and_gradient,
     train_crf,
@@ -281,22 +282,23 @@ def test_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     model = CrfModel(kind="crf")
     ex = example(("chief", "financial", "officer"), ("S-RES", "S-FUN", "S-RES"))
-    rows = model.featurize(ex.tokens, extend=True)
+    ids, counts = flat_feature_ids(model.featurize(ex.tokens, extend=True))
     model._emit[: len(model.vocab)] = rng.normal(scale=0.3, size=(len(model.vocab), N_LABELS))
     model.trans = rng.normal(scale=0.3, size=(N_LABELS, N_LABELS))
     model.start = rng.normal(scale=0.3, size=N_LABELS)
     model.stop = rng.normal(scale=0.3, size=N_LABELS)
 
-    loss, grad = nll_and_gradient(model, ex, feature_ids=rows)
+    loss, grad = nll_and_gradient(model, [ex], ids, counts)
+    emit_grad = dict(zip(grad["emit"][0].tolist(), grad["emit"][1]))
 
     def f():
-        return nll_and_gradient(model, ex, feature_ids=rows)[0]
+        return nll_and_gradient(model, [ex], ids, counts)[0]
 
-    touched = sorted(grad["emit"])
+    touched = sorted(emit_grad)
     for fid in touched[:4] + touched[-2:]:
         for y in (0, 4, 12):
             fd = central_difference(f, model._emit, (fid, y))
-            assert grad["emit"][fid][y] == pytest.approx(fd, abs=1e-4)
+            assert emit_grad[fid][y] == pytest.approx(fd, abs=1e-4)
     for idx in ((0, 0), (4, 8), (12, 12)):
         fd = central_difference(f, model.trans, idx)
         assert grad["trans"][idx] == pytest.approx(fd, abs=1e-4)
@@ -315,10 +317,10 @@ def test_nll_is_logz_minus_path_score():
     ex = example(("senior", "sales"), ("S-RES", "S-FUN"))
     rows = model.featurize(ex.tokens, extend=True)
     model._emit[: len(model.vocab)] = rng.normal(size=(len(model.vocab), N_LABELS))
-    loss, _ = nll_and_gradient(model, ex, feature_ids=rows)
+    loss, _ = nll_and_gradient(model, [ex], *flat_feature_ids(rows))
     from titletag.crf import path_score
 
-    emis = model.emissions(ex.tokens, feature_ids=rows)
+    emis = model.emissions(ex.tokens)
     gold = path_score(emis, model.trans, model.start, model.stop, ex.label_ids())
     assert loss == pytest.approx(log_partition(model, ex.tokens) - gold, abs=1e-9)
     assert loss >= 0.0
@@ -357,6 +359,163 @@ def test_crf_nll_batch_matches_enumeration_and_finite_differences():
     for b in range(B):
         _, one = crf_nll(emis[b : b + 1], ys[b : b + 1], trans, start, stop)
         np.testing.assert_allclose(grads["emissions"][b], one["emissions"][0], rtol=0, atol=1e-12)
+
+
+def loop_nll(model, ex, rows):
+    """One title's objective as loops: emissions position by position and a
+    dict scatter of the emission gradient over feature ids."""
+    from titletag.crf import crf_nll
+
+    emis = np.array([model._emit[ids].sum(axis=0) if ids else np.zeros(N_LABELS) for ids in rows])
+    ys = np.array([ex.label_ids()])
+    loss, grad = crf_nll(emis[None], ys, model.trans, model.start, model.stop)
+    emit: dict[int, np.ndarray] = {}
+    for ids, row in zip(rows, grad["emissions"][0]):
+        for fid in ids:
+            emit[fid] = emit[fid] + row if fid in emit else row.copy()
+    return loss, emit
+
+
+def test_group_nll_equals_sum_of_one_title_calls():
+    """A group call sums the loss and gradients of its titles, and a one-title
+    call equals the loop form exactly. The cases repeat features across
+    titles and positions, include an all-<unk> title, a T = 1 group and a
+    position without features."""
+    rng = np.random.default_rng(24)
+    groups = [
+        [
+            example(("sales", "sales", "manager"), ("B-FUN", "E-FUN", "S-RES")),
+            example(("sales", "director", "sales"), ("S-FUN", "S-RES", "S-FUN")),
+            example(("<unk>", "<unk>", "<unk>"), ("O", "O", "O")),
+            example(("head", "of", "sales"), ("S-RES", "O", "S-FUN")),
+        ],
+        [example(("manager",), ("S-RES",)), example(("sales",), ("S-FUN",)),
+         example(("<unk>",), ("O",))],
+    ]
+    model = CrfModel(kind="crf")
+    rows = [[model.featurize(ex.tokens, extend=True) for ex in group] for group in groups]
+    rows[0][3][2] = []  # a last position whose features are all unknown to the model
+    model._emit[: len(model.vocab)] = rng.normal(size=(len(model.vocab), N_LABELS))
+    model.trans = rng.normal(size=(N_LABELS, N_LABELS))
+    model.start = rng.normal(size=N_LABELS)
+    model.stop = rng.normal(size=N_LABELS)
+
+    for group, group_rows in zip(groups, rows):
+        flat = [flat_feature_ids(r) for r in group_rows]
+        assert max(np.bincount(np.concatenate([ids for ids, _ in flat]))) > 2
+        loss, grad = nll_and_gradient(
+            model, group, np.concatenate([ids for ids, _ in flat]),
+            np.concatenate([counts for _, counts in flat]),
+        )
+        want_loss = 0.0
+        want = {name: np.zeros_like(grad[name]) for name in ("trans", "start", "stop")}
+        want_emit: dict[int, np.ndarray] = {}
+        for ex, r, (ids, counts) in zip(group, group_rows, flat):
+            one_loss, one = nll_and_gradient(model, [ex], ids, counts)
+            loop_loss, loop_emit = loop_nll(model, ex, r)
+            assert one_loss == loop_loss
+            assert one["emit"][0].tolist() == sorted(loop_emit)
+            for fid, row in zip(one["emit"][0].tolist(), one["emit"][1]):
+                np.testing.assert_array_equal(row, loop_emit[fid])
+                want_emit[fid] = want_emit.get(fid, 0.0) + row
+            want_loss += one_loss
+            for name in want:
+                want[name] += one[name]
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for name in want:
+            np.testing.assert_allclose(grad[name], want[name], rtol=0, atol=1e-12)
+        touched, emit_rows = grad["emit"]
+        assert touched.tolist() == sorted(want_emit)
+        for fid, row in zip(touched.tolist(), emit_rows):
+            np.testing.assert_allclose(row, want_emit[fid], rtol=0, atol=1e-12)
+
+
+def test_cached_training_registers_features_in_uncached_order():
+    """Training featurizes each post-dropout title once; the vocab still
+    lists features in the order featurizing every title every epoch gives."""
+    data = [
+        example(("chief", "financial", "officer"), ("S-RES", "S-FUN", "S-RES")),
+        example(("vice", "president"), ("B-RES", "E-RES")),
+        example(("head", "of", "sales"), ("S-RES", "O", "S-FUN")),
+        example(("asia", "pacific", "manager"), ("B-LOC", "E-LOC", "S-RES")),
+        example(("director",), ("S-RES",)),
+    ]
+    cfg = TrainConfig(learning_rate=0.1, batch_size=2, epochs=6, seed=9, word_dropout=0.4)
+    model = train_crf(data, cfg)
+
+    # replay the draws of optim.fit: a permutation per epoch, then one
+    # dropout draw per title in batch order
+    rng = np.random.default_rng(cfg.seed)
+    uncached = CrfModel(kind="crf")
+    seen = set()
+    for _ in range(cfg.epochs):
+        for j in rng.permutation(len(data)):
+            tokens = apply_word_dropout(data[j].tokens, cfg.word_dropout, rng)
+            uncached.featurize(tokens, extend=True)
+            seen.add(tokens)
+    assert len(seen) > len(data)  # some titles were drawn with different dropouts
+    assert model.vocab.features == uncached.vocab.features
+
+
+def test_equal_grid_points_train_equal_models():
+    """The feature cache lives in one training run: a point trained after a
+    different one equals the same point trained first."""
+    from titletag.evaluation import grid_search
+
+    data = [
+        example(("chief", "sales"), ("S-RES", "S-FUN")),
+        example(("asia", "head"), ("S-LOC", "S-RES")),
+        example(("sales", "director", "asia"), ("S-FUN", "S-RES", "S-LOC")),
+    ]
+    models = []
+
+    def trainer(train_data, cfg):
+        models.append(train_crf(train_data, cfg))
+        return models[-1]
+
+    base = TrainConfig(batch_size=2, epochs=3, word_dropout=0.3, optimizer="adam")
+    grid_search(trainer, {"seed": [1, 2, 1]}, data, data, base=base)
+    first, other, again = models
+    assert first.vocab.features == again.vocab.features
+    assert first.vocab.features != other.vocab.features
+    for name in ("emission_weights", "trans", "start", "stop"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
+
+
+def test_adam_updates_only_touched_rows():
+    """Lazy Adam: an update gives new moments and weights to the rows in the
+    gradient, each as the one-row update would, and leaves every other row
+    bit-unchanged."""
+    from titletag.crf import _Adam
+
+    rng = np.random.default_rng(25)
+    model = CrfModel(kind="crf", capacity=8)
+    for k in range(8):
+        model.vocab.add(f"f{k}")
+    model._emit[:] = rng.normal(size=model._emit.shape)
+    opt = _Adam(0.05, model)
+    opt.t = 3
+    opt.m_emit[:] = rng.normal(size=opt.m_emit.shape)
+    opt.v_emit[:] = rng.random(size=opt.v_emit.shape)
+    before = {"emit": model._emit.copy(), "m": opt.m_emit.copy(), "v": opt.v_emit.copy()}
+    touched = np.array([1, 4, 5])
+    rows = rng.normal(size=(3, N_LABELS))
+    grad = {"emit": (touched, rows), "trans": np.zeros((N_LABELS, N_LABELS)),
+            "start": np.zeros(N_LABELS), "stop": np.zeros(N_LABELS)}
+    opt.apply(model, grad, 0.5, update_transitions=False)
+
+    untouched = np.setdiff1d(np.arange(8), touched)
+    for name, now in (("emit", model._emit), ("m", opt.m_emit), ("v", opt.v_emit)):
+        np.testing.assert_array_equal(now[untouched], before[name][untouched])
+    b1, b2 = _Adam.B1, _Adam.B2
+    for fid, g in zip(touched, rows * 0.5):
+        m = b1 * before["m"][fid] + (1 - b1) * g
+        v = b2 * before["v"][fid] + (1 - b2) * g * g
+        step = 0.05 * (m / (1 - b1**4)) / (np.sqrt(v / (1 - b2**4)) + _Adam.EPS)
+        np.testing.assert_array_equal(opt.m_emit[fid], m)
+        np.testing.assert_array_equal(opt.v_emit[fid], v)
+        np.testing.assert_array_equal(model._emit[fid], before["emit"][fid] - step)
+    np.testing.assert_array_equal(model.trans, 0.0)
 
 
 def test_crf_memorizes_small_dataset():
