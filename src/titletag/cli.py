@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import logging
 import sys
 from collections import Counter
@@ -25,7 +26,7 @@ from . import corpus as corpus_mod
 from . import evaluation, model_io, title2vec
 from .corpus import REGION_ORDER, load_corpus, synth_corpus, write_corpus
 from .crf import CrfModel, train_crf, train_logreg
-from .errors import FormatError, TrainingDivergedError
+from .errors import FormatError, TrainingDivergedError, decode_text
 from .gazetteer import (
     Gazetteer,
     irr_report,
@@ -142,7 +143,7 @@ def _read_tokens(path: str, fmt: str) -> list[tuple[str, ...]]:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     lines_out: list[str] = []
-    with Path(args.infile).open("r", encoding="utf-8") as fh:
+    with io.StringIO(decode_text(args.infile, Path(args.infile).read_bytes())) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if args.in_format == "lines":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import logging
 import random
 import statistics
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
+
+from .errors import decode_text
 
 if TYPE_CHECKING:
     from .gazetteer import Gazetteer
@@ -135,7 +138,7 @@ def load_corpus(path: str | Path, fmt: str = "lines", source_label: str | None =
     titles: list[Title] = []
     skipped: list[tuple[int, str]] = []
     empty = 0
-    with path.open("r", encoding="utf-8") as fh:
+    with io.StringIO(decode_text(path, path.read_bytes())) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if fmt == "lines":

@@ -309,31 +309,33 @@ class CrfModel:
         grown[: self._emit.shape[0]] = self._emit
         self._emit = grown
 
-    def featurize(self, tokens: Sequence[str], extend: bool = False) -> list[list[int]]:
-        """Feature ids per position; extend=True registers unseen features.
+    def featurize(
+        self, tokens: Sequence[str], extend: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Feature ids as (ids, counts): the ids of every position in one flat
+        int32 array, in position order, and how many of them each position
+        has. extend=True registers unseen features.
 
         On a frozen vocab unseen features are silently ignored either way,
         which is the documented inference behavior.
         """
-        rows = []
-        for i in range(len(tokens)):
-            ids = []
-            for feature in extract_features(tokens, i, self.gazetteer):
-                fid = self.vocab.add(feature) if extend else self.vocab.get(feature)
-                if fid is not None:
-                    ids.append(fid)
-            rows.append(ids)
+        lookup = self.vocab.add if extend else self.vocab.get
+        rows = [[fid for fid in map(lookup, extract_features(tokens, i, self.gazetteer))
+                 if fid is not None] for i in range(len(tokens))]
         if extend:
             self._ensure_capacity(len(self.vocab))
-        return rows
+        ids = np.array([fid for row in rows for fid in row], dtype=np.int32)
+        return ids, np.array([len(row) for row in rows], dtype=np.int32)
+
+    def emission_rows(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(len(counts), L) emissions of the positions featurized as (ids,
+        counts), possibly several titles concatenated: each position's weight
+        rows summed in the order featurize lists its ids."""
+        n = len(counts)
+        return _sum_by(np.repeat(np.arange(n), counts), self._emit[ids], n)
 
     def emissions(self, tokens: Sequence[str]) -> np.ndarray:
-        rows = self.featurize(tokens)
-        emis = np.zeros((len(rows), N_LABELS))
-        for t, ids in enumerate(rows):
-            if ids:
-                emis[t] = self._emit[ids].sum(axis=0)
-        return emis
+        return self.emission_rows(*self.featurize(tokens))
 
     def predict(self, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
         return self.predict_many([tokens])[0]
@@ -341,11 +343,12 @@ class CrfModel:
     def predict_many(self, seqs: Sequence[Sequence[str]]) -> list[tuple[BioesLabel, ...]]:
         """Most probable labeling of each sequence, in input order.
 
-        Emissions come per sequence (features are per sequence); Viterbi
-        runs once per chunk of equal-length sequences.
+        Each chunk of equal-length sequences is featurized title by title,
+        then gets its emissions and its Viterbi paths in one call each.
         """
         def paths(chunk: list[int]) -> np.ndarray:
-            emis = np.stack([self.emissions(seqs[j]) for j in chunk])
+            ids, counts = map(np.concatenate, zip(*(self.featurize(seqs[j]) for j in chunk)))
+            emis = self.emission_rows(ids, counts).reshape(len(chunk), -1, N_LABELS)
             return viterbi_path(emis, self.trans, self.start, self.stop)
 
         return decode_in_chunks(seqs, paths)
@@ -400,14 +403,6 @@ def log_partition(model: CrfModel, tokens: Sequence[str]) -> float:
     return float(log_partition_scores(emis, model.trans, model.start, model.stop))
 
 
-def flat_feature_ids(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature id rows (featurize) as (ids, counts): the ids of every position
-    in one flat array, and how many of them each position has."""
-    counts = np.array([len(ids) for ids in rows], dtype=np.int32)
-    ids = np.fromiter((fid for ids in rows for fid in ids), dtype=np.int32, count=int(counts.sum()))
-    return ids, counts
-
-
 def _sum_by(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """(n, L) sums of the (N, L) rows by their index in [0, n), each sum
     added in input order: one bincount over (index, column) pairs."""
@@ -430,18 +425,16 @@ def nll_and_gradient(
     """Negative log-likelihood of a group of equal-length examples, summed,
     and its exact gradient (crf_nll).
 
-    The examples are featurized as (ids, counts) (flat_feature_ids of every
+    The examples are featurized as (ids, counts) (featurize of every
     example, concatenated in order). grads["emit"] is (touched, rows): the
     distinct feature ids, ascending, and the gradient row of each.
     """
     B, T = len(examples), len(examples[0].tokens)
-    positions = np.repeat(np.arange(B * T), counts)
-    # each position's weight rows summed in id order, as emissions() does
-    emis = _sum_by(positions, model._emit[ids], B * T).reshape(B, T, N_LABELS)
+    emis = model.emission_rows(ids, counts).reshape(B, T, N_LABELS)
     ys = np.array([ex.label_ids() for ex in examples], dtype=np.int64)
     loss, grad = crf_nll(emis, ys, model.trans, model.start, model.stop)
     demis = grad.pop("emissions").reshape(B * T, N_LABELS)
-    grad["emit"] = _sum_rows(ids, demis[positions])
+    grad["emit"] = _sum_rows(ids, np.repeat(demis, counts, axis=0))
     return loss, grad
 
 
@@ -498,20 +491,14 @@ class _Adam:
                 grown[: old.shape[0]] = old
                 setattr(self, name, grown)
 
-    def _step(self, param, grad, m, v, idx=None):
+    def _step(self, param, grad, m, v, idx=...):
+        """One Adam step on the rows idx of param (all of it by default)."""
         b1, b2 = self.B1, self.B2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        if idx is None:
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
-        else:
-            m[idx] = b1 * m[idx] + (1 - b1) * grad
-            v[idx] = b2 * v[idx] + (1 - b2) * grad * grad
-            param[idx] -= self.lr * (m[idx] / bias1) / (np.sqrt(v[idx] / bias2) + self.EPS)
+        m[idx] = b1 * m[idx] + (1 - b1) * grad
+        v[idx] = b2 * v[idx] + (1 - b2) * grad * grad
+        param[idx] -= self.lr * (m[idx] / bias1) / (np.sqrt(v[idx] / bias2) + self.EPS)
 
     def apply(self, model: CrfModel, grad: dict, scale: float, update_transitions: bool):
         self._grow(model)
@@ -539,7 +526,7 @@ def _run_training(
     def features(tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         hit = cache.get(tokens)
         if hit is None:
-            hit = cache[tokens] = flat_feature_ids(model.featurize(tokens, extend=True))
+            hit = cache[tokens] = model.featurize(tokens, extend=True)
         return hit
 
     def batch(indices: list[int]) -> tuple[float, int]:
@@ -551,11 +538,8 @@ def _run_training(
         emit_parts = []
         acc.update({name: np.zeros_like(getattr(model, name)) for name in _DENSE})
         for group in length_groups([ex.tokens for ex in examples]):
-            loss, grad = nll_and_gradient(
-                model, [examples[g] for g in group],
-                np.concatenate([feats[g][0] for g in group]),
-                np.concatenate([feats[g][1] for g in group]),
-            )
+            ids, counts = map(np.concatenate, zip(*(feats[g] for g in group)))
+            loss, grad = nll_and_gradient(model, [examples[g] for g in group], ids, counts)
             batch_loss += loss
             emit_parts.append(grad["emit"])
             for name in _DENSE:

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the text decoder that reports bad bytes with them."""
 
 from __future__ import annotations
 
@@ -17,6 +17,17 @@ class FormatError(TitletagError):
         if path is not None:
             prefix = f"{path}:{line}: " if line is not None else f"{path}: "
         super().__init__(prefix + message)
+
+
+def decode_text(path, data: bytes) -> str:
+    """UTF-8 text with universal newlines, as Path.read_text returns it.
+    Bytes that are not UTF-8 raise FormatError naming the path and line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8 text: {exc.reason}", path=str(path), line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class TrainingDivergedError(TitletagError):

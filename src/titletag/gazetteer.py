@@ -8,6 +8,7 @@ pairwise Cohen's kappa.
 
 from __future__ import annotations
 
+import io
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus
-from .errors import FormatError
+from .errors import FormatError, decode_text
 
 log = logging.getLogger(__name__)
 
@@ -195,7 +196,7 @@ def read_annotations(path: str | Path, annotator_id: str | None = None) -> Annot
     """Read a token<TAB>tag annotation file."""
     path = Path(path)
     votes: dict[str, CoarseTag] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with io.StringIO(decode_text(path, path.read_bytes())) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -235,7 +236,7 @@ def write_gazetteer(gazetteer: Gazetteer, path: str | Path) -> None:
 def read_gazetteer(path: str | Path) -> Gazetteer:
     path = Path(path)
     entries: dict[str, GazetteerEntry] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with io.StringIO(decode_text(path, path.read_bytes())) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .corpus import Title
-from .errors import FormatError
+from .errors import FormatError, decode_text
 from .gazetteer import CoarseTag, Gazetteer
 
 
@@ -70,7 +70,7 @@ ALL_LABELS: tuple[BioesLabel, ...] = (OUTSIDE,) + tuple(
     for prefix in (Prefix.B, Prefix.I, Prefix.E, Prefix.S)
 )
 LABEL_STRINGS: tuple[str, ...] = tuple(label.render() for label in ALL_LABELS)
-LABEL_INDEX: dict[str, int] = {s: i for i, s in enumerate(LABEL_STRINGS)}
+LABEL_INDEX: dict[BioesLabel, int] = {label: i for i, label in enumerate(ALL_LABELS)}
 N_LABELS = len(ALL_LABELS)
 
 
@@ -92,7 +92,7 @@ class LabeledSequence:
         return tuple(label.render() for label in self.labels)
 
     def label_ids(self) -> list[int]:
-        return [LABEL_INDEX[label.render()] for label in self.labels]
+        return [LABEL_INDEX[label] for label in self.labels]
 
 
 class Chunk(NamedTuple):
@@ -271,4 +271,4 @@ def parse_conll(text: str, source: str = "<string>") -> list[LabeledSequence]:
 
 def read_conll(path: str | Path) -> list[LabeledSequence]:
     path = Path(path)
-    return parse_conll(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_conll(decode_text(path, path.read_bytes()), source=str(path))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model_io, optim
 from .corpus import Corpus
-from .errors import FormatError
+from .errors import FormatError, decode_text
 from .lstm import (
     cell_arrays, cell_shapes, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run,
 )
@@ -400,18 +400,8 @@ def read_embeddings(path) -> EmbeddingStore:
         first = fh.readline(_HEADER_LIMIT)
         if first.startswith(b"ipod-emb v2 "):
             return _read_v2(path, fh, first)
-        text = _decode(path, first + fh.read())
+        text = decode_text(path, first + fh.read())
     return _read_v1(path, text)
-
-
-def _decode(path: Path, data: bytes) -> str:
-    """UTF-8 text with universal newlines, as Path.read_text returns it."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"not UTF-8 text: {exc.reason}", path=str(path), line=line) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_v2(path: Path, fh, first: bytes) -> EmbeddingStore:

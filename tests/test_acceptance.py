@@ -20,7 +20,6 @@ from titletag.corpus import synth_corpus
 from titletag.crf import (
     CrfModel,
     TrainConfig,
-    flat_feature_ids,
     log_partition_scores,
     nll_and_gradient,
     train_crf,
@@ -141,7 +140,7 @@ def test_criterion_4_gradient_oracles():
         rng = np.random.default_rng(21)
         crf = CrfModel(kind="crf")
         ex = seq("chief financial officer", "S-RES S-FUN S-RES")
-        ids, counts = flat_feature_ids(crf.featurize(ex.tokens, extend=True))
+        ids, counts = crf.featurize(ex.tokens, extend=True)
         crf._emit[: len(crf.vocab)] = rng.normal(scale=0.3, size=(len(crf.vocab), N_LABELS))
         crf.trans = rng.normal(scale=0.3, size=(N_LABELS, N_LABELS))
         crf.start = rng.normal(scale=0.3, size=N_LABELS)

@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from titletag import cli, model_io
+from titletag.corpus import load_corpus
+from titletag.errors import FormatError
+from titletag.gazetteer import read_annotations, read_gazetteer
 from titletag.labeling import read_conll
 from titletag.title2vec import BiLmModel, Vocab, read_embeddings
 
@@ -605,3 +608,66 @@ def test_cli_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(gold), str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# Each text reader with two well-formed lines of its format and a way to
+# compare what it read.
+TEXT_READERS = {
+    "conll": (read_conll, "chief\tS-RES\nsales\tS-FUN\n\nhead\tS-RES\n", lambda r: r),
+    "gazetteer": (read_gazetteer, "chief\tRES\tRES\tRES\tRES\tUNANIMOUS\n"
+                  "sales\tFUN\tFUN\tFUN\tLOC\tMAJORITY\n", lambda r: r.entries),
+    "annotations": (read_annotations, "chief\tRES\nsales\tFUN\n", lambda r: r.votes),
+    "lines": (load_corpus, "Chief Officer\nSales\n", lambda r: r.titles),
+    "tsv": (lambda path: load_corpus(path, fmt="tsv"), "Chief\tUS\tp1\nSales\tEU\tp2\n",
+            lambda r: r.titles),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_READERS))
+def test_reader_names_the_file_and_line_of_non_utf8_bytes(tmp_path, fmt):
+    reader, text, _ = TEXT_READERS[fmt]
+    first, rest = text.split("\n", 1)
+    path = tmp_path / "bad.txt"
+    path.write_bytes(first.encode() + b"\n\xff" + rest.encode())
+    with pytest.raises(FormatError, match="not UTF-8") as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_READERS))
+def test_reader_reads_crlf_as_lf(tmp_path, fmt):
+    reader, text, view = TEXT_READERS[fmt]
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert view(reader(crlf)) == view(reader(lf))
+
+
+def test_form_feed_and_unicode_breaks_stay_inside_a_title(tmp_path):
+    """Only \\n, \\r\\n and \\r end a line, as in a file opened in text mode."""
+    path = tmp_path / "titles.txt"
+    path.write_text("chief\x0cofficer\nsales\x85director\nhead\u2028of\u2029sales\n",
+                    encoding="utf-8")
+    titles = load_corpus(path).titles
+    assert [t.tokens for t in titles] == [
+        ("chief", "officer"), ("sales", "director"), ("head", "of", "sales")
+    ]
+
+
+@pytest.mark.parametrize("command", ["stats", "normalize", "tag", "eval", "split"])
+def test_non_utf8_input_exits_4_with_file_and_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    good = tmp_path / "good.txt"
+    good.write_text("chief\n", encoding="utf-8")
+    bad.write_bytes(b"chief\tS-RES\n\xff\tO\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "stats": ["stats", "--in", str(bad)],
+        "normalize": ["normalize", "--in", str(bad), "--out", out],
+        "tag": ["tag", "--in", str(good), "--gazetteer", str(bad)],
+        "eval": ["eval", "--gold", str(bad), "--pred", str(bad)],
+        "split": ["split", "--in", str(bad), "--out-prefix", out, "--seed", "0"],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 4, err
+    assert f"{bad}:2: not UTF-8" in err

@@ -9,7 +9,6 @@ from titletag.crf import (
     TrainConfig,
     apply_word_dropout,
     extract_features,
-    flat_feature_ids,
     log_partition,
     nll_and_gradient,
     train_crf,
@@ -282,7 +281,7 @@ def test_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     model = CrfModel(kind="crf")
     ex = example(("chief", "financial", "officer"), ("S-RES", "S-FUN", "S-RES"))
-    ids, counts = flat_feature_ids(model.featurize(ex.tokens, extend=True))
+    ids, counts = model.featurize(ex.tokens, extend=True)
     model._emit[: len(model.vocab)] = rng.normal(scale=0.3, size=(len(model.vocab), N_LABELS))
     model.trans = rng.normal(scale=0.3, size=(N_LABELS, N_LABELS))
     model.start = rng.normal(scale=0.3, size=N_LABELS)
@@ -315,9 +314,9 @@ def test_nll_is_logz_minus_path_score():
     rng = np.random.default_rng(22)
     model = CrfModel(kind="crf")
     ex = example(("senior", "sales"), ("S-RES", "S-FUN"))
-    rows = model.featurize(ex.tokens, extend=True)
+    ids, counts = model.featurize(ex.tokens, extend=True)
     model._emit[: len(model.vocab)] = rng.normal(size=(len(model.vocab), N_LABELS))
-    loss, _ = nll_and_gradient(model, [ex], *flat_feature_ids(rows))
+    loss, _ = nll_and_gradient(model, [ex], ids, counts)
     from titletag.crf import path_score
 
     emis = model.emissions(ex.tokens)
@@ -361,6 +360,17 @@ def test_crf_nll_batch_matches_enumeration_and_finite_differences():
         np.testing.assert_allclose(grads["emissions"][b], one["emissions"][0], rtol=0, atol=1e-12)
 
 
+def as_rows(ids, counts):
+    """featurize's (ids, counts) as one list of feature ids per position."""
+    return [part.tolist() for part in np.split(ids, np.cumsum(counts)[:-1])]
+
+
+def as_flat(rows):
+    """One list of feature ids per position as featurize's (ids, counts)."""
+    return (np.array([fid for r in rows for fid in r], dtype=np.int32),
+            np.array([len(r) for r in rows], dtype=np.int32))
+
+
 def loop_nll(model, ex, rows):
     """One title's objective as loops: emissions position by position and a
     dict scatter of the emission gradient over feature ids."""
@@ -393,7 +403,7 @@ def test_group_nll_equals_sum_of_one_title_calls():
          example(("<unk>",), ("O",))],
     ]
     model = CrfModel(kind="crf")
-    rows = [[model.featurize(ex.tokens, extend=True) for ex in group] for group in groups]
+    rows = [[as_rows(*model.featurize(ex.tokens, extend=True)) for ex in group] for group in groups]
     rows[0][3][2] = []  # a last position whose features are all unknown to the model
     model._emit[: len(model.vocab)] = rng.normal(size=(len(model.vocab), N_LABELS))
     model.trans = rng.normal(size=(N_LABELS, N_LABELS))
@@ -401,7 +411,7 @@ def test_group_nll_equals_sum_of_one_title_calls():
     model.stop = rng.normal(size=N_LABELS)
 
     for group, group_rows in zip(groups, rows):
-        flat = [flat_feature_ids(r) for r in group_rows]
+        flat = [as_flat(r) for r in group_rows]
         assert max(np.bincount(np.concatenate([ids for ids, _ in flat]))) > 2
         loss, grad = nll_and_gradient(
             model, group, np.concatenate([ids for ids, _ in flat]),
@@ -639,3 +649,49 @@ def test_unseen_features_ignored_after_freeze():
     n_before = len(model.vocab)
     model.predict(("gamma", "delta", "epsilon"))
     assert len(model.vocab) == n_before
+
+
+def reference_emissions(model, tokens):
+    """Emissions position by position: the weight rows of a position's known
+    features summed in feature order, as a plain Python sum."""
+    rows = []
+    for i in range(len(tokens)):
+        fids = [model.vocab.get(f) for f in extract_features(tokens, i, model.gazetteer)]
+        rows.append(sum((model._emit[fid] for fid in fids if fid is not None), np.zeros(N_LABELS)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["crf", "logreg"])
+@pytest.mark.parametrize("use_gaz", [False, True])
+def test_emissions_equal_the_per_position_sum_bitwise(kind, use_gaz, sample_gaz):
+    """emissions() and a chunk's emission_rows() equal the per-position sum
+    bit for bit, on a frozen vocab, including positions whose features are
+    all unseen."""
+    data = [
+        example(("chief", "financial", "officer"), ("S-RES", "S-FUN", "S-RES")),
+        example(("vice", "president"), ("B-RES", "E-RES")),
+        example(("head", "of", "sales"), ("S-RES", "O", "S-FUN")),
+        example(("asia", "pacific", "sales", "manager"), ("B-LOC", "E-LOC", "S-FUN", "S-RES")),
+    ]
+    train = train_crf if kind == "crf" else train_logreg
+    cfg = TrainConfig(learning_rate=0.1, batch_size=2, epochs=3, seed=5)
+    model = train(data, cfg, gazetteer=sample_gaz if use_gaz else None)
+    assert model.vocab.frozen
+    unseen = ("9x7", "8y6", "7z5", "6w4", "5v3")
+    titles = [ex.tokens for ex in data] + [unseen, ("sales", "9x7", "8y6"), ("officer",)]
+    n_vocab = len(model.vocab)
+    for tokens in titles:
+        ids, counts = model.featurize(tokens)
+        assert ids.dtype == counts.dtype == np.int32
+        assert len(counts) == len(tokens) and counts.sum() == len(ids)
+        got, want = model.emissions(tokens), reference_emissions(model, tokens)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(model.vocab) == n_vocab
+    if not use_gaz:
+        assert model.featurize(unseen)[1][2] == 0  # the middle of five unseen tokens
+
+    three = [tokens for tokens in titles if len(tokens) == 3]
+    ids, counts = map(np.concatenate, zip(*(model.featurize(tokens) for tokens in three)))
+    got = model.emission_rows(ids, counts)
+    want = np.concatenate([reference_emissions(model, tokens) for tokens in three])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
