@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import logging
 import sys
 from collections import Counter
@@ -24,9 +23,9 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, model_io, title2vec
-from .corpus import REGION_ORDER, load_corpus, synth_corpus, write_corpus
+from .corpus import REGION_ORDER, load_corpus, synth_corpus
 from .crf import CrfModel, train_crf, train_logreg
-from .errors import FormatError, TrainingDivergedError, decode_text
+from .errors import FormatError, TrainingDivergedError
 from .gazetteer import (
     Gazetteer,
     irr_report,
@@ -53,17 +52,6 @@ log = logging.getLogger(__name__)
 _CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 _EXTRA_AXIS_TYPES = {"hidden_size": int, "layers": int, "embedding_dim": int}
 
-# argparse dest -> config field, for flags whose spelling differs
-_FLAG_FIELDS = {
-    "lr": "learning_rate",
-    "batch_size": "batch_size",
-    "epochs": "epochs",
-    "optimizer": "optimizer",
-    "word_dropout": "word_dropout",
-    "variational_dropout": "variational_dropout",
-    "clip": "clip_norm",
-}
-
 
 def _coerce(key: str, text: str):
     if key == "clip_norm":
@@ -86,11 +74,10 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
         if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = _coerce(key, text.strip())
-    for dest, field in _FLAG_FIELDS.items():
-        flag = getattr(args, dest, None)
+    for key in _CONFIG_TYPES:
+        flag = getattr(args, key, None)
         if flag is not None:
-            values[field] = None if field == "clip_norm" and flag == 0 else flag
-    values["seed"] = args.seed
+            values[key] = None if key == "clip_norm" and flag == 0 else flag
     return TrainConfig(**values)
 
 
@@ -142,27 +129,13 @@ def _read_tokens(path: str, fmt: str) -> list[tuple[str, ...]]:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    lines_out: list[str] = []
-    with io.StringIO(decode_text(args.infile, Path(args.infile).read_bytes())) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if args.in_format == "lines":
-                title = corpus_mod.normalize_title(line)
-            else:
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    print(f"note: {args.infile}:{lineno}: skipped malformed row",
-                          file=sys.stderr)
-                    continue
-                title = corpus_mod.normalize_title(
-                    parts[0], region=corpus_mod.Region.parse(parts[1]), profile_id=parts[2]
-                )
-            canon = corpus_mod.canonical_line(title)
-            if args.out_format == "lines":
-                lines_out.append(canon)
-            else:
-                lines_out.append(f"{canon}\t{title.region.value}\t{title.profile_id}")
-    _write_text(args.out, "".join(line + "\n" for line in lines_out))
+    titles = []
+    for lineno, row in corpus_mod.read_rows(args.infile, args.in_format):
+        if isinstance(row, str):
+            print(f"note: {args.infile}:{lineno}: skipped malformed row", file=sys.stderr)
+        else:
+            titles.append(row)
+    _write_text(args.out, corpus_mod.dumps_corpus(titles, args.out_format))
     return 0
 
 
@@ -412,14 +385,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _announce_seed(args)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else sample_gazetteer()
     corpus = synth_corpus(gaz, args.seed, args.count)
-    if args.out:
-        write_corpus(corpus, args.out, fmt=args.out_format)
-    else:
-        for title in corpus.titles:
-            line = corpus_mod.canonical_line(title)
-            if args.out_format == "tsv":
-                line = f"{line}\t{title.region.value}\t{title.profile_id}"
-            sys.stdout.write(line + "\n")
+    _write_text(args.out, corpus_mod.dumps_corpus(corpus.titles, args.out_format))
     return 0
 
 
@@ -433,13 +399,14 @@ def _add_format(parser: argparse.ArgumentParser, choices=("text", "kv")) -> None
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, required=True, help="RNG seed (echoed to stderr)")
-    parser.add_argument("--lr", type=float, default=None, help="learning rate")
+    parser.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
+                        help="learning rate")
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--optimizer", choices=("sgd", "adam"), default=None)
     parser.add_argument("--word-dropout", type=float, default=None)
     parser.add_argument("--variational-dropout", type=float, default=None)
-    parser.add_argument("--clip", type=float, default=None,
+    parser.add_argument("--clip", dest="clip_norm", metavar="CLIP", type=float, default=None,
                         help="gradient norm clip; 0 disables")
     parser.add_argument("--config", action="append", metavar="KEY=VALUE", default=None,
                         help="training setting; explicit flags take precedence")

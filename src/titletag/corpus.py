@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import logging
 import random
 import statistics
@@ -12,9 +11,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import decode_text
+from .errors import read_lines
 
 if TYPE_CHECKING:
     from .gazetteer import Gazetteer
@@ -124,38 +123,45 @@ def normalize_title(raw: str, *, region: Region = Region.UNKNOWN, profile_id: st
     return Title(raw=raw, tokens=tokens, region=region, profile_id=profile_id)
 
 
-def load_corpus(path: str | Path, fmt: str = "lines", source_label: str | None = None) -> Corpus:
-    """Read a LINES or TSV title file into a normalized Corpus.
+def read_rows(path: str | Path, fmt: str) -> Iterator[tuple[int, Title | str]]:
+    """(line number, Title) for every row of a LINES or TSV title file.
 
     LINES holds one raw title per line. TSV holds raw<TAB>region<TAB>profile_id
-    with no header row. Titles that normalize to nothing are excluded but
-    counted; malformed TSV rows are skipped and reported with their line
-    number.
+    with no header row. Titles that normalize to nothing are included; a TSV
+    row without three columns yields (line number, reason) instead.
     """
     if fmt not in ("lines", "tsv"):
         raise ValueError(f"unknown corpus format: {fmt!r}")
+    for lineno, line in read_lines(path):
+        if fmt == "lines":
+            yield lineno, normalize_title(line)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            yield lineno, f"expected 3 tab-separated columns, got {len(parts)}"
+        else:
+            raw, region_text, profile = parts
+            yield lineno, normalize_title(raw, region=Region.parse(region_text), profile_id=profile)
+
+
+def load_corpus(path: str | Path, fmt: str = "lines", source_label: str | None = None) -> Corpus:
+    """Read a LINES or TSV title file (see read_rows) into a normalized Corpus.
+
+    Titles that normalize to nothing are excluded but counted; malformed TSV
+    rows are skipped and reported with their line number.
+    """
     path = Path(path)
     titles: list[Title] = []
     skipped: list[tuple[int, str]] = []
     empty = 0
-    with io.StringIO(decode_text(path, path.read_bytes())) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if fmt == "lines":
-                title = normalize_title(line)
-            else:
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    reason = f"expected 3 tab-separated columns, got {len(parts)}"
-                    skipped.append((lineno, reason))
-                    log.warning("%s:%d: skipped row (%s)", path, lineno, reason)
-                    continue
-                raw, region_text, profile = parts
-                title = normalize_title(raw, region=Region.parse(region_text), profile_id=profile)
-            if title.is_empty:
-                empty += 1
-                continue
-            titles.append(title)
+    for lineno, row in read_rows(path, fmt):
+        if isinstance(row, str):
+            skipped.append((lineno, row))
+            log.warning("%s:%d: skipped row (%s)", path, lineno, row)
+        elif row.is_empty:
+            empty += 1
+        else:
+            titles.append(row)
     if empty:
         log.info("%s: excluded %d titles that normalize to nothing", path, empty)
     return Corpus(
@@ -171,16 +177,18 @@ def canonical_line(title: Title) -> str:
     return " ".join(title.tokens)
 
 
+def dumps_corpus(titles: Iterable[Title], fmt: str) -> str:
+    """Normalized titles as LINES or TSV text, one row per title."""
+    if fmt == "lines":
+        return "".join(canonical_line(t) + "\n" for t in titles)
+    if fmt == "tsv":
+        return "".join(f"{canonical_line(t)}\t{t.region.value}\t{t.profile_id}\n" for t in titles)
+    raise ValueError(f"unknown corpus format: {fmt!r}")
+
+
 def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "lines") -> None:
-    """Serialize normalized titles back to LINES or TSV."""
-    if fmt not in ("lines", "tsv"):
-        raise ValueError(f"unknown corpus format: {fmt!r}")
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for title in corpus.titles:
-            if fmt == "lines":
-                fh.write(canonical_line(title) + "\n")
-            else:
-                fh.write(f"{canonical_line(title)}\t{title.region.value}\t{title.profile_id}\n")
+    """Serialize normalized titles back to LINES or TSV; load_corpus reads them."""
+    Path(path).write_text(dumps_corpus(corpus.titles, fmt), encoding="utf-8")
 
 
 def _summarize(lengths: list[int]) -> LengthSummary:

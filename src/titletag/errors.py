@@ -1,6 +1,9 @@
-"""Shared exception types, and the text decoder that reports bad bytes with them."""
+"""Shared exception types, and the text decoder and line reader that report bad bytes with them."""
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterator
 
 
 class TitletagError(Exception):
@@ -28,6 +31,19 @@ def decode_text(path, data: bytes) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"not UTF-8 text: {exc.reason}", path=str(path), line=line) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line without "\\n") pairs of a UTF-8 text file.
+
+    After decode_text's newline translation only "\\n" ends a line, and a
+    final newline starts no further line: the lines of a file opened in
+    text mode.
+    """
+    lines = decode_text(path, Path(path).read_bytes()).split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return enumerate(lines, start=1)
 
 
 class TrainingDivergedError(TitletagError):

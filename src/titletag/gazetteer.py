@@ -8,7 +8,6 @@ pairwise Cohen's kappa.
 
 from __future__ import annotations
 
-import io
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus
-from .errors import FormatError, decode_text
+from .errors import FormatError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -196,26 +195,24 @@ def read_annotations(path: str | Path, annotator_id: str | None = None) -> Annot
     """Read a token<TAB>tag annotation file."""
     path = Path(path)
     votes: dict[str, CoarseTag] = {}
-    with io.StringIO(decode_text(path, path.read_bytes())) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(
-                    f"expected token<TAB>tag, got {len(parts)} columns", path=str(path), line=lineno
-                )
-            token, tag_text = parts
-            if not token:
-                raise FormatError("empty token", path=str(path), line=lineno)
-            try:
-                tag = CoarseTag(tag_text)
-            except ValueError:
-                raise FormatError(f"unknown tag {tag_text!r}", path=str(path), line=lineno) from None
-            if token in votes:
-                raise FormatError(f"duplicate token {token!r}", path=str(path), line=lineno)
-            votes[token] = tag
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(
+                f"expected token<TAB>tag, got {len(parts)} columns", path=str(path), line=lineno
+            )
+        token, tag_text = parts
+        if not token:
+            raise FormatError("empty token", path=str(path), line=lineno)
+        try:
+            tag = CoarseTag(tag_text)
+        except ValueError:
+            raise FormatError(f"unknown tag {tag_text!r}", path=str(path), line=lineno) from None
+        if token in votes:
+            raise FormatError(f"duplicate token {token!r}", path=str(path), line=lineno)
+        votes[token] = tag
     return AnnotationSet(annotator_id=annotator_id or path.stem, votes=votes)
 
 
@@ -236,26 +233,24 @@ def write_gazetteer(gazetteer: Gazetteer, path: str | Path) -> None:
 def read_gazetteer(path: str | Path) -> Gazetteer:
     path = Path(path)
     entries: dict[str, GazetteerEntry] = {}
-    with io.StringIO(decode_text(path, path.read_bytes())) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise FormatError(
-                    f"expected 6 tab-separated columns, got {len(parts)}", path=str(path), line=lineno
-                )
-            token, tag_text, va, vb, vc, agree_text = parts
-            try:
-                tag = CoarseTag(tag_text)
-                votes = (CoarseTag(va), CoarseTag(vb), CoarseTag(vc))
-                agreement = Agreement(agree_text)
-            except ValueError as exc:
-                raise FormatError(str(exc), path=str(path), line=lineno) from None
-            if token in entries:
-                raise FormatError(f"duplicate token {token!r}", path=str(path), line=lineno)
-            entries[token] = GazetteerEntry(tag=tag, votes=votes, agreement=agreement)
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 6:
+            raise FormatError(
+                f"expected 6 tab-separated columns, got {len(parts)}", path=str(path), line=lineno
+            )
+        token, tag_text, va, vb, vc, agree_text = parts
+        try:
+            tag = CoarseTag(tag_text)
+            votes = (CoarseTag(va), CoarseTag(vb), CoarseTag(vc))
+            agreement = Agreement(agree_text)
+        except ValueError as exc:
+            raise FormatError(str(exc), path=str(path), line=lineno) from None
+        if token in entries:
+            raise FormatError(f"duplicate token {token!r}", path=str(path), line=lineno)
+        entries[token] = GazetteerEntry(tag=tag, votes=votes, agreement=agreement)
     return Gazetteer(entries=entries)
 
 

@@ -48,16 +48,13 @@ class BioesLabel:
     def is_outside(self) -> bool:
         return self.tag is CoarseTag.O
 
-    @classmethod
-    def parse(cls, text: str) -> "BioesLabel":
-        if text == "O":
-            return OUTSIDE
-        if len(text) > 2 and text[1] == "-":
-            try:
-                return cls(Prefix(text[0]), CoarseTag(text[2:]))
-            except ValueError:
-                pass
-        raise ValueError(f"not a BIOES label: {text!r}")
+    @staticmethod
+    def parse(text: str) -> "BioesLabel":
+        """The canonical ALL_LABELS instance that renders as text."""
+        label = _LABEL_BY_STRING.get(text)
+        if label is None:
+            raise ValueError(f"not a BIOES label: {text!r}")
+        return label
 
 
 OUTSIDE = BioesLabel(Prefix.NONE, CoarseTag.O)
@@ -71,6 +68,7 @@ ALL_LABELS: tuple[BioesLabel, ...] = (OUTSIDE,) + tuple(
 )
 LABEL_STRINGS: tuple[str, ...] = tuple(label.render() for label in ALL_LABELS)
 LABEL_INDEX: dict[BioesLabel, int] = {label: i for i, label in enumerate(ALL_LABELS)}
+_LABEL_BY_STRING: dict[str, BioesLabel] = dict(zip(LABEL_STRINGS, ALL_LABELS))
 N_LABELS = len(ALL_LABELS)
 
 
@@ -248,7 +246,8 @@ def parse_conll(text: str, source: str = "<string>") -> list[LabeledSequence]:
             tokens.clear()
             labels.clear()
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line, as in errors.read_lines.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             flush()
             continue

@@ -1,19 +1,21 @@
-import argparse
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from titletag import cli, model_io
 from titletag.corpus import load_corpus
-from titletag.errors import FormatError
+from titletag.errors import FormatError, read_lines
 from titletag.gazetteer import read_annotations, read_gazetteer
 from titletag.labeling import read_conll
 from titletag.title2vec import BiLmModel, Vocab, read_embeddings
@@ -367,18 +369,14 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
-def flag_namespace(**overrides):
-    ns = argparse.Namespace(
-        config=None, lr=None, batch_size=None, epochs=None, optimizer=None,
-        word_dropout=None, variational_dropout=None, clip=None, seed=11,
-    )
-    for key, value in overrides.items():
-        setattr(ns, key, value)
-    return ns
+def flag_namespace(*flags):
+    """The namespace `train crf --seed 11` parses to, plus the given flags."""
+    argv = ["train", "crf", "--train", "t.conll", "--out", "m.bin", "--seed", "11", *flags]
+    return cli.build_parser().parse_args(argv)
 
 
 def test_build_config_precedence():
-    args = flag_namespace(config=["learning_rate=0.7", "epochs=3"], lr=0.9)
+    args = flag_namespace("--config", "learning_rate=0.7", "--config", "epochs=3", "--lr", "0.9")
     cfg = cli._build_config(args)
     assert cfg.learning_rate == 0.9  # explicit flag beats --config
     assert cfg.epochs == 3
@@ -387,14 +385,14 @@ def test_build_config_precedence():
 
 
 def test_build_config_clip_zero_disables():
-    assert cli._build_config(flag_namespace(clip=0.0)).clip_norm is None
-    assert cli._build_config(flag_namespace(config=["clip-norm=0"])).clip_norm is None
-    assert cli._build_config(flag_namespace(clip=2.5)).clip_norm == 2.5
+    assert cli._build_config(flag_namespace("--clip", "0")).clip_norm is None
+    assert cli._build_config(flag_namespace("--config", "clip-norm=0")).clip_norm is None
+    assert cli._build_config(flag_namespace("--clip", "2.5")).clip_norm == 2.5
 
 
 def test_build_config_bad_pair():
     with pytest.raises(ValueError):
-        cli._build_config(flag_namespace(config=["learning_rate"]))
+        cli._build_config(flag_namespace("--config", "learning_rate"))
 
 
 @pytest.fixture(scope="module")
@@ -652,6 +650,46 @@ def test_form_feed_and_unicode_breaks_stay_inside_a_title(tmp_path):
     assert [t.tokens for t in titles] == [
         ("chief", "officer"), ("sales", "director"), ("head", "of", "sales")
     ]
+
+
+# The characters str.splitlines() also breaks on. A file opened in text mode
+# keeps them inside a line, and so does every reader.
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# Per raising reader: two rows whose first token holds a break character
+# ({b}), a third row that is malformed, and the tokens read from the two rows.
+BREAK_CASES = {
+    "conll": ("chief{b}officer\tS-RES\nsales\tS-FUN\n", "head\tS-RES{b}\n",
+              lambda r: [tok for seq in r for tok in seq.tokens]),
+    "gazetteer": ("chief{b}officer\tRES\tRES\tRES\tRES\tUNANIMOUS\n"
+                  "sales\tFUN\tFUN\tFUN\tLOC\tMAJORITY\n", "head{b}\tRES\n",
+                  lambda r: list(r.entries)),
+    "annotations": ("chief{b}officer\tRES\nsales\tFUN\n", "head{b}\n", lambda r: list(r.votes)),
+}
+
+
+@pytest.mark.parametrize("brk", BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("fmt", sorted(BREAK_CASES))
+def test_break_characters_stay_inside_a_field(tmp_path, fmt, brk):
+    reader = TEXT_READERS[fmt][0]
+    rows, bad_row, tokens = BREAK_CASES[fmt]
+    path = tmp_path / "in.txt"
+    path.write_text(rows.format(b=brk), encoding="utf-8")
+    assert tokens(reader(path)) == [f"chief{brk}officer", "sales"]
+    path.write_text(rows.format(b=brk) + bad_row.format(b=brk), encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+@given(st.text(alphabet="\n\r\x0b\x0c\x1c\x85\u2028\u2029ab", max_size=30), st.booleans())
+def test_read_lines_reads_what_text_mode_reads(text, final_newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes((text + "\n" * final_newline).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            want = [(i, line.removesuffix("\n")) for i, line in enumerate(fh, start=1)]
+        assert list(read_lines(path)) == want
 
 
 @pytest.mark.parametrize("command", ["stats", "normalize", "tag", "eval", "split"])

@@ -46,14 +46,13 @@ def test_label_inventory_order():
 
 
 def test_label_parse_render_roundtrip():
-    for s in LABEL_STRINGS:
-        assert BioesLabel.parse(s).render() == s
-    with pytest.raises(ValueError):
-        BioesLabel.parse("B-XYZ")
-    with pytest.raises(ValueError):
-        BioesLabel.parse("Q-RES")
-    with pytest.raises(ValueError):
-        BioesLabel.parse("B-O")
+    for label, s in zip(ALL_LABELS, LABEL_STRINGS):
+        assert BioesLabel.parse(s) is label  # the canonical instance
+        assert label.render() == s
+    for s in ("B-XYZ", "Q-RES", "B-O", "b-RES", "O ", ""):
+        with pytest.raises(ValueError) as info:
+            BioesLabel.parse(s)
+        assert str(info.value) == f"not a BIOES label: {s!r}"
 
 
 def test_flagship_encoding():
