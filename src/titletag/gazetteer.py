@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus
-from .errors import FormatError, read_lines
+from .errors import FormatError, is_blank, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -196,7 +196,7 @@ def read_annotations(path: str | Path, annotator_id: str | None = None) -> Annot
     path = Path(path)
     votes: dict[str, CoarseTag] = {}
     for lineno, line in read_lines(path):
-        if not line:
+        if is_blank(line):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -234,7 +234,7 @@ def read_gazetteer(path: str | Path) -> Gazetteer:
     path = Path(path)
     entries: dict[str, GazetteerEntry] = {}
     for lineno, line in read_lines(path):
-        if not line:
+        if is_blank(line):
             continue
         parts = line.split("\t")
         if len(parts) != 6:

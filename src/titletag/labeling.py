@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .corpus import Title
-from .errors import FormatError, decode_text
+from .errors import FormatError, decode_text, is_blank
 from .gazetteer import CoarseTag, Gazetteer
 
 
@@ -248,7 +248,7 @@ def parse_conll(text: str, source: str = "<string>") -> list[LabeledSequence]:
 
     # Only "\n" ends a line, as in errors.read_lines.
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if is_blank(line):
             flush()
             continue
         parts = line.split("\t")

@@ -16,6 +16,11 @@ block of W. Backprop stores each step's pre-activation gradient in a
 (input, recurrent), db as one sum and the input gradients as one GEMM.
 Caches are time-major arrays of shape (T, B, .), filled in place.
 
+A cell computes in the dtype of the inputs it is given: run's buffers and
+caches take the dtype of xs, and backprop's that of the caches, with masks
+and incoming gradients cast to it. Give a cell weights of the same dtype
+(LstmCell.astype) so its products run in that precision too.
+
 The sigmoid is the plain 1 / (1 + exp(-x)) with overflow ignored: for
 x < -709 exp(-x) overflows to inf and the result is the exact limit 0, and
 elsewhere its relative error stays at a few ulp. It needs no branch or
@@ -25,6 +30,8 @@ relative precision in the far negative tail (error 1.0 at x = -40).
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -63,6 +70,16 @@ class LstmCell:
         # Forget-gate bias starts at 1 so early training keeps memory open.
         self.b[hidden : 2 * hidden] = 1.0
 
+    def astype(self, dtype) -> "LstmCell":
+        """A cell of the same shape holding dtype copies of this cell's W and b."""
+        # A shallow copy, not a new LstmCell, which would allocate a float64
+        # W only to free it: freeing a block that large raises glibc's mmap
+        # threshold, and the peak RSS of later tagging in the same process
+        # rose by 1.4 MB.
+        cast = copy.copy(self)
+        cast.W, cast.b = self.W.astype(dtype), self.b.astype(dtype)
+        return cast
+
     def run(
         self, xs: np.ndarray, mask: np.ndarray | None = None, want_cache: bool = False
     ) -> tuple[np.ndarray, tuple | None]:
@@ -76,15 +93,18 @@ class LstmCell:
         """
         B, T, D = xs.shape
         H = self.hidden
+        dtype = xs.dtype
         x = xs.transpose(1, 0, 2).reshape(T * B, D)
         gates = (x @ self.W[:, :D].T).reshape(T, B, 4 * H)
         gates += self.b
         W_h = self.W[:, D:].T
-        hs = np.empty((T, B, H))
+        hs = np.empty((T, B, H), dtype)
+        if mask is not None:
+            mask = mask.astype(dtype, copy=False)
         # h_in[t - 1] is h_{t-1} as step t reads it; step 0 reads zeros.
-        h_in = hs[:-1] if mask is None else np.empty((T - 1, B, H))
-        cs = np.empty((T, B, H))
-        tanh_cs = np.empty((T, B, H))
+        h_in = hs[:-1] if mask is None else np.empty((T - 1, B, H), dtype)
+        cs = np.empty((T, B, H), dtype)
+        tanh_cs = np.empty((T, B, H), dtype)
         for t in range(T):
             z = gates[t]
             if t:
@@ -109,6 +129,10 @@ class LstmCell:
         x, h_in, gates, cs, tanh_cs = caches
         B, T, H = dhs.shape
         D = self.input_dim
+        dtype = x.dtype
+        dhs = dhs.astype(dtype, copy=False)
+        if mask is not None:
+            mask = mask.astype(dtype, copy=False)
         W_h = self.W[:, D:]
         i, f, o, g = (gates[..., k * H : (k + 1) * H] for k in range(4))
         # Local derivatives of every step, computed before the loop: a step's
@@ -122,8 +146,8 @@ class LstmCell:
         dz_all[..., 2 * H : 3 * H] *= tanh_cs
         dz_all[..., 3 * H :] = i * (1.0 - g * g)
         dc_dh = o * (1.0 - tanh_cs * tanh_cs)
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
+        dh_next = np.zeros((B, H), dtype)
+        dc_next = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
             dh = dhs[:, t] + dh_next
             dc = dc_next + dh * dc_dh[t]
@@ -137,7 +161,7 @@ class LstmCell:
                 if mask is not None:
                     dh_next *= mask
         dz_flat = dz_all.reshape(T * B, 4 * H)
-        dW = np.empty_like(self.W)
+        dW = np.empty(self.W.shape, dtype)
         np.matmul(dz_flat.T, x, out=dW[:, :D])
         np.matmul(dz_flat[B:].T, h_in.reshape(-1, H), out=dW[:, D:])
         db = dz_flat.sum(axis=0)

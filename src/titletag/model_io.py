@@ -110,6 +110,14 @@ def check_meta(path: str | Path, meta: dict, fields: dict[str, type]) -> None:
             raise FormatError(f"model metadata {key!r} is missing or not a {what}", path=str(path))
 
 
+def check_positive(path: str | Path, dims: dict[str, int]) -> None:
+    """Raise FormatError unless every model dimension in dims is at least 1."""
+    for name, value in dims.items():
+        if value < 1:
+            raise FormatError(f"model metadata {name!r} must be at least 1, got {value}",
+                              path=str(path))
+
+
 def check_shapes(path: str | Path, stored: dict[str, np.ndarray], implied: Iterable) -> None:
     """FormatError unless the (name, shape) pairs of implied are exactly the
     stored arrays. implied may be a generator over a model's metadata,

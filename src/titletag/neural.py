@@ -10,6 +10,7 @@ come from a trainable lookup table or a frozen bidirectional-LM provider.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -99,13 +100,14 @@ class LstmCrfModel:
     def _stack(self) -> list[tuple]:
         return list(zip(self.fwd_cells, self.bwd_cells))
 
-    def encode(self, xs: np.ndarray, masks=None, want_cache: bool = False):
+    def encode(self, xs: np.ndarray, masks=None, want_cache: bool = False, stack=None):
         """Encode (B, T, dim) inputs into (B, T, 2*hidden) states.
 
         masks is a per-layer list of (forward, backward) recurrent dropout
-        masks of shape (B, hidden), or None in eval mode.
+        masks of shape (B, hidden), or None in eval mode. stack, when given,
+        stands in for the model's own (forward, backward) cells per layer.
         """
-        outputs, caches = stack_run(self._stack(), xs, masks, want_cache)
+        outputs, caches = stack_run(stack or self._stack(), xs, masks, want_cache)
         return outputs[-1], caches
 
     def _embed_group(self, token_group: list) -> tuple[np.ndarray, np.ndarray | None]:
@@ -147,11 +149,18 @@ class LstmCrfModel:
 
         return decode_in_chunks(seqs, paths)
 
-    def _group_pass(self, token_group, label_ids, masks, grad_of) -> float:
-        """Loss (summed over the group) and, when grad_of is given, gradients."""
+    def _group_pass(self, token_group, label_ids, masks, grad_of, stack=None) -> float:
+        """Loss (summed over the group) and, when grad_of is given, gradients.
+
+        stack, when given, replaces the model's own cells (see encode), and
+        the inputs are cast to the dtype of its weights. The output head
+        computes in float64 either way.
+        """
         want_grads = grad_of is not None
+        stack = stack or self._stack()
         xs, ids = self._embed_group(token_group)
-        enc, caches = self.encode(xs, masks, want_cache=want_grads)
+        xs = xs.astype(stack[0][0].W.dtype, copy=False)
+        enc, caches = self.encode(xs, masks, want_grads, stack)
         emis = enc @ self.proj_W + self.proj_b
         if self.kind == "lstm-crf":
             loss, grads = crf_nll(emis, label_ids, self.trans, self.start, self.stop)
@@ -166,9 +175,10 @@ class LstmCrfModel:
         grad_of[id(self.proj_W)] += enc.reshape(-1, 2 * self.hidden_size).T @ demis.reshape(-1, N_LABELS)
         grad_of[id(self.proj_b)] += demis.sum(axis=(0, 1))
         d_enc = demis @ self.proj_W.T
-        dx = stack_backprop(self._stack(), caches, d_enc, grad_of, masks)
+        dx = stack_backprop(stack, caches, d_enc, grad_of, masks)
         if ids is not None:
-            np.add.at(grad_of[id(self.provider.table)], ids, dx)
+            # ufunc.at is several times slower on mixed dtypes.
+            np.add.at(grad_of[id(self.provider.table)], ids, dx.astype(np.float64, copy=False))
         return loss
 
     def _arrays(self) -> dict[str, np.ndarray]:
@@ -217,6 +227,8 @@ class LstmCrfModel:
             raise ValueError(f"{path}: label set does not match this build")
         spec = meta["provider"]
         model_io.check_meta(path, spec, {"type": str, "dim": int})
+        model_io.check_positive(path, {"hidden": meta["hidden"], "layers": meta["layers"],
+                                       "provider.dim": spec["dim"]})
         if spec["type"] == "table":
             model_io.check_meta(path, spec, {"vocab": list, "min_count": int})
             vocab = stored_vocab(path, spec["vocab"], spec["min_count"])
@@ -305,6 +317,15 @@ def _train_bilstm(
     params = model.parameters()
     grads, update = optim.dense_update(cfg, params)
     grad_of = {id(p): g for p, g in zip(params, grads)}
+    # Mixed precision (Micikevicius et al. 2018, arXiv:1710.03740): the
+    # encoder runs on float32 copies of the cells, refreshed after every
+    # optimizer step, while the parameters, the optimizer state and the
+    # gradient sums stay float64. A copy's weight gradients add into the
+    # float64 buffers of the cell it copies.
+    stack = [tuple(cell.astype(np.float32) for cell in layer) for layer in model._stack()]
+    copies = list(zip(chain(*model._stack()), chain(*stack)))
+    for cell, copy in copies:
+        grad_of[id(copy.W)], grad_of[id(copy.b)] = grad_of[id(cell.W)], grad_of[id(cell.b)]
 
     def batch(indices: list[int]) -> tuple[float, int]:
         dropped = [apply_word_dropout(data[j].tokens, cfg.word_dropout, rng) for j in indices]
@@ -312,10 +333,18 @@ def _train_bilstm(
         for group in length_groups(dropped):
             ys = np.array([data[indices[pos]].label_ids() for pos in group], dtype=np.int64)
             masks = _sample_masks(model, len(group), cfg.variational_dropout, rng)
-            batch_loss += model._group_pass([dropped[pos] for pos in group], ys, masks, grad_of)
+            batch_loss += model._group_pass([dropped[pos] for pos in group], ys, masks, grad_of,
+                                            stack)
         return batch_loss, len(indices)
 
-    optim.fit(kind, len(data), cfg, rng, batch, update, model.history)
+    def step(scale: float) -> float:
+        norm = update(scale)
+        for cell, copy in copies:
+            copy.W[...] = cell.W
+            copy.b[...] = cell.b
+        return norm
+
+    optim.fit(kind, len(data), cfg, rng, batch, step, model.history)
     return model
 
 

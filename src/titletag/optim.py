@@ -49,31 +49,42 @@ class TrainConfig:
 
 
 def fit(name: str, n: int, cfg: TrainConfig, rng: np.random.Generator,
-        batch: Callable[[list[int]], tuple[float, int]], update: Callable[[float], None],
-        history: list[float]) -> None:
+        batch: Callable[[list[int]], tuple[float, int]],
+        update: Callable[[float], float | None], history: list[float]) -> None:
     """Mini-batch training loop over n examples.
 
     Each epoch draws a fresh permutation from rng and cuts it into batches.
     batch(indices) accumulates gradients and returns (loss sum, count);
-    update(1 / count) then applies them. The mean loss per counted unit of
-    each epoch is appended to history. A non-finite batch loss raises
-    TrainingDivergedError before any update.
+    update(1 / count) then applies them and returns the gradient norm before
+    clipping, or None if it does not clip. The mean loss per counted unit of
+    each epoch is appended to history and logged at INFO, with the mean
+    pre-clip norm and the share of clipped steps when update reports norms.
+    A non-finite batch loss raises TrainingDivergedError before any update.
     """
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss, epoch_count = 0.0, 0
+        norms = []
         for lo in range(0, n, cfg.batch_size):
             loss, count = batch([int(j) for j in order[lo : lo + cfg.batch_size]])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch + 1}, batch {lo // cfg.batch_size + 1}"
                 )
-            update(1.0 / count)
+            norm = update(1.0 / count)
+            if norm is not None:
+                norms.append(norm)
             epoch_loss += loss
             epoch_count += count
         mean_loss = epoch_loss / epoch_count
         history.append(mean_loss)
-        log.info("%s epoch %d/%d: mean loss %.6f", name, epoch + 1, cfg.epochs, mean_loss)
+        clipping = ""
+        if norms:
+            clipped = sum(cfg.clip_norm is not None and norm > cfg.clip_norm for norm in norms)
+            clipping = (f", mean pre-clip gradient norm {sum(norms) / len(norms):.6g}"
+                        f", clipped share {clipped / len(norms):.3f}")
+        log.info("%s epoch %d/%d: mean loss %.6f%s", name, epoch + 1, cfg.epochs, mean_loss,
+                 clipping)
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
@@ -135,17 +146,19 @@ def dense_update(cfg: TrainConfig, params: list[np.ndarray]):
     """Gradient buffers for params and the update step of fit that applies them.
 
     The step scales the accumulated grads, clips them to cfg.clip_norm, runs
-    the configured optimizer, then zeroes the buffers for the next batch.
+    the configured optimizer, zeroes the buffers for the next batch and
+    returns the gradient norm before clipping.
     """
     opt = make_optimizer(cfg.optimizer, cfg.learning_rate, params)
     grads = [np.zeros_like(p) for p in params]
 
-    def update(scale: float) -> None:
+    def update(scale: float) -> float:
         for g in grads:
             g *= scale
-        clip_grads_(grads, cfg.clip_norm)
+        norm = clip_grads_(grads, cfg.clip_norm)
         opt.step(params, grads)
         for g in grads:
             g.fill(0.0)
+        return norm
 
     return grads, update

@@ -153,6 +153,7 @@ class BiLmModel:
             raise ValueError(f"{path}: expected a bilm model, found {kind!r}")
         model_io.check_meta(path, meta, {"vocab": list, "min_count": int, "dim": int,
                                          "hidden": int, "layers": int})
+        model_io.check_positive(path, {key: meta[key] for key in ("dim", "hidden", "layers")})
         vocab = stored_vocab(path, meta["vocab"], meta["min_count"])
         model_io.check_shapes(path, arrays, cls._array_shapes(
             vocab.size, meta["dim"], meta["hidden"], meta["layers"]))

@@ -18,6 +18,7 @@ from titletag.corpus import load_corpus
 from titletag.errors import FormatError, read_lines
 from titletag.gazetteer import read_annotations, read_gazetteer
 from titletag.labeling import read_conll
+from titletag.neural import LstmCrfModel
 from titletag.title2vec import BiLmModel, Vocab, read_embeddings
 
 GOLD_CONLL = (
@@ -568,6 +569,32 @@ def test_huge_meta_dims_exit_4(tmp_path, capsys, small_models, kind, key):
     assert code == 4, err
 
 
+@pytest.mark.parametrize(
+    "kind,key",
+    [("lstm-crf", "hidden"), ("lstm-crf", "layers"), ("lstm-crf", "dim"),
+     ("bilm", "hidden"), ("bilm", "layers"), ("bilm", "dim")],
+)
+def test_zero_meta_dims_with_matching_arrays_exit_4(tmp_path, capsys, small_models, kind, key):
+    """A dimension of 0 with every array resized to match passes the shape
+    checks; the range check still names the file."""
+    def edit(meta, arrays):
+        if kind == "bilm":
+            meta[key] = 0
+            shapes = BiLmModel._array_shapes(len(meta["vocab"]), meta["dim"], meta["hidden"],
+                                             meta["layers"])
+        else:
+            (meta["provider"] if key == "dim" else meta)[key] = 0
+            shapes = LstmCrfModel._array_shapes(kind, meta["hidden"], meta["layers"],
+                                                meta["provider"]["dim"],
+                                                len(meta["provider"]["vocab"]))
+        arrays.clear()
+        arrays.update((name, np.zeros(shape)) for name, shape in shapes)
+
+    code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
+    assert code == 4, err
+    assert "bad.model" in err and f"{key}' must be at least 1, got 0" in err
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
     "kind,array", [("crf", "trans"), ("lstm-crf", "proj.W"), ("bilm", "embed")],
@@ -639,6 +666,17 @@ def test_reader_reads_crlf_as_lf(tmp_path, fmt):
     lf.write_bytes(text.encode())
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
     assert view(reader(crlf)) == view(reader(lf))
+
+
+@pytest.mark.parametrize("blank", [" ", "\x0c", "\u2028"], ids=["space", "U+000C", "U+2028"])
+@pytest.mark.parametrize("fmt", sorted(TEXT_READERS))
+def test_whitespace_only_line_reads_as_an_empty_line(tmp_path, fmt, blank):
+    reader, text, view = TEXT_READERS[fmt]
+    first, rest = text.split("\n", 1)
+    empty, spaced = tmp_path / "empty.txt", tmp_path / "spaced.txt"
+    empty.write_text(f"{first}\n\n{rest}", encoding="utf-8")
+    spaced.write_text(f"{first}\n{blank}\n{rest}", encoding="utf-8")
+    assert view(reader(spaced)) == view(reader(empty))
 
 
 def test_form_feed_and_unicode_breaks_stay_inside_a_title(tmp_path):

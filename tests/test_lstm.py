@@ -137,3 +137,38 @@ def test_sigmoid_tails_are_exact_and_quiet():
     for x, y in zip(xs, out):
         ref = reference_sigmoid(float(x))
         assert abs(y - ref) <= 1e-15 * ref
+
+
+# A float32 cell's outputs stay within this share of the largest float64
+# magnitude: about 80 float32 ulps (eps 1.19e-7). The largest measured
+# deviation over the cases below is about 9e-7.
+FLOAT32_RTOL = 1e-5
+
+
+def assert_close_in_float32(got, want):
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=0, atol=FLOAT32_RTOL * np.abs(want).max())
+
+
+@pytest.mark.parametrize("B", [1, 21, 128])
+@pytest.mark.parametrize("T", [1, 6])
+@pytest.mark.parametrize("masked", [False, True])
+def test_float32_cell_matches_float64_cell(B, T, masked):
+    D, H = 64, 256
+    rng = np.random.default_rng(1000 * B + 10 * T + masked)
+    cell = LstmCell(D, H, rng)
+    cell32 = cell.astype(np.float32)
+    assert cell32.W.dtype == cell32.b.dtype == np.float32
+    np.testing.assert_array_equal(cell32.W, cell.W.astype(np.float32))
+    xs = rng.normal(size=(B, T, D))
+    dhs = rng.normal(size=(B, T, H))
+    mask = rng.binomial(1, 0.5, size=(B, H)) / 0.5 if masked else None
+
+    hs, caches = cell.run(xs, mask=mask, want_cache=True)
+    hs32, caches32 = cell32.run(xs.astype(np.float32), mask=mask, want_cache=True)
+    assert all(c.dtype == np.float32 for c in caches32)
+    assert_close_in_float32(hs32, hs)
+    # dhs and mask arrive float64, as the BiLSTM's output head sends them.
+    for got, want in zip(cell32.backprop(caches32, dhs, mask=mask),
+                         cell.backprop(caches, dhs, mask=mask)):
+        assert_close_in_float32(got, want)

@@ -1,3 +1,5 @@
+import logging
+import re
 from collections import Counter
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from titletag.crf import TrainConfig
 from titletag.labeling import ALL_LABELS, BioesLabel, LabeledSequence
+from titletag.lstm import LstmCell
 from titletag.neural import (
     LstmCrfModel,
     TrainableEmbeddings,
@@ -166,7 +169,7 @@ def test_lstm_softmax_trains():
     assert model.history[-1] < model.history[0]
 
 
-def test_training_is_seed_deterministic():
+def test_training_is_seed_deterministic(tmp_path):
     cfg = TrainConfig(learning_rate=0.05, batch_size=2, epochs=3, optimizer="sgd",
                       seed=11, word_dropout=0.05, variational_dropout=0.5)
     a = train_lstm_crf(TOY, cfg, hidden_size=6, layers=1, embedding_dim=4)
@@ -174,6 +177,9 @@ def test_training_is_seed_deterministic():
     assert a.history == b.history
     np.testing.assert_array_equal(a.proj_W, b.proj_W)
     np.testing.assert_array_equal(a.fwd_cells[0].W, b.fwd_cells[0].W)
+    a.save(tmp_path / "a.model")
+    b.save(tmp_path / "b.model")
+    assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
 
 
 def test_save_load_roundtrip_trainable(tmp_path):
@@ -248,3 +254,38 @@ def test_batch_nll_empty():
     model = build_model("lstm-crf")
     with pytest.raises(ValueError):
         batch_nll(model, [])
+
+
+def test_training_runs_float32_cells_on_float64_master_weights(monkeypatch):
+    seen = []
+    run = LstmCell.run
+
+    def spy(cell, xs, *args, **kwargs):
+        seen.append((cell.W.dtype.name, cell.b.dtype.name, xs.dtype.name))
+        return run(cell, xs, *args, **kwargs)
+
+    monkeypatch.setattr(LstmCell, "run", spy)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=3, epochs=2, optimizer="adam",
+                      seed=3, word_dropout=0.1, variational_dropout=0.5)
+    model = train_lstm_crf(TOY, cfg, hidden_size=6, layers=2, embedding_dim=4)
+    assert seen and set(seen) == {("float32",) * 3}
+    assert all(p.dtype == np.float64 for p in model.parameters())
+    # Inference stays float64.
+    seen.clear()
+    model.predict(TOY[0].tokens)
+    assert set(seen) == {("float64",) * 3}
+
+
+# A clip norm below every step's gradient norm clips every step; None clips none.
+@pytest.mark.parametrize("clip_norm,share", [(1e-6, "1.000"), (None, "0.000")])
+def test_epoch_log_reports_pre_clip_norm_and_clipped_share(caplog, clip_norm, share):
+    cfg = TrainConfig(learning_rate=0.05, batch_size=2, epochs=2, optimizer="sgd",
+                      seed=5, clip_norm=clip_norm)
+    with caplog.at_level(logging.INFO, logger="titletag.optim"):
+        train_lstm_crf(TOY, cfg, hidden_size=6, layers=1, embedding_dim=4)
+    lines = [r.getMessage() for r in caplog.records if "epoch" in r.getMessage()]
+    assert len(lines) == 2
+    for line in lines:
+        match = re.search(r"mean pre-clip gradient norm (\S+), clipped share (\S+)$", line)
+        assert match, line
+        assert float(match.group(1)) > 1e-6 and match.group(2) == share
