@@ -172,6 +172,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_ngrams(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.infile, fmt=args.in_format)
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0, got {args.top}")
     table = corpus_mod.ngram_counts(corpus, args.n)
     entries = table.entries if args.top == 0 else table.entries[: args.top]
     if args.format == "tsv":
@@ -338,7 +340,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_space(text: str) -> dict[str, list]:
+def _parse_space(text: str, model: str) -> dict[str, list]:
     space: dict[str, list] = {}
     for part in text.split(";"):
         part = part.strip()
@@ -350,6 +352,8 @@ def _parse_space(text: str) -> dict[str, list]:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_TYPES and key not in _EXTRA_AXIS_TYPES:
             raise ValueError(f"unknown search axis {key!r}")
+        if key in _EXTRA_AXIS_TYPES and model in ("crf", "logreg"):
+            raise ValueError(f"search axis {key!r} applies only to the lstm and lstm-crf models")
         space[key] = [_coerce(key, v.strip()) for v in values.split(",") if v.strip()]
         if not space[key]:
             raise ValueError(f"axis {key!r} has no values")
@@ -363,7 +367,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     base = _build_config(args)
     train_data = read_conll(args.train)
     dev_gold = read_conll(args.dev)
-    space = _parse_space(args.space)
+    space = _parse_space(args.space, args.model)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else None
     trainers = {
         "crf": functools.partial(train_crf, gazetteer=gaz),

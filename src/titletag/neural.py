@@ -65,8 +65,9 @@ class LstmCrfModel:
     ):
         if kind not in ("lstm-crf", "lstm"):
             raise ValueError(f"kind must be 'lstm-crf' or 'lstm', got {kind!r}")
-        if hidden_size < 1 or layers < 1:
-            raise ValueError(f"bad dimensions: hidden_size={hidden_size} layers={layers}")
+        if hidden_size < 1 or layers < 1 or provider.dim < 1:
+            raise ValueError(f"bad dimensions: hidden_size={hidden_size} layers={layers} "
+                             f"embedding dim={provider.dim}")
         self.provider = provider
         self.hidden_size = hidden_size
         self.layers = layers

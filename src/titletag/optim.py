@@ -8,6 +8,7 @@ same order on every step.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,7 @@ class TrainConfig:
     clip_norm: float | None = 5.0  # used by the recurrent taggers only
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -44,7 +45,7 @@ class TrainConfig:
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {p}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
             raise ValueError(f"clip_norm must be positive or None, got {self.clip_norm}")
 
 

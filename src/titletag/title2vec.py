@@ -3,8 +3,9 @@
 Two independent stacked LSTM language models (one per direction) share a
 token embedding table. A token's contextual vector concatenates its input
 embedding with every layer's hidden state from both directions, giving
-dimension D + 2*H*L. Vectors serialize to `.emb` files: a hashed text
-header and record table, then one little-endian float64 block.
+dimension D + 2*H*L. Vectors serialize to `.emb` files: a text header and
+record table, then one little-endian float64 block, under one hash that
+covers all three.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import model_io, optim
 from .corpus import Corpus
-from .errors import FormatError, decode_text
+from .errors import FormatError
 from .lstm import (
     cell_arrays, cell_shapes, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run,
 )
@@ -363,58 +364,57 @@ class EmbeddingStore:
         return self._pooled
 
 
-# Longest first line read_embeddings takes as a v2 header.
+# Longest first line read_embeddings takes as a header.
 _HEADER_LIMIT = 256
 
 
 def write_embeddings(store: EmbeddingStore, path) -> None:
-    """Write the store as `.emb` v2.
+    """Write the store as `.emb` v3.
 
-    Line 1 is `ipod-emb v2 {dim} {records} {hash}`. One `{id} {n}` line per
+    Line 1 is `ipod-emb v3 {dim} {records} {hash}`. One `{id} {n}` line per
     record follows, then all vectors as one little-endian float64 block:
     records in table order, rows in token order. The hash is the first 16
-    hex digits of the sha256 of the table bytes followed by the block bytes.
+    hex digits of the sha256 of the header up to and including the space
+    before the hash, then the table bytes, then the block bytes.
     """
     table = "".join(f"{rec.title_id} {len(rec.vectors)}\n" for rec in store.records).encode("utf-8")
     blocks = [np.ascontiguousarray(rec.vectors, dtype="<f8") for rec in store.records]
-    digest = hashlib.sha256(table)
+    prefix = f"ipod-emb v3 {store.dim} {len(blocks)} ".encode("ascii")
+    digest = hashlib.sha256(prefix + table)
     for block in blocks:
         digest.update(block)
-    header = f"ipod-emb v2 {store.dim} {len(blocks)} {digest.hexdigest()[:16]}\n"
     with Path(path).open("wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(prefix + digest.hexdigest()[:16].encode("ascii") + b"\n")
         fh.write(table)
         for block in blocks:
             fh.write(block)
 
 
 def read_embeddings(path) -> EmbeddingStore:
-    """Read a `.emb` file, v2 (see write_embeddings) or the older v1 text.
+    """Read a `.emb` file, v3 (see write_embeddings) or v2.
 
-    Any malformed file, including bytes that are not UTF-8 where text is
-    expected, raises FormatError naming the path. The v2 reader checks the
-    block's size against the file's before it allocates, so a v2 file must
-    be a regular file; a v1 file may also be a pipe.
+    v2 has the v3 layout, but its hash covers only the table and the
+    block, not the header. Any other version, v1 included, and any
+    malformed file raise FormatError naming the path. The block's size is
+    checked against the file's before it is allocated, so the file must
+    be a regular file.
     """
     path = Path(path)
     with path.open("rb") as fh:
-        first = fh.readline(_HEADER_LIMIT)
-        if first.startswith(b"ipod-emb v2 "):
-            return _read_v2(path, fh, first)
-        text = decode_text(path, first + fh.read())
-    return _read_v1(path, text)
+        return _read_table_and_block(path, fh, fh.readline(_HEADER_LIMIT))
 
 
-def _read_v2(path: Path, fh, first: bytes) -> EmbeddingStore:
+def _read_table_and_block(path: Path, fh, first: bytes) -> EmbeddingStore:
     """Check the header, the table and the block size before allocating,
     then read the block into one array and check the hash."""
     header = first[:-1].split(b" ") if first.endswith(b"\n") else []
-    if (len(header) != 5 or not header[2].isdigit() or not header[3].isdigit()
-            or int(header[2]) < 1):
+    if (len(header) != 5 or header[0] != b"ipod-emb" or header[1] not in (b"v2", b"v3")
+            or not header[2].isdigit() or not header[3].isdigit() or int(header[2]) < 1):
         raise FormatError(f"bad header {first[:80]!r}", path=str(path))
     dim, n_records = int(header[2]), int(header[3])
     pos = len(first)
-    digest = hashlib.sha256()
+    # v3 hashes its header up to the hash; v2 hashes only what follows it.
+    digest = hashlib.sha256(first[: first.rindex(b" ") + 1] if header[1] == b"v3" else b"")
     ids: list[str] = []
     counts: list[int] = []
     for line_no in range(2, n_records + 2):
@@ -456,61 +456,6 @@ def _read_v2(path: Path, fh, first: bytes) -> EmbeddingStore:
     for title_id, n in zip(ids, counts):
         records.append(TitleVectors(title_id, block[start : start + n]))
         start += n
-    return EmbeddingStore(dim=dim, records=records)
-
-
-def _read_v1(path: Path, text: str) -> EmbeddingStore:
-    """The v1 text store: header `ipod-emb v1 {dim} {hash}`, then per record
-    a line `{id} {n}` and n lines of dim repr() floats; the hash covers
-    everything after the header."""
-    newline = text.find("\n")
-    if newline < 0:
-        raise FormatError("missing header line", path=str(path))
-    header = text[:newline].split(" ")
-    if len(header) != 4 or header[0] != "ipod-emb" or header[1] != "v1":
-        raise FormatError(f"bad header {text[:newline]!r}", path=str(path))
-    try:
-        dim = int(header[2])
-    except ValueError:
-        dim = 0
-    if dim < 1:
-        raise FormatError(f"bad dimension {header[2]!r}", path=str(path))
-    body = text[newline + 1 :]
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-    if digest != header[3]:
-        raise FormatError(
-            f"content hash mismatch: header says {header[3]}, body hashes to {digest}",
-            path=str(path),
-        )
-    records: list[TitleVectors] = []
-    lines = body.splitlines()
-    pos = 0
-    while pos < len(lines):
-        head = lines[pos].split(" ")
-        if len(head) != 2:
-            raise FormatError(f"bad record header {lines[pos]!r}", path=str(path), line=pos + 2)
-        title_id, count_text = head
-        try:
-            count = int(count_text)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise FormatError(f"bad token count {count_text!r}", path=str(path), line=pos + 2)
-        if pos + count >= len(lines):
-            raise FormatError(f"record {title_id!r} is truncated", path=str(path), line=pos + 2)
-        rows = []
-        for k in range(count):
-            values = lines[pos + 1 + k].split(" ")
-            if len(values) != dim:
-                raise FormatError(
-                    f"expected {dim} values, got {len(values)}", path=str(path), line=pos + 3 + k
-                )
-            try:
-                rows.append([float(v) for v in values])
-            except ValueError as exc:
-                raise FormatError(f"bad value: {exc}", path=str(path), line=pos + 3 + k) from None
-        records.append(TitleVectors(title_id=title_id, vectors=np.array(rows)))
-        pos += 1 + count
     return EmbeddingStore(dim=dim, records=records)
 
 

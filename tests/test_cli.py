@@ -122,6 +122,16 @@ def test_ngrams_output(tmp_path, capsys):
     assert out.splitlines()[0] == "alpha\t2"
 
 
+def test_ngrams_negative_top_exits_2(tmp_path, capsys):
+    src = tmp_path / "t.txt"
+    src.write_text("alpha beta\nalpha\n", encoding="utf-8")
+    code, out, _ = run(capsys, "ngrams", "--in", str(src), "--format", "tsv", "--top", "0")
+    assert code == 0 and out.splitlines() == ["alpha\t2", "beta\t1"]
+    code, out, err = run(capsys, "ngrams", "--in", str(src), "--format", "tsv", "--top", "-1")
+    assert code == 2 and out == ""
+    assert "--top must be >= 0, got -1" in err
+
+
 def test_gazetteer_sample_flow(tmp_path, capsys):
     gaz_path = tmp_path / "sample.gaz"
     code, _, err = run(capsys, "gazetteer", "build", "--sample", "--out", str(gaz_path))
@@ -322,7 +332,7 @@ def test_embed_empty_input_writes_an_empty_store(tmp_path, capsys):
     emb = tmp_path / "vectors.emb"
     code, _, err = run(capsys, "embed", "--model", str(lm), "--in", str(empty), "--out", str(emb))
     assert code == 0, err
-    assert emb.read_bytes().startswith(b"ipod-emb v2 8 0 ")
+    assert emb.read_bytes().startswith(b"ipod-emb v3 8 0 ")
     store = read_embeddings(emb)
     assert store.dim == 2 + 2 * 3 and store.records == []
 
@@ -359,6 +369,44 @@ def test_gridsearch_unknown_axis(tmp_path, capsys):
     assert "unknown search axis" in err
 
 
+@pytest.mark.parametrize("axis", ["hidden_size", "layers", "embedding_dim"])
+@pytest.mark.parametrize("model", ["crf", "logreg"])
+def test_gridsearch_recurrent_axis_on_feature_model_exits_2(tmp_path, capsys, model, axis):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    code, _, err = run(
+        capsys, "gridsearch", "--model", model, "--train", str(labeled),
+        "--dev", str(labeled), "--space", f"{axis}=2", "--seed", "0",
+    )
+    assert code == 2, err
+    assert f"search axis {axis!r} applies only to the lstm and lstm-crf models" in err
+
+
+@pytest.mark.parametrize("command,setting", [
+    pytest.param("train", ["--lr", "nan"], id="lr-nan"),
+    pytest.param("train", ["--lr", "inf"], id="lr-inf"),
+    pytest.param("train", ["--clip", "nan"], id="clip-nan"),
+    pytest.param("train", ["--clip", "inf"], id="clip-inf"),
+    pytest.param("train", ["--config", "learning_rate=nan"], id="config-lr-nan"),
+    pytest.param("train", ["--config", "clip_norm=nan"], id="config-clip-nan"),
+    pytest.param("gridsearch", ["--space", "learning_rate=inf"], id="axis-lr-inf"),
+    pytest.param("gridsearch", ["--space", "clip_norm=nan"], id="axis-clip-nan"),
+])
+def test_non_finite_training_setting_exits_2(tmp_path, capsys, command, setting):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    if command == "train":
+        argv = ["train", "lstm", "--train", str(labeled), "--out", str(tmp_path / "m.bin"),
+                "--hidden", "2"]
+    else:
+        argv = ["gridsearch", "--model", "lstm", "--train", str(labeled), "--dev", str(labeled)]
+    code, _, err = run(capsys, *argv, "--seed", "0", *setting)
+    assert code == 2, err
+    key = "clip_norm" if "clip" in " ".join(setting) else "learning_rate"
+    assert f"error: {key} must be" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_config_unknown_key(tmp_path, capsys):
     train = tmp_path / "t.conll"
     train.write_text(GOLD_CONLL, encoding="utf-8")
@@ -389,6 +437,18 @@ def test_build_config_clip_zero_disables():
     assert cli._build_config(flag_namespace("--clip", "0")).clip_norm is None
     assert cli._build_config(flag_namespace("--config", "clip-norm=0")).clip_norm is None
     assert cli._build_config(flag_namespace("--clip", "2.5")).clip_norm == 2.5
+
+
+def test_train_zero_embedding_dim_exits_2(tmp_path, capsys):
+    train = tmp_path / "t.conll"
+    train.write_text(GOLD_CONLL, encoding="utf-8")
+    model = tmp_path / "m.bin"
+    code, _, err = run(
+        capsys, "train", "lstm-crf", "--train", str(train), "--out", str(model),
+        "--hidden", "2", "--embedding-dim", "0", "--seed", "0", "--epochs", "1",
+    )
+    assert code == 2, err
+    assert "embedding dim=0" in err and not model.exists()
 
 
 def test_build_config_bad_pair():

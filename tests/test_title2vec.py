@@ -227,17 +227,13 @@ def test_embedding_file_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(r1.vectors, r2.vectors)  # raw float64 bytes
 
 
-# store_fixture() as a v1 text body.
-V1_FIXTURE_BODY = "t0 2\n1.0 0.0\n1.0 0.0\nt1 1\n0.0 1.0\nt2 1\n1.0 0.0\n"
-
-
-def _write_v2(path) -> bytearray:
-    """Write store_fixture() as v2 and return the file bytes."""
+def _write_store(path) -> bytearray:
+    """Write store_fixture() and return the file bytes."""
     write_embeddings(store_fixture(), path)
     return bytearray(path.read_bytes())
 
 
-def _v2_block_start(data: bytes, records: int) -> int:
+def _block_start(data: bytes, records: int) -> int:
     """Offset of the float block: after the header line and the table lines."""
     pos = 0
     for _ in range(records + 1):
@@ -246,19 +242,10 @@ def _v2_block_start(data: bytes, records: int) -> int:
 
 
 def test_embedding_file_hash_tamper(tmp_path):
-    path = tmp_path / "emb.txt"
-    _write_body(path, 2, V1_FIXTURE_BODY)
-    assert len(read_embeddings(path).records) == 3
-    text = path.read_text(encoding="utf-8")
-    path.write_text(text.replace("1.0", "1.5", 1), encoding="utf-8")
-    with pytest.raises(FormatError) as err:
-        read_embeddings(path)
-    assert "hash" in str(err.value)
-
     path = tmp_path / "emb.emb"
-    data = _write_v2(path)
+    data = _write_store(path)
     # "t0" -> "u0" in the table; a mantissa bit of the first value in the block.
-    for offset in (data.index(b"\n") + 1, _v2_block_start(data, 3) + 5):
+    for offset in (data.index(b"\n") + 1, _block_start(data, 3) + 5):
         tampered = bytearray(data)
         tampered[offset] ^= 0x01
         path.write_bytes(bytes(tampered))
@@ -268,14 +255,8 @@ def test_embedding_file_hash_tamper(tmp_path):
 
 
 def test_embedding_file_truncated(tmp_path):
-    path = tmp_path / "emb.txt"
-    lines = V1_FIXTURE_BODY.splitlines()
-    _write_body(path, 2, "\n".join(lines[:-1]) + "\n")
-    with pytest.raises(FormatError):
-        read_embeddings(path)
-
     path = tmp_path / "emb.emb"
-    data = _write_v2(path)
+    data = _write_store(path)
     for drop in (1, 2 * 8):  # the last byte; the last row
         path.write_bytes(bytes(data[:-drop]))
         with pytest.raises(FormatError):
@@ -284,14 +265,9 @@ def test_embedding_file_truncated(tmp_path):
 
 def test_embedding_file_trailing_bytes_v2(tmp_path):
     path = tmp_path / "emb.emb"
-    data = _write_v2(path)
+    data = _write_store(path)
     path.write_bytes(bytes(data) + b"\0")
     assert _read_error(path).path == str(path)
-
-
-def _write_body(path, dim, body):
-    digest = hashlib.sha256(body.encode()).hexdigest()[:16]
-    path.write_text(f"ipod-emb v1 {dim} {digest}\n{body}", encoding="utf-8")
 
 
 def _read_error(path) -> FormatError:
@@ -316,18 +292,21 @@ def _read_error(path) -> FormatError:
 
 
 @pytest.mark.parametrize(
-    "body,line",
+    "table,line",
     [
-        pytest.param("a 1\n0.5 0.25\nb -1\n", 4, id="count-minus-1"),
-        pytest.param("a 1\n0.5 0.25\nb -2\n0.5 0.25\n", 4, id="count-minus-2"),
-        pytest.param("a 0\nb 1\n0.5 0.25\n", 2, id="count-0"),
-        pytest.param("a 2\n0.5 0.25\n0.1 x\n", 4, id="non-numeric-value"),
-        pytest.param("a 2\n0.5 0.25\n0.1\n", 4, id="short-row"),
+        pytest.param(b"a 1\nb -1\nc 1\n", 3, id="count-minus-1"),
+        pytest.param(b"a 1\nb 1\nc -2\n", 4, id="count-minus-2"),
+        pytest.param(b"a 0\nb 1\nc 1\n", 2, id="count-0"),
+        pytest.param(b"a 1\nb x\nc 1\n", 3, id="non-numeric-value"),
+        pytest.param(b"a 1\nb 1\nc\n", 4, id="short-row"),
     ],
 )
-def test_embedding_file_bad_record_names_path_and_line(tmp_path, body, line):
-    path = tmp_path / "emb.txt"
-    _write_body(path, 2, body)
+def test_embedding_file_bad_record_names_path_and_line(tmp_path, table, line):
+    prefix = b"ipod-emb v3 2 3 "
+    block = np.zeros(6).tobytes()
+    digest = hashlib.sha256(prefix + table + block).hexdigest()[:16]
+    path = tmp_path / "emb.emb"
+    path.write_bytes(prefix + digest.encode() + b"\n" + table + block)
     err = _read_error(path)
     assert err.path == str(path) and err.line == line
     assert str(err).startswith(f"{path}:{line}: ")
@@ -358,22 +337,20 @@ def test_embedding_special_values_roundtrip_v2(tmp_path):
         np.testing.assert_array_equal(_bits(r1.vectors), _bits(r2.vectors))
 
 
-def test_embedding_v1_repr_text_reads_bit_exact(tmp_path):
-    rows = np.array([SPECIAL_VALUES, SPECIAL_VALUES[::-1]])
-    path = tmp_path / "emb.txt"
-    _write_body(path, len(SPECIAL_VALUES),
-                _render_v1(EmbeddingStore(len(SPECIAL_VALUES), [TitleVectors("t", rows)])))
-    (record,) = read_embeddings(path).records
-    np.testing.assert_array_equal(_bits(record.vectors), _bits(rows))
+# A v2 file as `embed` wrote it before v3: its hash, the first 16 hex
+# digits of sha256(b"t 1\nu 1\n" + the block), skips the header.
+V2_FIXTURE_VALUES = [-0.0, 5e-324, 0.1, 1 / 3]
+V2_FIXTURE = (b"ipod-emb v2 2 2 366d4a16936c7ed7\nt 1\nu 1\n"
+              + np.array(V2_FIXTURE_VALUES, dtype="<f8").tobytes())
 
 
-def test_embedding_v1_not_utf8_is_a_format_error(tmp_path):
-    body = b"a 1\n0.5 \xff\n"
-    path = tmp_path / "emb.txt"
-    digest = hashlib.sha256(body).hexdigest()[:16]
-    path.write_bytes(f"ipod-emb v1 2 {digest}\n".encode() + body)
-    err = _read_error(path)
-    assert err.path == str(path) and err.line == 3
+def test_embedding_v2_fixture_reads_bit_exact(tmp_path):
+    path = tmp_path / "old.emb"
+    path.write_bytes(V2_FIXTURE)
+    store = read_embeddings(path)
+    assert store.dim == 2 and [r.title_id for r in store.records] == ["t", "u"]
+    rows = np.concatenate([r.vectors for r in store.records])
+    np.testing.assert_array_equal(_bits(rows), _bits(np.array(V2_FIXTURE_VALUES).reshape(2, 2)))
 
 
 def test_embedding_png_is_a_format_error(tmp_path):
@@ -404,7 +381,7 @@ def test_embedding_v2_bad_table_names_path_and_line(tmp_path, table, line):
 @pytest.mark.parametrize("header", [b"ipod-emb v2 0 0 e3b0c44298fc1c14\n",
                                     b"ipod-emb v2 2 -1 e3b0c44298fc1c14\n",
                                     b"ipod-emb v2 2 0\n",
-                                    b"ipod-emb v3 2 0 e3b0c44298fc1c14\n"])
+                                    b"ipod-emb v4 2 0 e3b0c44298fc1c14\n"])
 def test_embedding_v2_bad_header(tmp_path, header):
     path = tmp_path / "emb.emb"
     path.write_bytes(header)
@@ -417,10 +394,10 @@ ids_st = st.text(
 
 
 @st.composite
-def stores(draw, min_records=0):
+def stores(draw):
     dim = draw(st.integers(1, 8))
     records = []
-    for _ in range(draw(st.integers(min_records, 5))):
+    for _ in range(draw(st.integers(0, 5))):
         n = draw(st.integers(1, 4))
         bits = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n * dim, max_size=n * dim))
         vectors = np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, dim)
@@ -441,32 +418,28 @@ def test_embedding_v2_roundtrip_any_bits(tmp_path, store):
         assert r2.vectors.flags.writeable
 
 
-def _render_v1(store: EmbeddingStore) -> str:
-    """The v1 body of store: per record `{id} {n}`, then n rows of repr() floats."""
-    return "".join(
-        f"{rec.title_id} {len(rec.vectors)}\n"
-        + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rec.vectors)
-        for rec in store.records
-    )
-
-
-# At least one record: with none, the header's dimension is the whole
-# content, and the hash covers only what follows the header.
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(store=stores(min_records=1), version=st.sampled_from(["v1", "v2"]), data=st.data())
-def test_embedding_file_corruption_is_a_format_error(tmp_path, store, version, data):
+@given(store=stores(), data=st.data())
+def test_embedding_file_corruption_is_a_format_error(tmp_path, store, data):
     path = tmp_path / "h.emb"
-    if version == "v1":
-        _write_body(path, store.dim, _render_v1(store))
-    else:
-        write_embeddings(store, path)
+    write_embeddings(store, path)
     raw = bytearray(path.read_bytes())
-    offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
-    if data.draw(st.booleans(), label="truncate"):
-        raw = raw[:offset]
+    mutation = data.draw(st.sampled_from(["truncate", "byte", "header"]), label="mutation")
+    if mutation == "header":
+        # A new dimension or record count; the hash field is kept.
+        header, sep, rest = raw.partition(b"\n")
+        fields = header.split(b" ")
+        field = data.draw(st.sampled_from([2, 3]), label="field")
+        other = st.integers(0, 99).filter(lambda v: v != int(fields[field]))
+        fields[field] = str(data.draw(other, label="value")).encode()
+        raw = b" ".join(fields) + sep + rest
     else:
-        other = st.integers(0, 255).filter(lambda b: b != raw[offset])
-        raw[offset] = data.draw(other, label="byte")
+        offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        if mutation == "truncate":
+            raw = raw[:offset]
+        else:
+            other = st.integers(0, 255).filter(lambda b: b != raw[offset])
+            raw[offset] = data.draw(other, label="byte")
     path.write_bytes(bytes(raw))
     assert _read_error(path).path == str(path)
 
@@ -476,10 +449,14 @@ def test_embedding_file_bad_header(tmp_path):
     path.write_text("wrong v9 2 abc\n", encoding="utf-8")
     with pytest.raises(FormatError):
         read_embeddings(path)
-    # A v1 file without records and with a hash-valid body, at a bad dimension.
-    for dim in (0, -2):
-        _write_body(path, dim, "")
-        assert _read_error(path).path == str(path)
+    # A store without records whose dimension is rewritten, 4 to 7.
+    write_embeddings(EmbeddingStore(4, []), path)
+    path.write_bytes(path.read_bytes().replace(b"ipod-emb v3 4 0 ", b"ipod-emb v3 7 0 "))
+    assert _read_error(path).path == str(path)
+    # A well-formed v1 file: v1 is no longer read.
+    body = b"t 1\n1.0 0.0\n"
+    path.write_bytes(f"ipod-emb v1 2 {hashlib.sha256(body).hexdigest()[:16]}\n".encode() + body)
+    assert _read_error(path).path == str(path)
 
 
 def test_nearest_titles():
