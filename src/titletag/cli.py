@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
@@ -244,13 +245,14 @@ def cmd_tag(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     _announce_seed(args)
     sequences = read_conll(args.infile)
-    parts = args.ratios.split("/")
-    if len(parts) != 3:
-        raise ValueError(f"--ratios expects train/dev/test, got {args.ratios!r}")
-    shares = [float(p) for p in parts]
-    if any(s < 0 for s in shares) or sum(shares) == 0:
-        raise ValueError(f"bad split ratios: {args.ratios!r}")
+    try:
+        shares = [float(p) for p in args.ratios.split("/")]
+    except ValueError:
+        shares = []
     total = sum(shares)
+    if len(shares) != 3 or not all(0 <= s < math.inf for s in shares) or not 0 < total < math.inf:
+        raise ValueError("--ratios expects train/dev/test as three finite non-negative shares "
+                         f"with a positive sum, got {args.ratios!r}")
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(sequences))
     n_train = int(len(sequences) * shares[0] / total)
@@ -330,10 +332,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     bilm = BiLmModel.load(args.model)
     corpus = load_corpus(args.infile, fmt=args.in_format)
-    records = [
-        TitleVectors(str(i), title2vec.embed_title(bilm, title.tokens))
-        for i, title in enumerate(corpus.titles)
-    ]
+    vectors = title2vec.embed_titles(bilm, [title.tokens for title in corpus.titles])
+    records = [TitleVectors(str(i), title_vectors) for i, title_vectors in enumerate(vectors)]
     store = EmbeddingStore(bilm.contextual_dim, records)
     title2vec.write_embeddings(store, args.out)
     print(f"embedded {len(records)} titles at dimension {store.dim}", file=sys.stderr)

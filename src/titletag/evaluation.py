@@ -261,13 +261,15 @@ def grid_search(
     empty = [a for a in axes if not space[a]]
     if empty:
         raise ValueError(f"axis {empty[0]!r} has no values")
-    points: list[GridPoint] = []
-    best: GridPoint | None = None
+    # Every point's config is built, and so validated, before the first trains.
+    plan = []
     for combo in itertools.product(*(space[a] for a in axes)):
         settings = dict(zip(axes, combo))
-        cfg_kwargs = {k: v for k, v in settings.items() if k in _CFG_FIELDS}
-        extra = {k: v for k, v in settings.items() if k not in _CFG_FIELDS}
-        cfg = replace(base, **cfg_kwargs)
+        cfg = replace(base, **{k: v for k, v in settings.items() if k in _CFG_FIELDS})
+        plan.append((settings, cfg, {k: v for k, v in settings.items() if k not in _CFG_FIELDS}))
+    points: list[GridPoint] = []
+    best: GridPoint | None = None
+    for settings, cfg, extra in plan:
         try:
             model = trainer(train_data, cfg, **extra)
         except TrainingDivergedError:

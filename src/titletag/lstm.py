@@ -260,3 +260,19 @@ def length_groups(seqs: list, max_size: int | None = None) -> list[list[int]]:
         return ordered
     return [group[lo : lo + max_size] for group in ordered
             for lo in range(0, len(group), max_size)]
+
+
+def padded_blocks(seqs: list[np.ndarray], rows: int, fill: int):
+    """Equal-length chunks of the integer sequences seqs, each stacked into a
+    block of exactly rows rows, the last ones filled with fill.
+
+    Yields (positions, block (rows, T)) per length_groups(seqs, rows) chunk.
+    Running every block at one row count keeps each GEMM of an LSTM at the
+    same shape for a given length, and at a fixed shape a product row does
+    not depend on the other rows (He et al. 2025, "Defeating Nondeterminism
+    in LLM Inference"), so a sequence's states are the same in any block.
+    """
+    for group in length_groups(seqs, rows):
+        block = np.full((rows, len(seqs[group[0]])), fill, dtype=np.int64)
+        block[: len(group)] = [seqs[pos] for pos in group]
+        yield group, block

@@ -71,6 +71,8 @@ def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
             raise FormatError(f"header is missing {key!r}", path=str(path))
     if header["format_version"] != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {header['format_version']!r}", path=str(path))
+    if not isinstance(header["kind"], str):
+        raise FormatError(f"model kind {header['kind']!r} is not a string", path=str(path))
     if not isinstance(header["meta"], dict) or not isinstance(header["arrays"], list):
         raise FormatError("header 'meta' must be an object and 'arrays' a list", path=str(path))
 

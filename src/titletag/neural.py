@@ -118,7 +118,7 @@ class LstmCrfModel:
         if self.provider.trainable:
             ids = np.stack([self.provider.ids(toks) for toks in token_group])
             return self.provider.table[ids], ids
-        return np.stack([self.provider.embed(toks) for toks in token_group]), None
+        return self.provider.embed_group(token_group), None
 
     def _chunk_emissions(self, token_group: list) -> np.ndarray:
         """Label scores (B, T, n_labels) of equal-length sequences, one batch."""

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -216,6 +217,20 @@ def test_split_bad_ratios(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ratios", ["inf/1/1", "nan/1/1", "1/-inf/1", "1e308/1e308/1",
+                                    "a/1/1", "0/0/0"])
+def test_split_non_finite_ratios_name_the_flag(tmp_path, capsys, ratios):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    code, _, err = run(
+        capsys, "split", "--in", str(labeled), "--out-prefix", str(tmp_path / "x"),
+        "--ratios", ratios, "--seed", "1",
+    )
+    assert code == 2, err
+    assert "--ratios" in err and repr(ratios) in err
+    assert not (tmp_path / "x.train.conll").exists()
+
+
 def test_eval_pred_file(tmp_path, capsys):
     gold = tmp_path / "gold.conll"
     gold.write_text(GOLD_CONLL, encoding="utf-8")
@@ -380,6 +395,21 @@ def test_gridsearch_recurrent_axis_on_feature_model_exits_2(tmp_path, capsys, mo
     )
     assert code == 2, err
     assert f"search axis {axis!r} applies only to the lstm and lstm-crf models" in err
+
+
+def test_gridsearch_rejects_a_bad_point_before_training_any(tmp_path, capsys, caplog):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    with caplog.at_level(logging.INFO, logger="titletag"):
+        code, out, err = run(
+            capsys, "-v", "gridsearch", "--model", "crf", "--train", str(labeled),
+            "--dev", str(labeled), "--space", "learning_rate=0.1,nan", "--epochs", "2",
+            "--seed", "0",
+        )
+    assert code == 2, err
+    assert "error: learning_rate must be" in err
+    assert out == ""
+    assert not [r.getMessage() for r in caplog.records if "epoch" in r.getMessage()]
 
 
 @pytest.mark.parametrize("command,setting", [
@@ -576,6 +606,23 @@ def test_tag_with_corrupt_container_exits_4(tmp_path, capsys, small_models, mani
     model.write_bytes(model_io.MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
     code, _, err = run(capsys, "tag", "--in", str(small_models["raw"]), "--model", str(model))
     assert code == 4, err
+
+
+@pytest.mark.parametrize("kind", [5, ["crf"], None])
+@pytest.mark.parametrize("command", ["tag", "embed"])
+def test_non_string_model_kind_exits_4(tmp_path, capsys, small_models, kind, command):
+    source = small_models["crf" if command == "tag" else "bilm"]
+    _, meta, arrays = model_io.load_model(source)
+    model = tmp_path / "bad.model"
+    model_io.save_model(model, kind, meta, arrays)
+    if command == "tag":
+        argv = ["tag", "--in", str(small_models["raw"]), "--model", str(model)]
+    else:
+        argv = ["embed", "--model", str(model), "--in", str(small_models["raw"]),
+                "--out", str(tmp_path / "v.emb")]
+    code, _, err = run(capsys, *argv)
+    assert code == 4, err
+    assert str(model) in err and "model kind" in err
 
 
 def _meta_edited_command(tmp_path, small_models, kind, edit):

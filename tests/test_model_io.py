@@ -154,3 +154,12 @@ def test_zero_sized_array_roundtrip(tmp_path):
     _, _, arrays = load_model(path)
     assert arrays["empty"].shape == (0, 13)
     np.testing.assert_array_equal(arrays["v"], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", [5, ["crf"], None, {"kind": "crf"}])
+def test_non_string_kind_is_a_format_error(tmp_path, kind):
+    path = tmp_path / "m.bin"
+    save_model(path, kind, {}, {"v": np.zeros(2)})
+    with pytest.raises(FormatError, match="model kind") as info:
+        load_model(path)
+    assert str(path) in str(info.value)

@@ -12,7 +12,7 @@ from titletag.crf import DECODE_CHUNK, train_crf, train_logreg
 from titletag.labeling import auto_tag
 from titletag.neural import LstmCrfModel, TrainableEmbeddings
 from titletag.optim import TrainConfig
-from titletag.title2vec import Vocab
+from titletag.title2vec import BiLmEmbeddings, BiLmModel, Vocab
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +25,14 @@ def data(sample_gaz):
     return labeled, seqs
 
 
-def _neural(kind, labeled, hidden=8, dim=4, seed=0):
+def _neural(kind, labeled, hidden=8, dim=4, seed=0, frozen=False):
     rng = np.random.default_rng(seed)
     vocab = Vocab.from_counts(Counter(tok for ex in labeled for tok in ex.tokens))
-    model = LstmCrfModel(TrainableEmbeddings(vocab, dim, rng), hidden_size=hidden, layers=2,
-                         kind=kind, rng=rng)
+    if frozen:
+        provider = BiLmEmbeddings(BiLmModel(vocab, dim, hidden=4, layers=1, rng=rng))
+    else:
+        provider = TrainableEmbeddings(vocab, dim, rng)
+    model = LstmCrfModel(provider, hidden_size=hidden, layers=2, kind=kind, rng=rng)
     model.proj_W *= 100.0  # spread the emissions so that labels vary
     if kind == "lstm-crf":
         for weights in (model.trans, model.start, model.stop):
@@ -46,6 +49,7 @@ def models(data, sample_gaz):
         "logreg": train_logreg(labeled[:300], cfg, gazetteer=sample_gaz),
         "lstm": _neural("lstm", labeled),
         "lstm-crf": _neural("lstm-crf", labeled),
+        "lstm-crf-bilm": _neural("lstm-crf", labeled, frozen=True),
     }
 
 
@@ -57,7 +61,7 @@ def test_data_spans_length_one_and_a_group_over_the_chunk(data):
     assert len(lengths) > 3
 
 
-@pytest.mark.parametrize("kind", ["crf", "logreg", "lstm", "lstm-crf"])
+@pytest.mark.parametrize("kind", ["crf", "logreg", "lstm", "lstm-crf", "lstm-crf-bilm"])
 def test_predict_many_equals_per_title_predict(models, data, kind):
     model = models[kind]
     _, seqs = data

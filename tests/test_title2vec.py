@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from titletag.corpus import Corpus, Title, synth_corpus
 from titletag.crf import TrainConfig
 from titletag.errors import FormatError
+from titletag.lstm import padded_blocks
 from titletag.title2vec import (
+    EMBED_BLOCK,
     BiLmModel,
     EmbeddingStore,
     TitleVectors,
@@ -18,6 +20,7 @@ from titletag.title2vec import (
     batch_ce,
     build_vocab,
     embed_title,
+    embed_titles,
     forward_logprobs,
     nearest_titles,
     perplexity,
@@ -128,6 +131,71 @@ def test_contextual_vector_direction_locality():
     prefix_changed = embed_title(model, ("delta", "beta", "gamma"))
     np.testing.assert_allclose(base[2, D + H :], prefix_changed[2, D + H :], atol=1e-12)
     assert np.abs(base[2, D : D + H] - prefix_changed[2, D : D + H]).max() > 1e-9
+
+
+TOKENS = ("alpha", "beta", "gamma", "delta")
+# One model per depth, shared by the examples of the property test below.
+MODELS = {layers: tiny_model(dim=5, hidden=6, layers=layers, seed=layers) for layers in (1, 2, 3)}
+
+
+@given(
+    layers=st.sampled_from(sorted(MODELS)),
+    titles=st.lists(st.lists(st.sampled_from(TOKENS + ("unseen",)), min_size=1, max_size=4),
+                    max_size=3 * EMBED_BLOCK),
+)
+def test_embed_titles_equals_embed_title_bit_for_bit(layers, titles):
+    model = MODELS[layers]
+    got = embed_titles(model, titles)
+    assert len(got) == len(titles)
+    for tokens, vectors in zip(titles, got):
+        assert np.array_equal(vectors, embed_title(model, tokens))
+
+
+def test_embed_titles_mixes_lengths_duplicates_and_full_blocks():
+    model = MODELS[2]
+    titles = [TOKENS[: 1 + k % 3] for k in range(3 * EMBED_BLOCK + 1)] + [TOKENS[::-1]]
+    assert sum(len(t) == 1 for t in titles) > EMBED_BLOCK
+    got = embed_titles(model, titles)
+    assert [v.shape for v in got] == [(len(t), model.contextual_dim) for t in titles]
+    for tokens, vectors in zip(titles, got):
+        assert np.array_equal(vectors, embed_title(model, tokens))
+    assert embed_titles(model, []) == []
+    with pytest.raises(ValueError, match="empty title"):
+        embed_titles(model, [("alpha",), ()])
+
+
+def test_padded_blocks_fill_whole_blocks_in_length_groups():
+    seqs = [np.array([7] * n) for n in (2, 1, 2, 2, 1)]
+    blocks = list(padded_blocks(seqs, 2, fill=0))
+    assert [group for group, _ in blocks] == [[1, 4], [0, 2], [3]]
+    np.testing.assert_array_equal(blocks[-1][1], [[7, 7], [0, 0]])
+    assert all(block.shape[0] == 2 for _, block in blocks)
+
+
+# (input dim, hidden) of the biLM cells in use: the tests' small models, the
+# benchmark's 64/64 and criterion 9's published 1024/512 (upper layers read
+# hidden-wide inputs), each at block lengths T + 1 up to a 54-token title.
+@pytest.mark.parametrize("dim,hidden,steps", [
+    (5, 6, (2, 3, 5)), (6, 6, (2, 4)), (64, 64, (2, 3, 8, 19, 55)),
+    (1024, 512, (2, 4)), (512, 512, (3,)),
+])
+def test_block_gemms_are_row_independent(dim, hidden, steps):
+    """The product rows that embed_titles relies on do not depend on the other
+    rows of the block or on a row's position in it, at the exact shapes and
+    strides of LstmCell.run. A BLAS whose kernels break this fails here."""
+    rng = np.random.default_rng(dim + hidden)
+    W = rng.normal(size=(4 * hidden, dim + hidden))
+    W_x, W_h = W[:, :dim].T, W[:, dim:].T
+    for rows, weights in [(n * EMBED_BLOCK, W_x) for n in steps] + [(EMBED_BLOCK, W_h)]:
+        x = rng.normal(size=(rows, weights.shape[0]))
+        base = x @ weights
+        for trial in range(3):
+            order = rng.permutation(rows)
+            kept = rng.random(rows) < 0.5
+            other = rng.normal(size=x.shape)
+            other[kept] = x[order][kept]
+            again = other @ weights
+            assert np.array_equal(again[kept], base[order][kept]), (rows, trial)
 
 
 def test_bilm_gradients_match_finite_differences():
