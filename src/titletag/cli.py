@@ -54,14 +54,20 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 _EXTRA_AXIS_TYPES = {"hidden_size": int, "layers": int, "embedding_dim": int}
 
 
-def _coerce(key: str, text: str):
-    if key == "clip_norm":
-        value = float(text)
-        return None if value == 0 else value
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _coerce(option: str, key: str, text: str):
+    """The value of setting key given as text to option (--config or --space);
+    a clip_norm of 0 means None."""
     caster = _CONFIG_TYPES.get(key) or _EXTRA_AXIS_TYPES.get(key)
     if caster is None:
         raise ValueError(f"unknown setting {key!r}")
-    return caster(text)
+    try:
+        value = caster(text)
+    except ValueError:
+        raise ValueError(f"{option} {key}: expected {_EXPECTED[caster]}, got {text!r}") from None
+    return None if key == "clip_norm" and value == 0 else value
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
@@ -74,7 +80,7 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, text.strip())
+        values[key] = _coerce("--config", key, text.strip())
     for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -354,7 +360,7 @@ def _parse_space(text: str, model: str) -> dict[str, list]:
             raise ValueError(f"unknown search axis {key!r}")
         if key in _EXTRA_AXIS_TYPES and model in ("crf", "logreg"):
             raise ValueError(f"search axis {key!r} applies only to the lstm and lstm-crf models")
-        space[key] = [_coerce(key, v.strip()) for v in values.split(",") if v.strip()]
+        space[key] = [_coerce("--space", key, v.strip()) for v in values.split(",") if v.strip()]
         if not space[key]:
             raise ValueError(f"axis {key!r} has no values")
     if not space:

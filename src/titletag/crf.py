@@ -21,7 +21,7 @@ from . import model_io
 from .gazetteer import Gazetteer
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import length_groups
-from .optim import TrainConfig, fit
+from .optim import TrainConfig, adam_step, fit
 
 UNK_TOKEN = "<unk>"
 _BOS = "<s>"
@@ -273,6 +273,13 @@ def decode_in_chunks(seqs: Sequence[Sequence[str]], chunk_paths) -> list[tuple[B
     return out
 
 
+def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
+    """a with zero rows appended up to the given row count."""
+    grown = np.zeros((rows,) + a.shape[1:])
+    grown[: len(a)] = a
+    return grown
+
+
 class CrfModel:
     """Feature-based linear-chain tagger; kind "logreg" pins transitions at zero."""
 
@@ -305,9 +312,7 @@ class CrfModel:
             return
         while cap < n:
             cap *= 2
-        grown = np.zeros((cap, N_LABELS))
-        grown[: self._emit.shape[0]] = self._emit
-        self._emit = grown
+        self._emit = _pad_rows(self._emit, cap)
 
     def featurize(
         self, tokens: Sequence[str], extend: bool = False
@@ -450,78 +455,44 @@ def apply_word_dropout(tokens: Sequence[str], p: float, rng: np.random.Generator
     return tuple(UNK_TOKEN if rng.random() < p else tok for tok in tokens)
 
 
-_DENSE = ("trans", "start", "stop")
+def _apply_step(model: CrfModel, grads: dict, scale: float, cfg: TrainConfig,
+                moments: dict, t: int) -> None:
+    """Step number t of cfg's optimizer on the parameters of model that
+    grads names, each entry (idx, grad) the summed gradient of param[idx],
+    applied times scale.
+
+    moments holds Adam's (m, v) of each parameter, made at its first step
+    and grown with it. Adam is lazy on the emission rows: only the rows in a
+    step's idx change, moments included, since a dense step would decay the
+    moments and weights of untouched rows.
+    """
+    for name, (idx, grad) in grads.items():
+        param = getattr(model, name)
+        if cfg.optimizer == "sgd":
+            param[idx] -= cfg.learning_rate * scale * grad
+            continue
+        m, v = moments.get(name, (param[:0], param[:0]))
+        if len(m) < len(param):
+            m, v = moments[name] = _pad_rows(m, len(param)), _pad_rows(v, len(param))
+        p, m_rows, v_rows = param[idx], m[idx], v[idx]
+        adam_step(p, grad * scale, m_rows, v_rows, t, cfg.learning_rate)
+        param[idx], m[idx], v[idx] = p, m_rows, v_rows
 
 
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def apply(self, model: CrfModel, grad: dict, scale: float, update_transitions: bool):
-        step = self.lr * scale
-        ids, rows = grad["emit"]
-        model._emit[ids] -= step * rows
-        if update_transitions:
-            for name in _DENSE:
-                param = getattr(model, name)
-                param -= step * grad[name]
-
-
-class _Adam:
-    """Adam with lazy state updates on the sparse emission rows: only the
-    rows a batch touches get new moments."""
-
-    B1, B2, EPS = 0.9, 0.999, 1e-8
-
-    def __init__(self, lr: float, model: CrfModel):
-        self.lr = lr
-        self.t = 0
-        self.m_emit = np.zeros_like(model._emit)
-        self.v_emit = np.zeros_like(model._emit)
-        self.dense = {
-            name: (np.zeros_like(getattr(model, name)), np.zeros_like(getattr(model, name)))
-            for name in _DENSE
-        }
-
-    def _grow(self, model: CrfModel) -> None:
-        if self.m_emit.shape[0] < model._emit.shape[0]:
-            for name in ("m_emit", "v_emit"):
-                old = getattr(self, name)
-                grown = np.zeros_like(model._emit)
-                grown[: old.shape[0]] = old
-                setattr(self, name, grown)
-
-    def _step(self, param, grad, m, v, idx=...):
-        """One Adam step on the rows idx of param (all of it by default)."""
-        b1, b2 = self.B1, self.B2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
-        m[idx] = b1 * m[idx] + (1 - b1) * grad
-        v[idx] = b2 * v[idx] + (1 - b2) * grad * grad
-        param[idx] -= self.lr * (m[idx] / bias1) / (np.sqrt(v[idx] / bias2) + self.EPS)
-
-    def apply(self, model: CrfModel, grad: dict, scale: float, update_transitions: bool):
-        self._grow(model)
-        self.t += 1
-        ids, rows = grad["emit"]
-        self._step(model._emit, rows * scale, self.m_emit, self.v_emit, idx=ids)
-        if update_transitions:
-            for name in _DENSE:
-                self._step(getattr(model, name), grad[name] * scale, *self.dense[name])
-
-
-def _run_training(
-    model: CrfModel, data: list[LabeledSequence], cfg: TrainConfig, update_transitions: bool
-) -> CrfModel:
+def _run_training(model: CrfModel, data: list[LabeledSequence], cfg: TrainConfig) -> CrfModel:
     if not data:
         raise ValueError("no training data")
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(cfg.learning_rate, model) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
+    # logreg pins trans/start/stop at zero, so only the CRF accumulates and updates them
+    dense = ("trans", "start", "stop") if model.kind == "crf" else ()
     # (ids, counts) of each post-dropout token tuple seen in this run; only a
     # tuple's first featurizing can register features, so the vocab order is
     # the one that featurizing every title in every epoch gives
     cache: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+    # the batch's gradients as _apply_step takes them
     acc: dict = {}
+    moments: dict = {}
+    steps = 0
 
     def features(tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         hit = cache.get(tokens)
@@ -536,20 +507,22 @@ def _run_training(
         examples = [data[j] for j in indices]
         batch_loss = 0.0
         emit_parts = []
-        acc.update({name: np.zeros_like(getattr(model, name)) for name in _DENSE})
+        acc.update({name: [..., np.zeros_like(getattr(model, name))] for name in dense})
         for group in length_groups([ex.tokens for ex in examples]):
             ids, counts = map(np.concatenate, zip(*(feats[g] for g in group)))
             loss, grad = nll_and_gradient(model, [examples[g] for g in group], ids, counts)
             batch_loss += loss
             emit_parts.append(grad["emit"])
-            for name in _DENSE:
-                acc[name] += grad[name]
+            for name in dense:
+                acc[name][1] += grad[name]
         touched, rows = zip(*emit_parts)
-        acc["emit"] = _sum_rows(np.concatenate(touched), np.concatenate(rows))
+        acc["_emit"] = _sum_rows(np.concatenate(touched), np.concatenate(rows))
         return batch_loss, len(indices)
 
     def update(scale: float) -> None:
-        opt.apply(model, acc, scale, update_transitions)
+        nonlocal steps
+        steps += 1
+        _apply_step(model, acc, scale, cfg, moments, steps)
 
     fit(model.kind, len(data), cfg, rng, batch, update, model.history)
     model.vocab.freeze()
@@ -563,7 +536,7 @@ def train_crf(
 ) -> CrfModel:
     """Train the full CRF with seeded mini-batch updates and word dropout."""
     model = CrfModel(kind="crf", gazetteer=gazetteer)
-    return _run_training(model, list(data), cfg, update_transitions=True)
+    return _run_training(model, list(data), cfg)
 
 
 def train_logreg(
@@ -573,4 +546,4 @@ def train_logreg(
 ) -> CrfModel:
     """Train the per-token baseline: identical features, transitions stay zero."""
     model = CrfModel(kind="logreg", gazetteer=gazetteer)
-    return _run_training(model, list(data), cfg, update_transitions=False)
+    return _run_training(model, list(data), cfg)

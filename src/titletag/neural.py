@@ -48,9 +48,6 @@ class TrainableEmbeddings:
     def ids(self, tokens: Sequence[str]) -> np.ndarray:
         return self.vocab.ids(tokens)
 
-    def embed(self, tokens: Sequence[str]) -> np.ndarray:
-        return self.table[self.vocab.ids(tokens)]
-
 
 class LstmCrfModel:
     """Stacked BiLSTM encoder with a CRF or softmax output head."""

@@ -1,5 +1,6 @@
-"""Training configuration, the shared training loop, and the dense-parameter
-optimizers and gradient clipping of the recurrent models.
+"""Training configuration, the shared training loop, the one Adam rule
+(adam_step, which the CRF also runs), and the dense-parameter optimizers and
+gradient clipping of the recurrent models.
 
 Parameters are updated in place; callers pass the same parameter list in the
 same order on every step.
@@ -30,7 +31,7 @@ class TrainConfig:
     seed: int = 0
     word_dropout: float = 0.05
     variational_dropout: float = 0.5
-    clip_norm: float | None = 5.0  # used by the recurrent taggers only
+    clip_norm: float | None = 5.0  # used by dense_update: the recurrent taggers and the biLM
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:
@@ -114,9 +115,21 @@ class Sgd:
             p -= self.lr * g
 
 
-class Adam:
-    B1, B2, EPS = 0.9, 0.999, 1e-8
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+
+def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+              lr: float) -> None:
+    """One Adam step (Kingma & Ba 2015) at step count t, in place on param
+    and on its first and second moments m and v."""
+    m *= ADAM_B1
+    m += (1.0 - ADAM_B1) * grad
+    v *= ADAM_B2
+    v += (1.0 - ADAM_B2) * grad * grad
+    param -= lr * (m / (1.0 - ADAM_B1**t)) / (np.sqrt(v / (1.0 - ADAM_B2**t)) + ADAM_EPS)
+
+
+class Adam:
     def __init__(self, lr: float, params: list[np.ndarray]):
         self.lr = lr
         self.t = 0
@@ -125,22 +138,8 @@ class Adam:
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        bias1 = 1.0 - self.B1**self.t
-        bias2 = 1.0 - self.B2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.B1
-            m += (1.0 - self.B1) * g
-            v *= self.B2
-            v += (1.0 - self.B2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.EPS)
-
-
-def make_optimizer(name: str, lr: float, params: list[np.ndarray]):
-    if name == "adam":
-        return Adam(lr, params)
-    if name == "sgd":
-        return Sgd(lr)
-    raise ValueError(f"unknown optimizer {name!r}")
+            adam_step(p, g, m, v, self.t, self.lr)
 
 
 def dense_update(cfg: TrainConfig, params: list[np.ndarray]):
@@ -150,7 +149,8 @@ def dense_update(cfg: TrainConfig, params: list[np.ndarray]):
     the configured optimizer, zeroes the buffers for the next batch and
     returns the gradient norm before clipping.
     """
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate, params)
+    lr = cfg.learning_rate
+    opt = Adam(lr, params) if cfg.optimizer == "adam" else Sgd(lr)
     grads = [np.zeros_like(p) for p in params]
 
     def update(scale: float) -> float:

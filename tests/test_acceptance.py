@@ -383,6 +383,10 @@ def test_criterion_10_seeded_reruns_are_byte_identical(tmp_path, capsys):
             "train", "crf", "--train", str(labeled), "--gazetteer", str(gaz),
             "--out", out, "--seed", "0", "--epochs", "3",
         ])
+        twice("crf-adam", lambda out: [
+            "train", "crf", "--train", str(labeled), "--gazetteer", str(gaz),
+            "--out", out, "--seed", "0", "--epochs", "3", "--optimizer", "adam",
+        ])
         twice("lstm", lambda out: [
             "train", "lstm-crf", "--train", str(labeled), "--out", out,
             "--seed", "0", "--epochs", "2", "--hidden", "8", "--embedding-dim", "8",

@@ -423,6 +423,25 @@ def test_gridsearch_rejects_a_bad_point_before_training_any(tmp_path, capsys, ca
     pytest.param("gridsearch", ["--space", "clip_norm=nan"], id="axis-clip-nan"),
 ])
 def test_non_finite_training_setting_exits_2(tmp_path, capsys, command, setting):
+    key = "clip_norm" if "clip" in " ".join(setting) else "learning_rate"
+    run_lstm_setting(tmp_path, capsys, command, setting, f"error: {key} must be")
+
+
+@pytest.mark.parametrize("command,setting,message", [
+    pytest.param("train", ["--config", "epochs=abc"],
+                 "error: --config epochs: expected an integer, got 'abc'", id="config-epochs-abc"),
+    pytest.param("gridsearch", ["--space", "layers=1.5"],
+                 "error: --space layers: expected an integer, got '1.5'", id="axis-layers-1.5"),
+    pytest.param("gridsearch", ["--space", "clip_norm=abc"],
+                 "error: --space clip_norm: expected a number, got 'abc'", id="axis-clip-abc"),
+])
+def test_unparsable_training_setting_exits_2(tmp_path, capsys, command, setting, message):
+    run_lstm_setting(tmp_path, capsys, command, setting, message)
+
+
+def run_lstm_setting(tmp_path, capsys, command, setting, message):
+    """Run `train lstm` or an lstm `gridsearch` with the setting; it must
+    exit 2 with the message and write no model."""
     labeled = tmp_path / "l.conll"
     labeled.write_text(GOLD_CONLL, encoding="utf-8")
     if command == "train":
@@ -432,8 +451,7 @@ def test_non_finite_training_setting_exits_2(tmp_path, capsys, command, setting)
         argv = ["gridsearch", "--model", "lstm", "--train", str(labeled), "--dev", str(labeled)]
     code, _, err = run(capsys, *argv, "--seed", "0", *setting)
     assert code == 2, err
-    key = "clip_norm" if "clip" in " ".join(setting) else "learning_rate"
-    assert f"error: {key} must be" in err
+    assert message in err
     assert not (tmp_path / "m.bin").exists()
 
 

@@ -7,6 +7,7 @@ from titletag.corpus import synth_corpus
 from titletag.crf import (
     CrfModel,
     TrainConfig,
+    _apply_step,
     apply_word_dropout,
     extract_features,
     log_partition,
@@ -17,6 +18,7 @@ from titletag.crf import (
 )
 from titletag.labeling import ALL_LABELS, LabeledSequence, auto_tag
 from titletag.errors import TrainingDivergedError
+from titletag.optim import ADAM_B1, ADAM_B2, ADAM_EPS
 
 from conftest import brute_force_best_path, brute_force_logz, central_difference, enumerate_paths
 
@@ -493,39 +495,54 @@ def test_equal_grid_points_train_equal_models():
 
 
 def test_adam_updates_only_touched_rows():
-    """Lazy Adam: an update gives new moments and weights to the rows in the
+    """Lazy Adam: a step gives new moments and weights to the rows in the
     gradient, each as the one-row update would, and leaves every other row
-    bit-unchanged."""
-    from titletag.crf import _Adam
-
+    bit-unchanged; moments shorter than the table grow with zero rows."""
     rng = np.random.default_rng(25)
     model = CrfModel(kind="crf", capacity=8)
     for k in range(8):
         model.vocab.add(f"f{k}")
     model._emit[:] = rng.normal(size=model._emit.shape)
-    opt = _Adam(0.05, model)
-    opt.t = 3
-    opt.m_emit[:] = rng.normal(size=opt.m_emit.shape)
-    opt.v_emit[:] = rng.random(size=opt.v_emit.shape)
-    before = {"emit": model._emit.copy(), "m": opt.m_emit.copy(), "v": opt.v_emit.copy()}
-    touched = np.array([1, 4, 5])
+    moments = {"_emit": (rng.normal(size=(6, N_LABELS)), rng.random(size=(6, N_LABELS)))}
+    before = {"emit": model._emit.copy()}
+    for name, now in zip("mv", moments["_emit"]):
+        before[name] = np.vstack([now, np.zeros((2, N_LABELS))])
+    touched = np.array([1, 4, 7])
     rows = rng.normal(size=(3, N_LABELS))
-    grad = {"emit": (touched, rows), "trans": np.zeros((N_LABELS, N_LABELS)),
-            "start": np.zeros(N_LABELS), "stop": np.zeros(N_LABELS)}
-    opt.apply(model, grad, 0.5, update_transitions=False)
+    cfg = TrainConfig(learning_rate=0.05, optimizer="adam")
+    _apply_step(model, {"_emit": (touched, rows)}, 0.5, cfg, moments, 4)
 
+    m_emit, v_emit = moments["_emit"]
     untouched = np.setdiff1d(np.arange(8), touched)
-    for name, now in (("emit", model._emit), ("m", opt.m_emit), ("v", opt.v_emit)):
+    for name, now in (("emit", model._emit), ("m", m_emit), ("v", v_emit)):
+        assert now.shape == (8, N_LABELS)
         np.testing.assert_array_equal(now[untouched], before[name][untouched])
-    b1, b2 = _Adam.B1, _Adam.B2
+    b1, b2 = ADAM_B1, ADAM_B2
     for fid, g in zip(touched, rows * 0.5):
         m = b1 * before["m"][fid] + (1 - b1) * g
         v = b2 * before["v"][fid] + (1 - b2) * g * g
-        step = 0.05 * (m / (1 - b1**4)) / (np.sqrt(v / (1 - b2**4)) + _Adam.EPS)
-        np.testing.assert_array_equal(opt.m_emit[fid], m)
-        np.testing.assert_array_equal(opt.v_emit[fid], v)
+        step = 0.05 * (m / (1 - b1**4)) / (np.sqrt(v / (1 - b2**4)) + ADAM_EPS)
+        np.testing.assert_array_equal(m_emit[fid], m)
+        np.testing.assert_array_equal(v_emit[fid], v)
         np.testing.assert_array_equal(model._emit[fid], before["emit"][fid] - step)
     np.testing.assert_array_equal(model.trans, 0.0)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("kind", ["crf", "logreg"])
+def test_kind_decides_whether_transitions_train(kind, optimizer):
+    """logreg keeps trans/start/stop exactly 0 under either optimizer; the
+    CRF trains them."""
+    data = [
+        example(("chief", "officer"), ("B-RES", "E-RES")),
+        example(("sales", "head"), ("S-FUN", "S-RES")),
+        example(("asia", "sales", "lead"), ("S-LOC", "S-FUN", "S-RES")),
+    ]
+    cfg = TrainConfig(learning_rate=0.05, batch_size=2, epochs=3, optimizer=optimizer, seed=2)
+    model = (train_crf if kind == "crf" else train_logreg)(data, cfg)
+    assert np.any(model.emission_weights != 0.0)
+    for name in ("trans", "start", "stop"):
+        assert np.any(getattr(model, name) != 0.0) == (kind == "crf"), name
 
 
 def test_crf_memorizes_small_dataset():

@@ -144,10 +144,13 @@ def test_variational_masks():
 
 
 def test_trainable_embeddings_unknown_fallback():
-    vocab = toy_vocab(TOY)
-    emb = TrainableEmbeddings(vocab, 4, np.random.default_rng(0))
-    out = emb.embed(("chief", "neverseen"))
-    np.testing.assert_array_equal(out[1], emb.table[0])
+    """On the path tagging uses, an unseen token reads table row 0."""
+    model = build_model("lstm-crf")
+    emb = model.provider
+    inputs, ids = model._embed_group([("chief", "neverseen")])
+    np.testing.assert_array_equal(ids, [[emb.vocab.ids(("chief",))[0], 0]])
+    np.testing.assert_array_equal(inputs[0], emb.table[ids[0]])
+    np.testing.assert_array_equal(inputs[0, 1], emb.table[0])
     assert emb.trainable
 
 
