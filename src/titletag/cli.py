@@ -52,6 +52,15 @@ log = logging.getLogger(__name__)
 
 _CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 _EXTRA_AXIS_TYPES = {"hidden_size": int, "layers": int, "embedding_dim": int}
+# The TrainConfig fields each trainer does not read (the lstm and lstm-crf
+# trainers read them all). Setting one explicitly, by flag, --config or
+# --space axis, is a usage error rather than a silent no-op.
+_UNREAD_SETTINGS = {
+    "crf": ("variational_dropout", "clip_norm"),
+    "logreg": ("variational_dropout", "clip_norm"),
+    "bilm": ("word_dropout", "variational_dropout"),
+}
+_FLAGS = {"clip_norm": "--clip"}  # where a flag is not "--" + the dashed field name
 
 
 _EXPECTED = {int: "an integer", float: "a number"}
@@ -70,8 +79,18 @@ def _coerce(option: str, key: str, text: str):
     return None if key == "clip_norm" and value == 0 else value
 
 
+def _check_read(kind: str, option: str, key: str) -> None:
+    """ValueError if the kind trainer does not read setting key, set by option."""
+    if key in _UNREAD_SETTINGS.get(kind, ()):
+        raise ValueError(f"{option} sets {key}, which the {kind} trainer does not read")
+
+
 def _build_config(args: argparse.Namespace) -> TrainConfig:
-    """Training config: defaults, then --config pairs, then explicit flags."""
+    """Training config: defaults, then --config pairs, then explicit flags.
+
+    A setting the trainer does not read, given either way, is a ValueError.
+    """
+    kind = args.model if args.command == "gridsearch" else args.model_kind
     values = asdict(TrainConfig())
     for pair in args.config or []:
         key, sep, text = pair.partition("=")
@@ -80,10 +99,12 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
+        _check_read(kind, "--config", key)
         values[key] = _coerce("--config", key, text.strip())
     for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
+            _check_read(kind, _FLAGS.get(key, "--" + key.replace("_", "-")), key)
             values[key] = None if key == "clip_norm" and flag == 0 else flag
     return TrainConfig(**values)
 
@@ -360,6 +381,7 @@ def _parse_space(text: str, model: str) -> dict[str, list]:
             raise ValueError(f"unknown search axis {key!r}")
         if key in _EXTRA_AXIS_TYPES and model in ("crf", "logreg"):
             raise ValueError(f"search axis {key!r} applies only to the lstm and lstm-crf models")
+        _check_read(model, "--space", key)
         space[key] = [_coerce("--space", key, v.strip()) for v in values.split(",") if v.strip()]
         if not space[key]:
             raise ValueError(f"axis {key!r} has no values")

@@ -219,6 +219,32 @@ def stack_backprop(layers: list[tuple], caches, d_top: np.ndarray, grad_of: dict
     return d_out
 
 
+def mixed_precision(stack: list[tuple], grad_of: dict, update):
+    """Float32 copies of a stack's cells, and the optimizer step that keeps
+    them current (Micikevicius et al. 2018, arXiv:1710.03740).
+
+    The copies, in the layout of stack, run the recurrent compute, while the
+    parameters, the optimizer state and the gradient sums stay float64: a
+    copy's weight gradients add into the float64 buffers of the cell it
+    copies (grad_of gains aliases for the copies). The returned step runs
+    update(scale), then refreshes every copy from its cell, and returns what
+    update returned.
+    """
+    copies = [tuple(cell.astype(np.float32) for cell in cells) for cells in stack]
+    pairs = [pair for cells, casts in zip(stack, copies) for pair in zip(cells, casts)]
+    for cell, cast in pairs:
+        grad_of[id(cast.W)], grad_of[id(cast.b)] = grad_of[id(cell.W)], grad_of[id(cell.b)]
+
+    def step(scale: float):
+        result = update(scale)
+        for cell, cast in pairs:
+            cast.W[...] = cell.W
+            cast.b[...] = cell.b
+        return result
+
+    return copies, step
+
+
 def direction_cells(
     input_dim: int, upper_dim: int, hidden: int, layers: int, rng: np.random.Generator
 ) -> list[LstmCell]:

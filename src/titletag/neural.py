@@ -10,7 +10,6 @@ come from a trainable lookup table or a frozen bidirectional-LM provider.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,8 @@ from .crf import sequence_marginals  # noqa: F401
 from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
-    cell_arrays, cell_shapes, direction_cells, length_groups, softmax_ce, stack_backprop, stack_run,
+    cell_arrays, cell_shapes, direction_cells, length_groups, mixed_precision, softmax_ce,
+    stack_backprop, stack_run,
 )
 from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 
@@ -315,15 +315,8 @@ def _train_bilstm(
     params = model.parameters()
     grads, update = optim.dense_update(cfg, params)
     grad_of = {id(p): g for p, g in zip(params, grads)}
-    # Mixed precision (Micikevicius et al. 2018, arXiv:1710.03740): the
-    # encoder runs on float32 copies of the cells, refreshed after every
-    # optimizer step, while the parameters, the optimizer state and the
-    # gradient sums stay float64. A copy's weight gradients add into the
-    # float64 buffers of the cell it copies.
-    stack = [tuple(cell.astype(np.float32) for cell in layer) for layer in model._stack()]
-    copies = list(zip(chain(*model._stack()), chain(*stack)))
-    for cell, copy in copies:
-        grad_of[id(copy.W)], grad_of[id(copy.b)] = grad_of[id(cell.W)], grad_of[id(cell.b)]
+    # The encoder runs on float32 copies of the cells; the head stays float64.
+    stack, step = mixed_precision(model._stack(), grad_of, update)
 
     def batch(indices: list[int]) -> tuple[float, int]:
         dropped = [apply_word_dropout(data[j].tokens, cfg.word_dropout, rng) for j in indices]
@@ -334,13 +327,6 @@ def _train_bilstm(
             batch_loss += model._group_pass([dropped[pos] for pos in group], ys, masks, grad_of,
                                             stack)
         return batch_loss, len(indices)
-
-    def step(scale: float) -> float:
-        norm = update(scale)
-        for cell, copy in copies:
-            copy.W[...] = cell.W
-            copy.b[...] = cell.b
-        return norm
 
     optim.fit(kind, len(data), cfg, rng, batch, step, model.history)
     return model

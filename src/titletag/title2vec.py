@@ -23,7 +23,7 @@ from . import model_io, optim
 from .corpus import Corpus
 from .errors import FormatError
 from .lstm import (
-    cell_arrays, cell_shapes, direction_cells, length_groups, padded_blocks, softmax_ce,
+    cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_blocks, softmax_ce,
     stack_backprop, stack_run,
 )
 
@@ -174,18 +174,23 @@ class BiLmModel:
             yield f"{prefix}.b", (vocab_size,)
 
 
-def _direction_batches(ids: np.ndarray, bos: int, eos: int, reverse: bool):
-    """Inputs and targets for one LM direction over an id batch (B, T)."""
-    if reverse:
-        ids = ids[:, ::-1]
-    B, T = ids.shape
-    inputs = np.empty((B, T + 1), dtype=np.int64)
-    targets = np.empty((B, T + 1), dtype=np.int64)
-    inputs[:, 0] = bos if not reverse else eos
-    inputs[:, 1:] = ids
-    targets[:, :T] = ids
-    targets[:, T] = eos if not reverse else bos
-    return inputs, targets
+def _direction_batches(seqs, bos: int, eos: int, reverse: bool):
+    """Inputs, targets and valid positions (each (B, T+1), T the longest
+    length) for one LM direction over B id sequences of any lengths.
+
+    The backward direction reads each sequence right to left within its own
+    length, so in both directions a row's padding comes after its last step.
+    Padded positions hold the closing sentinel.
+    """
+    lengths = np.array([len(seq) for seq in seqs])
+    first, last = (eos, bos) if reverse else (bos, eos)
+    inputs = np.full((len(seqs), lengths.max() + 1), last, dtype=np.int64)
+    inputs[:, 0] = first
+    for row, seq in zip(inputs, seqs):
+        row[1 : len(seq) + 1] = seq[::-1] if reverse else seq
+    targets = np.full(inputs.shape, last, dtype=np.int64)
+    targets[:, :-1] = inputs[:, 1:]
+    return inputs, targets, np.arange(inputs.shape[1]) <= lengths[:, None]
 
 
 def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int = 1) -> BiLmModel:
@@ -193,7 +198,10 @@ def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int =
 
     Loss is mean cross-entropy per prediction over both directions; the
     per-epoch mean is logged and recorded in model.history (perplexity is
-    its exp). The dropout fields of the training config do not apply here.
+    its exp). Each mini-batch runs as one padded batch per direction, on
+    float32 copies of the cells (lstm.mixed_precision); the embedding table,
+    the output layers, the gradient sums and the optimizer state stay
+    float64. The dropout fields of the training config are not read.
     """
     dim, hidden, layers = dims
     if not corpus.titles:
@@ -202,44 +210,59 @@ def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int =
     rng = np.random.default_rng(cfg.seed)
     model = BiLmModel(vocab, dim, hidden, layers, rng=rng)
     sequences = [vocab.ids(title.tokens) for title in corpus.titles]
-    grads, update = optim.dense_update(cfg, model.parameters())
+    params = model.parameters()
+    grads, update = optim.dense_update(cfg, params)
+    grad_of = {id(p): g for p, g in zip(params, grads)}
+    copies, step = mixed_precision(model._direction(False)[0] + model._direction(True)[0],
+                                   grad_of, update)
+    stacks = (copies[:layers], copies[layers:])
 
     def batch(indices: list[int]) -> tuple[float, int]:
-        return _bilm_batch(model, [sequences[j] for j in indices], grads)
+        return _bilm_batch(model, [sequences[j] for j in indices], grad_of, stacks)
 
-    optim.fit("bilm", len(sequences), cfg, rng, batch, update, model.history)
+    optim.fit("bilm", len(sequences), cfg, rng, batch, step, model.history)
     return model
 
 
-def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grads: list[np.ndarray] | None):
-    """Summed CE over one batch; accumulates gradients in place when given.
+def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None, stacks=None):
+    """Summed CE over one batch of id sequences of any lengths; adds the
+    gradients into grad_of (keyed by parameter id) when given.
 
-    Returns (ce_sum, prediction_count).
+    Each direction runs the whole batch once, right-padded
+    (_direction_batches). The LSTM is causal, so the states at valid
+    positions do not depend on the padding; the output layer sees only
+    valid positions and the gradient on every padded one is zero, so the
+    result is the sum over the batch's length groups up to rounding.
+    stacks, when given, is the (forward, backward) pair of one-direction
+    stacks to run instead of the model's own cells, and the inputs are cast
+    to the dtype of their weights; the output layers compute in float64
+    either way. Returns (ce_sum, prediction_count).
     """
-    if grads is not None:
-        grad_of = {id(p): g for p, g in zip(model.parameters(), grads)}
     bos, eos = model.vocab.id(BOS), model.vocab.id(EOS)
     total_ce = 0.0
     total_preds = 0
-    for group in length_groups(batch):
-        ids = np.stack([batch[j] for j in group])
-        for reverse in (False, True):
-            stack, out_W, out_b = model._direction(reverse)
-            inputs, targets = _direction_batches(ids, bos, eos, reverse)
-            outputs, caches = stack_run(stack, model.embed[inputs], want_cache=grads is not None)
-            top = outputs[-1]
-            logits = top @ out_W + out_b
-            ce, dlogits = softmax_ce(logits, targets)
-            total_ce += ce
-            total_preds += targets.size
-            if grads is None:
-                continue
-            flat_h = top.reshape(-1, model.hidden)
-            flat_d = dlogits.reshape(-1, model.vocab.size)
-            grad_of[id(out_W)] += flat_h.T @ flat_d
-            grad_of[id(out_b)] += flat_d.sum(axis=0)
-            dxs = stack_backprop(stack, caches, dlogits @ out_W.T, grad_of)
-            np.add.at(grad_of[id(model.embed)], inputs, dxs)
+    for reverse in (False, True):
+        own_stack, out_W, out_b = model._direction(reverse)
+        stack = stacks[reverse] if stacks else own_stack
+        inputs, targets, valid = _direction_batches(batch, bos, eos, reverse)
+        xs = model.embed[inputs].astype(stack[0][0].W.dtype, copy=False)
+        outputs, caches = stack_run(stack, xs, want_cache=grad_of is not None)
+        top = outputs[-1]
+        h = top[valid]
+        ce, dlogits = softmax_ce((h @ out_W + out_b)[None], targets[valid][None])
+        dlogits = dlogits[0]
+        total_ce += ce
+        total_preds += len(h)
+        if grad_of is None:
+            continue
+        grad_of[id(out_W)] += h.T @ dlogits
+        grad_of[id(out_b)] += dlogits.sum(axis=0)
+        d_top = np.zeros_like(top)
+        d_top[valid] = dlogits @ out_W.T
+        dxs = stack_backprop(stack, caches, d_top, grad_of)
+        # ufunc.at is several times slower on mixed dtypes.
+        np.add.at(grad_of[id(model.embed)], inputs[valid],
+                  dxs[valid].astype(np.float64, copy=False))
     return total_ce, total_preds
 
 
@@ -283,7 +306,7 @@ def _block_states(model: BiLmModel, ids: np.ndarray, reverse: bool) -> list[np.n
     """Per-layer hidden states (EMBED_BLOCK, T+1, hidden) of one direction
     over an id block, in input order for that direction (position 0
     consumed only the boundary sentinel)."""
-    inputs, _ = _direction_batches(ids, model.vocab.id(BOS), model.vocab.id(EOS), reverse)
+    inputs, _, _ = _direction_batches(ids, model.vocab.id(BOS), model.vocab.id(EOS), reverse)
     outputs, _ = stack_run(model._direction(reverse)[0], model.embed[inputs])
     return outputs
 

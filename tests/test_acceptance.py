@@ -191,10 +191,12 @@ def test_criterion_4_gradient_oracles():
         # language model
         lm_vocab = Vocab.from_counts({"alpha": 4, "beta": 3, "gamma": 2, "delta": 1})
         lm = BiLmModel(lm_vocab, dim=3, hidden=3, layers=2, rng=np.random.default_rng(4))
-        batch = [lm_vocab.ids(("alpha", "beta", "gamma")), lm_vocab.ids(("delta", "alpha"))]
+        # Three lengths in one batch, so the padded rows are exercised too.
+        batch = [lm_vocab.ids(("alpha", "beta", "gamma")), lm_vocab.ids(("delta", "alpha")),
+                 lm_vocab.ids(("beta",))]
         lm_params = lm.parameters()
         lm_grads = [np.zeros_like(p) for p in lm_params]
-        _bilm_batch(lm, batch, lm_grads)
+        _bilm_batch(lm, batch, {id(p): g for p, g in zip(lm_params, lm_grads)})
 
         def lm_loss():
             return _bilm_batch(lm, batch, None)[0]

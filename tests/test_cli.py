@@ -467,9 +467,72 @@ def test_config_unknown_key(tmp_path, capsys):
 
 
 def flag_namespace(*flags):
-    """The namespace `train crf --seed 11` parses to, plus the given flags."""
-    argv = ["train", "crf", "--train", "t.conll", "--out", "m.bin", "--seed", "11", *flags]
+    """The namespace `train lstm --seed 11` parses to, plus the given flags."""
+    argv = ["train", "lstm", "--train", "t.conll", "--out", "m.bin", "--seed", "11", *flags]
     return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("kind,setting,key", [
+    pytest.param("bilm", ["--word-dropout", "0.4"], "word_dropout", id="bilm-word-dropout"),
+    pytest.param("bilm", ["--variational-dropout", "0.3"], "variational_dropout",
+                 id="bilm-variational-dropout"),
+    pytest.param("bilm", ["--config", "word_dropout=0"], "word_dropout", id="bilm-config"),
+    pytest.param("crf", ["--variational-dropout", "0.3"], "variational_dropout",
+                 id="crf-variational-dropout"),
+    pytest.param("crf", ["--clip", "1"], "clip_norm", id="crf-clip"),
+    pytest.param("logreg", ["--clip", "0"], "clip_norm", id="logreg-clip-0"),
+    pytest.param("logreg", ["--config", "variational-dropout=0.1"], "variational_dropout",
+                 id="logreg-config"),
+])
+def test_train_setting_the_trainer_does_not_read_exits_2(tmp_path, capsys, kind, setting, key):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    source = ["--in", str(labeled)] if kind == "bilm" else ["--train", str(labeled)]
+    model = tmp_path / "m.bin"
+    code, _, err = run(capsys, "train", kind, *source, "--out", str(model), "--seed", "0",
+                       "--epochs", "1", *setting)
+    assert code == 2, err
+    assert f"error: {setting[0]} sets {key}, which the {kind} trainer does not read" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("model,space,key", [
+    ("crf", "variational_dropout=0.1,0.5;clip_norm=1,5", "variational_dropout"),
+    ("logreg", "learning_rate=0.1;clip_norm=1,5", "clip_norm"),
+])
+def test_gridsearch_axis_the_trainer_does_not_read_exits_2(tmp_path, capsys, model, space, key):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    code, out, err = run(
+        capsys, "gridsearch", "--model", model, "--train", str(labeled),
+        "--dev", str(labeled), "--space", space, "--seed", "0",
+    )
+    assert code == 2, err
+    assert f"error: --space sets {key}, which the {model} trainer does not read" in err
+    assert out == ""
+
+
+def test_gridsearch_base_flag_the_trainer_does_not_read_exits_2(tmp_path, capsys):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    code, _, err = run(
+        capsys, "gridsearch", "--model", "crf", "--train", str(labeled),
+        "--dev", str(labeled), "--space", "epochs=1", "--seed", "0", "--clip", "3",
+    )
+    assert code == 2, err
+    assert "error: --clip sets clip_norm, which the crf trainer does not read" in err
+
+
+@pytest.mark.parametrize("kind", ["crf", "logreg", "bilm"])
+def test_default_settings_the_trainer_does_not_read_stay_silent(tmp_path, capsys, kind):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    source = ["--in", str(labeled)] if kind == "bilm" else ["--train", str(labeled)]
+    extra = ["--dim", "2", "--hidden", "2"] if kind == "bilm" else []
+    code, _, err = run(capsys, "train", kind, *source, *extra, "--out", str(tmp_path / "m.bin"),
+                       "--seed", "0", "--epochs", "1", "--lr", "0.05", "--batch-size", "2")
+    assert code == 0, err
+    assert "does not read" not in err
 
 
 def test_build_config_precedence():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from titletag.corpus import Corpus, Title, synth_corpus
 from titletag.crf import TrainConfig
 from titletag.errors import FormatError
-from titletag.lstm import padded_blocks
+from titletag.lstm import LstmCell, length_groups, padded_blocks
 from titletag.title2vec import (
     EMBED_BLOCK,
     BiLmModel,
@@ -198,12 +198,20 @@ def test_block_gemms_are_row_independent(dim, hidden, steps):
             assert np.array_equal(again[kept], base[order][kept]), (rows, trial)
 
 
+def grad_buffers(model):
+    """Zeroed gradient buffers of the model's parameters, and the
+    {parameter id: buffer} map _bilm_batch adds into."""
+    grads = [np.zeros_like(p) for p in model.parameters()]
+    return grads, {id(p): g for p, g in zip(model.parameters(), grads)}
+
+
 def test_bilm_gradients_match_finite_differences():
     model = tiny_model(dim=3, hidden=3, layers=2, seed=4)
-    seqs = [model.vocab.ids(("alpha", "beta", "gamma")), model.vocab.ids(("delta", "alpha"))]
+    seqs = [model.vocab.ids(("alpha", "beta", "gamma")), model.vocab.ids(("delta", "alpha")),
+            model.vocab.ids(("gamma",))]
     params = model.parameters()
-    grads = [np.zeros_like(p) for p in params]
-    _bilm_batch(model, seqs, grads)
+    grads, grad_of = grad_buffers(model)
+    _bilm_batch(model, seqs, grad_of)
 
     def f():
         return _bilm_batch(model, seqs, None)[0]
@@ -217,6 +225,56 @@ def test_bilm_gradients_match_finite_differences():
             worst = max(worst, abs(fd - g[idx]))
             assert g[idx] == pytest.approx(fd, abs=1e-3), f"shape {p.shape} idx {idx}"
     assert worst < 1e-3
+
+
+def test_padded_batch_equals_its_length_groups():
+    model = tiny_model(dim=3, hidden=4, layers=2, seed=6)
+    rng = np.random.default_rng(2)
+    # Lengths 1-5 in mixed order, a 1-token title first.
+    batch = [np.array([5])] + [rng.integers(0, model.vocab.size, size=int(n))
+                               for n in rng.integers(1, 6, size=11)]
+    grads, grad_of = grad_buffers(model)
+    ce, preds = _bilm_batch(model, batch, grad_of)
+    group_grads, group_grad_of = grad_buffers(model)
+    group_ce, group_preds = 0.0, 0
+    for group in length_groups(batch):
+        c, n = _bilm_batch(model, [batch[j] for j in group], group_grad_of)
+        group_ce += c
+        group_preds += n
+    assert len(length_groups(batch)) == 5
+    assert preds == group_preds == sum(len(seq) + 1 for seq in batch) * 2
+    assert ce == pytest.approx(group_ce, rel=0, abs=1e-12)
+    for g, want in zip(grads, group_grads):
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+
+
+def test_train_bilm_runs_float32_cells_on_float64_master_weights(monkeypatch, sample_gaz,
+                                                                 tmp_path):
+    corpus = synth_corpus(sample_gaz, grammar_seed=3, count=40)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=2, optimizer="adam", seed=7)
+    run = LstmCell.run
+    cells = {}
+
+    def spy(cell, xs, *args, **kwargs):
+        cells[id(cell)] = cell
+        assert cell.W.dtype == cell.b.dtype == xs.dtype == np.float32
+        return run(cell, xs, *args, **kwargs)
+
+    monkeypatch.setattr(LstmCell, "run", spy)
+    model = train_bilm(corpus, (5, 4, 2), cfg)
+    monkeypatch.undo()
+    assert all(p.dtype == np.float64 for p in model.parameters())
+    # One float32 copy per cell, equal to its refreshed master after the last step.
+    masters = model.fwd_cells + model.bwd_cells
+    assert len(cells) == len(masters)
+    for copy in cells.values():
+        assert sum(np.array_equal(copy.W, m.W.astype(np.float32))
+                   and np.array_equal(copy.b, m.b.astype(np.float32)) for m in masters) == 1
+    again = train_bilm(corpus, (5, 4, 2), cfg)
+    assert again.history == model.history
+    model.save(tmp_path / "a.model")
+    again.save(tmp_path / "b.model")
+    assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
 
 
 def test_train_bilm_beats_uniform(sample_gaz):
