@@ -144,7 +144,7 @@ def read_rows(path: str | Path, fmt: str) -> Iterator[tuple[int, Title | str]]:
             yield lineno, normalize_title(raw, region=Region.parse(region_text), profile_id=profile)
 
 
-def load_corpus(path: str | Path, fmt: str = "lines", source_label: str | None = None) -> Corpus:
+def load_corpus(path: str | Path, fmt: str = "lines") -> Corpus:
     """Read a LINES or TSV title file (see read_rows) into a normalized Corpus.
 
     Titles that normalize to nothing are excluded but counted; malformed TSV
@@ -166,7 +166,7 @@ def load_corpus(path: str | Path, fmt: str = "lines", source_label: str | None =
         log.info("%s: excluded %d titles that normalize to nothing", path, empty)
     return Corpus(
         titles=tuple(titles),
-        source_label=source_label if source_label is not None else str(path),
+        source_label=str(path),
         empty_count=empty,
         skipped_rows=tuple(skipped),
     )

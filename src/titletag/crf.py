@@ -214,22 +214,6 @@ def crf_nll(
     return loss, {"emissions": demis, "trans": dtrans, "start": dstart, "stop": dstop}
 
 
-def path_score(
-    emissions: np.ndarray,
-    trans: np.ndarray,
-    start: np.ndarray,
-    stop: np.ndarray,
-    path: Sequence[int],
-) -> float:
-    """Unnormalized log score of one label path for a single sequence."""
-    idx = np.asarray(path, dtype=np.int64)
-    score = float(start[idx[0]] + stop[idx[-1]])
-    score += float(emissions[np.arange(len(idx)), idx].sum())
-    if len(idx) > 1:
-        score += float(trans[idx[:-1], idx[1:]].sum())
-    return score
-
-
 def viterbi_path(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> list[int] | np.ndarray:
@@ -398,14 +382,6 @@ class CrfModel:
         model_io.fill_arrays(path, arrays, model._arrays())
         model.vocab.freeze()
         return model
-
-
-def log_partition(model: CrfModel, tokens: Sequence[str]) -> float:
-    """Log partition function of the label lattice for one token sequence."""
-    if not tokens:
-        raise ValueError("empty token sequence")
-    emis = model.emissions(tokens)
-    return float(log_partition_scores(emis, model.trans, model.start, model.stop))
 
 
 def _sum_by(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:

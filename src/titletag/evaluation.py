@@ -286,9 +286,7 @@ def grid_search(
     return GridSearchResult(tuple(points), best)
 
 
-def compare_models(
-    reports: Mapping[str, MetricsReport], fmt: str = "text"
-) -> str:
+def compare_models(reports: Mapping[str, MetricsReport]) -> str:
     """Side-by-side metric table for several systems, row per system."""
     headers = ["system", "P", "R", "EM", "F1"]
     for tag in TAG_ORDER:
@@ -299,8 +297,6 @@ def compare_models(
         for tag in TAG_ORDER:
             row += [f"{rep.per_tag[tag].em_token:.2f}", f"{rep.per_tag[tag].f1:.2f}"]
         rows.append(row)
-    if fmt == "tsv":
-        return "\n".join("\t".join(r) for r in [headers] + rows) + "\n"
     return align_columns([headers] + rows)
 
 

@@ -16,7 +16,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus
 from .errors import FormatError, is_blank, read_lines
 
 log = logging.getLogger(__name__)
@@ -77,23 +76,6 @@ class IrrReport:
     @property
     def total(self) -> int:
         return self.unanimous_count + self.majority_count + self.disagreement_count
-
-
-def top_unigrams(corpus: Corpus, k: int) -> list[str]:
-    """The k most frequent tokens, ties broken lexicographically.
-
-    Asking for more tokens than the vocabulary holds returns the whole
-    vocabulary with a warning.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    counts: Counter[str] = Counter()
-    for title in corpus.titles:
-        counts.update(title.tokens)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if k > len(ranked):
-        log.warning("requested top %d unigrams but the vocabulary has only %d", k, len(ranked))
-    return [tok for tok, _ in ranked[:k]]
 
 
 def _check_coverage(sets: Sequence[AnnotationSet]) -> list[str]:
@@ -191,8 +173,8 @@ def irr_report(sets: Sequence[AnnotationSet]) -> IrrReport:
     )
 
 
-def read_annotations(path: str | Path, annotator_id: str | None = None) -> AnnotationSet:
-    """Read a token<TAB>tag annotation file."""
+def read_annotations(path: str | Path) -> AnnotationSet:
+    """Read a token<TAB>tag annotation file; the annotator id is its stem."""
     path = Path(path)
     votes: dict[str, CoarseTag] = {}
     for lineno, line in read_lines(path):
@@ -213,13 +195,7 @@ def read_annotations(path: str | Path, annotator_id: str | None = None) -> Annot
         if token in votes:
             raise FormatError(f"duplicate token {token!r}", path=str(path), line=lineno)
         votes[token] = tag
-    return AnnotationSet(annotator_id=annotator_id or path.stem, votes=votes)
-
-
-def write_annotations(annotations: AnnotationSet, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for token, tag in annotations.votes.items():
-            fh.write(f"{token}\t{tag.value}\n")
+    return AnnotationSet(annotator_id=path.stem, votes=votes)
 
 
 def write_gazetteer(gazetteer: Gazetteer, path: str | Path) -> None:

@@ -44,10 +44,6 @@ class BioesLabel:
     def __str__(self) -> str:
         return self.render()
 
-    @property
-    def is_outside(self) -> bool:
-        return self.tag is CoarseTag.O
-
     @staticmethod
     def parse(text: str) -> "BioesLabel":
         """The canonical ALL_LABELS instance that renders as text."""
@@ -130,7 +126,12 @@ def encode_bioes(coarse: Sequence[CoarseTag]) -> tuple[BioesLabel, ...]:
     return tuple(out)
 
 
-def _decode_strict(labels: Sequence[BioesLabel]) -> list[Chunk]:
+def decode_bioes(labels: Sequence[BioesLabel]) -> list[Chunk]:
+    """Recover entity chunks from a BIOES label sequence.
+
+    Raises IllegalTransitionError, naming the first offending position, on
+    any grammar violation.
+    """
     chunks: list[Chunk] = []
     open_tag: CoarseTag | None = None
     open_start = -1
@@ -156,63 +157,6 @@ def _decode_strict(labels: Sequence[BioesLabel]) -> list[Chunk]:
     if open_tag is not None:
         raise IllegalTransitionError(f"{open_tag.value} chunk is never closed", len(labels) - 1)
     return chunks
-
-
-def _decode_repair(labels: Sequence[BioesLabel]) -> list[Chunk]:
-    # Orphan I/E open or close chunks in place; conflicting labels close the
-    # open chunk at the previous position before acting. Deterministic by
-    # construction: a single left-to-right pass.
-    chunks: list[Chunk] = []
-    open_tag: CoarseTag | None = None
-    open_start = -1
-
-    def close(end: int) -> None:
-        nonlocal open_tag
-        if open_tag is not None:
-            chunks.append(Chunk(open_tag, open_start, end))
-            open_tag = None
-
-    for i, label in enumerate(labels):
-        if label.prefix is Prefix.NONE:
-            close(i - 1)
-        elif label.prefix is Prefix.B:
-            close(i - 1)
-            open_tag, open_start = label.tag, i
-        elif label.prefix is Prefix.S:
-            close(i - 1)
-            chunks.append(Chunk(label.tag, i, i))
-        elif label.prefix is Prefix.I:
-            if open_tag is None:
-                open_tag, open_start = label.tag, i
-            elif open_tag != label.tag:
-                close(i - 1)
-                open_tag, open_start = label.tag, i
-        else:  # E
-            if open_tag is None:
-                chunks.append(Chunk(label.tag, i, i))
-            elif open_tag == label.tag:
-                chunks.append(Chunk(open_tag, open_start, i))
-                open_tag = None
-            else:
-                close(i - 1)
-                chunks.append(Chunk(label.tag, i, i))
-    close(len(labels) - 1)
-    return chunks
-
-
-def decode_bioes(labels: Sequence[BioesLabel], policy: str = "strict") -> list[Chunk]:
-    """Recover entity chunks from a BIOES label sequence.
-
-    STRICT raises IllegalTransitionError (naming the first offending
-    position) on any grammar violation; REPAIR recovers chunks from
-    arbitrary label sequences. Use STRICT for gold data, REPAIR for model
-    predictions.
-    """
-    if policy == "strict":
-        return _decode_strict(labels)
-    if policy == "repair":
-        return _decode_repair(labels)
-    raise ValueError(f"unknown decode policy: {policy!r}")
 
 
 def auto_tag(title: Title, gazetteer: Gazetteer) -> LabeledSequence:

@@ -58,14 +58,11 @@ def softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarr
 class LstmCell:
     """One LSTM layer; W maps [x_t, h_{t-1}] (input_dim + hidden) to 4*hidden."""
 
-    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator | None = None):
+    def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden = hidden
-        if rng is None:
-            self.W = np.zeros((4 * hidden, input_dim + hidden))
-        else:
-            bound = 1.0 / np.sqrt(hidden)
-            self.W = rng.uniform(-bound, bound, size=(4 * hidden, input_dim + hidden))
+        bound = 1.0 / np.sqrt(hidden)
+        self.W = rng.uniform(-bound, bound, size=(4 * hidden, input_dim + hidden))
         self.b = np.zeros(4 * hidden)
         # Forget-gate bias starts at 1 so early training keeps memory open.
         self.b[hidden : 2 * hidden] = 1.0

@@ -270,18 +270,6 @@ class LstmCrfModel:
                         ("stop", (N_LABELS,)))
 
 
-def batch_nll(model: LstmCrfModel, examples: Sequence[LabeledSequence]) -> float:
-    """Eval-mode mean loss per sequence (no dropout, no gradients)."""
-    if not examples:
-        raise ValueError("no examples")
-    total = 0.0
-    for group in length_groups([ex.tokens for ex in examples]):
-        toks = [examples[j].tokens for j in group]
-        ys = np.array([examples[j].label_ids() for j in group], dtype=np.int64)
-        total += model._group_pass(toks, ys, None, None)
-    return total / len(examples)
-
-
 def _sample_masks(model: LstmCrfModel, batch_size: int, p: float, rng: np.random.Generator):
     """One inverted-dropout mask per sequence per direction per layer."""
     if p <= 0.0:

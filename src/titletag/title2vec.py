@@ -267,14 +267,15 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None,
 
 
 def batch_ce(model: BiLmModel, token_sequences: Sequence[Sequence[str]]) -> float:
-    """Mean cross-entropy per prediction over both directions (no gradients)."""
+    """Mean cross-entropy per prediction over both directions (no
+    gradients), scoring EMBED_BLOCK sequences per padded batch."""
     seqs = [model.vocab.ids(toks) for toks in token_sequences if len(toks)]
     if not seqs:
         raise ValueError("no non-empty sequences to score")
     total_ce = 0.0
     total_preds = 0
-    for seq in seqs:
-        ce, preds = _bilm_batch(model, [seq], None)
+    for i in range(0, len(seqs), EMBED_BLOCK):
+        ce, preds = _bilm_batch(model, seqs[i : i + EMBED_BLOCK], None)
         total_ce += ce
         total_preds += preds
     return total_ce / total_preds
@@ -285,12 +286,12 @@ def perplexity(model: BiLmModel, corpus: Corpus) -> float:
     return float(np.exp(batch_ce(model, [t.tokens for t in corpus.titles])))
 
 
-# Rows of every block the biLM runs at inference (embed_titles, the log
-# probabilities). One fixed row count makes a title's vectors independent of
-# the titles it is batched with (see lstm.padded_blocks). Embedding the
-# benchmark's 400 tag-embed titles took 0.06-0.08 s at 4 to 32 rows against
-# 0.13-0.22 s one title at a time (2-CPU x86-64 host, OpenBLAS on one
-# thread); more rows pad more, fewer make more calls.
+# Rows of every batch the biLM runs at inference (embed_titles, batch_ce).
+# One fixed row count makes a title's vectors independent of the titles it
+# is batched with (see lstm.padded_blocks). Embedding the benchmark's 400
+# tag-embed titles took 0.06-0.08 s at 4 to 32 rows against 0.13-0.22 s one
+# title at a time (2-CPU x86-64 host, OpenBLAS on one thread); more rows pad
+# more, fewer make more calls.
 EMBED_BLOCK = 16
 
 
@@ -309,25 +310,6 @@ def _block_states(model: BiLmModel, ids: np.ndarray, reverse: bool) -> list[np.n
     inputs, _, _ = _direction_batches(ids, model.vocab.id(BOS), model.vocab.id(EOS), reverse)
     outputs, _ = stack_run(model._direction(reverse)[0], model.embed[inputs])
     return outputs
-
-
-def _logprobs(model: BiLmModel, tokens: Sequence[str], reverse: bool) -> np.ndarray:
-    [(_, ids)] = _blocks(model, [tokens])
-    _, out_W, out_b = model._direction(reverse)
-    logits = _block_states(model, ids, reverse)[-1][0] @ out_W + out_b
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-
-
-def forward_logprobs(model: BiLmModel, tokens: Sequence[str]) -> np.ndarray:
-    """(T+1, V) log-probabilities: row t predicts token t (row T predicts </s>)."""
-    return _logprobs(model, tokens, reverse=False)
-
-
-def backward_logprobs(model: BiLmModel, tokens: Sequence[str]) -> np.ndarray:
-    """(T+1, V) log-probabilities in right-to-left order: row r predicts
-    token T-1-r (row T predicts <s>)."""
-    return _logprobs(model, tokens, reverse=True)
 
 
 def embed_titles(model: BiLmModel, titles: Sequence[Sequence[str]]) -> list[np.ndarray]:
@@ -397,16 +379,6 @@ class EmbeddingStore:
             # One whitespace-free word, so the id fits on its `{id} {n}` line.
             if rec.title_id.split() != [rec.title_id]:
                 raise ValueError(f"bad title id {rec.title_id!r}")
-        self._pooled: np.ndarray | None = None
-
-    def pooled(self) -> np.ndarray:
-        """Mean-pooled title vectors, (n_records, dim)."""
-        if self._pooled is None:
-            if self.records:
-                self._pooled = np.stack([r.vectors.mean(axis=0) for r in self.records])
-            else:
-                self._pooled = np.zeros((0, self.dim))
-        return self._pooled
 
 
 # Longest first line read_embeddings takes as a header.
@@ -502,32 +474,3 @@ def _read_table_and_block(path: Path, fh, first: bytes) -> EmbeddingStore:
         records.append(TitleVectors(title_id, block[start : start + n]))
         start += n
     return EmbeddingStore(dim=dim, records=records)
-
-
-def nearest_titles(
-    store: EmbeddingStore, query: np.ndarray, k: int
-) -> list[tuple[str, float]]:
-    """Top-k titles by cosine similarity of mean-pooled vectors.
-
-    The query may be a single vector or per-token vectors (mean-pooled
-    here). Ties keep insertion order; asking for more neighbors than the
-    store holds returns everything.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim == 2:
-        query = query.mean(axis=0)
-    if query.shape != (store.dim,):
-        raise ValueError(f"query has shape {query.shape}, store dimension is {store.dim}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    pooled = store.pooled()
-    if len(store.records) == 0:
-        return []
-    qnorm = float(np.linalg.norm(query))
-    norms = np.linalg.norm(pooled, axis=1)
-    sims = np.zeros(len(store.records))
-    valid = (norms > 0) & (qnorm > 0)
-    if qnorm > 0:
-        sims[valid] = (pooled[valid] @ query) / (norms[valid] * qnorm)
-    ranked = np.argsort(-sims, kind="stable")[: min(k, len(store.records))]
-    return [(store.records[int(i)].title_id, float(sims[int(i)])) for i in ranked]

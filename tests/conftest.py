@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings
 
 from titletag.gazetteer import sample_annotation_sets, sample_gazetteer
+from titletag.lstm import length_groups
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -66,6 +67,18 @@ def brute_force_best_path(emissions, trans, start, stop):
         if s > best_score:
             best, best_score = list(path), s
     return best, best_score
+
+
+def batch_nll(model, examples) -> float:
+    """Eval-mode mean loss per sequence of an LstmCrfModel (no dropout, no gradients)."""
+    if not examples:
+        raise ValueError("no examples")
+    total = 0.0
+    for group in length_groups([ex.tokens for ex in examples]):
+        toks = [examples[j].tokens for j in group]
+        ys = np.array([examples[j].label_ids() for j in group], dtype=np.int64)
+        total += model._group_pass(toks, ys, None, None)
+    return total / len(examples)
 
 
 def central_difference(f, param: np.ndarray, index, eps: float = 1e-5) -> float:

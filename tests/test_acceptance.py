@@ -44,7 +44,7 @@ from titletag.labeling import (
     encode_bioes,
     read_conll,
 )
-from titletag.neural import LstmCrfModel, TrainableEmbeddings, batch_nll, train_lstm_crf
+from titletag.neural import LstmCrfModel, TrainableEmbeddings, train_lstm_crf
 from titletag.title2vec import (
     BiLmModel,
     Vocab,
@@ -55,6 +55,7 @@ from titletag.title2vec import (
 )
 
 from conftest import (
+    batch_nll,
     brute_force_best_path,
     brute_force_logz,
     central_difference,
@@ -97,7 +98,7 @@ def test_criterion_2_exhaustive_roundtrip():
         for n in range(1, 7):
             for combo in itertools.product(tags, repeat=n):
                 labels = encode_bioes(combo)
-                chunks = decode_bioes(labels, policy="strict")  # legality included
+                chunks = decode_bioes(labels)  # legality included
                 assert chunks == scan_runs(combo)
                 checked += 1
         assert checked == 5460

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from titletag.corpus import Corpus, Title
 from titletag.errors import FormatError
 from titletag.gazetteer import (
     Agreement,
@@ -16,8 +15,6 @@ from titletag.gazetteer import (
     percentage_agreement,
     read_annotations,
     read_gazetteer,
-    top_unigrams,
-    write_annotations,
     write_gazetteer,
 )
 
@@ -26,20 +23,6 @@ R, F, L, O = CoarseTag.RES, CoarseTag.FUN, CoarseTag.LOC, CoarseTag.O
 
 def annset(annotator_id, labels):
     return AnnotationSet(annotator_id, {f"w{i:04d}": tag for i, tag in enumerate(labels)})
-
-
-def test_top_unigrams_ordering():
-    titles = tuple(
-        Title(raw="", tokens=t)
-        for t in [("b", "a"), ("a", "c"), ("a", "b"), ("c",)]
-    )
-    corpus = Corpus(titles=titles)
-    assert top_unigrams(corpus, 2) == ["a", "b"]
-    # tie between b and c breaks lexicographically
-    assert top_unigrams(corpus, 3) == ["a", "b", "c"]
-    assert top_unigrams(corpus, 99) == ["a", "b", "c"]
-    with pytest.raises(ValueError):
-        top_unigrams(corpus, 0)
 
 
 def test_merge_annotations_votes():
@@ -152,10 +135,11 @@ def test_sample_gazetteer_contents(sample_gaz):
 
 def test_annotations_file_roundtrip(tmp_path, sample_sets):
     path = tmp_path / "ann.tsv"
-    write_annotations(sample_sets[0], path)
-    again = read_annotations(path, annotator_id=sample_sets[0].annotator_id)
+    path.write_text("".join(f"{tok}\t{tag.value}\n" for tok, tag in sample_sets[0].votes.items()),
+                    encoding="utf-8")
+    again = read_annotations(path)
     assert again.votes == sample_sets[0].votes
-    assert again.annotator_id == sample_sets[0].annotator_id
+    assert again.annotator_id == path.stem
 
 
 def test_read_annotations_errors(tmp_path):

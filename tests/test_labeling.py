@@ -1,8 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from titletag.corpus import normalize_title
 from titletag.errors import FormatError
@@ -80,7 +78,7 @@ def test_exhaustive_roundtrip_small():
     for n in range(1, 7):
         for tags in itertools.product(TAGS, repeat=n):
             labels = encode_bioes(tags)
-            chunks = decode_bioes(labels, policy="strict")
+            chunks = decode_bioes(labels)
             expected = [Chunk(tag, b, e) for tag, b, e in scan_runs(list(tags))]
             assert chunks == expected, f"tags={tags}"
 
@@ -125,61 +123,11 @@ def test_strict_decode_flags_first_offense():
     assert "position 1" in str(err.value)
 
 
-def test_repair_decode_cases():
-    lab = BioesLabel.parse
-    # orphan continuation opens a chunk
-    assert decode_bioes([lab("I-FUN"), lab("E-FUN")], policy="repair") == [
-        Chunk(CoarseTag.FUN, 0, 1)
-    ]
-    # orphan end is a single-token chunk
-    assert decode_bioes([lab("O"), lab("E-LOC")], policy="repair") == [
-        Chunk(CoarseTag.LOC, 1, 1)
-    ]
-    # conflicting label closes the open chunk one position back
-    assert decode_bioes([lab("B-RES"), lab("I-RES"), lab("S-FUN")], policy="repair") == [
-        Chunk(CoarseTag.RES, 0, 1),
-        Chunk(CoarseTag.FUN, 2, 2),
-    ]
-    # tag switch inside a chunk
-    assert decode_bioes([lab("B-RES"), lab("I-FUN"), lab("E-FUN")], policy="repair") == [
-        Chunk(CoarseTag.RES, 0, 0),
-        Chunk(CoarseTag.FUN, 1, 2),
-    ]
-    # trailing open chunk closes at the end
-    assert decode_bioes([lab("B-RES"), lab("I-RES")], policy="repair") == [
-        Chunk(CoarseTag.RES, 0, 1)
-    ]
-
-
-def test_repair_matches_strict_on_legal_input():
-    for n in range(1, 6):
-        for tags in itertools.product(TAGS, repeat=n):
-            labels = encode_bioes(tags)
-            assert decode_bioes(labels, policy="repair") == decode_bioes(labels, policy="strict")
-
-
-@given(st.lists(st.sampled_from(LABEL_STRINGS), min_size=1, max_size=12))
-def test_repair_never_fails_and_is_consistent(label_strings):
-    labels = [BioesLabel.parse(s) for s in label_strings]
-    chunks = decode_bioes(labels, policy="repair")
-    last_end = -1
-    for chunk in chunks:
-        assert 0 <= chunk.start <= chunk.end < len(labels)
-        assert chunk.start > last_end  # ordered, non-overlapping
-        last_end = chunk.end
-        assert chunk.tag != CoarseTag.O
-
-
-def test_decode_unknown_policy():
-    with pytest.raises(ValueError):
-        decode_bioes([BioesLabel.parse("O")], policy="lenient")
-
-
 def test_label_invariants():
     with pytest.raises(ValueError):
         BioesLabel(prefix="B", tag=CoarseTag.O)  # type: ignore[arg-type]
     outside = BioesLabel.parse("O")
-    assert outside.is_outside
+    assert outside.tag is CoarseTag.O
     assert str(outside) == "O"
 
 

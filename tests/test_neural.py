@@ -12,13 +12,12 @@ from titletag.neural import (
     LstmCrfModel,
     TrainableEmbeddings,
     _sample_masks,
-    batch_nll,
     train_lstm_crf,
     train_lstm_softmax,
 )
 from titletag.title2vec import BiLmEmbeddings, BiLmModel, Vocab
 
-from conftest import central_difference
+from conftest import batch_nll, central_difference
 
 N_LABELS = len(ALL_LABELS)
 

@@ -16,13 +16,12 @@ from titletag.title2vec import (
     TitleVectors,
     Vocab,
     _bilm_batch,
-    backward_logprobs,
+    _block_states,
+    _blocks,
     batch_ce,
     build_vocab,
     embed_title,
     embed_titles,
-    forward_logprobs,
-    nearest_titles,
     perplexity,
     read_embeddings,
     train_bilm,
@@ -96,12 +95,23 @@ def test_embedding_slot_matches_table():
     np.testing.assert_allclose(out[:, : model.dim], model.embed[ids], atol=1e-12)
 
 
+def logprobs(model, tokens, reverse):
+    """(T+1, V) log-probabilities of one direction over one title, in that
+    direction's reading order: forward row t predicts token t (row T
+    predicts </s>), backward row r predicts token T-1-r (row T predicts <s>)."""
+    [(_, ids)] = _blocks(model, [tokens])
+    _, out_W, out_b = model._direction(reverse)
+    logits = _block_states(model, ids, reverse)[-1][0] @ out_W + out_b
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+
+
 def test_forward_causality():
     model = tiny_model(layers=2)
     base = ("alpha", "beta", "gamma")
     changed = ("alpha", "beta", "delta")
-    lp_base = forward_logprobs(model, base)
-    lp_changed = forward_logprobs(model, changed)
+    lp_base = logprobs(model, base, reverse=False)
+    lp_changed = logprobs(model, changed, reverse=False)
     assert lp_base.shape == (4, model.vocab.size)
     # predictions for positions 0..2 depend only on the prefix
     np.testing.assert_allclose(lp_base[:3], lp_changed[:3], atol=1e-12)
@@ -113,8 +123,8 @@ def test_backward_causality():
     model = tiny_model(layers=2)
     base = ("alpha", "beta", "gamma")
     changed = ("delta", "beta", "gamma")
-    lp_base = backward_logprobs(model, base)
-    lp_changed = backward_logprobs(model, changed)
+    lp_base = logprobs(model, base, reverse=True)
+    lp_changed = logprobs(model, changed, reverse=True)
     np.testing.assert_allclose(lp_base[:3], lp_changed[:3], atol=1e-12)
 
 
@@ -329,12 +339,6 @@ def test_store_validation():
     for dim, records in ((0, [TitleVectors("a", np.zeros((1, 0)))]), (0, []), (-3, [])):
         with pytest.raises(ValueError):
             EmbeddingStore(dim, records)
-
-
-def test_store_pooled():
-    store = store_fixture()
-    np.testing.assert_allclose(store.pooled()[0], [1.0, 0.0])
-    assert store.pooled().shape == (3, 2)
 
 
 def test_embedding_file_roundtrip_bit_exact(tmp_path):
@@ -583,27 +587,6 @@ def test_embedding_file_bad_header(tmp_path):
     body = b"t 1\n1.0 0.0\n"
     path.write_bytes(f"ipod-emb v1 2 {hashlib.sha256(body).hexdigest()[:16]}\n".encode() + body)
     assert _read_error(path).path == str(path)
-
-
-def test_nearest_titles():
-    store = store_fixture()
-    hits = nearest_titles(store, np.array([1.0, 0.0]), k=3)
-    # t0 and t2 tie at similarity 1; insertion order breaks the tie
-    assert [h[0] for h in hits] == ["t0", "t2", "t1"]
-    assert hits[0][1] == pytest.approx(1.0)
-    assert hits[2][1] == pytest.approx(0.0)
-
-    top1 = nearest_titles(store, np.array([[1.0, 0.0], [1.0, 0.0]]), k=1)
-    assert top1[0][0] == "t0"
-
-    assert len(nearest_titles(store, np.array([1.0, 0.0]), k=99)) == 3
-    with pytest.raises(ValueError):
-        nearest_titles(store, np.array([1.0, 0.0, 0.0]), k=1)
-    with pytest.raises(ValueError):
-        nearest_titles(store, np.array([1.0, 0.0]), k=0)
-    # zero-norm query produces zero similarities, not errors
-    zeros = nearest_titles(store, np.array([0.0, 0.0]), k=2)
-    assert all(s == 0.0 for _, s in zeros)
 
 
 def test_model_dim_validation():
