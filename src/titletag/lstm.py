@@ -216,6 +216,12 @@ def stack_backprop(layers: list[tuple], caches, d_top: np.ndarray, grad_of: dict
     return d_out
 
 
+def cast_stack(stack: list[tuple], dtype) -> list[tuple]:
+    """Copies of a stack's cells holding dtype weights (LstmCell.astype),
+    in the layout of stack."""
+    return [tuple(cell.astype(dtype) for cell in cells) for cells in stack]
+
+
 def mixed_precision(stack: list[tuple], grad_of: dict, update):
     """Float32 copies of a stack's cells, and the optimizer step that keeps
     them current (Micikevicius et al. 2018, arXiv:1710.03740).
@@ -227,7 +233,7 @@ def mixed_precision(stack: list[tuple], grad_of: dict, update):
     update(scale), then refreshes every copy from its cell, and returns what
     update returned.
     """
-    copies = [tuple(cell.astype(np.float32) for cell in cells) for cells in stack]
+    copies = cast_stack(stack, np.float32)
     pairs = [pair for cells, casts in zip(stack, copies) for pair in zip(cells, casts)]
     for cell, cast in pairs:
         grad_of[id(cast.W)], grad_of[id(cast.b)] = grad_of[id(cell.W)], grad_of[id(cell.b)]

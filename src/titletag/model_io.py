@@ -140,9 +140,23 @@ def check_shapes(path: str | Path, stored: dict[str, np.ndarray], implied: Itera
                           path=str(path))
 
 
+class _Unfilled:
+    """Stands in for the random generator of a model built to be loaded:
+    uniform() allocates without drawing, and fill_arrays then overwrites
+    every array of the model."""
+
+    @staticmethod
+    def uniform(low: float, high: float, size) -> np.ndarray:
+        return np.empty(size)
+
+
+UNFILLED = _Unfilled()
+
+
 def fill_arrays(path: str | Path, stored: dict[str, np.ndarray], model: dict) -> None:
     """Copy stored arrays into the same-named arrays of a model built from its
-    metadata; FormatError if one is missing or its shape disagrees."""
+    metadata (with rng=UNFILLED); FormatError if one is missing or its shape
+    disagrees, or if the model holds an array the file does not store."""
     check_shapes(path, stored, ((name, target.shape) for name, target in model.items()))
     for name, target in model.items():
         target[...] = stored[name]

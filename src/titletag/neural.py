@@ -22,8 +22,8 @@ from .crf import sequence_marginals  # noqa: F401
 from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
-    cell_arrays, cell_shapes, direction_cells, length_groups, mixed_precision, softmax_ce,
-    stack_backprop, stack_run,
+    cast_stack, cell_arrays, cell_shapes, direction_cells, length_groups, mixed_precision,
+    softmax_ce, stack_backprop, stack_run,
 )
 from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 
@@ -33,13 +33,10 @@ class TrainableEmbeddings:
 
     trainable = True
 
-    def __init__(self, vocab: Vocab, dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, vocab: Vocab, dim: int, rng: np.random.Generator):
         self.vocab = vocab
         self._dim = dim
-        if rng is None:
-            self.table = np.zeros((vocab.size, dim))
-        else:
-            self.table = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
+        self.table = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
 
     @property
     def dim(self) -> int:
@@ -98,14 +95,25 @@ class LstmCrfModel:
     def _stack(self) -> list[tuple]:
         return list(zip(self.fwd_cells, self.bwd_cells))
 
+    def _float32_stack(self) -> list[tuple]:
+        """Float32 copies of the cells, the stack every decode runs on.
+
+        Built per call, not cached: a cache would go stale when the cells are
+        replaced or their weights edited in place.
+        """
+        return cast_stack(self._stack(), np.float32)
+
     def encode(self, xs: np.ndarray, masks=None, want_cache: bool = False, stack=None):
         """Encode (B, T, dim) inputs into (B, T, 2*hidden) states.
 
         masks is a per-layer list of (forward, backward) recurrent dropout
         masks of shape (B, hidden), or None in eval mode. stack, when given,
-        stands in for the model's own (forward, backward) cells per layer.
+        stands in for the model's own (forward, backward) cells per layer,
+        and the inputs are cast to the dtype of its weights.
         """
-        outputs, caches = stack_run(stack or self._stack(), xs, masks, want_cache)
+        stack = stack or self._stack()
+        xs = xs.astype(stack[0][0].W.dtype, copy=False)
+        outputs, caches = stack_run(stack, xs, masks, want_cache)
         return outputs[-1], caches
 
     def _embed_group(self, token_group: list) -> tuple[np.ndarray, np.ndarray | None]:
@@ -117,16 +125,18 @@ class LstmCrfModel:
             return self.provider.table[ids], ids
         return self.provider.embed_group(token_group), None
 
-    def _chunk_emissions(self, token_group: list) -> np.ndarray:
-        """Label scores (B, T, n_labels) of equal-length sequences, one batch."""
-        enc, _ = self.encode(self._embed_group(token_group)[0])
+    def _chunk_emissions(self, token_group: list, stack) -> np.ndarray:
+        """Label scores (B, T, n_labels) of equal-length sequences, encoded as
+        one batch on stack's cells; the head computes in float64."""
+        enc, _ = self.encode(self._embed_group(token_group)[0], stack=stack)
         return enc @ self.proj_W + self.proj_b
 
     def emissions(self, tokens: Sequence[str]) -> np.ndarray:
-        """Per-position label scores (T, n_labels) for one sequence."""
+        """Per-position label scores (T, n_labels) for one sequence, encoded
+        on float32 copies of the cells as predict_many does."""
         if not tokens:
             raise ValueError("empty token sequence")
-        return self._chunk_emissions([tokens])[0]
+        return self._chunk_emissions([tokens], self._float32_stack())[0]
 
     def predict(self, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
         return self.predict_many([tokens])[0]
@@ -134,13 +144,19 @@ class LstmCrfModel:
     def predict_many(self, seqs: Sequence[Sequence[str]]) -> list[tuple[BioesLabel, ...]]:
         """Decode each sequence, in input order.
 
-        Each chunk of equal-length sequences (crf.decode_in_chunks) is
-        encoded as one batch. A sequence's encoding does not depend on the
-        others in its chunk up to float rounding (about 1e-16), so its labels
-        equal those of decoding it alone unless two paths tie that closely.
+        The encoder runs on float32 copies of the cells, made once per call
+        and shared by every chunk; the inputs are cast to float32, and the
+        output head and Viterbi (or argmax) compute in float64. Each chunk of
+        equal-length sequences (crf.decode_in_chunks) is encoded as one
+        batch. A sequence's encoding does not depend on the others in its
+        chunk up to float32 rounding (its emissions move by about 1e-7 of
+        their magnitude), so its labels equal those of decoding it alone
+        unless two paths tie that closely.
         """
+        stack = self._float32_stack()
+
         def paths(chunk: list[int]) -> np.ndarray:
-            emis = self._chunk_emissions([seqs[j] for j in chunk])
+            emis = self._chunk_emissions([seqs[j] for j in chunk], stack)
             if self.kind == "lstm-crf":
                 return viterbi_path(emis, self.trans, self.start, self.stop)
             return np.argmax(emis, axis=-1)
@@ -150,14 +166,12 @@ class LstmCrfModel:
     def _group_pass(self, token_group, label_ids, masks, grad_of, stack=None) -> float:
         """Loss (summed over the group) and, when grad_of is given, gradients.
 
-        stack, when given, replaces the model's own cells (see encode), and
-        the inputs are cast to the dtype of its weights. The output head
-        computes in float64 either way.
+        stack, when given, replaces the model's own cells (see encode). The
+        output head computes in float64 either way.
         """
         want_grads = grad_of is not None
         stack = stack or self._stack()
         xs, ids = self._embed_group(token_group)
-        xs = xs.astype(stack[0][0].W.dtype, copy=False)
         enc, caches = self.encode(xs, masks, want_grads, stack)
         emis = enc @ self.proj_W + self.proj_b
         if self.kind == "lstm-crf":
@@ -251,8 +265,9 @@ class LstmCrfModel:
         model_io.check_shapes(path, arrays, cls._array_shapes(
             kind, meta["hidden"], meta["layers"], spec["dim"], table_rows))
         if table_rows is not None:
-            provider = TrainableEmbeddings(vocab, spec["dim"])
-        model = cls(provider, hidden_size=meta["hidden"], layers=meta["layers"], kind=kind)
+            provider = TrainableEmbeddings(vocab, spec["dim"], model_io.UNFILLED)
+        model = cls(provider, hidden_size=meta["hidden"], layers=meta["layers"], kind=kind,
+                    rng=model_io.UNFILLED)
         model_io.fill_arrays(path, arrays, model._arrays())
         return model
 

@@ -159,7 +159,7 @@ class BiLmModel:
         vocab = stored_vocab(path, meta["vocab"], meta["min_count"])
         model_io.check_shapes(path, arrays, cls._array_shapes(
             vocab.size, meta["dim"], meta["hidden"], meta["layers"]))
-        model = cls(vocab, meta["dim"], meta["hidden"], meta["layers"])
+        model = cls(vocab, meta["dim"], meta["hidden"], meta["layers"], rng=model_io.UNFILLED)
         model_io.fill_arrays(path, arrays, model._arrays())
         return model
 
@@ -266,27 +266,7 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None,
     return total_ce, total_preds
 
 
-def batch_ce(model: BiLmModel, token_sequences: Sequence[Sequence[str]]) -> float:
-    """Mean cross-entropy per prediction over both directions (no
-    gradients), scoring EMBED_BLOCK sequences per padded batch."""
-    seqs = [model.vocab.ids(toks) for toks in token_sequences if len(toks)]
-    if not seqs:
-        raise ValueError("no non-empty sequences to score")
-    total_ce = 0.0
-    total_preds = 0
-    for i in range(0, len(seqs), EMBED_BLOCK):
-        ce, preds = _bilm_batch(model, seqs[i : i + EMBED_BLOCK], None)
-        total_ce += ce
-        total_preds += preds
-    return total_ce / total_preds
-
-
-def perplexity(model: BiLmModel, corpus: Corpus) -> float:
-    """exp(mean per-prediction cross-entropy) over a corpus, both directions."""
-    return float(np.exp(batch_ce(model, [t.tokens for t in corpus.titles])))
-
-
-# Rows of every batch the biLM runs at inference (embed_titles, batch_ce).
+# Rows of every block the biLM runs at inference (embed_titles).
 # One fixed row count makes a title's vectors independent of the titles it
 # is batched with (see lstm.padded_blocks). Embedding the benchmark's 400
 # tag-embed titles took 0.06-0.08 s at 4 to 32 rows against 0.13-0.22 s one

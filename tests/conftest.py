@@ -14,6 +14,7 @@ from hypothesis import settings
 
 from titletag.gazetteer import sample_annotation_sets, sample_gazetteer
 from titletag.lstm import length_groups
+from titletag.title2vec import EMBED_BLOCK, _bilm_batch
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -79,6 +80,27 @@ def batch_nll(model, examples) -> float:
         ys = np.array([examples[j].label_ids() for j in group], dtype=np.int64)
         total += model._group_pass(toks, ys, None, None)
     return total / len(examples)
+
+
+def batch_ce(model, token_sequences) -> float:
+    """Mean cross-entropy per prediction of a BiLmModel over both directions
+    (no gradients), scoring EMBED_BLOCK sequences per padded batch."""
+    seqs = [model.vocab.ids(toks) for toks in token_sequences if len(toks)]
+    if not seqs:
+        raise ValueError("no non-empty sequences to score")
+    total_ce = 0.0
+    total_preds = 0
+    for i in range(0, len(seqs), EMBED_BLOCK):
+        ce, preds = _bilm_batch(model, seqs[i : i + EMBED_BLOCK], None)
+        total_ce += ce
+        total_preds += preds
+    return total_ce / total_preds
+
+
+def perplexity(model, corpus) -> float:
+    """exp(mean per-prediction cross-entropy) of a BiLmModel over a corpus,
+    both directions."""
+    return float(np.exp(batch_ce(model, [t.tokens for t in corpus.titles])))
 
 
 def central_difference(f, param: np.ndarray, index, eps: float = 1e-5) -> float:

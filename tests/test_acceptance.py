@@ -50,7 +50,6 @@ from titletag.title2vec import (
     Vocab,
     _bilm_batch,
     embed_title,
-    perplexity,
     train_bilm,
 )
 
@@ -59,6 +58,7 @@ from conftest import (
     brute_force_best_path,
     brute_force_logz,
     central_difference,
+    perplexity,
     scan_runs,
 )
 

@@ -6,6 +6,8 @@ import pytest
 
 from titletag.errors import FormatError
 from titletag.model_io import file_hash, load_model, save_model
+from titletag.neural import LstmCrfModel, TrainableEmbeddings
+from titletag.title2vec import BiLmModel, Vocab
 
 
 def test_roundtrip(tmp_path):
@@ -163,3 +165,33 @@ def test_non_string_kind_is_a_format_error(tmp_path, kind):
     with pytest.raises(FormatError, match="model kind") as info:
         load_model(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["lstm-crf", "lstm", "bilm"])
+def test_loading_draws_no_random_numbers(tmp_path, monkeypatch, kind):
+    """A loaded model is built without drawing initial weights, and every
+    one of its arrays holds the saved float32 values."""
+    vocab = Vocab.from_counts({"chief": 2, "officer": 1})
+    rng = np.random.default_rng(5)
+    if kind == "bilm":
+        cls, model = BiLmModel, BiLmModel(vocab, 3, 4, 2, rng=rng)
+    else:
+        cls, model = LstmCrfModel, LstmCrfModel(TrainableEmbeddings(vocab, 3, rng), hidden_size=4,
+                                                layers=2, kind=kind, rng=rng)
+    if kind == "lstm-crf":
+        for weights in (model.trans, model.start, model.stop):
+            weights[...] = rng.normal(size=weights.shape)
+    path = tmp_path / "m.model"
+    model.save(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading created a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = cls.load(path)
+    monkeypatch.undo()
+    saved, got = model._arrays(), loaded._arrays()
+    assert list(got) == list(saved)
+    for name, arr in got.items():
+        assert arr.dtype == np.float64
+        np.testing.assert_array_equal(arr, saved[name].astype(np.float32), err_msg=name)

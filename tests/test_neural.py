@@ -235,7 +235,8 @@ def test_frozen_provider_roundtrip(tmp_path):
 @pytest.mark.parametrize("trainable", [True, False])
 def test_array_shapes_match_built_model(kind, layers, trainable):
     vocab = Vocab(("<unk>", "<s>", "</s>", "chief", "officer"))
-    provider = TrainableEmbeddings(vocab, 5) if trainable else BiLmEmbeddings(
+    rng = np.random.default_rng(0)
+    provider = TrainableEmbeddings(vocab, 5, rng) if trainable else BiLmEmbeddings(
         BiLmModel(vocab, dim=3, hidden=2, layers=1), content_hash=None)
     model = LstmCrfModel(provider, hidden_size=7, layers=layers, kind=kind)
     built = [(name, arr.shape) for name, arr in model._arrays().items()]
@@ -245,7 +246,7 @@ def test_array_shapes_match_built_model(kind, layers, trainable):
 
 
 def test_constructor_validation():
-    provider = TrainableEmbeddings(toy_vocab(TOY), 4)
+    provider = TrainableEmbeddings(toy_vocab(TOY), 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
         LstmCrfModel(provider, kind="gru")
     with pytest.raises(ValueError):
@@ -272,10 +273,33 @@ def test_training_runs_float32_cells_on_float64_master_weights(monkeypatch):
     model = train_lstm_crf(TOY, cfg, hidden_size=6, layers=2, embedding_dim=4)
     assert seen and set(seen) == {("float32",) * 3}
     assert all(p.dtype == np.float64 for p in model.parameters())
-    # Inference stays float64.
+    # Inference runs float32 copies of the cells on float32 inputs.
     seen.clear()
     model.predict(TOY[0].tokens)
-    assert set(seen) == {("float64",) * 3}
+    assert seen and set(seen) == {("float32",) * 3}
+    assert all(p.dtype == np.float64 for p in model.parameters())
+
+
+def test_float32_emissions_match_the_float64_encode():
+    """Decoding encodes on float32 copies of the cells. Hidden states lie in
+    (-1, 1), and the float32 ones stay within 1e-6 (about 8 float32 ulps
+    of 1) of the float64 encoder's, so the float64 head moves each emission
+    by at most 1e-6 times the largest column sum of |proj_W|."""
+    cfg = TrainConfig(learning_rate=0.01, batch_size=3, epochs=40, optimizer="adam",
+                      seed=1, word_dropout=0.0, variational_dropout=0.0)
+    model = train_lstm_crf(TOY, cfg, hidden_size=16, layers=2, embedding_dim=8)
+    bound = 1e-6 * np.abs(model.proj_W).sum(axis=0).max()
+    for ex in TOY:
+        xs, _ = model._embed_group([ex.tokens])
+        enc, _ = model.encode(xs)
+        assert enc.dtype == np.float64
+        enc32, _ = model.encode(xs, stack=model._float32_stack())
+        assert enc32.dtype == np.float32
+        np.testing.assert_allclose(enc32, enc, rtol=0, atol=1e-6)
+        emis = model.emissions(ex.tokens)
+        assert emis.dtype == np.float64
+        np.testing.assert_allclose(emis, (enc @ model.proj_W + model.proj_b)[0], rtol=0,
+                                   atol=bound)
 
 
 # A clip norm below every step's gradient norm clips every step; None clips none.

@@ -1,10 +1,13 @@
 """Every module-level function and class of the package has a caller.
 
 A definition counts as used when src/, scripts/ or perfbench/*.py names it
-outside its own body: as a name, an attribute, an imported name or a word
-of a string (the benchmark's span tracer names functions in strings such
-as "crf.viterbi_path"). Docstrings do not count, and neither do the tests,
-so a function that only the tests call fails here.
+outside its own body: as a name, an attribute, an imported name or a
+`module.name` reference in strings, the forms in which the benchmark names
+functions: dotted in one string ("crf.viterbi_path", "lstm.LstmCell.run")
+or as a module string followed by a name string among one call's arguments
+(Target("crf", "viterbi_path")). Other words of a string do not count, so a
+message such as "final perplexity:" names nothing. Docstrings do not count,
+and neither do the tests, so a function that only the tests call fails here.
 """
 
 import ast
@@ -16,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "titletag"
 PROGRAM = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
            *(ROOT / "perfbench").glob("*.py")]
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 # Definitions no program code calls, each kept for a reason.
 ALLOWED = {
@@ -41,9 +45,16 @@ def names_in(node) -> Counter:
             found[sub.attr] += 1
         elif isinstance(sub, ast.alias):
             found[sub.name.rpartition(".")[2]] += 1
+        elif isinstance(sub, ast.Call):
+            args = [arg.value if isinstance(arg, ast.Constant) else None for arg in sub.args]
+            for module, name in zip(args, args[1:]):
+                if module in MODULES and isinstance(name, str):
+                    found.update(name.split("."))
         elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
               and id(sub) not in docstrings):
-            found.update(re.findall(r"\w+", sub.value))
+            for module, attrs in re.findall(r"\b(\w+)((?:\.\w+)+)", sub.value):
+                if module in MODULES:
+                    found.update(attrs[1:].split("."))
     return found
 
 
@@ -60,3 +71,14 @@ def test_every_package_definition_is_named_by_the_program():
     assert sorted(uncalled[name] for name in set(uncalled) - set(ALLOWED)) == []
     # An allowed definition that gains a caller leaves the list.
     assert set(ALLOWED) - set(uncalled) == set()
+
+
+def test_only_module_references_in_strings_count():
+    found = names_in(ast.parse(
+        'print("final perplexity:")\n'
+        'spans = ["crf.viterbi_path", "lstm.LstmCell.run", "perplexity.batch_ce"]\n'
+        'Target("title2vec", "BiLmModel.load")\n'
+    ))
+    assert found["perplexity"] == found["batch_ce"] == 0
+    assert found["viterbi_path"] == found["LstmCell"] == found["run"] == 1
+    assert found["BiLmModel"] == found["load"] == 1

@@ -18,17 +18,15 @@ from titletag.title2vec import (
     _bilm_batch,
     _block_states,
     _blocks,
-    batch_ce,
     build_vocab,
     embed_title,
     embed_titles,
-    perplexity,
     read_embeddings,
     train_bilm,
     write_embeddings,
 )
 
-from conftest import central_difference
+from conftest import batch_ce, central_difference, perplexity
 
 
 def make_corpus(token_lists):
