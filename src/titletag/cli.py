@@ -128,14 +128,25 @@ def _render_rows(rows: list[tuple[str, str]], fmt: str) -> str:
 
 
 def _load_tagger(model_path: str, gazetteer_path: str | None, embeddings_path: str | None):
+    """The tagger in model_path; ValueError if --gazetteer or --embeddings is
+    given to a model that does not read it."""
     kind, meta, arrays = model_io.load_model(model_path)
     if kind in ("crf", "logreg"):
         gaz = read_gazetteer(gazetteer_path) if gazetteer_path else None
-        return CrfModel.from_parsed(model_path, kind, meta, arrays, gazetteer=gaz)
-    if kind in ("lstm", "lstm-crf"):
+        model = CrfModel.from_parsed(model_path, kind, meta, arrays, gazetteer=gaz)
+        unread = {"--gazetteer": gazetteer_path and model.gazetteer is None,
+                  "--embeddings": embeddings_path}
+    elif kind in ("lstm", "lstm-crf"):
         provider = _bilm_provider(embeddings_path)
-        return LstmCrfModel.from_parsed(model_path, kind, meta, arrays, provider=provider)
-    raise ValueError(f"{model_path}: model kind {kind!r} cannot tag token sequences")
+        model = LstmCrfModel.from_parsed(model_path, kind, meta, arrays, provider=provider)
+        unread = {"--gazetteer": gazetteer_path,
+                  "--embeddings": embeddings_path and model.provider.trainable}
+    else:
+        raise ValueError(f"{model_path}: model kind {kind!r} cannot tag token sequences")
+    for flag, given in unread.items():
+        if given:
+            raise ValueError(f"{flag} is given, but the {kind} model {model_path} does not read it")
+    return model
 
 
 def _bilm_provider(path: str | None) -> BiLmEmbeddings | None:

@@ -241,18 +241,23 @@ def viterbi_path(
     return path[0].tolist() if single else path
 
 
-def decode_in_chunks(seqs: Sequence[Sequence[str]], chunk_paths) -> list[tuple[BioesLabel, ...]]:
-    """Labels of each sequence, in input order, decoded in chunks.
+def decode_in_chunks(
+    seqs: Sequence[Sequence[str]], chunk_emissions, trans: np.ndarray, start: np.ndarray,
+    stop: np.ndarray,
+) -> list[tuple[BioesLabel, ...]]:
+    """Viterbi labels of each sequence, in input order, decoded in chunks.
 
     seqs is split into chunks of at most DECODE_CHUNK equal-length sequences;
-    chunk_paths(chunk) gets the positions of one chunk in seqs and returns
-    their label ids as a (len(chunk), T) array.
+    chunk_emissions(chunk) gets one chunk's token sequences and returns their
+    (len(chunk), T, L) emissions, which one batched viterbi_path call decodes
+    under trans, start and stop.
     """
     if not all(seqs):
         raise ValueError("empty token sequence")
     out: list = [None] * len(seqs)
     for chunk in length_groups(seqs, DECODE_CHUNK):
-        for j, path in zip(chunk, chunk_paths(chunk).tolist()):
+        emis = chunk_emissions([seqs[j] for j in chunk])
+        for j, path in zip(chunk, viterbi_path(emis, trans, start, stop).tolist()):
             out[j] = tuple(ALL_LABELS[i] for i in path)
     return out
 
@@ -335,12 +340,11 @@ class CrfModel:
         Each chunk of equal-length sequences is featurized title by title,
         then gets its emissions and its Viterbi paths in one call each.
         """
-        def paths(chunk: list[int]) -> np.ndarray:
-            ids, counts = map(np.concatenate, zip(*(self.featurize(seqs[j]) for j in chunk)))
-            emis = self.emission_rows(ids, counts).reshape(len(chunk), -1, N_LABELS)
-            return viterbi_path(emis, self.trans, self.start, self.stop)
+        def chunk_emissions(chunk: list) -> np.ndarray:
+            ids, counts = map(np.concatenate, zip(*map(self.featurize, chunk)))
+            return self.emission_rows(ids, counts).reshape(len(chunk), -1, N_LABELS)
 
-        return decode_in_chunks(seqs, paths)
+        return decode_in_chunks(seqs, chunk_emissions, self.trans, self.start, self.stop)
 
     def _arrays(self) -> dict[str, np.ndarray]:
         return {

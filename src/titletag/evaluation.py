@@ -41,43 +41,20 @@ class TagMetrics:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
-    em_token: float
+class MetricsReport(TagMetrics):
     em_title: float
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    fn: int
     n_tokens: int
     n_titles: int
     per_tag: Mapping[str, TagMetrics]
 
     def to_kv(self) -> list[tuple[str, str]]:
-        rows = [
-            ("em_token", f"{self.em_token:.4f}"),
-            ("em_title", f"{self.em_title:.4f}"),
-            ("precision", f"{self.precision:.4f}"),
-            ("recall", f"{self.recall:.4f}"),
-            ("f1", f"{self.f1:.4f}"),
-            ("tp", str(self.tp)),
-            ("fp", str(self.fp)),
-            ("fn", str(self.fn)),
-            ("n_tokens", str(self.n_tokens)),
-            ("n_titles", str(self.n_titles)),
-        ]
+        rows = [(name, f"{getattr(self, name):.4f}")
+                for name in ("em_token", "em_title", "precision", "recall", "f1")]
+        rows += [(name, str(getattr(self, name)))
+                 for name in ("tp", "fp", "fn", "n_tokens", "n_titles")]
         for tag in TAG_ORDER:
-            m = self.per_tag[tag]
-            key = tag.lower()
-            rows.extend(
-                [
-                    (f"{key}.em_token", f"{m.em_token:.4f}"),
-                    (f"{key}.precision", f"{m.precision:.4f}"),
-                    (f"{key}.recall", f"{m.recall:.4f}"),
-                    (f"{key}.f1", f"{m.f1:.4f}"),
-                ]
-            )
+            rows += [(f"{tag.lower()}.{name}", f"{getattr(self.per_tag[tag], name):.4f}")
+                     for name in ("em_token", "precision", "recall", "f1")]
         return rows
 
 
@@ -143,19 +120,8 @@ def score(gold: Sequence[LabeledSequence], pred: Sequence[LabeledSequence]) -> M
         em_correct, len(pairs), sum(tp.values()), sum(fp.values()), sum(fn.values())
     )
     em_title = 100.0 * titles_exact / len(gold) if gold else 0.0
-    return MetricsReport(
-        em_token=overall.em_token,
-        em_title=em_title,
-        precision=overall.precision,
-        recall=overall.recall,
-        f1=overall.f1,
-        tp=overall.tp,
-        fp=overall.fp,
-        fn=overall.fn,
-        n_tokens=len(pairs),
-        n_titles=len(gold),
-        per_tag=per_tag,
-    )
+    return MetricsReport(**vars(overall), em_title=em_title, n_tokens=len(pairs),
+                         n_titles=len(gold), per_tag=per_tag)
 
 
 def predict_sequences(model, token_seqs: Sequence[Sequence[str]]) -> list[LabeledSequence]:
@@ -168,44 +134,33 @@ def human_baseline(annotations: Sequence[Sequence[LabeledSequence]]) -> MetricsR
     """Mean pairwise agreement between annotators, expressed as a report.
 
     Each annotator's labelings are scored against each other annotator's
-    (each unordered pair once, first as gold); percentage fields are
-    averaged and the error counts summed across pairs.
+    (each unordered pair once, first as gold), and the reports are folded
+    field by field (see _fold).
     """
     if len(annotations) < 2:
         raise ValueError("need at least two annotators")
-    reports = [
+    return _fold([
         score(annotations[a], annotations[b])
         for a, b in itertools.combinations(range(len(annotations)), 2)
-    ]
-    k = len(reports)
+    ])
 
-    def mean(get: Callable[[MetricsReport], float]) -> float:
-        return sum(get(r) for r in reports) / k
 
-    per_tag = {}
-    for tag in TAG_ORDER:
-        per_tag[tag] = TagMetrics(
-            em_token=sum(r.per_tag[tag].em_token for r in reports) / k,
-            precision=sum(r.per_tag[tag].precision for r in reports) / k,
-            recall=sum(r.per_tag[tag].recall for r in reports) / k,
-            f1=sum(r.per_tag[tag].f1 for r in reports) / k,
-            tp=sum(r.per_tag[tag].tp for r in reports),
-            fp=sum(r.per_tag[tag].fp for r in reports),
-            fn=sum(r.per_tag[tag].fn for r in reports),
-        )
-    return MetricsReport(
-        em_token=mean(lambda r: r.em_token),
-        em_title=mean(lambda r: r.em_title),
-        precision=mean(lambda r: r.precision),
-        recall=mean(lambda r: r.recall),
-        f1=mean(lambda r: r.f1),
-        tp=sum(r.tp for r in reports),
-        fp=sum(r.fp for r in reports),
-        fn=sum(r.fn for r in reports),
-        n_tokens=reports[0].n_tokens,
-        n_titles=reports[0].n_titles,
-        per_tag=per_tag,
-    )
+def _fold(reports: Sequence[TagMetrics]) -> TagMetrics:
+    """One report from several over the same titles, field by field:
+    percentages are averaged, error counts summed, per-tag reports folded
+    alike, and the sizes, equal in every report, kept."""
+    folded = {}
+    for f in fields(reports[0]):
+        values = [getattr(r, f.name) for r in reports]
+        if f.name == "per_tag":
+            folded[f.name] = {tag: _fold([v[tag] for v in values]) for tag in TAG_ORDER}
+        elif f.name in ("tp", "fp", "fn"):
+            folded[f.name] = sum(values)
+        elif isinstance(values[0], float):
+            folded[f.name] = sum(values) / len(values)
+        else:
+            folded[f.name] = values[0]
+    return replace(reports[0], **folded)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Bidirectional LSTM taggers trained with hand-derived backpropagation.
 
-Two output heads share the encoder: a CRF transition block decoded with
-Viterbi ("lstm-crf") and an independent per-token softmax ("lstm"). The
+Both kinds put a CRF on the encoder and decode it with Viterbi: "lstm-crf"
+trains its transition, start and stop weights, and "lstm" pins them at zero,
+which makes its loss the per-token softmax cross-entropy and its decoding a
+per-position argmax (the BiLSTM baseline of Lample et al. 2016). The
 encoder stacks bidirectional layers; each layer above the first consumes
 the concatenated forward and backward states of the layer below. Embeddings
 come from a trainable lookup table or a frozen bidirectional-LM provider.
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model_io, optim
-from .crf import apply_word_dropout, crf_nll, decode_in_chunks, viterbi_path
+from .crf import apply_word_dropout, crf_nll, decode_in_chunks
 # Unused here since crf_nll calls it, but perfbench/tests asserts that its
 # span tracer wraps this by-name binding.
 from .crf import sequence_marginals  # noqa: F401
@@ -23,7 +25,7 @@ from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
     cast_stack, cell_arrays, cell_shapes, direction_cells, length_groups, mixed_precision,
-    softmax_ce, stack_backprop, stack_run,
+    stack_backprop, stack_run,
 )
 from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 
@@ -47,7 +49,8 @@ class TrainableEmbeddings:
 
 
 class LstmCrfModel:
-    """Stacked BiLSTM encoder with a CRF or softmax output head."""
+    """Stacked BiLSTM encoder with a CRF output head; kind "lstm" pins its
+    transitions at zero."""
 
     def __init__(
         self,
@@ -73,12 +76,9 @@ class LstmCrfModel:
         bound = 1.0 / np.sqrt(2 * hidden_size)
         self.proj_W = rng.uniform(-bound, bound, size=(2 * hidden_size, N_LABELS))
         self.proj_b = np.zeros(N_LABELS)
-        if kind == "lstm-crf":
-            self.trans = np.zeros((N_LABELS, N_LABELS))
-            self.start = np.zeros(N_LABELS)
-            self.stop = np.zeros(N_LABELS)
-        else:
-            self.trans = self.start = self.stop = None
+        self.trans = np.zeros((N_LABELS, N_LABELS))
+        self.start = np.zeros(N_LABELS)
+        self.stop = np.zeros(N_LABELS)
         self.history: list[float] = []
 
     def parameters(self) -> list[np.ndarray]:
@@ -146,7 +146,7 @@ class LstmCrfModel:
 
         The encoder runs on float32 copies of the cells, made once per call
         and shared by every chunk; the inputs are cast to float32, and the
-        output head and Viterbi (or argmax) compute in float64. Each chunk of
+        output head and Viterbi compute in float64. Each chunk of
         equal-length sequences (crf.decode_in_chunks) is encoded as one
         batch. A sequence's encoding does not depend on the others in its
         chunk up to float32 rounding (its emissions move by about 1e-7 of
@@ -154,14 +154,8 @@ class LstmCrfModel:
         unless two paths tie that closely.
         """
         stack = self._float32_stack()
-
-        def paths(chunk: list[int]) -> np.ndarray:
-            emis = self._chunk_emissions([seqs[j] for j in chunk], stack)
-            if self.kind == "lstm-crf":
-                return viterbi_path(emis, self.trans, self.start, self.stop)
-            return np.argmax(emis, axis=-1)
-
-        return decode_in_chunks(seqs, paths)
+        return decode_in_chunks(seqs, lambda chunk: self._chunk_emissions(chunk, stack),
+                                self.trans, self.start, self.stop)
 
     def _group_pass(self, token_group, label_ids, masks, grad_of, stack=None) -> float:
         """Loss (summed over the group) and, when grad_of is given, gradients.
@@ -174,16 +168,13 @@ class LstmCrfModel:
         xs, ids = self._embed_group(token_group)
         enc, caches = self.encode(xs, masks, want_grads, stack)
         emis = enc @ self.proj_W + self.proj_b
-        if self.kind == "lstm-crf":
-            loss, grads = crf_nll(emis, label_ids, self.trans, self.start, self.stop)
-            demis = grads.pop("emissions")
-        else:
-            loss, demis = softmax_ce(emis, label_ids)
-            grads = {}
+        loss, grads = crf_nll(emis, label_ids, self.trans, self.start, self.stop)
+        demis = grads.pop("emissions")
         if not want_grads:
             return loss
-        for name, grad in grads.items():
-            grad_of[id(getattr(self, name))] += grad
+        if self.kind == "lstm-crf":
+            for name, grad in grads.items():
+                grad_of[id(getattr(self, name))] += grad
         grad_of[id(self.proj_W)] += enc.reshape(-1, 2 * self.hidden_size).T @ demis.reshape(-1, N_LABELS)
         grad_of[id(self.proj_b)] += demis.sum(axis=(0, 1))
         d_enc = demis @ self.proj_W.T
@@ -247,7 +238,8 @@ class LstmCrfModel:
         elif spec["type"] == "bilm":
             if provider is None:
                 raise ValueError(
-                    f"{path}: model uses frozen language-model embeddings; pass the provider"
+                    f"{path}: model uses frozen embeddings from the language model with content "
+                    f"hash {spec.get('content_hash')}; pass that language-model file"
                 )
             if provider.dim != spec["dim"]:
                 raise ValueError(
@@ -355,5 +347,6 @@ def train_lstm_softmax(
     embedding_dim: int = 64,
     provider=None,
 ) -> LstmCrfModel:
-    """Train the plain BiLSTM tagger (per-token softmax, argmax decoding)."""
+    """Train the plain BiLSTM tagger: the BiLSTM-CRF with its transitions
+    pinned at zero, a per-token softmax."""
     return _train_bilstm("lstm", data, cfg, hidden_size, layers, embedding_dim, provider)

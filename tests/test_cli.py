@@ -318,6 +318,92 @@ def test_tag_and_eval_write_per_title_predictions(tmp_path, capsys, tagging_file
         assert [seq.labels for seq in written] == [model.predict(seq.tokens) for seq in gold]
 
 
+def test_frozen_bilm_tagging_roundtrip(tmp_path, capsys, tagging_files):
+    raw, labeled = str(tagging_files["raw.txt"]), str(tagging_files["labeled.conll"])
+    lm, other_lm = tmp_path / "lm.bin", tmp_path / "other-lm.bin"
+    for path, seed in ((lm, "0"), (other_lm, "1")):
+        code, _, err = run(capsys, "train", "bilm", "--in", raw, "--out", str(path), "--dim", "4",
+                           "--hidden", "4", "--seed", seed, "--epochs", "1")
+        assert code == 0, err
+    model_path = tmp_path / "frozen.model"
+    code, _, err = run(capsys, "train", "lstm-crf", "--train", labeled, "--embeddings", str(lm),
+                       "--hidden", "8", "--epochs", "1", "--seed", "0", "--out", str(model_path))
+    assert code == 0, err
+    tagged, pred, report = tmp_path / "tagged.conll", tmp_path / "pred.conll", tmp_path / "report"
+    code, _, err = run(capsys, "tag", "--in", raw, "--model", str(model_path),
+                       "--embeddings", str(lm), "--out", str(tagged))
+    assert code == 0, err
+    code, _, err = run(capsys, "eval", "--gold", labeled, "--model", str(model_path),
+                       "--embeddings", str(lm), "--pred-out", str(pred), "--format", "kv",
+                       "--out", str(report))
+    assert code == 0, err
+    assert "n_titles=300\n" in report.read_text()
+
+    model = cli._load_tagger(str(model_path), None, str(lm))
+    assert not model.provider.trainable
+    gold = read_conll(labeled)
+    expected = model.predict_many([seq.tokens for seq in gold])
+    for path in (tagged, pred):
+        written = read_conll(path)
+        assert [seq.tokens for seq in written] == [seq.tokens for seq in gold]
+        assert [seq.labels for seq in written] == expected
+
+    for command in (["tag", "--in", raw, "--out", str(tmp_path / "x")],
+                    ["eval", "--gold", labeled, "--out", str(tmp_path / "x")]):
+        code, _, err = run(capsys, *command, "--model", str(model_path))
+        assert code == 2
+        assert "language-model file" in err and model_io.file_hash(lm) in err
+        code, _, err = run(capsys, *command, "--model", str(model_path),
+                           "--embeddings", str(other_lm))
+        assert code == 2
+        assert "hash mismatch" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.fixture(scope="module")
+def unread_flag_models(tmp_path_factory, small_models, tagging_files):
+    """Models for the flags tag and eval reject: small_models' crf (trained
+    without a gazetteer) and lstm-crf (a table), plus a crf with the
+    gazetteer and a plain lstm."""
+    work = tmp_path_factory.mktemp("unread")
+    gold, gaz = str(small_models["gold"]), str(tagging_files["gaz.tsv"])
+    paths = {"crf": small_models["crf"], "lstm-crf": small_models["lstm-crf"],
+             "lm": small_models["bilm"], "gaz": gaz, "gold": gold,
+             "crf-gaz": work / "crf-gaz.model", "lstm": work / "lstm.model"}
+    for name, argv in (("crf-gaz", ["crf", "--gazetteer", gaz]), ("lstm", ["lstm", "--hidden", "4"])):
+        assert cli.main(["train", *argv, "--train", gold, "--out", str(paths[name]),
+                         "--seed", "0", "--epochs", "1"]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("command", ["tag", "eval"])
+@pytest.mark.parametrize("model, flag", [
+    ("crf", "--gazetteer"),
+    ("crf-gaz", "--embeddings"),
+    ("lstm", "--gazetteer"),
+    ("lstm", "--embeddings"),
+    ("lstm-crf", "--gazetteer"),
+    ("lstm-crf", "--embeddings"),
+])
+def test_tag_and_eval_reject_a_flag_the_model_does_not_read(tmp_path, capsys,
+                                                            unread_flag_models, command,
+                                                            model, flag):
+    paths = unread_flag_models
+    needed = ["--gazetteer", paths["gaz"]] if model == "crf-gaz" else []
+    given = [flag, str(paths["gaz"] if flag == "--gazetteer" else paths["lm"])]
+    source = ["--in", paths["gold"], "--in-format", "conll"] if command == "tag" else [
+        "--gold", paths["gold"]]
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, *source, "--model", str(paths[model]), *needed, *given,
+                       "--out", str(out))
+    assert code == 2
+    assert f"{flag} is given" in err and str(paths[model]) in err
+    assert not out.exists()
+    code, _, err = run(capsys, command, *source, "--model", str(paths[model]), *needed,
+                       "--out", str(out))
+    assert code == 0, err
+
+
 def test_bilm_and_embed_roundtrip(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     run(capsys, "synth", "--seed", "2", "--count", "15", "--out", str(raw))

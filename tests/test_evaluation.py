@@ -159,11 +159,29 @@ def baseline_annotations():
 
 
 def test_human_baseline_mean_agreement():
+    """Every field of the human row, from the three pairwise reports
+    (a1, a2), (a1, a3) and (a2, a3), gold first:
+
+    - em_token 45, 46 and 47 of 50; em_title 5, 6 and 7 of 10 titles;
+    - tp/fp/fn 10/5/0, 10/4/0 and 13/1/2, so P 10/15, 10/14 and 13/14,
+      R 1, 1 and 13/15, F1 = 2tp / (2tp + fp + fn) 20/25, 20/24 and 26/29;
+    - FUN: gold positions 0, 0 and 5 (3 agreed), tp/fp/fn 0/5/0, 0/3/0 and
+      3/0/2, so em_token 0, 0 and 60, P 0, 0 and 100, R 0, 0 and 60,
+      F1 0, 0 and 75.
+    """
     rep = human_baseline(baseline_annotations())
     assert rep.em_token == pytest.approx(92.0)
+    assert rep.em_title == pytest.approx(60.0)
+    assert rep.precision == pytest.approx(100 * (10 / 15 + 10 / 14 + 13 / 14) / 3)
+    assert rep.recall == pytest.approx(100 * (1 + 1 + 13 / 15) / 3)
+    assert rep.f1 == pytest.approx(100 * (20 / 25 + 20 / 24 + 26 / 29) / 3)
     assert rep.n_tokens == 50
     assert rep.n_titles == 10
     assert (rep.tp, rep.fp, rep.fn) == (33, 10, 2)
+    fun = rep.per_tag["FUN"]
+    assert (fun.em_token, fun.precision, fun.recall, fun.f1) == pytest.approx(
+        (20.0, 100 / 3, 20.0, 25.0))
+    assert (fun.tp, fun.fp, fun.fn) == (3, 8, 2)
 
 
 def test_human_baseline_needs_two():

@@ -4,10 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from titletag.crf import TrainConfig
+from titletag.crf import TrainConfig, crf_nll, viterbi_path
 from titletag.labeling import ALL_LABELS, BioesLabel, LabeledSequence
-from titletag.lstm import LstmCell
+from titletag.lstm import LstmCell, softmax_ce
 from titletag.neural import (
     LstmCrfModel,
     TrainableEmbeddings,
@@ -99,6 +101,26 @@ def test_zero_transition_crf_equals_argmax():
         assert crf_model.predict(ex.tokens) == soft_model.predict(ex.tokens)
 
 
+@given(st.data())
+def test_zero_transition_crf_is_the_per_token_softmax(data):
+    """The lstm head is the CRF with trans/start/stop pinned at zero: its NLL
+    and emission gradient are softmax_ce's, and its Viterbi path is the
+    per-position argmax with ties to the lowest label. Emissions are
+    multiples of 1/4, so sums are exact and ties are real."""
+    B, T = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    quarters = data.draw(st.lists(st.integers(-4, 4), min_size=B * T * N_LABELS,
+                                  max_size=B * T * N_LABELS))
+    emis = np.array(quarters, dtype=np.float64).reshape(B, T, N_LABELS) / 4
+    ys = np.array(data.draw(st.lists(st.integers(0, N_LABELS - 1), min_size=B * T,
+                                     max_size=B * T))).reshape(B, T)
+    zeros = np.zeros((N_LABELS, N_LABELS)), np.zeros(N_LABELS), np.zeros(N_LABELS)
+    loss, grads = crf_nll(emis, ys, *zeros)
+    ref_loss, ref_demis = softmax_ce(emis, ys)
+    assert loss == pytest.approx(ref_loss, rel=1e-9)
+    np.testing.assert_allclose(grads["emissions"], ref_demis, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(viterbi_path(emis, *zeros), np.argmax(emis, axis=-1))
+
+
 def test_reversal_symmetry_single_layer():
     """Swapping the direction cells and the projection halves must produce
     mirrored emissions on mirrored input."""
@@ -167,7 +189,8 @@ def test_lstm_softmax_trains():
                       seed=2, word_dropout=0.0, variational_dropout=0.0)
     model = train_lstm_softmax(TOY, cfg, hidden_size=12, layers=1, embedding_dim=8)
     assert model.kind == "lstm"
-    assert model.trans is None
+    for name in ("trans", "start", "stop"):
+        np.testing.assert_array_equal(getattr(model, name), 0.0)
     assert model.history[-1] < model.history[0]
 
 

@@ -1,13 +1,15 @@
 """Every module-level function and class of the package has a caller.
 
 A definition counts as used when src/, scripts/ or perfbench/*.py names it
-outside its own body: as a name, an attribute, an imported name or a
-`module.name` reference in strings, the forms in which the benchmark names
-functions: dotted in one string ("crf.viterbi_path", "lstm.LstmCell.run")
-or as a module string followed by a name string among one call's arguments
-(Target("crf", "viterbi_path")). Other words of a string do not count, so a
-message such as "final perplexity:" names nothing. Docstrings do not count,
-and neither do the tests, so a function that only the tests call fails here.
+outside its own body: as an attribute, an imported name, a bare name that
+its file imports or binds at module level (a local variable of the same
+name does not count), or a `module.name` reference in strings, the forms
+in which the benchmark names functions: dotted in one string
+("crf.viterbi_path", "lstm.LstmCell.run") or as a module string followed
+by a name string among one call's arguments (Target("crf",
+"viterbi_path")). Other words of a string do not count, so a message such
+as "final perplexity:" names nothing. Docstrings do not count, and neither
+do the tests, so a function that only the tests call fails here.
 """
 
 import ast
@@ -29,8 +31,23 @@ ALLOWED = {
 }
 
 
-def names_in(node) -> Counter:
-    """How often each identifier is named under node, docstrings aside."""
+def module_bindings(tree: ast.Module) -> set:
+    """Names the module imports (at any depth) or binds at its top level."""
+    bound = {(sub.asname or sub.name).partition(".")[0]
+             for sub in ast.walk(tree) if isinstance(sub, ast.alias)}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound.update(sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name))
+    return bound
+
+
+def names_in(node, bound: set) -> Counter:
+    """How often each identifier is named under node, docstrings aside; a
+    bare name counts only when it is in bound (see module_bindings)."""
     docstrings = set()
     for sub in ast.walk(node):
         if isinstance(sub, (ast.Module, ast.ClassDef, ast.FunctionDef)):
@@ -40,7 +57,8 @@ def names_in(node) -> Counter:
     found: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            found[sub.id] += 1
+            if sub.id in bound:
+                found[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             found[sub.attr] += 1
         elif isinstance(sub, ast.alias):
@@ -61,24 +79,50 @@ def names_in(node) -> Counter:
 def test_every_package_definition_is_named_by_the_program():
     named: Counter = Counter()
     for path in PROGRAM:
-        named += names_in(ast.parse(path.read_text(encoding="utf-8")))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named += names_in(tree, module_bindings(tree))
     uncalled = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = module_bindings(tree)
+        for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and named[node.name] == names_in(node)[node.name]):
+                    and named[node.name] == names_in(node, bound)[node.name]):
                 uncalled[node.name] = f"{path.stem}.{node.name}"
     assert sorted(uncalled[name] for name in set(uncalled) - set(ALLOWED)) == []
     # An allowed definition that gains a caller leaves the list.
     assert set(ALLOWED) - set(uncalled) == set()
 
 
+def parsed_names(source: str) -> Counter:
+    tree = ast.parse(source)
+    return names_in(tree, module_bindings(tree))
+
+
 def test_only_module_references_in_strings_count():
-    found = names_in(ast.parse(
+    found = parsed_names(
         'print("final perplexity:")\n'
         'spans = ["crf.viterbi_path", "lstm.LstmCell.run", "perplexity.batch_ce"]\n'
         'Target("title2vec", "BiLmModel.load")\n'
-    ))
+    )
     assert found["perplexity"] == found["batch_ce"] == 0
     assert found["viterbi_path"] == found["LstmCell"] == found["run"] == 1
     assert found["BiLmModel"] == found["load"] == 1
+
+
+def test_local_variables_do_not_count():
+    found = parsed_names(
+        "from titletag.title2vec import batch_ce\n"
+        "from titletag import crf as c\n"
+        "LIMIT = top = 3\n"
+        "def run(model):\n"
+        "    perplexity = model.perplexity\n"
+        "    history = batch_ce(model)\n"
+        "    return perplexity + history + LIMIT + top + c.DECODE_CHUNK + run(model)\n"
+    )
+    assert found["history"] == 0
+    assert found["perplexity"] == 1  # the attribute only, not the local variable
+    assert found["batch_ce"] == 2  # the import and the call
+    assert found["LIMIT"] == found["top"] == 2  # the assignment and the use
+    assert found["crf"] == found["c"] == 1  # the import names crf, the use c
+    assert found["run"] == 1
