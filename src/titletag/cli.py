@@ -143,10 +143,16 @@ def _load_tagger(model_path: str, gazetteer_path: str | None, embeddings_path: s
                   "--embeddings": embeddings_path and model.provider.trainable}
     else:
         raise ValueError(f"{model_path}: model kind {kind!r} cannot tag token sequences")
+    _reject_unread(unread, f"the {kind} model {model_path}")
+    return model
+
+
+def _reject_unread(unread: dict, reader: str) -> None:
+    """ValueError naming the first flag in unread that is given, since
+    reader would ignore it."""
     for flag, given in unread.items():
         if given:
-            raise ValueError(f"{flag} is given, but the {kind} model {model_path} does not read it")
-    return model
+            raise ValueError(f"{flag} is given, but {reader} does not read it")
 
 
 def _bilm_provider(path: str | None) -> BiLmEmbeddings | None:
@@ -271,6 +277,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
         model = _load_tagger(args.model, args.gazetteer, args.embeddings)
         sequences = evaluation.predict_sequences(model, token_seqs)
     else:
+        _reject_unread({"--embeddings": args.embeddings}, "dictionary tagging")
         gaz = read_gazetteer(args.gazetteer)
         sequences = [
             auto_tag(corpus_mod.Title(raw=" ".join(toks), tokens=toks), gaz)
@@ -356,6 +363,8 @@ def cmd_train_bilm(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     gold = read_conll(args.gold)
     if args.pred:
+        _reject_unread({"--gazetteer": args.gazetteer, "--embeddings": args.embeddings},
+                       f"eval --pred {args.pred}")
         pred = read_conll(args.pred)
     else:
         model = _load_tagger(args.model, args.gazetteer, args.embeddings)

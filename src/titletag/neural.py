@@ -7,6 +7,10 @@ per-position argmax (the BiLSTM baseline of Lample et al. 2016). The
 encoder stacks bidirectional layers; each layer above the first consumes
 the concatenated forward and backward states of the layer below. Embeddings
 come from a trainable lookup table or a frozen bidirectional-LM provider.
+Training runs groups of equal-length titles. Decoding runs chunks of
+length-sorted titles (crf.decode_in_chunks) as packed batches: each
+direction of each layer is one LSTM call over the right-padded chunk, each
+step on the rows still inside their title (lstm.stack_run with counts).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
     cast_stack, cell_arrays, cell_shapes, direction_cells, length_groups, mixed_precision,
-    stack_backprop, stack_run,
+    right_padded, stack_backprop, stack_run,
 )
 from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 
@@ -96,47 +100,57 @@ class LstmCrfModel:
         return list(zip(self.fwd_cells, self.bwd_cells))
 
     def _float32_stack(self) -> list[tuple]:
-        """Float32 copies of the cells, the stack every decode runs on.
+        """Float32 copies of the cells, W column-major (see lstm), the stack
+        every decode runs on.
 
         Built per call, not cached: a cache would go stale when the cells are
         replaced or their weights edited in place.
         """
-        return cast_stack(self._stack(), np.float32)
+        return cast_stack(self._stack(), np.float32, order="F")
 
-    def encode(self, xs: np.ndarray, masks=None, want_cache: bool = False, stack=None):
+    def encode(self, xs: np.ndarray, masks=None, want_cache: bool = False, stack=None,
+               counts=None):
         """Encode (B, T, dim) inputs into (B, T, 2*hidden) states.
 
         masks is a per-layer list of (forward, backward) recurrent dropout
         masks of shape (B, hidden), or None in eval mode. stack, when given,
         stands in for the model's own (forward, backward) cells per layer,
-        and the inputs are cast to the dtype of its weights.
+        and the inputs are cast to the dtype of its weights. counts, when
+        given, are the per-step row counts of right-padded inputs sorted by
+        length, longest first (lstm.stack_run).
         """
         stack = stack or self._stack()
         xs = xs.astype(stack[0][0].W.dtype, copy=False)
-        outputs, caches = stack_run(stack, xs, masks, want_cache)
+        outputs, caches = stack_run(stack, xs, masks, want_cache, counts)
         return outputs[-1], caches
 
     def _embed_group(self, token_group: list) -> tuple[np.ndarray, np.ndarray | None]:
-        """Inputs (B, T, dim) of equal-length sequences, and the (B, T) table
-        rows they were read from, which a trainable table's gradient needs
-        (None for a frozen provider)."""
+        """Inputs (B, T, dim) of sequences right-padded to the longest, and
+        the (B, T) table rows they were read from, which a trainable table's
+        gradient needs (None for a frozen provider). Padded positions read
+        table row 0."""
         if self.provider.trainable:
-            ids = np.stack([self.provider.ids(toks) for toks in token_group])
+            ids = right_padded([self.provider.ids(toks) for toks in token_group])
             return self.provider.table[ids], ids
         return self.provider.embed_group(token_group), None
 
     def _chunk_emissions(self, token_group: list, stack) -> np.ndarray:
-        """Label scores (B, T, n_labels) of equal-length sequences, encoded as
-        one batch on stack's cells; the head computes in float64."""
-        enc, _ = self.encode(self._embed_group(token_group)[0], stack=stack)
-        return enc @ self.proj_W + self.proj_b
+        """Label scores (total length, n_labels) of sequences sorted by
+        length, longest first, in order. They are encoded as one right-padded
+        batch on stack's cells, each step on the rows still inside their
+        sequence; the head computes in float64 on the valid positions."""
+        lengths = np.array([len(toks) for toks in token_group])
+        valid = np.arange(lengths[0]) < lengths[:, None]
+        enc, _ = self.encode(self._embed_group(token_group)[0], stack=stack,
+                             counts=valid.sum(axis=0))
+        return enc[valid] @ self.proj_W + self.proj_b
 
     def emissions(self, tokens: Sequence[str]) -> np.ndarray:
         """Per-position label scores (T, n_labels) for one sequence, encoded
         on float32 copies of the cells as predict_many does."""
         if not tokens:
             raise ValueError("empty token sequence")
-        return self._chunk_emissions([tokens], self._float32_stack())[0]
+        return self._chunk_emissions([tokens], self._float32_stack())
 
     def predict(self, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
         return self.predict_many([tokens])[0]
@@ -147,11 +161,12 @@ class LstmCrfModel:
         The encoder runs on float32 copies of the cells, made once per call
         and shared by every chunk; the inputs are cast to float32, and the
         output head and Viterbi compute in float64. Each chunk of
-        equal-length sequences (crf.decode_in_chunks) is encoded as one
-        batch. A sequence's encoding does not depend on the others in its
-        chunk up to float32 rounding (its emissions move by about 1e-7 of
-        their magnitude), so its labels equal those of decoding it alone
-        unless two paths tie that closely.
+        length-sorted sequences (crf.decode_in_chunks) is encoded as one
+        padded batch, each direction in one LSTM call per layer. A
+        sequence's encoding does not depend on the others in its chunk up to
+        float32 rounding (its emissions move by about 1e-7 of their
+        magnitude), so its labels equal those of decoding it alone unless
+        two paths tie that closely.
         """
         stack = self._float32_stack()
         return decode_in_chunks(seqs, lambda chunk: self._chunk_emissions(chunk, stack),

@@ -23,8 +23,8 @@ from . import model_io, optim
 from .corpus import Corpus
 from .errors import FormatError
 from .lstm import (
-    cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_blocks, softmax_ce,
-    stack_backprop, stack_run,
+    cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_blocks, right_padded,
+    softmax_ce, stack_backprop, stack_run,
 )
 
 UNK = "<unk>"
@@ -332,8 +332,9 @@ class BiLmEmbeddings:
         return self.model.contextual_dim
 
     def embed_group(self, token_group: Sequence[Sequence[str]]) -> np.ndarray:
-        """Vectors (B, T, dim) of B titles of equal length T."""
-        return np.stack(embed_titles(self.model, token_group))
+        """Vectors (B, T, dim) of B titles, right-padded with zeros to the
+        longest length T."""
+        return right_padded(embed_titles(self.model, token_group))
 
 
 @dataclass(frozen=True, eq=False)

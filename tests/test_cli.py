@@ -404,6 +404,28 @@ def test_tag_and_eval_reject_a_flag_the_model_does_not_read(tmp_path, capsys,
     assert code == 0, err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--gazetteer"),
+    ("eval", "--embeddings"),
+    ("tag", "--embeddings"),
+])
+def test_eval_pred_and_dictionary_tag_reject_a_model_flag(tmp_path, capsys, unread_flag_models,
+                                                         command, flag):
+    """eval --pred and dictionary tagging load no model, so a flag that only
+    a model reads exits 2 and names the flag."""
+    paths = unread_flag_models
+    given = [flag, str(paths["gaz"] if flag == "--gazetteer" else paths["lm"])]
+    source = (["tag", "--in", paths["gold"], "--in-format", "conll", "--gazetteer", paths["gaz"]]
+              if command == "tag" else ["eval", "--gold", paths["gold"], "--pred", paths["gold"]])
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *source, *given, "--out", str(out))
+    assert code == 2
+    assert f"{flag} is given" in err
+    assert not out.exists()
+    code, _, err = run(capsys, *source, "--out", str(out))
+    assert code == 0, err
+
+
 def test_bilm_and_embed_roundtrip(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     run(capsys, "synth", "--seed", "2", "--count", "15", "--out", str(raw))

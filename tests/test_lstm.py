@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from titletag.lstm import LstmCell, mixed_precision, sigmoid
+from titletag.lstm import LstmCell, mixed_precision, sigmoid, stack_run
 
 
 def masked_sigmoid(x):
@@ -117,6 +117,54 @@ def test_run_without_cache_gives_the_same_states():
     hs, caches = cell.run(xs)
     assert caches is None
     np.testing.assert_array_equal(hs, cell.run(xs, want_cache=True)[0])
+
+
+def row_counts(lengths):
+    """Per-step active rows of sequences with these lengths, longest first."""
+    return (np.asarray(lengths) > np.arange(max(lengths))[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_run_with_counts_matches_each_row_run_alone(masked):
+    D, H = 5, 4
+    rng = np.random.default_rng(11 + masked)
+    cell = LstmCell(D, H, rng)
+    cell.W *= 3.0
+    cell.b = rng.normal(size=4 * H)
+    lengths = [7, 7, 5, 2, 2, 1]
+    xs = rng.normal(size=(len(lengths), 7, D))
+    mask = rng.binomial(1, 0.7, size=(len(lengths), H)) / 0.7 if masked else None
+    hs, _ = cell.run(xs, mask=mask, counts=row_counts(lengths))
+    assert hs.shape == (len(lengths), 7, H)
+    for b, n in enumerate(lengths):
+        alone, _ = cell.run(xs[b : b + 1, :n], mask=None if mask is None else mask[b : b + 1])
+        np.testing.assert_allclose(hs[b, :n], alone[0], rtol=1e-12, atol=0)
+        assert not hs[b, n:].any()
+
+
+@pytest.mark.parametrize("want_cache", [False, True])
+def test_run_with_every_row_counted_is_bit_equal_to_no_counts(want_cache):
+    rng = np.random.default_rng(12)
+    cell = LstmCell(6, 5, rng)
+    xs = rng.normal(size=(4, 3, 6))
+    hs, caches = cell.run(xs, want_cache=want_cache)
+    hs_counted, caches_counted = cell.run(xs, want_cache=want_cache, counts=[4, 4, 4])
+    np.testing.assert_array_equal(hs_counted, hs)
+    for got, want in zip(caches_counted or (), caches or ()):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_stack_run_with_counts_reads_each_row_backward_within_its_length():
+    rng = np.random.default_rng(13)
+    stack = [(LstmCell(3, 4, rng), LstmCell(3, 4, rng)), (LstmCell(8, 4, rng), LstmCell(8, 4, rng))]
+    lengths = [6, 4, 4, 1]
+    xs = rng.normal(size=(len(lengths), 6, 3))
+    outputs, _ = stack_run(stack, xs, counts=row_counts(lengths))
+    for b, n in enumerate(lengths):
+        alone, _ = stack_run(stack, xs[b : b + 1, :n])
+        for got, want in zip(outputs, alone):
+            np.testing.assert_allclose(got[b, :n], want[0], rtol=1e-12, atol=0)
+            assert not got[b, n:].any()
 
 
 def reference_sigmoid(x: float) -> float:

@@ -1,15 +1,19 @@
 """Batch decoding: predict_many labels a mixed-length set exactly as
-one-title predict does, and its memory stays bounded by one chunk."""
+one-title predict does, whatever the chunk bound, and its memory stays
+bounded by one chunk."""
 
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from titletag import crf, neural
 from titletag.corpus import synth_corpus
-from titletag.crf import DECODE_CHUNK, train_crf, train_logreg
-from titletag.labeling import auto_tag
+from titletag.crf import DECODE_POSITIONS, train_crf, train_logreg
+from titletag.labeling import N_LABELS, auto_tag
 from titletag.neural import LstmCrfModel, TrainableEmbeddings
 from titletag.optim import TrainConfig
 from titletag.title2vec import BiLmEmbeddings, BiLmModel, Vocab
@@ -57,7 +61,7 @@ def test_data_spans_length_one_and_a_group_over_the_chunk(data):
     _, seqs = data
     lengths = Counter(len(toks) for toks in seqs)
     assert lengths[1] > 0
-    assert max(lengths.values()) > DECODE_CHUNK
+    assert max(n * length for length, n in lengths.items()) > DECODE_POSITIONS
     assert len(lengths) > 3
 
 
@@ -68,6 +72,40 @@ def test_predict_many_equals_per_title_predict(models, data, kind):
     got = model.predict_many(seqs)
     assert got == [model.predict(toks) for toks in seqs]
     assert len(set(got)) > 10  # the models do not label everything alike
+
+
+def _spy(decode, seen: list):
+    """decode_in_chunks that records (titles, positions) of each chunk whose
+    emissions it asks for, and checks their shape."""
+    def spied(seqs, chunk_emissions, *rest):
+        def emissions(chunk):
+            out = chunk_emissions(chunk)
+            seen.append((len(chunk), sum(map(len, chunk))))
+            assert out.shape == (seen[-1][1], N_LABELS)
+            return out
+        return decode(seqs, emissions, *rest)
+    return spied
+
+
+@settings(max_examples=20)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=25),
+       seed=st.integers(0, 2**16))
+def test_labels_do_not_depend_on_the_chunk_bound(models, data, lengths, seed):
+    labeled, _ = data
+    vocab = sorted({tok for ex in labeled for tok in ex.tokens}) + ["never-seen"]
+    rng = np.random.default_rng(seed)
+    seqs = [tuple(rng.choice(vocab, size=n)) for n in lengths]
+    for model in models.values():
+        want = [model.predict(toks) for toks in seqs]
+        for bound in (1, 5, DECODE_POSITIONS):
+            seen: list = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(crf, "DECODE_POSITIONS", bound)
+                patch.setattr(crf, "decode_in_chunks", _spy(crf.decode_in_chunks, seen))
+                patch.setattr(neural, "decode_in_chunks", _spy(neural.decode_in_chunks, seen))
+                assert model.predict_many(seqs) == want
+            assert sum(titles for titles, _ in seen) == len(seqs)
+            assert all(positions <= bound or titles == 1 for titles, positions in seen)
 
 
 @pytest.mark.parametrize("kind", ["crf", "lstm-crf"])
@@ -95,7 +133,8 @@ def test_predict_many_memory_is_bounded_by_one_chunk(data):
     tokens = list(model.provider.vocab.tokens)
     rng = np.random.default_rng(3)
     seqs = [tuple(rng.choice(tokens, size=6)) for _ in range(2000)]
-    model.predict_many(seqs[:DECODE_CHUNK])  # warm up
-    one_chunk = _peak_bytes(lambda: model.predict_many(seqs[:DECODE_CHUNK]))
+    one = seqs[: DECODE_POSITIONS // 6]
+    model.predict_many(one)  # warm up
+    one_chunk = _peak_bytes(lambda: model.predict_many(one))
     everything = _peak_bytes(lambda: model.predict_many(seqs))
     assert everything < 2 * one_chunk, (everything, one_chunk)
