@@ -10,8 +10,9 @@ to a per-position argmax. Training splits each mini-batch into groups of
 equal-length titles, one objective call per group, over feature ids cached
 per post-dropout title, and updates only the emission rows a batch touches.
 Decoding sorts the titles by length and cuts them into chunks of bounded
-padded size (decode_in_chunks): each chunk gets its emissions in one call
-and its Viterbi paths in one batched call per title length.
+padded size (sorted_chunks, decode_in_chunks): each chunk gets its
+emissions in one call and its Viterbi paths in one batched call per title
+length. The BiLSTM taggers train on such chunks too.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ UNK_TOKEN = "<unk>"
 _BOS = "<s>"
 _EOS = "</s>"
 
-# Most positions decoded in one batch, each title counted as padded to the
-# longest in its chunk (decode_in_chunks). It bounds the memory of a batched
+# Most positions decoded in one chunk (sorted_chunks), each title counted as
+# padded to the longest in its chunk. It bounds the memory of a batched
 # decode: at 512 the largest buffer of an h=256 BiLSTM, its (T, B, 4h)
 # float32 gates, takes 2 MB. Tagging the 400 titles of the tag-embed
 # benchmark (seed 17) with such a model took 67-70 ms at 512, 70-73 ms at
@@ -165,13 +166,15 @@ def log_partition_scores(
 
 
 def sequence_marginals(
-    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
+    pairwise: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Forward-backward pass.
 
     Returns (logZ, unary, pairwise) where unary[..., t, y] is the posterior
     of label y at position t and pairwise[..., t, y, y'] the posterior of
-    the transition y -> y' between positions t and t+1.
+    the transition y -> y' between positions t and t+1, or None when
+    pairwise is false.
     """
     T = emissions.shape[-2]
     with np.errstate(divide="ignore"):
@@ -184,6 +187,8 @@ def sequence_marginals(
             )
     logz = _logsumexp(alphas[..., T - 1, :] + stop, axis=-1)
     unary = np.exp(alphas + betas - np.asarray(logz)[..., None, None])
+    if not pairwise:
+        return logz, unary, None
     pairwise = np.exp(
         alphas[..., :-1, :, None]
         + trans
@@ -194,34 +199,40 @@ def sequence_marginals(
 
 
 def crf_nll(
-    emissions: np.ndarray, ys: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
+    emissions: np.ndarray, ys: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
+    transitions: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Negative log-likelihood of the gold paths ys (B, T) under the
     emissions (B, T, L) of equal-length sequences, summed over the batch.
 
-    Returns (loss, grads) with grads keyed "emissions", "trans", "start" and
-    "stop": expected minus gold counts, the transition, start and stop ones
-    summed over the batch.
+    Returns (loss, grads): expected minus gold counts, grads["emissions"]
+    per position and, when transitions is true (for callers that train
+    them), grads["trans"], grads["start"] and grads["stop"] summed over the
+    batch.
     """
     B, T, _ = emissions.shape
-    logz, unary, pairwise = sequence_marginals(emissions, trans, start, stop)
+    logz, unary, pairwise = sequence_marginals(emissions, trans, start, stop, transitions)
     b_idx = np.arange(B)[:, None]
     t_idx = np.arange(T)[None, :]
     gold = start[ys[:, 0]] + stop[ys[:, -1]] + emissions[b_idx, t_idx, ys].sum(axis=1)
     if T > 1:
         gold += trans[ys[:, :-1], ys[:, 1:]].sum(axis=1)
     loss = float((logz - gold).sum())
-    dtrans = pairwise.sum(axis=(0, 1))
-    if T > 1:
-        np.subtract.at(dtrans, (ys[:, :-1].ravel(), ys[:, 1:].ravel()), 1.0)
-    dstart = unary[:, 0, :].sum(axis=0)
-    np.subtract.at(dstart, ys[:, 0], 1.0)
-    dstop = unary[:, -1, :].sum(axis=0)
-    np.subtract.at(dstop, ys[:, -1], 1.0)
+    grads = {}
+    if transitions:
+        dtrans = pairwise.sum(axis=(0, 1))
+        if T > 1:
+            np.subtract.at(dtrans, (ys[:, :-1].ravel(), ys[:, 1:].ravel()), 1.0)
+        dstart = unary[:, 0, :].sum(axis=0)
+        np.subtract.at(dstart, ys[:, 0], 1.0)
+        dstop = unary[:, -1, :].sum(axis=0)
+        np.subtract.at(dstop, ys[:, -1], 1.0)
+        grads.update(trans=dtrans, start=dstart, stop=dstop)
     # reuse the posterior buffer for the emission gradient
     demis = unary
     demis[b_idx, t_idx, ys] -= 1.0
-    return loss, {"emissions": demis, "trans": dtrans, "start": dstart, "stop": dstop}
+    grads["emissions"] = demis
+    return loss, grads
 
 
 def viterbi_path(
@@ -257,43 +268,49 @@ def decode_in_chunks(
 ) -> list[tuple[BioesLabel, ...]]:
     """Viterbi labels of each sequence, in input order, decoded in chunks.
 
-    The sequences are sorted by length, longest first (stable), and the
-    sorted list is cut into consecutive chunks that hold at most
-    DECODE_POSITIONS positions when padded to their longest sequence (so at
-    most that many tokens); a longer sequence is a chunk of its own.
-    chunk_emissions(chunk) gets one chunk's token sequences and returns
-    their emissions as one (total length, L) array in chunk order. Each run
-    of equal-length sequences in the chunk is decoded with one batched
-    viterbi_path call under trans, start and stop.
+    chunk_emissions(chunk) gets the token sequences of one chunk of
+    sorted_chunks(seqs, DECODE_POSITIONS) and returns their emissions as
+    one (total length, L) array in chunk order. Each run of equal-length
+    sequences in the chunk is decoded with one batched viterbi_path call
+    under trans, start and stop.
     """
     if not all(seqs):
         raise ValueError("empty token sequence")
     out: list = [None] * len(seqs)
-    for chunk in _position_chunks(sorted(range(len(seqs)), key=lambda j: -len(seqs[j])), seqs):
+    for chunk in sorted_chunks(seqs, DECODE_POSITIONS):
         emis = chunk_emissions([seqs[j] for j in chunk])
-        lo = 0
-        for _, run in itertools.groupby(chunk, key=lambda j: len(seqs[j])):
-            run = list(run)
-            T = len(seqs[run[0]])
-            block = emis[lo : lo + len(run) * T].reshape(len(run), T, -1)
-            lo += len(run) * T
+        for run, block in length_runs(chunk, seqs, emis):
             for j, path in zip(run, viterbi_path(block, trans, start, stop).tolist()):
                 out[j] = tuple(ALL_LABELS[i] for i in path)
     return out
 
 
-def _position_chunks(order: list[int], seqs: Sequence[Sequence[str]]):
-    """Consecutive runs of order, which lists seqs longest first, each
-    padded to its first sequence's length in at most DECODE_POSITIONS
-    positions, or one longer sequence alone."""
+def sorted_chunks(seqs: Sequence[Sequence], positions: int):
+    """Positions of seqs sorted by length, longest first (stable), cut into
+    consecutive chunks that hold at most the given number of positions when
+    padded to their longest sequence (so at most that many tokens); a
+    longer sequence is a chunk of its own."""
     chunk: list[int] = []
-    for j in order:
-        if chunk and (len(chunk) + 1) * len(seqs[chunk[0]]) > DECODE_POSITIONS:
+    for j in sorted(range(len(seqs)), key=lambda j: -len(seqs[j])):
+        if chunk and (len(chunk) + 1) * len(seqs[chunk[0]]) > positions:
             yield chunk
             chunk = []
         chunk.append(j)
     if chunk:
         yield chunk
+
+
+def length_runs(chunk: list[int], seqs: Sequence[Sequence], flat: np.ndarray):
+    """(run, block) for each run of equal-length sequences in chunk, a
+    sorted_chunks chunk of positions of seqs: run lists the run's
+    positions and block is the (len(run), T, ...) view of its rows of flat,
+    which holds every position of the chunk's sequences in chunk order."""
+    lo = 0
+    for _, run in itertools.groupby(chunk, key=lambda j: len(seqs[j])):
+        run = list(run)
+        T = len(seqs[run[0]])
+        yield run, flat[lo : lo + len(run) * T].reshape((len(run), T) + flat.shape[1:])
+        lo += len(run) * T
 
 
 def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
@@ -450,12 +467,14 @@ def nll_and_gradient(
 
     The examples are featurized as (ids, counts) (featurize of every
     example, concatenated in order). grads["emit"] is (touched, rows): the
-    distinct feature ids, ascending, and the gradient row of each.
+    distinct feature ids, ascending, and the gradient row of each; a "crf"
+    model also gets grads["trans"], grads["start"] and grads["stop"].
     """
     B, T = len(examples), len(examples[0].tokens)
     emis = model.emission_rows(ids, counts).reshape(B, T, N_LABELS)
     ys = np.array([ex.label_ids() for ex in examples], dtype=np.int64)
-    loss, grad = crf_nll(emis, ys, model.trans, model.start, model.stop)
+    loss, grad = crf_nll(emis, ys, model.trans, model.start, model.stop,
+                         transitions=model.kind == "crf")
     demis = grad.pop("emissions").reshape(B * T, N_LABELS)
     grad["emit"] = _sum_rows(ids, np.repeat(demis, counts, axis=0))
     return loss, grad

@@ -1,28 +1,32 @@
 """Recurrent core shared by the taggers and the language model.
 
 A single LSTM layer with gates packed row-wise as [input; forget; output;
-candidate], run over whole batches of equal-length sequences, with
-hand-derived backpropagation through time. An optional per-sequence mask
-multiplies the recurrent hidden state at every step (variational dropout).
-Layers stack into a multi-layer network with one or two directions per
-layer, and batches are formed from groups of equal-length sequences.
+candidate], run over a batch of sequences, with hand-derived
+backpropagation through time. An optional per-sequence mask multiplies the
+recurrent hidden state at every step (variational dropout). Layers stack
+into a multi-layer network with one or two directions per layer.
 
-Inference can also run a packed batch, as cuDNN and PyTorch's
-PackedSequence run variable-length RNNs: right-padded sequences sorted by
-length, longest first, with the number of rows still inside their
-sequence at each step. Step t then multiplies only its first counts[t]
-rows, padded states stay zero, and the backward direction reads each row
-right to left within its own length.
+A batch can be packed, as cuDNN and PyTorch's PackedSequence run
+variable-length RNNs: right-padded sequences sorted by length, longest
+first, with the number of rows still inside their sequence at each step.
+Step t then runs only its first counts[t] rows, padded states stay zero,
+and the backward direction reads each row right to left within its own
+length. The BiLSTM taggers train and decode this way; without counts
+every step runs all rows, which is how the biLM trains on its
+right-padded batches.
 
 The cell follows the restructuring of Appleyard et al. 2016
 (arXiv:1604.01946): only work that depends on the previous step stays in
 the time loop. The input projection of all steps (plus the bias) is one
 GEMM before the loop, so a step multiplies only h_{t-1} by the recurrent
-block of W. Backprop stores each step's pre-activation gradient in a
-(T, B, 4H) buffer and after the loop forms dW as one GEMM per column block
-(input, recurrent), db as one sum and the input gradients as one GEMM.
-Caches are time-major arrays of shape (T, B, .), filled in place; a run
-without caches keeps only the previous step's cell state.
+block of W. Caches hold the active rows of every step, packed in
+time-major order, so a step is one contiguous slice of rows and no padded
+row is multiplied. Backprop forms the local derivatives of every step in
+place of the cached gates before its loop, fills them with each step's
+pre-activation gradient, and after the loop forms dW as one GEMM per
+column block (input, recurrent), db as one sum and the input gradients as
+one GEMM. tanh(c_t) is recomputed there rather than cached. A run without
+caches keeps only the previous step's cell state.
 
 A cell computes in the dtype of the inputs it is given: run's buffers and
 caches take the dtype of xs, and backprop's that of the caches, with masks
@@ -102,93 +106,149 @@ class LstmCell:
         of xs are right-padded sequences sorted by length, longest first,
         step t updates only its first counts[t] rows, and the states of the
         other rows stay zero. Without counts every step runs all B rows.
-        Returns hidden states (B, T, hidden) and, when requested, the
-        time-major caches needed by backprop: the inputs (T*B, input_dim),
-        h_{t-1} as steps 1..T-1 read it (T-1, B, hidden), and the activated
-        gates, c_t and tanh(c_t), each (T, B, .). With counts, the caches
-        hold values only in each step's active rows. Without caches, only
-        the previous step's c_t is kept.
+        Returns hidden states (B, T, hidden) and, when requested, the caches
+        that backprop needs, each holding only the active rows of every
+        step, packed in time-major order (step t is one contiguous slice of
+        counts[t] rows): the inputs, h_{t-1} as steps 1..T-1 read it, the
+        activated gates and c_t. Without caches, only the previous step's
+        c_t is kept.
         """
         B, T, D = xs.shape
         H = self.hidden
         dtype = xs.dtype
-        x = xs.transpose(1, 0, 2).reshape(T * B, D)
-        gates = (x @ self.W[:, :D].T).reshape(T, B, 4 * H)
+        rows, starts = _packed_steps(counts, B, T)
+        x = _pack(xs.transpose(1, 0, 2), counts)
+        gates = x @ self.W[:, :D].T
         gates += self.b
+        N = len(gates)
         W_h = self.W[:, D:].T
         hs = np.empty((T, B, H), dtype)
         if mask is not None:
             mask = mask.astype(dtype, copy=False)
-        # h_in[t - 1] is h_{t-1} as step t reads it; step 0 reads zeros.
-        h_in = hs[:-1] if mask is None else np.empty((T - 1, B, H), dtype)
-        # Step t writes c_t to cs[t % len(cs)] and tanh(c_t) likewise.
-        cs = np.empty((T if want_cache else 2, B, H), dtype)
-        tanh_cs = np.empty((T if want_cache else 1, B, H), dtype)
-        for t in range(T):
-            n = B if counts is None else counts[t]
-            z = gates[t, :n]
+        # h_in[lo - B : lo - B + n] is h_{t-1} as step t (rows lo..lo+n of
+        # the gates) reads it. Unmasked, it is hs itself when every step runs
+        # all B rows, and needs no copy when nothing is cached.
+        own_h_in = mask is not None or (want_cache and N < T * B)
+        h_in = np.empty((N - B, H), dtype) if own_h_in else hs[:-1].reshape(-1, H)
+        # Step t writes c_t to cs[c_at[t] : c_at[t] + counts[t]].
+        c_at = starts if want_cache else [(t % 2) * B for t in range(T)]
+        cs = np.empty((N if want_cache else 2 * B, H), dtype)
+        tanh_c = np.empty((B, H), dtype)
+        for t, (n, lo) in enumerate(zip(rows, starts)):
+            z = gates[lo : lo + n]
             if t:
-                if mask is not None:
-                    np.multiply(hs[t - 1, :n], mask[:n], out=h_in[t - 1, :n])
-                z += h_in[t - 1, :n] @ W_h
+                prev = hs[t - 1, :n]
+                if own_h_in:
+                    r = h_in[lo - B : lo - B + n]
+                    if mask is None:
+                        r[...] = prev
+                    else:
+                        np.multiply(prev, mask[:n], out=r)
+                    prev = r
+                z += prev @ W_h
             z[:, : 3 * H] = sigmoid(z[:, : 3 * H])
             np.tanh(z[:, 3 * H :], out=z[:, 3 * H :])
             i, f, o, g = z[:, :H], z[:, H : 2 * H], z[:, 2 * H : 3 * H], z[:, 3 * H :]
-            c, tanh_c = cs[t % len(cs), :n], tanh_cs[t % len(tanh_cs), :n]
+            c = cs[c_at[t] : c_at[t] + n]
             np.multiply(i, g, out=c)
             if t:
-                c += f * cs[(t - 1) % len(cs), :n]
-            np.tanh(c, out=tanh_c)
-            np.multiply(o, tanh_c, out=hs[t, :n])
+                c += f * cs[c_at[t - 1] : c_at[t - 1] + n]
+            np.tanh(c, out=tanh_c[:n])
+            np.multiply(o, tanh_c[:n], out=hs[t, :n])
             hs[t, n:] = 0.0
-        caches = (x, h_in, gates, cs, tanh_cs) if want_cache else None
+        caches = (x, h_in, gates, cs) if want_cache else None
         return np.ascontiguousarray(hs.transpose(1, 0, 2)), caches
 
     def backprop(
-        self, caches: tuple, dhs: np.ndarray, mask: np.ndarray | None = None
+        self, caches: tuple, dhs: np.ndarray, mask: np.ndarray | None = None, counts=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Backpropagate dhs (B, T, hidden); returns (dxs, dW, db)."""
-        x, h_in, gates, cs, tanh_cs = caches
+        """Backpropagate dhs (B, T, hidden) through the run that made caches,
+        with the same mask and counts; returns (dxs, dW, db).
+
+        Only the active rows of each step are read from dhs, and the padded
+        positions of dxs are zero. The gates in caches are overwritten with
+        the pre-activation gradients, so caches serve one backprop.
+        """
+        x, h_in, gates, cs = caches
         B, T, H = dhs.shape
         D = self.input_dim
         dtype = x.dtype
         dhs = dhs.astype(dtype, copy=False)
         if mask is not None:
             mask = mask.astype(dtype, copy=False)
+        rows, starts = _packed_steps(counts, B, T)
         W_h = self.W[:, D:]
-        i, f, o, g = (gates[..., k * H : (k + 1) * H] for k in range(4))
-        # Local derivatives of every step, computed before the loop: a step's
-        # pre-activation gradient is dc times these on the input, forget and
-        # candidate blocks and dh times them on the output block.
-        dz_all = np.empty_like(gates)
-        dz_all[..., : 3 * H] = gates[..., : 3 * H] * (1.0 - gates[..., : 3 * H])
-        dz_all[..., :H] *= g
-        dz_all[0, :, H : 2 * H] = 0.0
-        dz_all[1:, :, H : 2 * H] *= cs[:-1]
-        dz_all[..., 2 * H : 3 * H] *= tanh_cs
-        dz_all[..., 3 * H :] = i * (1.0 - g * g)
+        i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
+        # Local derivatives of every step, formed in place of the gates
+        # before the loop: a step's pre-activation gradient is dc times these
+        # on the input, forget and candidate blocks and dh times them on the
+        # output block. The loop also reads the forget gate itself.
+        tanh_cs = np.tanh(cs)
         dc_dh = o * (1.0 - tanh_cs * tanh_cs)
+        forget = f.copy()
+        candidate = i * (1.0 - g * g)
+        for sig in i, f, o:
+            sig *= 1.0 - sig
+        i *= g
+        # The forget block also takes c_{t-1}: none at step 0, and for a row
+        # of step t >= 1 the packed row rows[t - 1] places before it.
+        f[:B] = 0.0
+        f[B:] *= cs[np.arange(B, len(cs)) - np.repeat(np.array(rows[:-1], int), rows[1:])]
+        o *= tanh_cs
+        g[...] = candidate
+        del tanh_cs, candidate
+        dz_all = gates
         dh_next = np.zeros((B, H), dtype)
         dc_next = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
-            dh = dhs[:, t] + dh_next
-            dc = dc_next + dh * dc_dh[t]
-            dz = dz_all[t].reshape(B, 4, H)
+            n, lo = rows[t], starts[t]
+            dh = dhs[:n, t] + dh_next[:n]
+            dc = dc_next[:n] + dh * dc_dh[lo : lo + n]
+            dz = dz_all[lo : lo + n].reshape(n, 4, H)
             dz[:, :2] *= dc[:, None]
             dz[:, 2] *= dh
             dz[:, 3] *= dc
-            dc_next = dc * f[t]
+            np.multiply(dc, forget[lo : lo + n], out=dc_next[:n])
             if t:
-                dh_next = dz_all[t] @ W_h
+                np.matmul(dz_all[lo : lo + n], W_h, out=dh_next[:n])
                 if mask is not None:
-                    dh_next *= mask
-        dz_flat = dz_all.reshape(T * B, 4 * H)
+                    dh_next[:n] *= mask[:n]
+        del dc_dh, forget
         dW = np.empty(self.W.shape, dtype)
-        np.matmul(dz_flat.T, x, out=dW[:, :D])
-        np.matmul(dz_flat[B:].T, h_in.reshape(-1, H), out=dW[:, D:])
-        db = dz_flat.sum(axis=0)
-        dxs = (dz_flat @ self.W[:, :D]).reshape(T, B, D).transpose(1, 0, 2)
+        np.matmul(dz_all.T, x, out=dW[:, :D])
+        np.matmul(dz_all[B:].T, h_in, out=dW[:, D:])
+        db = dz_all.sum(axis=0)
+        dxs = _unpack(dz_all @ self.W[:, :D], counts, B, T).transpose(1, 0, 2)
         return dxs, dW, db
+
+
+def _packed_steps(counts, batch: int, steps: int) -> tuple[list[int], list[int]]:
+    """The rows of each step (all batch rows without counts) and the row
+    where each step starts in the packed time-major layout."""
+    rows = [batch] * steps if counts is None else [int(n) for n in counts]
+    return rows, np.cumsum([0] + rows[:-1]).tolist()
+
+
+def _valid(counts, batch: int) -> np.ndarray:
+    """(T, B) time-major mask of the rows each step runs."""
+    return np.arange(batch) < np.asarray(counts)[:, None]
+
+
+def _pack(a: np.ndarray, counts) -> np.ndarray:
+    """The active rows of a time-major (T, B, ...) array, step by step."""
+    if counts is None:
+        return a.reshape((-1,) + a.shape[2:])
+    return a[_valid(counts, a.shape[1])]
+
+
+def _unpack(packed: np.ndarray, counts, batch: int, steps: int) -> np.ndarray:
+    """The time-major (T, B, ...) array whose active rows are packed (_pack)
+    and whose other rows are zero."""
+    if counts is None:
+        return packed.reshape((steps, batch) + packed.shape[1:])
+    out = np.zeros((steps, batch) + packed.shape[1:], packed.dtype)
+    out[_valid(counts, batch)] = packed
+    return out
 
 
 def _flip(a: np.ndarray) -> np.ndarray:
@@ -242,24 +302,32 @@ def stack_run(layers: list[tuple], xs: np.ndarray, masks=None, want_cache: bool 
     return outputs, caches
 
 
-def stack_backprop(layers: list[tuple], caches, d_top: np.ndarray, grad_of: dict, masks=None):
-    """Backpropagate d_top (the top layer's output gradient) through the stack.
+def stack_backprop(layers: list[tuple], caches, d_top: np.ndarray, grad_of: dict, masks=None,
+                   counts=None):
+    """Backpropagate d_top (the top layer's output gradient) through the
+    stack that stack_run ran with these masks and counts.
 
     Adds each cell's weight gradients into grad_of[id(cell.W)] and
-    grad_of[id(cell.b)]; returns the gradient on the stack's inputs.
+    grad_of[id(cell.b)]; returns the gradient on the stack's inputs. Each
+    cell's caches serve one backprop, so this drops them from caches once
+    used.
     """
     masks = masks or [(None,) * len(cells) for cells in layers]
+    flip = _flip_within(counts, *d_top.shape[:2])
     d_out = d_top
     for l in range(len(layers) - 1, -1, -1):
         d_in = None
         lo = 0
-        for k, (cell, cache, mask) in enumerate(zip(layers[l], caches[l], masks[l])):
-            dh = _directed(d_out[..., lo : lo + cell.hidden], k)
+        for k, (cell, mask) in enumerate(zip(layers[l], masks[l])):
+            dh = _directed(d_out[..., lo : lo + cell.hidden], k, flip)
             lo += cell.hidden
-            dxs, dW, db = cell.backprop(cache, dh, mask=mask)
+            cache, caches[l][k] = caches[l][k], None
+            dxs, dW, db = cell.backprop(cache, dh, mask, counts)
             grad_of[id(cell.W)] += dW
             grad_of[id(cell.b)] += db
-            d_in = _directed(dxs, k) if d_in is None else d_in + _directed(dxs, k)
+            del dW  # before the next backprop, which makes its own
+            dxs = _directed(dxs, k, flip)
+            d_in = dxs if d_in is None else d_in + dxs
         d_out = d_in
     return d_out
 

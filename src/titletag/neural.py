@@ -7,10 +7,13 @@ per-position argmax (the BiLSTM baseline of Lample et al. 2016). The
 encoder stacks bidirectional layers; each layer above the first consumes
 the concatenated forward and backward states of the layer below. Embeddings
 come from a trainable lookup table or a frozen bidirectional-LM provider.
-Training runs groups of equal-length titles. Decoding runs chunks of
-length-sorted titles (crf.decode_in_chunks) as packed batches: each
+Training and decoding both cut their titles into chunks of length-sorted
+titles (crf.sorted_chunks) and run each chunk as a packed batch: each
 direction of each layer is one LSTM call over the right-padded chunk, each
-step on the rows still inside their title (lstm.stack_run with counts).
+step on the rows still inside their title (lstm.stack_run and
+lstm.stack_backprop with counts), and the float64 head sees only the valid
+positions. The CRF loss runs once per run of equal-length titles in a
+chunk, on slices of the chunk's flat emissions.
 """
 
 from __future__ import annotations
@@ -21,17 +24,27 @@ from typing import Sequence
 import numpy as np
 
 from . import model_io, optim
-from .crf import apply_word_dropout, crf_nll, decode_in_chunks
+from .crf import apply_word_dropout, crf_nll, decode_in_chunks, length_runs, sorted_chunks
 # Unused here since crf_nll calls it, but perfbench/tests asserts that its
 # span tracer wraps this by-name binding.
 from .crf import sequence_marginals  # noqa: F401
 from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
-    cast_stack, cell_arrays, cell_shapes, direction_cells, length_groups, mixed_precision,
+    cast_stack, cell_arrays, cell_shapes, direction_cells, mixed_precision,
     right_padded, stack_backprop, stack_run,
 )
 from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
+
+# Most positions in one training chunk (crf.sorted_chunks), each title
+# counted as padded to the longest in its chunk; it bounds the memory of a
+# training pass. On the neural-train benchmark's inputs (seed 5, h=256,
+# batch 128, dropout masks on) a pass over one batch peaked at 7.5, 6.4 and
+# 5.3 MB traced at 512, 384 and 256 positions, and a whole `train lstm-crf`
+# at 63.1, 61.5 and 59.1 MB RSS; an epoch took the same CPU time at each,
+# within 2 % (12 alternating rounds, one OpenBLAS thread of a 2-CPU x86-64
+# host).
+TRAIN_POSITIONS = 256
 
 
 class TrainableEmbeddings:
@@ -172,31 +185,60 @@ class LstmCrfModel:
         return decode_in_chunks(seqs, lambda chunk: self._chunk_emissions(chunk, stack),
                                 self.trans, self.start, self.stop)
 
-    def _group_pass(self, token_group, label_ids, masks, grad_of, stack=None) -> float:
-        """Loss (summed over the group) and, when grad_of is given, gradients.
+    def _batch_pass(self, token_seqs, label_seqs, masks, grad_of, stack=None) -> float:
+        """Loss summed over a batch of sequences of any lengths and, when
+        grad_of is given, its gradients added into grad_of (keyed by
+        parameter id).
 
-        stack, when given, replaces the model's own cells (see encode). The
-        output head computes in float64 either way.
+        label_seqs holds each sequence's label ids, and masks, when given,
+        the per-layer (forward, backward) recurrent dropout masks with one
+        row per sequence, both in batch order. The batch runs in the chunks
+        of crf.sorted_chunks, of at most TRAIN_POSITIONS positions each.
+        Each chunk is encoded as one right-padded batch, each direction of
+        each layer in one LSTM call whose steps run only the rows still
+        inside their sequence (encode with counts), and backpropagated the
+        same way. The head runs on the valid positions only, and crf_nll
+        once per run of equal-length sequences. stack, when given, replaces
+        the model's own cells (see encode); the head computes in float64
+        either way.
         """
         want_grads = grad_of is not None
+        transitions = want_grads and self.kind == "lstm-crf"
         stack = stack or self._stack()
-        xs, ids = self._embed_group(token_group)
-        enc, caches = self.encode(xs, masks, want_grads, stack)
-        emis = enc @ self.proj_W + self.proj_b
-        loss, grads = crf_nll(emis, label_ids, self.trans, self.start, self.stop)
-        demis = grads.pop("emissions")
-        if not want_grads:
-            return loss
-        if self.kind == "lstm-crf":
-            for name, grad in grads.items():
-                grad_of[id(getattr(self, name))] += grad
-        grad_of[id(self.proj_W)] += enc.reshape(-1, 2 * self.hidden_size).T @ demis.reshape(-1, N_LABELS)
-        grad_of[id(self.proj_b)] += demis.sum(axis=(0, 1))
-        d_enc = demis @ self.proj_W.T
-        dx = stack_backprop(stack, caches, d_enc, grad_of, masks)
-        if ids is not None:
-            # ufunc.at is several times slower on mixed dtypes.
-            np.add.at(grad_of[id(self.provider.table)], ids, dx.astype(np.float64, copy=False))
+        loss = 0.0
+        for chunk in sorted_chunks(token_seqs, TRAIN_POSITIONS):
+            tokens = [token_seqs[j] for j in chunk]
+            chunk_masks = masks and [tuple(m[chunk] for m in pair) for pair in masks]
+            valid = np.arange(len(tokens[0])) < np.array([len(t) for t in tokens])[:, None]
+            counts = valid.sum(axis=0)
+            xs, ids = self._embed_group(tokens)
+            enc, caches = self.encode(xs, chunk_masks, want_grads, stack, counts)
+            h = enc[valid]
+            emis = h @ self.proj_W + self.proj_b
+            demis = []
+            for run, block in length_runs(chunk, token_seqs, emis):
+                ys = np.array([label_seqs[j] for j in run], dtype=np.int64)
+                run_loss, grads = crf_nll(block, ys, self.trans, self.start, self.stop,
+                                          transitions)
+                loss += run_loss
+                demis.append(grads.pop("emissions").reshape(-1, N_LABELS))
+                for name, grad in grads.items():
+                    grad_of[id(getattr(self, name))] += grad
+            if not want_grads:
+                continue
+            demis = np.concatenate(demis)
+            grad_of[id(self.proj_W)] += h.T @ demis
+            grad_of[id(self.proj_b)] += demis.sum(axis=0)
+            # The encoding, zero at padded positions, takes its own gradient,
+            # and h goes before backprop, which is where memory peaks.
+            enc[valid] = demis @ self.proj_W.T
+            del h
+            dx = stack_backprop(stack, caches, enc, grad_of, chunk_masks, counts)
+            if ids is not None:
+                # Valid positions only: padded ones read table row 0. ufunc.at
+                # is several times slower on mixed dtypes.
+                np.add.at(grad_of[id(self.provider.table)], ids[valid],
+                          dx[valid].astype(np.float64, copy=False))
         return loss
 
     def _arrays(self) -> dict[str, np.ndarray]:
@@ -330,13 +372,9 @@ def _train_bilstm(
 
     def batch(indices: list[int]) -> tuple[float, int]:
         dropped = [apply_word_dropout(data[j].tokens, cfg.word_dropout, rng) for j in indices]
-        batch_loss = 0.0
-        for group in length_groups(dropped):
-            ys = np.array([data[indices[pos]].label_ids() for pos in group], dtype=np.int64)
-            masks = _sample_masks(model, len(group), cfg.variational_dropout, rng)
-            batch_loss += model._group_pass([dropped[pos] for pos in group], ys, masks, grad_of,
-                                            stack)
-        return batch_loss, len(indices)
+        masks = _sample_masks(model, len(indices), cfg.variational_dropout, rng)
+        labels = [data[j].label_ids() for j in indices]
+        return model._batch_pass(dropped, labels, masks, grad_of, stack), len(indices)
 
     optim.fit(kind, len(data), cfg, rng, batch, step, model.history)
     return model

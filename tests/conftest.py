@@ -13,7 +13,6 @@ import pytest
 from hypothesis import settings
 
 from titletag.gazetteer import sample_annotation_sets, sample_gazetteer
-from titletag.lstm import length_groups
 from titletag.title2vec import EMBED_BLOCK, _bilm_batch
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -74,11 +73,8 @@ def batch_nll(model, examples) -> float:
     """Eval-mode mean loss per sequence of an LstmCrfModel (no dropout, no gradients)."""
     if not examples:
         raise ValueError("no examples")
-    total = 0.0
-    for group in length_groups([ex.tokens for ex in examples]):
-        toks = [examples[j].tokens for j in group]
-        ys = np.array([examples[j].label_ids() for j in group], dtype=np.int64)
-        total += model._group_pass(toks, ys, None, None)
+    total = model._batch_pass([ex.tokens for ex in examples],
+                              [ex.label_ids() for ex in examples], None, None)
     return total / len(examples)
 
 

@@ -176,10 +176,8 @@ def test_criterion_4_gradient_oracles():
             params = model.parameters()
             grads = [np.zeros_like(p) for p in params]
             grad_of = {id(p): g for p, g in zip(params, grads)}
-            for length in (3, 2):
-                group = [e for e in examples if len(e.tokens) == length]
-                ys = np.array([e.label_ids() for e in group], dtype=np.int64)
-                model._group_pass([e.tokens for e in group], ys, None, grad_of)
+            model._batch_pass([e.tokens for e in examples], [e.label_ids() for e in examples],
+                              None, grad_of)
 
             def net_loss():
                 return batch_nll(model, examples) * len(examples)

@@ -154,6 +154,52 @@ def test_run_with_every_row_counted_is_bit_equal_to_no_counts(want_cache):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("reversed_view", [False, True])
+def test_backprop_with_counts_matches_each_row_backprop_alone(masked, reversed_view):
+    D, H = 5, 4
+    rng = np.random.default_rng(21 + 2 * masked + reversed_view)
+    cell = LstmCell(D, H, rng)
+    cell.W *= 3.0
+    cell.b = rng.normal(size=4 * H)
+    lengths = [7, 7, 5, 2, 2, 1]
+    # Padded positions hold noise, which the packed run and backprop must not read.
+    xs = rng.normal(size=(len(lengths), 7, D))
+    dhs = rng.normal(size=(len(lengths), 7, H))
+    if reversed_view:
+        xs, dhs = xs[:, ::-1], dhs[:, ::-1]
+    mask = rng.binomial(1, 0.7, size=(len(lengths), H)) / 0.7 if masked else None
+    counts = row_counts(lengths)
+    _, caches = cell.run(xs, mask=mask, want_cache=True, counts=counts)
+    dxs, dW, db = cell.backprop(caches, dhs, mask=mask, counts=counts)
+    assert dxs.shape == xs.shape
+    sum_dW, sum_db = np.zeros_like(dW), np.zeros_like(db)
+    for b, n in enumerate(lengths):
+        row_mask = None if mask is None else mask[b : b + 1]
+        _, alone = cell.run(xs[b : b + 1, :n], mask=row_mask, want_cache=True)
+        dx_b, dW_b, db_b = cell.backprop(alone, dhs[b : b + 1, :n], mask=row_mask)
+        np.testing.assert_allclose(dxs[b, :n], dx_b[0], rtol=0, atol=1e-12)
+        assert not dxs[b, n:].any()
+        sum_dW += dW_b
+        sum_db += db_b
+    np.testing.assert_allclose(dW, sum_dW, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(db, sum_db, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_backprop_with_every_row_counted_is_bit_equal_to_no_counts(masked):
+    rng = np.random.default_rng(22)
+    cell = LstmCell(6, 5, rng)
+    xs = rng.normal(size=(4, 3, 6))
+    dhs = rng.normal(size=(4, 3, 5))
+    mask = rng.binomial(1, 0.7, size=(4, 5)) / 0.7 if masked else None
+    _, caches = cell.run(xs, mask=mask, want_cache=True)
+    _, caches_counted = cell.run(xs, mask=mask, want_cache=True, counts=[4, 4, 4])
+    for got, want in zip(cell.backprop(caches_counted, dhs, mask=mask, counts=[4, 4, 4]),
+                         cell.backprop(caches, dhs, mask=mask)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_stack_run_with_counts_reads_each_row_backward_within_its_length():
     rng = np.random.default_rng(13)
     stack = [(LstmCell(3, 4, rng), LstmCell(3, 4, rng)), (LstmCell(8, 4, rng), LstmCell(8, 4, rng))]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from titletag import neural
 from titletag.crf import TrainConfig, crf_nll, viterbi_path
 from titletag.labeling import ALL_LABELS, BioesLabel, LabeledSequence
 from titletag.lstm import LstmCell, softmax_ce
@@ -43,34 +44,38 @@ TOY = [
 ]
 
 
-def build_model(kind, hidden=4, layers=2, dim=4, seed=0):
+# Titles of 1 to 4 tokens, all in TOY's vocabulary.
+MIXED = TOY + [
+    example(("manager",), ("S-RES",)),
+    example(("head", "of", "sales", "director"), ("S-RES", "O", "S-FUN", "S-RES")),
+]
+
+
+def build_model(kind, hidden=4, layers=2, dim=4, seed=0, frozen=False):
     rng = np.random.default_rng(seed)
-    provider = TrainableEmbeddings(toy_vocab(TOY), dim, rng)
+    provider = (BiLmEmbeddings(tiny_bilm(seed)) if frozen
+                else TrainableEmbeddings(toy_vocab(TOY), dim, rng))
     return LstmCrfModel(provider, hidden_size=hidden, layers=layers, kind=kind, rng=rng)
 
 
-def summed_loss(model, examples):
-    return batch_nll(model, examples) * len(examples)
+def summed_loss(model, examples, masks=None):
+    return model._batch_pass([ex.tokens for ex in examples],
+                             [ex.label_ids() for ex in examples], masks, None)
 
 
-def collect_grads(model, examples):
+def collect_grads(model, examples, masks=None):
     params = model.parameters()
     grads = [np.zeros_like(p) for p in params]
     grad_of = {id(p): g for p, g in zip(params, grads)}
-    groups = {}
-    for ex in examples:
-        groups.setdefault(len(ex.tokens), []).append(ex)
-    for length in sorted(groups):
-        toks = [ex.tokens for ex in groups[length]]
-        ys = np.array([ex.label_ids() for ex in groups[length]], dtype=np.int64)
-        model._group_pass(toks, ys, None, grad_of)
+    model._batch_pass([ex.tokens for ex in examples], [ex.label_ids() for ex in examples],
+                      masks, grad_of)
     return params, grads
 
 
 @pytest.mark.parametrize("kind", ["lstm-crf", "lstm"])
 def test_gradients_match_finite_differences(kind):
     model = build_model(kind)
-    examples = TOY[:4]  # two length groups (three 3-token, one 2-token)
+    examples = TOY[:4]  # two lengths (three 3-token, one 2-token) in one packed batch
     params, grads = collect_grads(model, examples)
 
     def f():
@@ -88,6 +93,47 @@ def test_gradients_match_finite_differences(kind):
         worst = max(worst, abs(fd - g[idx]))
         assert g[idx] == pytest.approx(fd, abs=1e-3), f"shape {p.shape} idx {idx}"
     assert worst < 1e-3
+
+
+@pytest.mark.parametrize("kind", ["lstm-crf", "lstm"])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("positions", [neural.TRAIN_POSITIONS, 8])
+def test_packed_batch_gradients_match_finite_differences(kind, frozen, positions,
+                                                         monkeypatch):
+    """One batch of 1- to 4-token titles through two layers with dropout
+    masks, as one packed chunk or, at 8 positions, as four."""
+    monkeypatch.setattr(neural, "TRAIN_POSITIONS", positions)
+    model = build_model(kind, frozen=frozen)
+    masks = _sample_masks(model, len(MIXED), 0.3, np.random.default_rng(1))
+    params, grads = collect_grads(model, MIXED, masks)
+    probes = [(p, g, np.unravel_index(int(k), p.shape))
+              for p, g in zip(params, grads) for k in np.argsort(-np.abs(g), axis=None)[:3]]
+    assert len(probes) >= 3 * len(params)
+    for p, g, idx in probes:
+        fd = central_difference(lambda: summed_loss(model, MIXED, masks), p, idx)
+        assert g[idx] == pytest.approx(fd, abs=1e-6), f"shape {p.shape} idx {idx}"
+
+
+@pytest.mark.parametrize("kind", ["lstm-crf", "lstm"])
+def test_packed_batch_equals_the_sum_of_its_titles(kind):
+    """Padding adds nothing: a mixed-length batch gives each title's own loss
+    and gradients, summed. Its padded positions read table row 0 (<unk>),
+    which no title reads, so that row's gradient stays exactly zero."""
+    model = build_model(kind)
+    masks = _sample_masks(model, len(MIXED), 0.3, np.random.default_rng(2))
+    params, grads = collect_grads(model, MIXED, masks)
+    summed = [np.zeros_like(p) for p in params]
+    loss = 0.0
+    for j, ex in enumerate(MIXED):
+        own = [tuple(m[j : j + 1] for m in pair) for pair in masks]
+        loss += summed_loss(model, [ex], own)
+        for total, g in zip(summed, collect_grads(model, [ex], own)[1]):
+            total += g
+    assert summed_loss(model, MIXED, masks) == pytest.approx(loss, rel=1e-12)
+    for g, want in zip(grads, summed):
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+    assert all(0 not in model.provider.ids(ex.tokens) for ex in MIXED)
+    assert not grads[-1][0].any()
 
 
 def test_zero_transition_crf_equals_argmax():
