@@ -6,13 +6,16 @@ the forward recursion, each step one small matrix product in exp space with
 per-row rescaling; gradients come from forward-backward marginals. The same
 class doubles as the logistic-regression baseline: with the transition block
 pinned at zero the path score factorizes per token and Viterbi degenerates
-to a per-position argmax. Training splits each mini-batch into groups of
-equal-length titles, one objective call per group, over feature ids cached
-per post-dropout title, and updates only the emission rows a batch touches.
-Decoding sorts the titles by length and cuts them into chunks of bounded
+to a per-position argmax. The recursions take titles of any lengths in one
+packed batch, as lstm.LstmCell.run does: right-padded, sorted by length,
+longest first, so the rows still inside their title at step t are the
+first counts[t] (Appleyard et al. 2016, arXiv:1604.01946). Training runs
+each mini-batch as one such batch, one objective call over feature ids
+cached per post-dropout title, and updates only the emission rows it
+touches. Decoding cuts the length-sorted titles into chunks of bounded
 padded size (sorted_chunks, decode_in_chunks): each chunk gets its
-emissions in one call and its Viterbi paths in one batched call per title
-length. The BiLSTM taggers train on such chunks too.
+emissions in one call and its Viterbi paths in one packed call. The
+BiLSTM taggers train on such chunks too.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from . import model_io
 from .gazetteer import Gazetteer
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
-from .lstm import length_groups
 from .optim import TrainConfig, adam_step, fit
 
 UNK_TOKEN = "<unk>"
@@ -139,35 +141,55 @@ def _log_matmul(scores: np.ndarray, exp_trans: np.ndarray, shift: float) -> np.n
     return np.log(np.exp(scores - top) @ exp_trans) + (top + shift)
 
 
+def _step_rows(counts, batch: int, steps: int) -> list[int]:
+    """How many rows each step runs: counts[t], the rows still inside their
+    sequence at step t when the rows are sorted by length, longest first,
+    or every row without counts."""
+    return [batch] * steps if counts is None else [int(c) for c in counts]
+
+
+def _valid(rows: list[int], batch: int) -> np.ndarray:
+    """(B, T) mask of the positions inside their sequence."""
+    return np.arange(batch)[:, None] < np.array(rows)
+
+
 def _forward(
-    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray
+    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, rows: list[int]
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Log forward scores alphas[..., t, y], plus exp(trans - shift) and the
-    shift (the largest transition weight if finite, else 0) for the backward pass."""
+    """Log forward scores alphas[b, t, y] of (B, T, L) emissions, step t on
+    its first rows[t] rows (padded cells hold log 0 = -inf), plus
+    exp(trans - shift) and the shift (the largest transition weight if
+    finite, else 0) for the backward pass."""
     shift = float(trans.max())
     shift = shift if np.isfinite(shift) else 0.0
     exp_trans = np.exp(trans - shift)
-    alphas = np.empty_like(emissions)
-    alphas[..., 0, :] = start + emissions[..., 0, :]
-    for t in range(1, emissions.shape[-2]):
-        alphas[..., t, :] = (
-            _log_matmul(alphas[..., t - 1, :], exp_trans, shift) + emissions[..., t, :]
-        )
+    alphas = np.full_like(emissions, -np.inf)
+    alphas[:, 0] = start + emissions[:, 0]
+    for t in range(1, emissions.shape[1]):
+        r = rows[t]
+        alphas[:r, t] = _log_matmul(alphas[:r, t - 1], exp_trans, shift) + emissions[:r, t]
     return alphas, exp_trans, shift
+
+
+def _batched(emissions: np.ndarray) -> np.ndarray:
+    """emissions (..., T, L) with its leading axes folded into one batch axis.
+    Results unfold with .reshape(leading axes)[()], a scalar for one sequence."""
+    return emissions.reshape((-1,) + emissions.shape[-2:])
 
 
 def log_partition_scores(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> np.ndarray:
     """Log-sum over all label paths; emissions may carry leading batch axes."""
+    emis = _batched(emissions)
     with np.errstate(divide="ignore"):
-        alphas, _, _ = _forward(emissions, trans, start)
-    return _logsumexp(alphas[..., -1, :] + stop, axis=-1)
+        alphas, _, _ = _forward(emis, trans, start, [len(emis)] * emis.shape[1])
+    return _logsumexp(alphas[:, -1] + stop, axis=-1).reshape(emissions.shape[:-2])[()]
 
 
 def sequence_marginals(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
-    pairwise: bool = True,
+    pairwise: bool = True, counts=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Forward-backward pass.
 
@@ -175,90 +197,121 @@ def sequence_marginals(
     of label y at position t and pairwise[..., t, y, y'] the posterior of
     the transition y -> y' between positions t and t+1, or None when
     pairwise is false.
+
+    counts, when given, are the per-step row counts of (B, T, L) emissions
+    of sequences sorted by length, longest first, and right-padded (as
+    lstm.LstmCell.run takes them): step t of each recursion runs only the
+    first counts[t] rows, a row's backward scores start from stop at its
+    own last position, and logZ reads its forward scores there. Padded
+    emission cells must be finite; every posterior of a padded position is
+    exactly 0. Without counts every step runs all rows.
     """
-    T = emissions.shape[-2]
+    lead, (T, L) = emissions.shape[:-2], emissions.shape[-2:]
+    emissions = _batched(emissions)
+    B = len(emissions)
+    rows = _step_rows(counts, B, T)
     with np.errstate(divide="ignore"):
-        alphas, exp_trans, shift = _forward(emissions, trans, start)
-        betas = np.empty_like(emissions)
-        betas[..., T - 1, :] = stop
+        alphas, exp_trans, shift = _forward(emissions, trans, start, rows)
+        betas = np.full_like(emissions, -np.inf)
+        betas[: rows[-1], T - 1] = stop
         for t in range(T - 2, -1, -1):
-            betas[..., t, :] = _log_matmul(
-                emissions[..., t + 1, :] + betas[..., t + 1, :], exp_trans.T, shift
+            r = rows[t + 1]
+            betas[:r, t] = _log_matmul(
+                emissions[:r, t + 1] + betas[:r, t + 1], exp_trans.T, shift
             )
-    logz = _logsumexp(alphas[..., T - 1, :] + stop, axis=-1)
-    unary = np.exp(alphas + betas - np.asarray(logz)[..., None, None])
+            # the rows whose last position is t
+            betas[r : rows[t], t] = stop
+    last = _valid(rows, B).sum(axis=1) - 1
+    z = _logsumexp(alphas[np.arange(B), last] + stop, axis=-1)
+    logz = z.reshape(lead)[()]
+    unary = np.exp(alphas + betas - z[:, None, None]).reshape(lead + (T, L))
     if not pairwise:
         return logz, unary, None
-    pairwise = np.exp(
-        alphas[..., :-1, :, None]
-        + trans
-        + (emissions[..., 1:, :] + betas[..., 1:, :])[..., None, :]
-        - np.asarray(logz)[..., None, None, None]
-    )
-    return logz, unary, pairwise
+    # in place: one (B, T-1, L, L) buffer
+    pairwise = alphas[:, :-1, :, None] + trans
+    pairwise += (emissions[:, 1:] + betas[:, 1:])[..., None, :]
+    pairwise -= z[:, None, None, None]
+    return logz, unary, np.exp(pairwise, out=pairwise).reshape(lead + (T - 1, L, L))
 
 
 def crf_nll(
     emissions: np.ndarray, ys: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
-    transitions: bool = True,
+    transitions: bool = True, counts=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Negative log-likelihood of the gold paths ys (B, T) under the
-    emissions (B, T, L) of equal-length sequences, summed over the batch.
+    emissions (B, T, L), summed over the batch.
+
+    Without counts the B sequences have length T. With counts they are
+    sorted by length, longest first, and right-padded, with counts[t] rows
+    inside their sequence at step t (sequence_marginals); the padded cells
+    of ys must hold label ids, and they add nothing.
 
     Returns (loss, grads): expected minus gold counts, grads["emissions"]
-    per position and, when transitions is true (for callers that train
-    them), grads["trans"], grads["start"] and grads["stop"] summed over the
-    batch.
+    per position (exactly 0 at padded ones) and, when transitions is true
+    (for callers that train them), grads["trans"], grads["start"] and
+    grads["stop"] summed over the batch.
     """
     B, T, _ = emissions.shape
-    logz, unary, pairwise = sequence_marginals(emissions, trans, start, stop, transitions)
-    b_idx = np.arange(B)[:, None]
-    t_idx = np.arange(T)[None, :]
-    gold = start[ys[:, 0]] + stop[ys[:, -1]] + emissions[b_idx, t_idx, ys].sum(axis=1)
+    logz, unary, pairwise = sequence_marginals(emissions, trans, start, stop, transitions, counts)
+    valid = _valid(_step_rows(counts, B, T), B)
+    pairs = valid[:, 1:]  # transitions inside a sequence
+    b_idx = np.arange(B)
+    last = valid.sum(axis=1) - 1
+    y_last = ys[b_idx, last]
+    gold = (start[ys[:, 0]] + stop[y_last]
+            + np.where(valid, emissions[b_idx[:, None], np.arange(T), ys], 0.0).sum(axis=1))
     if T > 1:
-        gold += trans[ys[:, :-1], ys[:, 1:]].sum(axis=1)
+        gold += np.where(pairs, trans[ys[:, :-1], ys[:, 1:]], 0.0).sum(axis=1)
     loss = float((logz - gold).sum())
     grads = {}
     if transitions:
         dtrans = pairwise.sum(axis=(0, 1))
         if T > 1:
-            np.subtract.at(dtrans, (ys[:, :-1].ravel(), ys[:, 1:].ravel()), 1.0)
+            np.subtract.at(dtrans, (ys[:, :-1][pairs], ys[:, 1:][pairs]), 1.0)
         dstart = unary[:, 0, :].sum(axis=0)
         np.subtract.at(dstart, ys[:, 0], 1.0)
-        dstop = unary[:, -1, :].sum(axis=0)
-        np.subtract.at(dstop, ys[:, -1], 1.0)
+        dstop = unary[b_idx, last].sum(axis=0)
+        np.subtract.at(dstop, y_last, 1.0)
         grads.update(trans=dtrans, start=dstart, stop=dstop)
     # reuse the posterior buffer for the emission gradient
     demis = unary
-    demis[b_idx, t_idx, ys] -= 1.0
+    b_at, t_at = np.nonzero(valid)
+    demis[b_at, t_at, ys[b_at, t_at]] -= 1.0
     grads["emissions"] = demis
     return loss, grads
 
 
 def viterbi_path(
-    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
+    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray, counts=None
 ) -> list[int] | np.ndarray:
     """Highest-scoring label path; ties resolve toward the lowest label index.
 
     emissions is (T, L) for one sequence, which gives a list of label ids, or
-    (B, T, L) for a batch of equal-length sequences, which gives a (B, T) id
-    array. A batch row does the same adds and argmaxes as the one-sequence
-    call on that row, so the two give equal paths.
+    (B, T, L) for a batch, which gives a (B, T) id array. Without counts the
+    batch holds equal-length sequences. With counts it holds sequences
+    sorted by length, longest first, and right-padded, with counts[t] rows
+    inside their sequence at step t: a finished row keeps its score and
+    gets identity backpointers, so its path repeats its last label over the
+    padding. A batch row does the same adds and argmaxes as the
+    one-sequence call on that row, so the two give equal paths.
     """
     single = emissions.ndim == 2
     emis = emissions[None] if single else emissions
     B, T, L = emis.shape
-    rows = np.arange(B)
+    rows = _step_rows(counts, B, T)
+    batch, labels = np.arange(B), np.arange(L)
     back = np.empty((T, B, L), dtype=np.int64)
     score = start + emis[:, 0]
     for t in range(1, T):
-        cand = score[:, :, None] + trans
-        back[t] = np.argmax(cand, axis=1)
-        score = cand[rows[:, None], back[t], np.arange(L)] + emis[:, t]
+        r = rows[t]
+        cand = score[:r, :, None] + trans
+        back[t, :r] = np.argmax(cand, axis=1)
+        back[t, r:] = labels
+        score[:r] = cand[batch[:r, None], back[t, :r], labels] + emis[:r, t]
     path = np.empty((B, T), dtype=np.int64)
     path[:, -1] = np.argmax(score + stop, axis=1)
     for t in range(T - 1, 0, -1):
-        path[:, t - 1] = back[t, rows, path[:, t]]
+        path[:, t - 1] = back[t, batch, path[:, t]]
     return path[0].tolist() if single else path
 
 
@@ -270,18 +323,19 @@ def decode_in_chunks(
 
     chunk_emissions(chunk) gets the token sequences of one chunk of
     sorted_chunks(seqs, DECODE_POSITIONS) and returns their emissions as
-    one (total length, L) array in chunk order. Each run of equal-length
-    sequences in the chunk is decoded with one batched viterbi_path call
-    under trans, start and stop.
+    one (total length, L) array in chunk order. Each chunk is decoded with
+    one viterbi_path call under trans, start and stop, on its emissions
+    right-padded with the chunk's per-step row counts.
     """
     if not all(seqs):
         raise ValueError("empty token sequence")
     out: list = [None] * len(seqs)
     for chunk in sorted_chunks(seqs, DECODE_POSITIONS):
-        emis = chunk_emissions([seqs[j] for j in chunk])
-        for run, block in length_runs(chunk, seqs, emis):
-            for j, path in zip(run, viterbi_path(block, trans, start, stop).tolist()):
-                out[j] = tuple(ALL_LABELS[i] for i in path)
+        tokens = [seqs[j] for j in chunk]
+        valid, counts = padded_layout(tokens)
+        paths = viterbi_path(to_padded(chunk_emissions(tokens), valid), trans, start, stop, counts)
+        for j, toks, path in zip(chunk, tokens, paths.tolist()):
+            out[j] = tuple(ALL_LABELS[i] for i in path[: len(toks)])
     return out
 
 
@@ -300,17 +354,24 @@ def sorted_chunks(seqs: Sequence[Sequence], positions: int):
         yield chunk
 
 
-def length_runs(chunk: list[int], seqs: Sequence[Sequence], flat: np.ndarray):
-    """(run, block) for each run of equal-length sequences in chunk, a
-    sorted_chunks chunk of positions of seqs: run lists the run's
-    positions and block is the (len(run), T, ...) view of its rows of flat,
-    which holds every position of the chunk's sequences in chunk order."""
-    lo = 0
-    for _, run in itertools.groupby(chunk, key=lambda j: len(seqs[j])):
-        run = list(run)
-        T = len(seqs[run[0]])
-        yield run, flat[lo : lo + len(run) * T].reshape((len(run), T) + flat.shape[1:])
-        lo += len(run) * T
+def padded_layout(seqs: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, counts) of seqs, sorted by length, longest first, and
+    right-padded to the longest: valid[b, t] tells whether position t is
+    inside sequence b, and counts[t] how many sequences reach position t."""
+    lengths = np.array([len(seq) for seq in seqs])
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ValueError("sequences must be sorted by length, longest first")
+    valid = np.arange(lengths[0]) < lengths[:, None]
+    return valid, valid.sum(axis=0)
+
+
+def to_padded(flat: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The rows of flat, which lists the valid positions of the (B, T) mask
+    in row-major order, placed at those positions of a zero (B, T, ...)
+    array."""
+    out = np.zeros(valid.shape + flat.shape[1:], flat.dtype)
+    out[valid] = flat
+    return out
 
 
 def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
@@ -389,8 +450,8 @@ class CrfModel:
         """Most probable labeling of each sequence, in input order.
 
         Each chunk (decode_in_chunks) is featurized title by title, then
-        gets its emissions and its Viterbi paths in one call per title
-        length in it.
+        gets its emissions in one call per title length in it and its
+        Viterbi paths in one call.
         """
         def chunk_emissions(chunk: list) -> np.ndarray:
             # One emission_rows call per title length: its (features, L)
@@ -462,20 +523,21 @@ def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def nll_and_gradient(
     model: CrfModel, examples: Sequence[LabeledSequence], ids: np.ndarray, counts: np.ndarray
 ) -> tuple[float, dict]:
-    """Negative log-likelihood of a group of equal-length examples, summed,
-    and its exact gradient (crf_nll).
+    """Negative log-likelihood of examples of any lengths, sorted by length,
+    longest first, summed, and its exact gradient: one crf_nll call on
+    their right-padded emissions with per-step row counts.
 
     The examples are featurized as (ids, counts) (featurize of every
     example, concatenated in order). grads["emit"] is (touched, rows): the
     distinct feature ids, ascending, and the gradient row of each; a "crf"
     model also gets grads["trans"], grads["start"] and grads["stop"].
     """
-    B, T = len(examples), len(examples[0].tokens)
-    emis = model.emission_rows(ids, counts).reshape(B, T, N_LABELS)
-    ys = np.array([ex.label_ids() for ex in examples], dtype=np.int64)
+    valid, steps = padded_layout([ex.tokens for ex in examples])
+    emis = to_padded(model.emission_rows(ids, counts), valid)
+    ys = to_padded(np.concatenate([ex.label_ids() for ex in examples]), valid)
     loss, grad = crf_nll(emis, ys, model.trans, model.start, model.stop,
-                         transitions=model.kind == "crf")
-    demis = grad.pop("emissions").reshape(B * T, N_LABELS)
+                         transitions=model.kind == "crf", counts=steps)
+    demis = grad.pop("emissions")[valid]
     grad["emit"] = _sum_rows(ids, np.repeat(demis, counts, axis=0))
     return loss, grad
 
@@ -541,20 +603,13 @@ def _run_training(model: CrfModel, data: list[LabeledSequence], cfg: TrainConfig
         # draw dropout and featurize in batch order: it fixes the rng stream and vocab order
         feats = [features(apply_word_dropout(data[j].tokens, cfg.word_dropout, rng))
                  for j in indices]
-        examples = [data[j] for j in indices]
-        batch_loss = 0.0
-        emit_parts = []
-        acc.update({name: [..., np.zeros_like(getattr(model, name))] for name in dense})
-        for group in length_groups([ex.tokens for ex in examples]):
-            ids, counts = map(np.concatenate, zip(*(feats[g] for g in group)))
-            loss, grad = nll_and_gradient(model, [examples[g] for g in group], ids, counts)
-            batch_loss += loss
-            emit_parts.append(grad["emit"])
-            for name in dense:
-                acc[name][1] += grad[name]
-        touched, rows = zip(*emit_parts)
-        acc["_emit"] = _sum_rows(np.concatenate(touched), np.concatenate(rows))
-        return batch_loss, len(indices)
+        # then run the batch longest first (stable), as nll_and_gradient takes it
+        order = sorted(range(len(indices)), key=lambda k: -len(feats[k][1]))
+        ids, counts = map(np.concatenate, zip(*(feats[k] for k in order)))
+        loss, grad = nll_and_gradient(model, [data[indices[k]] for k in order], ids, counts)
+        acc["_emit"] = grad["emit"]
+        acc.update({name: (..., grad[name]) for name in dense})
+        return loss, len(indices)
 
     def update(scale: float) -> None:
         nonlocal steps

@@ -12,8 +12,8 @@ titles (crf.sorted_chunks) and run each chunk as a packed batch: each
 direction of each layer is one LSTM call over the right-padded chunk, each
 step on the rows still inside their title (lstm.stack_run and
 lstm.stack_backprop with counts), and the float64 head sees only the valid
-positions. The CRF loss runs once per run of equal-length titles in a
-chunk, on slices of the chunk's flat emissions.
+positions. The CRF loss and Viterbi run once per chunk, on the
+emissions right-padded with the same per-step row counts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from . import model_io, optim
-from .crf import apply_word_dropout, crf_nll, decode_in_chunks, length_runs, sorted_chunks
+from .crf import (
+    apply_word_dropout, crf_nll, decode_in_chunks, padded_layout, sorted_chunks, to_padded,
+)
 # Unused here since crf_nll calls it, but perfbench/tests asserts that its
 # span tracer wraps this by-name binding.
 from .crf import sequence_marginals  # noqa: F401
@@ -152,10 +154,8 @@ class LstmCrfModel:
         length, longest first, in order. They are encoded as one right-padded
         batch on stack's cells, each step on the rows still inside their
         sequence; the head computes in float64 on the valid positions."""
-        lengths = np.array([len(toks) for toks in token_group])
-        valid = np.arange(lengths[0]) < lengths[:, None]
-        enc, _ = self.encode(self._embed_group(token_group)[0], stack=stack,
-                             counts=valid.sum(axis=0))
+        valid, counts = padded_layout(token_group)
+        enc, _ = self.encode(self._embed_group(token_group)[0], stack=stack, counts=counts)
         return enc[valid] @ self.proj_W + self.proj_b
 
     def emissions(self, tokens: Sequence[str]) -> np.ndarray:
@@ -198,9 +198,9 @@ class LstmCrfModel:
         each layer in one LSTM call whose steps run only the rows still
         inside their sequence (encode with counts), and backpropagated the
         same way. The head runs on the valid positions only, and crf_nll
-        once per run of equal-length sequences. stack, when given, replaces
-        the model's own cells (see encode); the head computes in float64
-        either way.
+        once per chunk, on the emissions right-padded with the chunk's
+        per-step row counts. stack, when given, replaces the model's own
+        cells (see encode); the head computes in float64 either way.
         """
         want_grads = grad_of is not None
         transitions = want_grads and self.kind == "lstm-crf"
@@ -209,24 +209,19 @@ class LstmCrfModel:
         for chunk in sorted_chunks(token_seqs, TRAIN_POSITIONS):
             tokens = [token_seqs[j] for j in chunk]
             chunk_masks = masks and [tuple(m[chunk] for m in pair) for pair in masks]
-            valid = np.arange(len(tokens[0])) < np.array([len(t) for t in tokens])[:, None]
-            counts = valid.sum(axis=0)
+            valid, counts = padded_layout(tokens)
             xs, ids = self._embed_group(tokens)
             enc, caches = self.encode(xs, chunk_masks, want_grads, stack, counts)
             h = enc[valid]
-            emis = h @ self.proj_W + self.proj_b
-            demis = []
-            for run, block in length_runs(chunk, token_seqs, emis):
-                ys = np.array([label_seqs[j] for j in run], dtype=np.int64)
-                run_loss, grads = crf_nll(block, ys, self.trans, self.start, self.stop,
-                                          transitions)
-                loss += run_loss
-                demis.append(grads.pop("emissions").reshape(-1, N_LABELS))
-                for name, grad in grads.items():
-                    grad_of[id(getattr(self, name))] += grad
+            ys = to_padded(np.concatenate([label_seqs[j] for j in chunk]), valid)
+            chunk_loss, grads = crf_nll(to_padded(h @ self.proj_W + self.proj_b, valid), ys,
+                                        self.trans, self.start, self.stop, transitions, counts)
+            loss += chunk_loss
+            demis = grads.pop("emissions")[valid]
+            for name, grad in grads.items():
+                grad_of[id(getattr(self, name))] += grad
             if not want_grads:
                 continue
-            demis = np.concatenate(demis)
             grad_of[id(self.proj_W)] += h.T @ demis
             grad_of[id(self.proj_b)] += demis.sum(axis=0)
             # The encoding, zero at padded positions, takes its own gradient,

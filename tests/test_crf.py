@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from titletag.corpus import synth_corpus
 from titletag.crf import (
@@ -10,7 +12,9 @@ from titletag.crf import (
     _apply_step,
     apply_word_dropout,
     extract_features,
+    crf_nll,
     nll_and_gradient,
+    padded_layout,
     train_crf,
     train_logreg,
     viterbi_path,
@@ -362,6 +366,80 @@ def test_crf_nll_batch_matches_enumeration_and_finite_differences():
         np.testing.assert_allclose(grads["emissions"][b], one["emissions"][0], rtol=0, atol=1e-12)
 
 
+def packed_batch(data, L=N_LABELS):
+    """A drawn batch of titles of 1-6 tokens plus a 1-token one, sorted
+    longest first: its lengths, per-step row counts, random right-padded
+    emissions (padded cells finite but not zero), gold ids and weights."""
+    lengths = sorted(data.draw(st.lists(st.integers(1, 6), max_size=7)) + [1], reverse=True)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    valid, counts = padded_layout([range(n) for n in lengths])
+    emis = rng.normal(scale=2.0, size=valid.shape + (L,))
+    ys = rng.integers(0, L, size=valid.shape)
+    weights = rng.normal(size=(L, L)), rng.normal(size=L), rng.normal(size=L)
+    return lengths, counts, emis, ys, weights
+
+
+@given(st.data(), st.booleans())
+def test_packed_crf_nll_equals_sum_of_single_title_calls(data, transitions):
+    """One packed call over titles of mixed lengths gives the loss and
+    gradients of one call per title, summed; padded positions get exactly
+    zero emission gradient; without counts a call equals one that counts
+    every row, bit for bit."""
+    lengths, counts, emis, ys, weights = packed_batch(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grads = crf_nll(emis, ys, *weights, transitions, counts)
+    want_loss = 0.0
+    want = {name: np.zeros_like(grads[name]) for name in grads if name != "emissions"}
+    for b, n in enumerate(lengths):
+        one_loss, one = crf_nll(emis[b : b + 1, :n], ys[b : b + 1, :n], *weights, transitions)
+        want_loss += one_loss
+        np.testing.assert_allclose(grads["emissions"][b, :n], one["emissions"][0],
+                                   rtol=1e-12, atol=1e-15)
+        assert np.all(grads["emissions"][b, n:] == 0.0)
+        for name in want:
+            want[name] += one[name]
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert sorted(want) == (["start", "stop", "trans"] if transitions else [])
+    for name in want:
+        np.testing.assert_allclose(grads[name], want[name], rtol=1e-12, atol=1e-13)
+    # a batch cut to the shortest title has every row in every step
+    full = emis[:, : lengths[-1]], ys[:, : lengths[-1]]
+    loss, grads = crf_nll(*full, *weights, transitions)
+    counted_loss, counted = crf_nll(*full, *weights, transitions, [len(lengths)] * lengths[-1])
+    assert loss == counted_loss
+    assert grads.keys() == counted.keys()
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], counted[name])
+
+
+@given(st.data(), st.sampled_from(["normal", "rounded", "zero transitions"]))
+def test_packed_viterbi_equals_single_title_paths(data, scores):
+    """A packed Viterbi call gives each title its one-title path exactly, also
+    under ties (rounded scores, per-position argmax with zero transitions),
+    and repeats its last label over the padding."""
+    lengths, counts, emis, _, weights = packed_batch(data)
+    if scores != "normal":
+        emis, weights = np.round(emis), tuple(np.round(w) for w in weights)
+    if scores == "zero transitions":
+        weights = tuple(np.zeros_like(w) for w in weights)
+    paths = viterbi_path(emis, *weights, counts)
+    for b, n in enumerate(lengths):
+        assert paths[b, :n].tolist() == viterbi_path(emis[b, :n], *weights)
+        assert np.all(paths[b, n:] == paths[b, n - 1])
+    full = emis[:, : lengths[-1]]
+    np.testing.assert_array_equal(viterbi_path(full, *weights),
+                                  viterbi_path(full, *weights, [len(lengths)] * lengths[-1]))
+
+
+def test_packed_layout_needs_titles_sorted_longest_first():
+    valid, counts = padded_layout([(1, 2, 3), (4,), (5,)])
+    assert valid.tolist() == [[True] * 3, [True, False, False], [True, False, False]]
+    assert counts.tolist() == [3, 1, 1]
+    with pytest.raises(ValueError, match="longest first"):
+        padded_layout([(1,), (2, 3)])
+
+
 def as_rows(ids, counts):
     """featurize's (ids, counts) as one list of feature ids per position."""
     return [part.tolist() for part in np.split(ids, np.cumsum(counts)[:-1])]
@@ -440,6 +518,51 @@ def test_group_nll_equals_sum_of_one_title_calls():
         assert touched.tolist() == sorted(want_emit)
         for fid, row in zip(touched.tolist(), emit_rows):
             np.testing.assert_allclose(row, want_emit[fid], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["crf", "logreg"])
+def test_mixed_length_batch_equals_sum_of_one_title_calls(kind):
+    """One nll_and_gradient call on a batch of mixed lengths, longest first,
+    gives the summed loss, emission rows and trans/start/stop gradients of
+    one call per title; titles must come longest first."""
+    rng = np.random.default_rng(25)
+    batch = [
+        example(("head", "of", "asia", "sales"), ("S-RES", "O", "S-LOC", "S-FUN")),
+        example(("sales", "sales", "manager"), ("B-FUN", "E-FUN", "S-RES")),
+        example(("<unk>", "<unk>", "<unk>"), ("O", "O", "O")),
+        example(("sales", "director"), ("S-FUN", "S-RES")),
+        example(("manager",), ("S-RES",)),
+        example(("sales",), ("S-FUN",)),
+    ]
+    model = CrfModel(kind=kind)
+    feats = [model.featurize(ex.tokens, extend=True) for ex in batch]
+    model._emit[: len(model.vocab)] = rng.normal(size=(len(model.vocab), N_LABELS))
+    if kind == "crf":
+        model.trans = rng.normal(size=(N_LABELS, N_LABELS))
+        model.start = rng.normal(size=N_LABELS)
+        model.stop = rng.normal(size=N_LABELS)
+    ids, counts = map(np.concatenate, zip(*feats))
+    loss, grad = nll_and_gradient(model, batch, ids, counts)
+
+    want_loss, want_emit = 0.0, {}
+    want = {name: np.zeros_like(grad[name]) for name in grad if name != "emit"}
+    for ex, (one_ids, one_counts) in zip(batch, feats):
+        one_loss, one = nll_and_gradient(model, [ex], one_ids, one_counts)
+        want_loss += one_loss
+        for fid, row in zip(one["emit"][0].tolist(), one["emit"][1]):
+            want_emit[fid] = want_emit.get(fid, 0.0) + row
+        for name in want:
+            want[name] += one[name]
+    assert sorted(want) == (["start", "stop", "trans"] if kind == "crf" else [])
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for name in want:
+        np.testing.assert_allclose(grad[name], want[name], rtol=1e-12, atol=1e-12)
+    touched, emit_rows = grad["emit"]
+    assert touched.tolist() == sorted(want_emit)
+    for fid, row in zip(touched.tolist(), emit_rows):
+        np.testing.assert_allclose(row, want_emit[fid], rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="longest first"):
+        nll_and_gradient(model, batch[::-1], ids, counts)
 
 
 def test_cached_training_registers_features_in_uncached_order():
