@@ -13,9 +13,10 @@ first counts[t] (Appleyard et al. 2016, arXiv:1604.01946). Training runs
 each mini-batch as one such batch, one objective call over feature ids
 cached per post-dropout title, and updates only the emission rows it
 touches. Decoding cuts the length-sorted titles into chunks of bounded
-padded size (sorted_chunks, decode_in_chunks): each chunk gets its
+padded size (lstm.sorted_chunks, decode_in_chunks): each chunk gets its
 emissions in one call and its Viterbi paths in one packed call. The
-BiLSTM taggers train on such chunks too.
+layout's helpers (packed_steps, valid_mask, padded_layout, to_padded) live
+in lstm, which the BiLSTM taggers and the biLM run on the same layout.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ import numpy as np
 from . import model_io
 from .gazetteer import Gazetteer
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
+from .lstm import packed_steps, padded_layout, sorted_chunks, to_padded, valid_mask
 from .optim import TrainConfig, adam_step, fit
 
 UNK_TOKEN = "<unk>"
 _BOS = "<s>"
 _EOS = "</s>"
 
-# Most positions decoded in one chunk (sorted_chunks), each title counted as
+# Most positions decoded in one chunk (lstm.sorted_chunks), each title counted as
 # padded to the longest in its chunk. It bounds the memory of a batched
 # decode: at 512 the largest buffer of an h=256 BiLSTM, its (T, B, 4h)
 # float32 gates, takes 2 MB. Tagging the 400 titles of the tag-embed
@@ -141,18 +143,6 @@ def _log_matmul(scores: np.ndarray, exp_trans: np.ndarray, shift: float) -> np.n
     return np.log(np.exp(scores - top) @ exp_trans) + (top + shift)
 
 
-def _step_rows(counts, batch: int, steps: int) -> list[int]:
-    """How many rows each step runs: counts[t], the rows still inside their
-    sequence at step t when the rows are sorted by length, longest first,
-    or every row without counts."""
-    return [batch] * steps if counts is None else [int(c) for c in counts]
-
-
-def _valid(rows: list[int], batch: int) -> np.ndarray:
-    """(B, T) mask of the positions inside their sequence."""
-    return np.arange(batch)[:, None] < np.array(rows)
-
-
 def _forward(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, rows: list[int]
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -209,7 +199,7 @@ def sequence_marginals(
     lead, (T, L) = emissions.shape[:-2], emissions.shape[-2:]
     emissions = _batched(emissions)
     B = len(emissions)
-    rows = _step_rows(counts, B, T)
+    rows, _ = packed_steps(counts, B, T)
     with np.errstate(divide="ignore"):
         alphas, exp_trans, shift = _forward(emissions, trans, start, rows)
         betas = np.full_like(emissions, -np.inf)
@@ -221,7 +211,7 @@ def sequence_marginals(
             )
             # the rows whose last position is t
             betas[r : rows[t], t] = stop
-    last = _valid(rows, B).sum(axis=1) - 1
+    last = valid_mask(rows, B).sum(axis=1) - 1
     z = _logsumexp(alphas[np.arange(B), last] + stop, axis=-1)
     logz = z.reshape(lead)[()]
     unary = np.exp(alphas + betas - z[:, None, None]).reshape(lead + (T, L))
@@ -253,7 +243,7 @@ def crf_nll(
     """
     B, T, _ = emissions.shape
     logz, unary, pairwise = sequence_marginals(emissions, trans, start, stop, transitions, counts)
-    valid = _valid(_step_rows(counts, B, T), B)
+    valid = valid_mask(packed_steps(counts, B, T)[0], B)
     pairs = valid[:, 1:]  # transitions inside a sequence
     b_idx = np.arange(B)
     last = valid.sum(axis=1) - 1
@@ -298,7 +288,7 @@ def viterbi_path(
     single = emissions.ndim == 2
     emis = emissions[None] if single else emissions
     B, T, L = emis.shape
-    rows = _step_rows(counts, B, T)
+    rows, _ = packed_steps(counts, B, T)
     batch, labels = np.arange(B), np.arange(L)
     back = np.empty((T, B, L), dtype=np.int64)
     score = start + emis[:, 0]
@@ -336,41 +326,6 @@ def decode_in_chunks(
         paths = viterbi_path(to_padded(chunk_emissions(tokens), valid), trans, start, stop, counts)
         for j, toks, path in zip(chunk, tokens, paths.tolist()):
             out[j] = tuple(ALL_LABELS[i] for i in path[: len(toks)])
-    return out
-
-
-def sorted_chunks(seqs: Sequence[Sequence], positions: int):
-    """Positions of seqs sorted by length, longest first (stable), cut into
-    consecutive chunks that hold at most the given number of positions when
-    padded to their longest sequence (so at most that many tokens); a
-    longer sequence is a chunk of its own."""
-    chunk: list[int] = []
-    for j in sorted(range(len(seqs)), key=lambda j: -len(seqs[j])):
-        if chunk and (len(chunk) + 1) * len(seqs[chunk[0]]) > positions:
-            yield chunk
-            chunk = []
-        chunk.append(j)
-    if chunk:
-        yield chunk
-
-
-def padded_layout(seqs: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
-    """(valid, counts) of seqs, sorted by length, longest first, and
-    right-padded to the longest: valid[b, t] tells whether position t is
-    inside sequence b, and counts[t] how many sequences reach position t."""
-    lengths = np.array([len(seq) for seq in seqs])
-    if np.any(lengths[1:] > lengths[:-1]):
-        raise ValueError("sequences must be sorted by length, longest first")
-    valid = np.arange(lengths[0]) < lengths[:, None]
-    return valid, valid.sum(axis=0)
-
-
-def to_padded(flat: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """The rows of flat, which lists the valid positions of the (B, T) mask
-    in row-major order, placed at those positions of a zero (B, T, ...)
-    array."""
-    out = np.zeros(valid.shape + flat.shape[1:], flat.dtype)
-    out[valid] = flat
     return out
 
 

@@ -6,14 +6,15 @@ backpropagation through time. An optional per-sequence mask multiplies the
 recurrent hidden state at every step (variational dropout). Layers stack
 into a multi-layer network with one or two directions per layer.
 
-A batch can be packed, as cuDNN and PyTorch's PackedSequence run
+Every batch is packed, as cuDNN and PyTorch's PackedSequence run
 variable-length RNNs: right-padded sequences sorted by length, longest
 first, with the number of rows still inside their sequence at each step.
-Step t then runs only its first counts[t] rows, padded states stay zero,
-and the backward direction reads each row right to left within its own
-length. The BiLSTM taggers train and decode this way; without counts
-every step runs all rows, which is how the biLM trains on its
-right-padded batches.
+Step t runs only its first counts[t] rows, padded states stay zero, and
+the backward direction reads each row right to left within its own
+length. Without counts every row is inside its sequence at every step.
+The BiLSTM taggers and the biLM train this way, and the taggers decode
+this way; the layout's helpers (sorted_chunks, padded_layout, to_padded)
+live here too, for the CRF and the taggers.
 
 The cell follows the restructuring of Appleyard et al. 2016
 (arXiv:1604.01946): only work that depends on the previous step stays in
@@ -49,6 +50,8 @@ relative precision in the far negative tail (error 1.0 at x = -40).
 from __future__ import annotations
 
 import copy
+import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -101,11 +104,11 @@ class LstmCell:
     ) -> tuple[np.ndarray, tuple | None]:
         """Run over xs of shape (B, T, input_dim); mask (B, hidden) scales h_{t-1}.
 
-        xs may be any strided view (stack_run passes reversed ones). counts,
-        when given, holds the number of active rows of each step: the rows
-        of xs are right-padded sequences sorted by length, longest first,
-        step t updates only its first counts[t] rows, and the states of the
-        other rows stay zero. Without counts every step runs all B rows.
+        xs may be any strided view. counts holds the number of active rows
+        of each step: the rows of xs are right-padded sequences sorted by
+        length, longest first, step t updates only its first counts[t]
+        rows, and the states of the other rows stay zero. counts=None
+        stands for all B rows at every step.
         Returns hidden states (B, T, hidden) and, when requested, the caches
         that backprop needs, each holding only the active rows of every
         step, packed in time-major order (step t is one contiguous slice of
@@ -116,8 +119,8 @@ class LstmCell:
         B, T, D = xs.shape
         H = self.hidden
         dtype = xs.dtype
-        rows, starts = _packed_steps(counts, B, T)
-        x = _pack(xs.transpose(1, 0, 2), counts)
+        rows, starts = packed_steps(counts, B, T)
+        x = xs.transpose(1, 0, 2)[valid_mask(rows, B).T]
         gates = x @ self.W[:, :D].T
         gates += self.b
         N = len(gates)
@@ -126,10 +129,8 @@ class LstmCell:
         if mask is not None:
             mask = mask.astype(dtype, copy=False)
         # h_in[lo - B : lo - B + n] is h_{t-1} as step t (rows lo..lo+n of
-        # the gates) reads it. Unmasked, it is hs itself when every step runs
-        # all B rows, and needs no copy when nothing is cached.
-        own_h_in = mask is not None or (want_cache and N < T * B)
-        h_in = np.empty((N - B, H), dtype) if own_h_in else hs[:-1].reshape(-1, H)
+        # the gates) reads it; an unmasked run without caches reads hs.
+        h_in = np.empty((N - B, H), dtype) if want_cache or mask is not None else None
         # Step t writes c_t to cs[c_at[t] : c_at[t] + counts[t]].
         c_at = starts if want_cache else [(t % 2) * B for t in range(T)]
         cs = np.empty((N if want_cache else 2 * B, H), dtype)
@@ -138,7 +139,7 @@ class LstmCell:
             z = gates[lo : lo + n]
             if t:
                 prev = hs[t - 1, :n]
-                if own_h_in:
+                if h_in is not None:
                     r = h_in[lo - B : lo - B + n]
                     if mask is None:
                         r[...] = prev
@@ -176,7 +177,7 @@ class LstmCell:
         dhs = dhs.astype(dtype, copy=False)
         if mask is not None:
             mask = mask.astype(dtype, copy=False)
-        rows, starts = _packed_steps(counts, B, T)
+        rows, starts = packed_steps(counts, B, T)
         W_h = self.W[:, D:]
         i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
         # Local derivatives of every step, formed in place of the gates
@@ -218,55 +219,30 @@ class LstmCell:
         np.matmul(dz_all.T, x, out=dW[:, :D])
         np.matmul(dz_all[B:].T, h_in, out=dW[:, D:])
         db = dz_all.sum(axis=0)
-        dxs = _unpack(dz_all @ self.W[:, :D], counts, B, T).transpose(1, 0, 2)
-        return dxs, dW, db
+        dxs = np.zeros((T, B, D), dtype)
+        dxs[valid_mask(rows, B).T] = dz_all @ self.W[:, :D]
+        return dxs.transpose(1, 0, 2), dW, db
 
 
-def _packed_steps(counts, batch: int, steps: int) -> tuple[list[int], list[int]]:
-    """The rows of each step (all batch rows without counts) and the row
-    where each step starts in the packed time-major layout."""
-    rows = [batch] * steps if counts is None else [int(n) for n in counts]
-    return rows, np.cumsum([0] + rows[:-1]).tolist()
+def packed_steps(counts, batch: int, steps: int) -> tuple[list[int], list[int]]:
+    """The rows each step runs, counts[t] (every batch row when counts is
+    None), and the row where each step starts in the packed time-major
+    layout."""
+    rows = [batch] * steps if counts is None else np.asarray(counts).tolist()
+    return rows, list(itertools.accumulate(rows[:-1], initial=0))
 
 
-def _valid(counts, batch: int) -> np.ndarray:
-    """(T, B) time-major mask of the rows each step runs."""
-    return np.arange(batch) < np.asarray(counts)[:, None]
-
-
-def _pack(a: np.ndarray, counts) -> np.ndarray:
-    """The active rows of a time-major (T, B, ...) array, step by step."""
-    if counts is None:
-        return a.reshape((-1,) + a.shape[2:])
-    return a[_valid(counts, a.shape[1])]
-
-
-def _unpack(packed: np.ndarray, counts, batch: int, steps: int) -> np.ndarray:
-    """The time-major (T, B, ...) array whose active rows are packed (_pack)
-    and whose other rows are zero."""
-    if counts is None:
-        return packed.reshape((steps, batch) + packed.shape[1:])
-    out = np.zeros((steps, batch) + packed.shape[1:], packed.dtype)
-    out[_valid(counts, batch)] = packed
-    return out
-
-
-def _flip(a: np.ndarray) -> np.ndarray:
-    return a[:, ::-1]
-
-
-def _directed(a: np.ndarray, direction: int, flip=_flip) -> np.ndarray:
-    return a if direction == 0 else flip(a)
+def valid_mask(rows: list[int], batch: int) -> np.ndarray:
+    """(B, T) mask of the positions inside their sequence, from the rows
+    of each step (packed_steps)."""
+    return np.arange(batch)[:, None] < np.array(rows)
 
 
 def _flip_within(counts, batch: int, steps: int):
     """The time reversal of (B, T, .) rows that run with these per-step row
     counts: each row is reversed within its own length, its padding stays
-    in place, and reversing twice gives the row back. Without counts every
-    row is reversed whole (_flip)."""
-    if counts is None:
-        return _flip
-    lengths = (np.asarray(counts)[:, None] > np.arange(batch)).sum(axis=0)[:, None]
+    in place, and reversing twice gives the row back."""
+    lengths = valid_mask(packed_steps(counts, batch, steps)[0], batch).sum(axis=1)[:, None]
     t = np.arange(steps)
     index = np.where(t < lengths, lengths - 1 - t, t)
     rows = np.arange(batch)[:, None]
@@ -287,14 +263,15 @@ def stack_run(layers: list[tuple], xs: np.ndarray, masks=None, want_cache: bool 
     stack_backprop needs.
     """
     masks = masks or [(None,) * len(cells) for cells in layers]
-    flip = _flip_within(counts, *xs.shape[:2])
+    # Only a second direction reverses its rows.
+    flip = _flip_within(counts, *xs.shape[:2]) if len(layers[0]) > 1 else None
     outputs, caches = [], []
     inp = xs
     for cells, layer_masks in zip(layers, masks):
         hs, layer_caches = [], []
         for k, (cell, mask) in enumerate(zip(cells, layer_masks)):
-            h, cache = cell.run(_directed(inp, k, flip), mask, want_cache, counts)
-            hs.append(_directed(h, k, flip))
+            h, cache = cell.run(flip(inp) if k else inp, mask, want_cache, counts)
+            hs.append(flip(h) if k else h)
             layer_caches.append(cache)
         inp = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=2)
         outputs.append(inp)
@@ -313,20 +290,21 @@ def stack_backprop(layers: list[tuple], caches, d_top: np.ndarray, grad_of: dict
     used.
     """
     masks = masks or [(None,) * len(cells) for cells in layers]
-    flip = _flip_within(counts, *d_top.shape[:2])
+    flip = _flip_within(counts, *d_top.shape[:2]) if len(layers[0]) > 1 else None
     d_out = d_top
     for l in range(len(layers) - 1, -1, -1):
         d_in = None
         lo = 0
         for k, (cell, mask) in enumerate(zip(layers[l], masks[l])):
-            dh = _directed(d_out[..., lo : lo + cell.hidden], k, flip)
+            dh = d_out[..., lo : lo + cell.hidden]
+            dh = flip(dh) if k else dh
             lo += cell.hidden
             cache, caches[l][k] = caches[l][k], None
             dxs, dW, db = cell.backprop(cache, dh, mask, counts)
             grad_of[id(cell.W)] += dW
             grad_of[id(cell.b)] += db
             del dW  # before the next backprop, which makes its own
-            dxs = _directed(dxs, k, flip)
+            dxs = flip(dxs) if k else dxs
             d_in = dxs if d_in is None else d_in + dxs
         d_out = d_in
     return d_out
@@ -391,28 +369,38 @@ def cell_shapes(input_dim: int, upper_dim: int, hidden: int, layers: int):
             yield f"{prefix}{l}.b", (4 * hidden,)
 
 
-def length_groups(seqs: list, max_size: int | None = None) -> list[list[int]]:
-    """Positions of seqs grouped by length, ascending, stable within a group.
+def sorted_chunks(seqs: Sequence[Sequence], positions: int):
+    """Positions of seqs sorted by length, longest first (stable), cut into
+    consecutive chunks that hold at most the given number of positions when
+    padded to their longest sequence (so at most that many tokens); a
+    longer sequence is a chunk of its own."""
+    chunk: list[int] = []
+    for j in sorted(range(len(seqs)), key=lambda j: -len(seqs[j])):
+        if chunk and (len(chunk) + 1) * len(seqs[chunk[0]]) > positions:
+            yield chunk
+            chunk = []
+        chunk.append(j)
+    if chunk:
+        yield chunk
 
-    With max_size, a larger group is split into consecutive runs of at most
-    max_size positions.
-    """
-    groups: dict[int, list[int]] = {}
-    for pos, seq in enumerate(seqs):
-        groups.setdefault(len(seq), []).append(pos)
-    ordered = [groups[length] for length in sorted(groups)]
-    if max_size is None:
-        return ordered
-    return [group[lo : lo + max_size] for group in ordered
-            for lo in range(0, len(group), max_size)]
+
+def padded_layout(seqs: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, counts) of seqs, sorted by length, longest first, and
+    right-padded to the longest: valid[b, t] tells whether position t is
+    inside sequence b, and counts[t] how many sequences reach position t."""
+    lengths = np.array([len(seq) for seq in seqs])
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ValueError("sequences must be sorted by length, longest first")
+    valid = np.arange(lengths[0]) < lengths[:, None]
+    return valid, valid.sum(axis=0)
 
 
-def right_padded(seqs: list[np.ndarray]) -> np.ndarray:
-    """Arrays of shape (T_i, ...) stacked into one (B, max T_i, ...) array,
-    each row zero after its own length."""
-    out = np.zeros((len(seqs), max(map(len, seqs))) + seqs[0].shape[1:], seqs[0].dtype)
-    for row, seq in zip(out, seqs):
-        row[: len(seq)] = seq
+def to_padded(flat: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The rows of flat, which lists the valid positions of the (B, T) mask
+    in row-major order, placed at those positions of a zero (B, T, ...)
+    array."""
+    out = np.zeros(valid.shape + flat.shape[1:], flat.dtype)
+    out[valid] = flat
     return out
 
 
@@ -420,13 +408,21 @@ def padded_blocks(seqs: list[np.ndarray], rows: int, fill: int):
     """Equal-length chunks of the integer sequences seqs, each stacked into a
     block of exactly rows rows, the last ones filled with fill.
 
-    Yields (positions, block (rows, T)) per length_groups(seqs, rows) chunk.
-    Running every block at one row count keeps each GEMM of an LSTM at the
-    same shape for a given length, and at a fixed shape a product row does
-    not depend on the other rows (He et al. 2025, "Defeating Nondeterminism
-    in LLM Inference"), so a sequence's states are the same in any block.
+    Yields (positions, block (rows, T)) per chunk: the positions of seqs
+    grouped by length, ascending, stable within a length, and each group
+    cut into consecutive runs of at most rows positions. Running every
+    block at one row count keeps each GEMM of an LSTM at the same shape for
+    a given length, and at a fixed shape a product row does not depend on
+    the other rows (He et al. 2025, "Defeating Nondeterminism in LLM
+    Inference"), so a sequence's states are the same in any block.
     """
-    for group in length_groups(seqs, rows):
-        block = np.full((rows, len(seqs[group[0]])), fill, dtype=np.int64)
-        block[: len(group)] = [seqs[pos] for pos in group]
-        yield group, block
+    groups: dict[int, list[int]] = {}
+    for pos, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(pos)
+    for length in sorted(groups):
+        group = groups[length]
+        for lo in range(0, len(group), rows):
+            chunk = group[lo : lo + rows]
+            block = np.full((rows, length), fill, dtype=np.int64)
+            block[: len(chunk)] = [seqs[pos] for pos in chunk]
+            yield chunk, block

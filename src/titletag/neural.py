@@ -8,7 +8,7 @@ encoder stacks bidirectional layers; each layer above the first consumes
 the concatenated forward and backward states of the layer below. Embeddings
 come from a trainable lookup table or a frozen bidirectional-LM provider.
 Training and decoding both cut their titles into chunks of length-sorted
-titles (crf.sorted_chunks) and run each chunk as a packed batch: each
+titles (lstm.sorted_chunks) and run each chunk as a packed batch: each
 direction of each layer is one LSTM call over the right-padded chunk, each
 step on the rows still inside their title (lstm.stack_run and
 lstm.stack_backprop with counts), and the float64 head sees only the valid
@@ -24,21 +24,19 @@ from typing import Sequence
 import numpy as np
 
 from . import model_io, optim
-from .crf import (
-    apply_word_dropout, crf_nll, decode_in_chunks, padded_layout, sorted_chunks, to_padded,
-)
+from .crf import apply_word_dropout, crf_nll, decode_in_chunks
 # Unused here since crf_nll calls it, but perfbench/tests asserts that its
 # span tracer wraps this by-name binding.
 from .crf import sequence_marginals  # noqa: F401
 from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
-    cast_stack, cell_arrays, cell_shapes, direction_cells, mixed_precision,
-    right_padded, stack_backprop, stack_run,
+    cast_stack, cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_layout,
+    sorted_chunks, stack_backprop, stack_run, to_padded,
 )
 from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 
-# Most positions in one training chunk (crf.sorted_chunks), each title
+# Most positions in one training chunk (lstm.sorted_chunks), each title
 # counted as padded to the longest in its chunk; it bounds the memory of a
 # training pass. On the neural-train benchmark's inputs (seed 5, h=256,
 # batch 128, dropout masks on) a pass over one batch peaked at 7.5, 6.4 and
@@ -139,15 +137,19 @@ class LstmCrfModel:
         outputs, caches = stack_run(stack, xs, masks, want_cache, counts)
         return outputs[-1], caches
 
-    def _embed_group(self, token_group: list) -> tuple[np.ndarray, np.ndarray | None]:
-        """Inputs (B, T, dim) of sequences right-padded to the longest, and
-        the (B, T) table rows they were read from, which a trainable table's
-        gradient needs (None for a frozen provider). Padded positions read
-        table row 0."""
+    def _embed_group(
+        self, token_group: list, valid: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Inputs (B, T, dim) of sequences right-padded to the positions of
+        the (B, T) mask valid (padded_layout), and the (B, T) table rows they
+        were read from, which a trainable table's gradient needs (None for a
+        frozen provider). Padded positions read table row 0, or zeros from a
+        frozen provider."""
         if self.provider.trainable:
-            ids = right_padded([self.provider.ids(toks) for toks in token_group])
+            ids = to_padded(np.concatenate([self.provider.ids(toks) for toks in token_group]),
+                            valid)
             return self.provider.table[ids], ids
-        return self.provider.embed_group(token_group), None
+        return to_padded(self.provider.embed_group(token_group), valid), None
 
     def _chunk_emissions(self, token_group: list, stack) -> np.ndarray:
         """Label scores (total length, n_labels) of sequences sorted by
@@ -155,7 +157,8 @@ class LstmCrfModel:
         batch on stack's cells, each step on the rows still inside their
         sequence; the head computes in float64 on the valid positions."""
         valid, counts = padded_layout(token_group)
-        enc, _ = self.encode(self._embed_group(token_group)[0], stack=stack, counts=counts)
+        enc, _ = self.encode(self._embed_group(token_group, valid)[0], stack=stack,
+                             counts=counts)
         return enc[valid] @ self.proj_W + self.proj_b
 
     def emissions(self, tokens: Sequence[str]) -> np.ndarray:
@@ -193,7 +196,7 @@ class LstmCrfModel:
         label_seqs holds each sequence's label ids, and masks, when given,
         the per-layer (forward, backward) recurrent dropout masks with one
         row per sequence, both in batch order. The batch runs in the chunks
-        of crf.sorted_chunks, of at most TRAIN_POSITIONS positions each.
+        of lstm.sorted_chunks, of at most TRAIN_POSITIONS positions each.
         Each chunk is encoded as one right-padded batch, each direction of
         each layer in one LSTM call whose steps run only the rows still
         inside their sequence (encode with counts), and backpropagated the
@@ -210,7 +213,7 @@ class LstmCrfModel:
             tokens = [token_seqs[j] for j in chunk]
             chunk_masks = masks and [tuple(m[chunk] for m in pair) for pair in masks]
             valid, counts = padded_layout(tokens)
-            xs, ids = self._embed_group(tokens)
+            xs, ids = self._embed_group(tokens, valid)
             enc, caches = self.encode(xs, chunk_masks, want_grads, stack, counts)
             h = enc[valid]
             ys = to_padded(np.concatenate([label_seqs[j] for j in chunk]), valid)

@@ -23,8 +23,8 @@ from . import model_io, optim
 from .corpus import Corpus
 from .errors import FormatError
 from .lstm import (
-    cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_blocks, right_padded,
-    softmax_ce, stack_backprop, stack_run,
+    cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_blocks, softmax_ce,
+    stack_backprop, stack_run,
 )
 
 UNK = "<unk>"
@@ -198,10 +198,11 @@ def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int =
 
     Loss is mean cross-entropy per prediction over both directions; the
     per-epoch mean is logged and recorded in model.history (perplexity is
-    its exp). Each mini-batch runs as one padded batch per direction, on
-    float32 copies of the cells (lstm.mixed_precision); the embedding table,
-    the output layers, the gradient sums and the optimizer state stay
-    float64. The dropout fields of the training config are not read.
+    its exp). Each mini-batch runs as one packed batch per direction
+    (_bilm_batch), on float32 copies of the cells (lstm.mixed_precision);
+    the embedding table, the output layers, the gradient sums and the
+    optimizer state stay float64. The dropout fields of the training config
+    are not read.
     """
     dim, hidden, layers = dims
     if not corpus.titles:
@@ -228,25 +229,28 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None,
     """Summed CE over one batch of id sequences of any lengths; adds the
     gradients into grad_of (keyed by parameter id) when given.
 
-    Each direction runs the whole batch once, right-padded
-    (_direction_batches). The LSTM is causal, so the states at valid
-    positions do not depend on the padding; the output layer sees only
-    valid positions and the gradient on every padded one is zero, so the
-    result is the sum over the batch's length groups up to rounding.
-    stacks, when given, is the (forward, backward) pair of one-direction
-    stacks to run instead of the model's own cells, and the inputs are cast
-    to the dtype of their weights; the output layers compute in float64
-    either way. Returns (ce_sum, prediction_count).
+    The batch is sorted by length, longest first (stable), and each
+    direction runs it once, right-padded (_direction_batches) and packed
+    as lstm.LstmCell.run takes it: step t runs only the counts[t] rows
+    still inside their sequence, so no padded position is multiplied. The
+    output layer sees only valid positions, so the result is the sum over
+    the batch's length groups up to rounding. stacks, when given, is the
+    (forward, backward) pair of one-direction stacks to run instead of the
+    model's own cells, and the inputs are cast to the dtype of their
+    weights; the output layers compute in float64 either way. Returns
+    (ce_sum, prediction_count).
     """
     bos, eos = model.vocab.id(BOS), model.vocab.id(EOS)
+    batch = sorted(batch, key=len, reverse=True)
     total_ce = 0.0
     total_preds = 0
     for reverse in (False, True):
         own_stack, out_W, out_b = model._direction(reverse)
         stack = stacks[reverse] if stacks else own_stack
         inputs, targets, valid = _direction_batches(batch, bos, eos, reverse)
+        counts = valid.sum(axis=0)
         xs = model.embed[inputs].astype(stack[0][0].W.dtype, copy=False)
-        outputs, caches = stack_run(stack, xs, want_cache=grad_of is not None)
+        outputs, caches = stack_run(stack, xs, want_cache=grad_of is not None, counts=counts)
         top = outputs[-1]
         h = top[valid]
         ce, dlogits = softmax_ce((h @ out_W + out_b)[None], targets[valid][None])
@@ -259,7 +263,7 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None,
         grad_of[id(out_b)] += dlogits.sum(axis=0)
         d_top = np.zeros_like(top)
         d_top[valid] = dlogits @ out_W.T
-        dxs = stack_backprop(stack, caches, d_top, grad_of)
+        dxs = stack_backprop(stack, caches, d_top, grad_of, counts=counts)
         # ufunc.at is several times slower on mixed dtypes.
         np.add.at(grad_of[id(model.embed)], inputs[valid],
                   dxs[valid].astype(np.float64, copy=False))
@@ -332,9 +336,8 @@ class BiLmEmbeddings:
         return self.model.contextual_dim
 
     def embed_group(self, token_group: Sequence[Sequence[str]]) -> np.ndarray:
-        """Vectors (B, T, dim) of B titles, right-padded with zeros to the
-        longest length T."""
-        return right_padded(embed_titles(self.model, token_group))
+        """Vectors (total length, dim) of the titles' tokens, title by title."""
+        return np.concatenate(embed_titles(self.model, token_group))
 
 
 @dataclass(frozen=True, eq=False)

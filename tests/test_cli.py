@@ -687,6 +687,7 @@ def small_models(tmp_path_factory):
         "crf": ["train", "crf", "--train", str(gold)],
         "lstm-crf": ["train", "lstm-crf", "--train", str(gold), "--hidden", "8",
                      "--embedding-dim", "4"],
+        "lstm": ["train", "lstm", "--train", str(gold), "--hidden", "8", "--embedding-dim", "4"],
         "bilm": ["train", "bilm", "--in", str(raw), "--dim", "4", "--hidden", "4"],
     }
     paths = {"gold": gold, "raw": raw}
@@ -902,6 +903,58 @@ def test_non_finite_weights_exit_4(tmp_path, capsys, small_models, kind, array, 
     code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
     assert code == 4, err
     assert "bad.model" in err and repr(array) in err
+
+
+def _json_paths(node, path=()):
+    """The path of every object member and list item under a JSON value."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _json_paths(value, path + (key,))
+
+
+# Values of another type, or out of range, for any header field.
+_ODD_JSON = [None, True, 0, -1, 2**40, 1.5, "x", [], ["x"], {}, {"x": 1}]
+
+
+def _mutated(data: bytes, draw) -> bytes:
+    """A model file with one drawn corruption: a header member dropped or
+    swapped for an odd value, one bit flipped, or the file truncated."""
+    mutation = draw(st.sampled_from(["header", "bit", "truncate"]), label="mutation")
+    if mutation == "bit":
+        bit = draw(st.integers(0, 8 * len(data) - 1), label="bit")
+        return data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
+    if mutation == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1), label="length")]
+    start = len(model_io.MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[len(model_io.MAGIC) : start])
+    header = json.loads(data[start : start + length])
+    *parents, key = draw(st.sampled_from(list(_json_paths(header))), label="path")
+    owner = header
+    for parent in parents:
+        owner = owner[parent]
+    if draw(st.booleans(), label="drop"):
+        del owner[key]
+    else:
+        owner[key] = draw(st.sampled_from(_ODD_JSON), label="value")
+    blob = json.dumps(header).encode("utf-8")
+    return model_io.MAGIC + struct.pack("<Q", len(blob)) + blob + data[start + length :]
+
+
+@given(kind=st.sampled_from(["crf", "lstm", "lstm-crf", "bilm"]), data=st.data())
+def test_corrupt_model_files_exit_2_or_4(small_models, kind, data):
+    """A corrupted model file is read through `tag` (the taggers) or `embed`
+    (the biLM): it either still works or is reported as bad input, never as
+    an internal error (exit 1)."""
+    mutant = _mutated(small_models[kind].read_bytes(), data.draw)
+    with tempfile.TemporaryDirectory() as work:
+        model = Path(work) / "bad.model"
+        model.write_bytes(mutant)
+        out = str(Path(work) / "out")
+        raw = str(small_models["raw"])
+        argv = (["embed", "--model", str(model), "--in", raw, "--out", out] if kind == "bilm"
+                else ["tag", "--in", raw, "--model", str(model), "--out", out])
+        assert cli.main(argv) in (0, 2, 4)
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -14,12 +14,12 @@ from titletag.crf import (
     extract_features,
     crf_nll,
     nll_and_gradient,
-    padded_layout,
     train_crf,
     train_logreg,
     viterbi_path,
 )
 from titletag.labeling import ALL_LABELS, LabeledSequence, auto_tag
+from titletag.lstm import padded_layout
 from titletag.errors import TrainingDivergedError
 from titletag.optim import ADAM_B1, ADAM_B2, ADAM_EPS
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from titletag import neural
 from titletag.crf import TrainConfig, crf_nll, viterbi_path
 from titletag.labeling import ALL_LABELS, BioesLabel, LabeledSequence
-from titletag.lstm import LstmCell, softmax_ce
+from titletag.lstm import LstmCell, padded_layout, softmax_ce
 from titletag.neural import (
     LstmCrfModel,
     TrainableEmbeddings,
@@ -192,8 +192,8 @@ def test_encoding_independent_of_batch_composition():
     model = build_model("lstm-crf", seed=7)
     t1 = ("chief", "financial", "officer")
     t2 = ("head", "of", "marketing")
-    xs1, _ = model._embed_group([t1])
-    xs_both, _ = model._embed_group([t1, t2])
+    xs1, _ = model._embed_group([t1], padded_layout([t1])[0])
+    xs_both, _ = model._embed_group([t1, t2], padded_layout([t1, t2])[0])
     enc1, _ = model.encode(xs1)
     enc_both, _ = model.encode(xs_both)
     np.testing.assert_allclose(enc_both[0], enc1[0], atol=1e-12)
@@ -214,7 +214,8 @@ def test_trainable_embeddings_unknown_fallback():
     """On the path tagging uses, an unseen token reads table row 0."""
     model = build_model("lstm-crf")
     emb = model.provider
-    inputs, ids = model._embed_group([("chief", "neverseen")])
+    tokens = ("chief", "neverseen")
+    inputs, ids = model._embed_group([tokens], padded_layout([tokens])[0])
     np.testing.assert_array_equal(ids, [[emb.vocab.ids(("chief",))[0], 0]])
     np.testing.assert_array_equal(inputs[0], emb.table[ids[0]])
     np.testing.assert_array_equal(inputs[0, 1], emb.table[0])
@@ -359,7 +360,7 @@ def test_float32_emissions_match_the_float64_encode():
     model = train_lstm_crf(TOY, cfg, hidden_size=16, layers=2, embedding_dim=8)
     bound = 1e-6 * np.abs(model.proj_W).sum(axis=0).max()
     for ex in TOY:
-        xs, _ = model._embed_group([ex.tokens])
+        xs, _ = model._embed_group([ex.tokens], padded_layout([ex.tokens])[0])
         enc, _ = model.encode(xs)
         assert enc.dtype == np.float64
         enc32, _ = model.encode(xs, stack=model._float32_stack())

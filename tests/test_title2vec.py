@@ -5,10 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from titletag import title2vec
 from titletag.corpus import Corpus, Title, synth_corpus
 from titletag.crf import TrainConfig
 from titletag.errors import FormatError
-from titletag.lstm import LstmCell, length_groups, padded_blocks
+from titletag.lstm import LstmCell, padded_blocks
 from titletag.title2vec import (
     EMBED_BLOCK,
     BiLmModel,
@@ -245,11 +246,12 @@ def test_padded_batch_equals_its_length_groups():
     ce, preds = _bilm_batch(model, batch, grad_of)
     group_grads, group_grad_of = grad_buffers(model)
     group_ce, group_preds = 0.0, 0
-    for group in length_groups(batch):
-        c, n = _bilm_batch(model, [batch[j] for j in group], group_grad_of)
+    lengths = sorted({len(seq) for seq in batch})
+    assert lengths == [1, 2, 3, 4, 5]
+    for length in lengths:
+        c, n = _bilm_batch(model, [seq for seq in batch if len(seq) == length], group_grad_of)
         group_ce += c
         group_preds += n
-    assert len(length_groups(batch)) == 5
     assert preds == group_preds == sum(len(seq) + 1 for seq in batch) * 2
     assert ce == pytest.approx(group_ce, rel=0, abs=1e-12)
     for g, want in zip(grads, group_grads):
@@ -283,6 +285,41 @@ def test_train_bilm_runs_float32_cells_on_float64_master_weights(monkeypatch, sa
     model.save(tmp_path / "a.model")
     again.save(tmp_path / "b.model")
     assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+
+def test_train_bilm_runs_packed(monkeypatch, sample_gaz):
+    """Every LSTM run and backprop of biLM training gets per-step row counts
+    that cover exactly the batch's valid positions, each title's tokens
+    plus its opening sentinel, so no padded position is multiplied."""
+    corpus = synth_corpus(sample_gaz, grammar_seed=3, count=40)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=2, optimizer="adam", seed=7)
+    batches, calls = [], []
+    bilm_batch, run, backprop = title2vec._bilm_batch, LstmCell.run, LstmCell.backprop
+
+    def batch_spy(model, batch, *args):
+        batches.append(batch)
+        return bilm_batch(model, batch, *args)
+
+    def run_spy(cell, xs, mask=None, want_cache=False, counts=None):
+        calls.append(("run", batches[-1], counts))
+        return run(cell, xs, mask, want_cache, counts)
+
+    def backprop_spy(cell, caches, dhs, mask=None, counts=None):
+        calls.append(("backprop", batches[-1], counts))
+        return backprop(cell, caches, dhs, mask, counts)
+
+    monkeypatch.setattr(title2vec, "_bilm_batch", batch_spy)
+    monkeypatch.setattr(LstmCell, "run", run_spy)
+    monkeypatch.setattr(LstmCell, "backprop", backprop_spy)
+    train_bilm(corpus, (5, 4, 2), cfg)
+    # 3 batches per epoch, 2 epochs, 2 directions of 2 layers each.
+    assert len(batches) == 6
+    assert [kind for kind, _, _ in calls].count("run") == 6 * 4
+    assert [kind for kind, _, _ in calls].count("backprop") == 6 * 4
+    assert len({len(seq) for seq in batches[0]}) > 1
+    for _, batch, counts in calls:
+        assert counts is not None
+        assert sum(counts) == sum(len(seq) + 1 for seq in batch)
 
 
 def test_train_bilm_beats_uniform(sample_gaz):
