@@ -11,13 +11,11 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from titletag.corpus import synth_corpus
 from titletag.crf import train_crf
 from titletag.evaluation import compare_models, predict_sequences, score
 from titletag.gazetteer import sample_gazetteer
-from titletag.labeling import auto_tag
+from titletag.labeling import auto_tag, split_sequences
 from titletag.neural import train_lstm_crf
 from titletag.optim import TrainConfig
 
@@ -38,13 +36,8 @@ def main(argv=None) -> int:
     gaz = sample_gazetteer()
     corpus = synth_corpus(gaz, grammar_seed=args.seed, count=args.count)
     labeled = [auto_tag(t, gaz) for t in corpus.titles]
-    order = np.random.default_rng(args.seed).permutation(len(labeled))
-    shuffled = [labeled[int(j)] for j in order]
-    n_train = int(len(shuffled) * 0.8)
-    n_dev = int(len(shuffled) * 0.1)
-    train = shuffled[:n_train]
-    test = shuffled[n_train + n_dev :]
-    print(f"data: {len(train)} train / {n_dev} dev / {len(test)} test titles",
+    train, dev, test = split_sequences(labeled, (80, 10, 10), args.seed)
+    print(f"data: {len(train)} train / {len(dev)} dev / {len(test)} test titles",
           file=sys.stderr)
 
     t0 = time.time()

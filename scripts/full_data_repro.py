@@ -19,7 +19,7 @@ import numpy as np
 
 from titletag.crf import train_crf
 from titletag.evaluation import predict_sequences, score
-from titletag.labeling import read_conll
+from titletag.labeling import read_conll, split_sequences
 from titletag.neural import train_lstm_crf
 from titletag.optim import TrainConfig
 
@@ -68,11 +68,7 @@ def main(argv=None) -> int:
     check("length.median", int(np.median(lengths)), EXPECTED_LENGTHS["median"], failures)
 
     if args.train:
-        order = np.random.default_rng(args.seed).permutation(len(sequences))
-        shuffled = [sequences[int(j)] for j in order]
-        n_train = int(len(shuffled) * 0.8)
-        n_dev = int(len(shuffled) * 0.1)
-        train, test = shuffled[:n_train], shuffled[n_train + n_dev :]
+        train, _, test = split_sequences(sequences, (80, 10, 10), args.seed)
 
         models = {
             "crf": train_crf(train, TrainConfig(seed=args.seed)),

@@ -9,13 +9,11 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from titletag.corpus import synth_corpus
 from titletag.crf import train_crf
 from titletag.evaluation import align_columns, grid_search
 from titletag.gazetteer import sample_gazetteer
-from titletag.labeling import auto_tag
+from titletag.labeling import auto_tag, split_sequences
 from titletag.optim import TrainConfig
 
 
@@ -28,10 +26,7 @@ def main(argv=None) -> int:
     gaz = sample_gazetteer()
     corpus = synth_corpus(gaz, grammar_seed=args.seed, count=args.count)
     labeled = [auto_tag(t, gaz) for t in corpus.titles]
-    order = np.random.default_rng(args.seed).permutation(len(labeled))
-    shuffled = [labeled[int(j)] for j in order]
-    cut = int(len(shuffled) * 0.8)
-    train, dev = shuffled[:cut], shuffled[cut:]
+    train, _, dev = split_sequences(labeled, (80, 0, 20), args.seed)
 
     space = {
         "learning_rate": [0.05, 0.1, 0.5],

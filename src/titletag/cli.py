@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
-import math
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
@@ -37,7 +36,7 @@ from .gazetteer import (
     sample_gazetteer,
     write_gazetteer,
 )
-from .labeling import auto_tag, dumps_conll, read_conll, write_conll
+from .labeling import auto_tag, dumps_conll, read_conll, split_sequences, write_conll
 from .neural import LstmCrfModel, train_lstm_crf, train_lstm_softmax
 from .optim import TrainConfig
 from .title2vec import (
@@ -88,7 +87,8 @@ def _check_read(kind: str, option: str, key: str) -> None:
 def _build_config(args: argparse.Namespace) -> TrainConfig:
     """Training config: defaults, then --config pairs, then explicit flags.
 
-    A setting the trainer does not read, given either way, is a ValueError.
+    A setting the trainer does not read, given either way, is a ValueError,
+    and so is a --config seed, which the required --seed would override.
     """
     kind = args.model if args.command == "gridsearch" else args.model_kind
     values = asdict(TrainConfig())
@@ -99,6 +99,8 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
+        if key == "seed":
+            raise ValueError("--config sets seed, which only --seed sets")
         _check_read(kind, "--config", key)
         values[key] = _coerce("--config", key, text.strip())
     for key in _CONFIG_TYPES:
@@ -291,24 +293,11 @@ def cmd_split(args: argparse.Namespace) -> int:
     _announce_seed(args)
     sequences = read_conll(args.infile)
     try:
-        shares = [float(p) for p in args.ratios.split("/")]
+        splits = split_sequences(sequences, [float(p) for p in args.ratios.split("/")], args.seed)
     except ValueError:
-        shares = []
-    total = sum(shares)
-    if len(shares) != 3 or not all(0 <= s < math.inf for s in shares) or not 0 < total < math.inf:
         raise ValueError("--ratios expects train/dev/test as three finite non-negative shares "
-                         f"with a positive sum, got {args.ratios!r}")
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(len(sequences))
-    n_train = int(len(sequences) * shares[0] / total)
-    n_dev = int(len(sequences) * shares[1] / total)
-    shuffled = [sequences[int(j)] for j in order]
-    splits = {
-        "train": shuffled[:n_train],
-        "dev": shuffled[n_train : n_train + n_dev],
-        "test": shuffled[n_train + n_dev :],
-    }
-    for name, chunk in splits.items():
+                         f"with a positive sum, got {args.ratios!r}") from None
+    for name, chunk in zip(("train", "dev", "test"), splits):
         path = f"{args.out_prefix}.{name}.conll"
         write_conll(chunk, path)
         print(f"{name}: {len(chunk)} titles -> {path}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import FormatError, is_blank, read_lines
 
@@ -173,29 +173,33 @@ def irr_report(sets: Sequence[AnnotationSet]) -> IrrReport:
     )
 
 
-def read_annotations(path: str | Path) -> AnnotationSet:
-    """Read a token<TAB>tag annotation file; the annotator id is its stem."""
-    path = Path(path)
-    votes: dict[str, CoarseTag] = {}
+def _read_token_rows(path: Path, columns: int, parse: Callable) -> dict:
+    """token -> parse(*rest) for each token<TAB>rest row of a file with that
+    many columns. Blank lines are skipped; a wrong column count, an empty or
+    repeated token, or a ValueError from parse is a FormatError naming the
+    file and line."""
+    rows: dict = {}
     for lineno, line in read_lines(path):
         if is_blank(line):
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(
-                f"expected token<TAB>tag, got {len(parts)} columns", path=str(path), line=lineno
-            )
-        token, tag_text = parts
-        if not token:
-            raise FormatError("empty token", path=str(path), line=lineno)
+        token, *values = parts = line.split("\t")
         try:
-            tag = CoarseTag(tag_text)
-        except ValueError:
-            raise FormatError(f"unknown tag {tag_text!r}", path=str(path), line=lineno) from None
-        if token in votes:
-            raise FormatError(f"duplicate token {token!r}", path=str(path), line=lineno)
-        votes[token] = tag
-    return AnnotationSet(annotator_id=path.stem, votes=votes)
+            if len(parts) != columns:
+                raise ValueError(f"expected {columns} tab-separated columns, got {len(parts)}")
+            if not token:
+                raise ValueError("empty token")
+            if token in rows:
+                raise ValueError(f"duplicate token {token!r}")
+            rows[token] = parse(*values)
+        except ValueError as exc:
+            raise FormatError(str(exc), path=str(path), line=lineno) from None
+    return rows
+
+
+def read_annotations(path: str | Path) -> AnnotationSet:
+    """Read a token<TAB>tag annotation file; the annotator id is its stem."""
+    path = Path(path)
+    return AnnotationSet(annotator_id=path.stem, votes=_read_token_rows(path, 2, CoarseTag))
 
 
 def write_gazetteer(gazetteer: Gazetteer, path: str | Path) -> None:
@@ -207,27 +211,12 @@ def write_gazetteer(gazetteer: Gazetteer, path: str | Path) -> None:
 
 
 def read_gazetteer(path: str | Path) -> Gazetteer:
-    path = Path(path)
-    entries: dict[str, GazetteerEntry] = {}
-    for lineno, line in read_lines(path):
-        if is_blank(line):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise FormatError(
-                f"expected 6 tab-separated columns, got {len(parts)}", path=str(path), line=lineno
-            )
-        token, tag_text, va, vb, vc, agree_text = parts
-        try:
-            tag = CoarseTag(tag_text)
-            votes = (CoarseTag(va), CoarseTag(vb), CoarseTag(vc))
-            agreement = Agreement(agree_text)
-        except ValueError as exc:
-            raise FormatError(str(exc), path=str(path), line=lineno) from None
-        if token in entries:
-            raise FormatError(f"duplicate token {token!r}", path=str(path), line=lineno)
-        entries[token] = GazetteerEntry(tag=tag, votes=votes, agreement=agreement)
-    return Gazetteer(entries=entries)
+    """Read the gazetteer TSV that write_gazetteer writes."""
+    def entry(tag: str, va: str, vb: str, vc: str, agreement: str) -> GazetteerEntry:
+        return GazetteerEntry(tag=CoarseTag(tag), votes=(CoarseTag(va), CoarseTag(vb), CoarseTag(vc)),
+                              agreement=Agreement(agreement))
+
+    return Gazetteer(entries=_read_token_rows(Path(path), 6, entry))
 
 
 # A compact built-in annotation exercise over common title vocabulary. Most

@@ -7,10 +7,13 @@ argmax tie-breaking favors the empty label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import Title
 from .errors import FormatError, decode_text, is_blank
@@ -165,6 +168,22 @@ def auto_tag(title: Title, gazetteer: Gazetteer) -> LabeledSequence:
         raise ValueError("cannot tag an empty title")
     coarse = [gazetteer.lookup(token) for token in title.tokens]
     return LabeledSequence(tokens=title.tokens, labels=encode_bioes(coarse))
+
+
+def split_sequences(seqs: Sequence[LabeledSequence], shares: Sequence[float], seed: int):
+    """Seeded (train, dev, test) split of seqs in the given shares.
+
+    One permutation from default_rng(seed) orders seqs; train and dev take
+    the floor of their shares of it and test takes the rest. shares are three
+    finite non-negative numbers with a positive sum, else a ValueError.
+    """
+    total = sum(shares)
+    if len(shares) != 3 or not all(0 <= s < math.inf for s in shares) or not 0 < total < math.inf:
+        raise ValueError(f"expected three finite non-negative shares with a positive sum, got {shares!r}")
+    shuffled = [seqs[int(j)] for j in np.random.default_rng(seed).permutation(len(seqs))]
+    n_train = int(len(seqs) * shares[0] / total)
+    n_dev = int(len(seqs) * shares[1] / total)
+    return shuffled[:n_train], shuffled[n_train : n_train + n_dev], shuffled[n_train + n_dev :]
 
 
 def dumps_conll(sequences: Sequence[LabeledSequence]) -> str:

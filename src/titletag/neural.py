@@ -99,15 +99,8 @@ class LstmCrfModel:
         self.history: list[float] = []
 
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for cell in self.fwd_cells + self.bwd_cells:
-            params.extend([cell.W, cell.b])
-        params.extend([self.proj_W, self.proj_b])
-        if self.kind == "lstm-crf":
-            params.extend([self.trans, self.start, self.stop])
-        if self.provider.trainable:
-            params.append(self.provider.table)
-        return params
+        """The trained arrays: exactly those the model file stores."""
+        return list(self._arrays().values())
 
     def _stack(self) -> list[tuple]:
         return list(zip(self.fwd_cells, self.bwd_cells))
@@ -362,9 +355,7 @@ def _train_bilstm(
         counts = Counter(tok for ex in data for tok in ex.tokens)
         provider = TrainableEmbeddings(Vocab.from_counts(counts), embedding_dim, rng)
     model = LstmCrfModel(provider, hidden_size=hidden_size, layers=layers, kind=kind, rng=rng)
-    params = model.parameters()
-    grads, update = optim.dense_update(cfg, params)
-    grad_of = {id(p): g for p, g in zip(params, grads)}
+    grad_of, update = optim.dense_update(cfg, model.parameters())
     # The encoder runs on float32 copies of the cells; the head stays float64.
     stack, step = mixed_precision(model._stack(), grad_of, update)
 

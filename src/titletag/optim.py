@@ -143,7 +143,8 @@ class Adam:
 
 
 def dense_update(cfg: TrainConfig, params: list[np.ndarray]):
-    """Gradient buffers for params and the update step of fit that applies them.
+    """Gradient buffers for params, keyed by id(param), and the update step
+    of fit that applies them.
 
     The step scales the accumulated grads, clips them to cfg.clip_norm, runs
     the configured optimizer, zeroes the buffers for the next batch and
@@ -162,4 +163,4 @@ def dense_update(cfg: TrainConfig, params: list[np.ndarray]):
             g.fill(0.0)
         return norm
 
-    return grads, update
+    return {id(p): g for p, g in zip(params, grads)}, update

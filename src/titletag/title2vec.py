@@ -121,11 +121,8 @@ class BiLmModel:
         return self.dim + 2 * self.hidden * self.layers
 
     def parameters(self) -> list[np.ndarray]:
-        params = [self.embed]
-        for cell in self.fwd_cells + self.bwd_cells:
-            params.extend([cell.W, cell.b])
-        params.extend([self.fwd_out_W, self.fwd_out_b, self.bwd_out_W, self.bwd_out_b])
-        return params
+        """The trained arrays: exactly those the model file stores."""
+        return list(self._arrays().values())
 
     def _direction(self, reverse: bool) -> tuple[list[tuple], np.ndarray, np.ndarray]:
         """One-direction stack and output layer of the backward (reverse) or forward LM."""
@@ -211,9 +208,7 @@ def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int =
     rng = np.random.default_rng(cfg.seed)
     model = BiLmModel(vocab, dim, hidden, layers, rng=rng)
     sequences = [vocab.ids(title.tokens) for title in corpus.titles]
-    params = model.parameters()
-    grads, update = optim.dense_update(cfg, params)
-    grad_of = {id(p): g for p, g in zip(params, grads)}
+    grad_of, update = optim.dense_update(cfg, model.parameters())
     copies, step = mixed_precision(model._direction(False)[0] + model._direction(True)[0],
                                    grad_of, update)
     stacks = (copies[:layers], copies[layers:])

@@ -18,7 +18,7 @@ from titletag import cli, model_io
 from titletag.corpus import load_corpus
 from titletag.errors import FormatError, read_lines
 from titletag.gazetteer import read_annotations, read_gazetteer
-from titletag.labeling import read_conll
+from titletag.labeling import read_conll, split_sequences
 from titletag.neural import LstmCrfModel
 from titletag.title2vec import BiLmModel, Vocab, read_embeddings
 
@@ -205,6 +205,10 @@ def test_split_counts_and_determinism(tmp_path, capsys):
         "--ratios", "80/10/10", "--seed", "1",
     )
     assert (tmp_path / "ds.train.conll").read_bytes() == first
+    # the same split the scripts take
+    shared = split_sequences(read_conll(labeled), (80, 10, 10), 1)
+    for name, want in zip(("train", "dev", "test"), shared):
+        assert read_conll(tmp_path / f"ds.{name}.conll") == want
 
 
 def test_split_bad_ratios(tmp_path, capsys):
@@ -629,6 +633,30 @@ def test_gridsearch_base_flag_the_trainer_does_not_read_exits_2(tmp_path, capsys
     )
     assert code == 2, err
     assert "error: --clip sets clip_norm, which the crf trainer does not read" in err
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+def test_config_seed_exits_2_naming_the_seed_flag(tmp_path, capsys, command):
+    """--seed is required and would win, so a --config seed is refused, not ignored."""
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    model = tmp_path / "m.bin"
+    argv = (["train", "crf", "--train", str(labeled), "--out", str(model)] if command == "train"
+            else ["gridsearch", "--model", "crf", "--train", str(labeled), "--dev", str(labeled),
+                  "--space", "epochs=1"])
+    code, out, err = run(capsys, *argv, "--seed", "1", "--epochs", "1", "--config", "seed=5")
+    assert code == 2, err
+    assert "error: --config sets seed, which only --seed sets" in err
+    assert out == "" and not model.exists()
+
+
+def test_gridsearch_seed_axis_still_runs(tmp_path, capsys):
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    code, out, err = run(capsys, "gridsearch", "--model", "crf", "--train", str(labeled),
+                         "--dev", str(labeled), "--space", "seed=1,2;epochs=1", "--seed", "0")
+    assert code == 0, err
+    assert len(out.splitlines()) == 3  # header and one row per seed
 
 
 @pytest.mark.parametrize("kind", ["crf", "logreg", "bilm"])

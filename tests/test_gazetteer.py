@@ -184,6 +184,12 @@ def test_read_gazetteer_errors(tmp_path):
     with pytest.raises(FormatError):
         read_gazetteer(p)
 
+    p.write_text("boss\tRES\tRES\tRES\tRES\tUNANIMOUS\n\tRES\tRES\tRES\tRES\tUNANIMOUS\n",
+                 encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_gazetteer(p)
+    assert (err.value.path, err.value.line) == (str(p), 2)
+
 
 def test_kappa_is_symmetric(sample_sets):
     a, b, _ = sample_sets
