@@ -16,7 +16,7 @@ import functools
 import logging
 import sys
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +49,11 @@ from .title2vec import (
 
 log = logging.getLogger(__name__)
 
-_CONFIG_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)}
 _EXTRA_AXIS_TYPES = {"hidden_size": int, "layers": int, "embedding_dim": int}
+_AXIS_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)} | _EXTRA_AXIS_TYPES
 # The TrainConfig fields each trainer does not read (the lstm and lstm-crf
-# trainers read them all). Setting one explicitly, by flag, --config or
-# --space axis, is a usage error rather than a silent no-op.
+# trainers read them all). Setting one explicitly, by flag or --space axis,
+# is a usage error rather than a silent no-op.
 _UNREAD_SETTINGS = {
     "crf": ("variational_dropout", "clip_norm"),
     "logreg": ("variational_dropout", "clip_norm"),
@@ -65,16 +65,13 @@ _FLAGS = {"clip_norm": "--clip"}  # where a flag is not "--" + the dashed field 
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
-def _coerce(option: str, key: str, text: str):
-    """The value of setting key given as text to option (--config or --space);
-    a clip_norm of 0 means None."""
-    caster = _CONFIG_TYPES.get(key) or _EXTRA_AXIS_TYPES.get(key)
-    if caster is None:
-        raise ValueError(f"unknown setting {key!r}")
+def _coerce(key: str, text: str):
+    """The value of search axis key given as text; a clip_norm of 0 means None."""
+    caster = _AXIS_TYPES[key]
     try:
         value = caster(text)
     except ValueError:
-        raise ValueError(f"{option} {key}: expected {_EXPECTED[caster]}, got {text!r}") from None
+        raise ValueError(f"--space {key}: expected {_EXPECTED[caster]}, got {text!r}") from None
     return None if key == "clip_norm" and value == 0 else value
 
 
@@ -85,29 +82,15 @@ def _check_read(kind: str, option: str, key: str) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
-    """Training config: defaults, then --config pairs, then explicit flags.
-
-    A setting the trainer does not read, given either way, is a ValueError,
-    and so is a --config seed, which the required --seed would override.
-    """
+    """Training config: the defaults, overridden by each flag given. A flag
+    that sets a setting the trainer does not read is a ValueError."""
     kind = args.model if args.command == "gridsearch" else args.model_kind
-    values = asdict(TrainConfig())
-    for pair in args.config or []:
-        key, sep, text = pair.partition("=")
-        if not sep:
-            raise ValueError(f"--config expects key=value, got {pair!r}")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        if key == "seed":
-            raise ValueError("--config sets seed, which only --seed sets")
-        _check_read(kind, "--config", key)
-        values[key] = _coerce("--config", key, text.strip())
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
+    values = {}
+    for f in fields(TrainConfig):
+        flag = getattr(args, f.name)
         if flag is not None:
-            _check_read(kind, _FLAGS.get(key, "--" + key.replace("_", "-")), key)
-            values[key] = None if key == "clip_norm" and flag == 0 else flag
+            _check_read(kind, _FLAGS.get(f.name, "--" + f.name.replace("_", "-")), f.name)
+            values[f.name] = None if f.name == "clip_norm" and flag == 0 else flag
     return TrainConfig(**values)
 
 
@@ -352,8 +335,8 @@ def cmd_train_bilm(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     gold = read_conll(args.gold)
     if args.pred:
-        _reject_unread({"--gazetteer": args.gazetteer, "--embeddings": args.embeddings},
-                       f"eval --pred {args.pred}")
+        _reject_unread({"--gazetteer": args.gazetteer, "--embeddings": args.embeddings,
+                        "--pred-out": args.pred_out}, f"eval --pred {args.pred}")
         pred = read_conll(args.pred)
     else:
         model = _load_tagger(args.model, args.gazetteer, args.embeddings)
@@ -386,12 +369,14 @@ def _parse_space(text: str, model: str) -> dict[str, list]:
         if not sep:
             raise ValueError(f"bad space axis {part!r}, expected key=v1,v2,...")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES and key not in _EXTRA_AXIS_TYPES:
+        if key not in _AXIS_TYPES:
             raise ValueError(f"unknown search axis {key!r}")
+        if key in space:
+            raise ValueError(f"search axis {key!r} is given twice")
         if key in _EXTRA_AXIS_TYPES and model in ("crf", "logreg"):
             raise ValueError(f"search axis {key!r} applies only to the lstm and lstm-crf models")
         _check_read(model, "--space", key)
-        space[key] = [_coerce("--space", key, v.strip()) for v in values.split(",") if v.strip()]
+        space[key] = [_coerce(key, v.strip()) for v in values.split(",") if v.strip()]
         if not space[key]:
             raise ValueError(f"axis {key!r} has no values")
     if not space:
@@ -449,8 +434,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variational-dropout", type=float, default=None)
     parser.add_argument("--clip", dest="clip_norm", metavar="CLIP", type=float, default=None,
                         help="gradient norm clip; 0 disables")
-    parser.add_argument("--config", action="append", metavar="KEY=VALUE", default=None,
-                        help="training setting; explicit flags take precedence")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,7 +47,7 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def is_blank(line: str) -> bool:
-    """Whether a line read by read_lines or parse_conll is blank: empty or
+    """Whether a line read by read_lines is blank: empty or
     whitespace only (str.isspace, so also "\\x0c" and "\\u2028"). Every
     reader treats a blank line as it treats an empty one."""
     return not line or line.isspace()

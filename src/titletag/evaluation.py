@@ -93,7 +93,6 @@ def score(gold: Sequence[LabeledSequence], pred: Sequence[LabeledSequence]) -> M
     # Per-class decomposition: each token error contributes one false
     # positive to the predicted label's tag and one false negative to the
     # gold label's tag, so the per-tag counts sum to the overall counts.
-    correct = {t: 0 for t in TAG_ORDER}
     total = {t: 0 for t in TAG_ORDER}
     tp = {t: 0 for t in TAG_ORDER}
     fp = {t: 0 for t in TAG_ORDER}
@@ -106,7 +105,6 @@ def score(gold: Sequence[LabeledSequence], pred: Sequence[LabeledSequence]) -> M
         if g == p:
             em_correct += 1
             if gt != OUTSIDE_STR:
-                correct[gt] += 1
                 tp[gt] += 1
         else:
             if pt != OUTSIDE_STR:
@@ -114,7 +112,7 @@ def score(gold: Sequence[LabeledSequence], pred: Sequence[LabeledSequence]) -> M
             if gt != OUTSIDE_STR:
                 fn[gt] += 1
     per_tag = {
-        t: _metrics(correct[t], total[t], tp[t], fp[t], fn[t]) for t in TAG_ORDER
+        t: _metrics(tp[t], total[t], tp[t], fp[t], fn[t]) for t in TAG_ORDER
     }
     overall = _metrics(
         em_correct, len(pairs), sum(tp.values()), sum(fp.values()), sum(fn.values())

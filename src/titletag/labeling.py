@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Title
-from .errors import FormatError, decode_text, is_blank
+from .errors import FormatError, is_blank, read_lines
 from .gazetteer import CoarseTag, Gazetteer
 
 
@@ -198,7 +198,8 @@ def write_conll(sequences: Sequence[LabeledSequence], path: str | Path) -> None:
     Path(path).write_text(dumps_conll(sequences), encoding="utf-8")
 
 
-def parse_conll(text: str, source: str = "<string>") -> list[LabeledSequence]:
+def read_conll(path: str | Path) -> list[LabeledSequence]:
+    """The labeled titles of a .conll file, its lines read by errors.read_lines."""
     sequences: list[LabeledSequence] = []
     tokens: list[str] = []
     labels: list[BioesLabel] = []
@@ -209,8 +210,8 @@ def parse_conll(text: str, source: str = "<string>") -> list[LabeledSequence]:
             tokens.clear()
             labels.clear()
 
-    # Only "\n" ends a line, as in errors.read_lines.
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    source = str(Path(path))
+    for lineno, line in read_lines(source):
         if is_blank(line):
             flush()
             continue
@@ -229,8 +230,3 @@ def parse_conll(text: str, source: str = "<string>") -> list[LabeledSequence]:
         tokens.append(token)
     flush()
     return sequences
-
-
-def read_conll(path: str | Path) -> list[LabeledSequence]:
-    path = Path(path)
-    return parse_conll(decode_text(path, path.read_bytes()), source=str(path))

@@ -1,6 +1,9 @@
+import argparse
 import json
 import logging
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -411,6 +414,7 @@ def test_tag_and_eval_reject_a_flag_the_model_does_not_read(tmp_path, capsys,
 @pytest.mark.parametrize("command, flag", [
     ("eval", "--gazetteer"),
     ("eval", "--embeddings"),
+    ("eval", "--pred-out"),
     ("tag", "--embeddings"),
 ])
 def test_eval_pred_and_dictionary_tag_reject_a_model_flag(tmp_path, capsys, unread_flag_models,
@@ -418,14 +422,16 @@ def test_eval_pred_and_dictionary_tag_reject_a_model_flag(tmp_path, capsys, unre
     """eval --pred and dictionary tagging load no model, so a flag that only
     a model reads exits 2 and names the flag."""
     paths = unread_flag_models
-    given = [flag, str(paths["gaz"] if flag == "--gazetteer" else paths["lm"])]
+    pred_out = tmp_path / "pred.conll"
+    value = {"--gazetteer": paths["gaz"], "--pred-out": pred_out}.get(flag, paths["lm"])
+    given = [flag, str(value)]
     source = (["tag", "--in", paths["gold"], "--in-format", "conll", "--gazetteer", paths["gaz"]]
               if command == "tag" else ["eval", "--gold", paths["gold"], "--pred", paths["gold"]])
     out = tmp_path / "out"
     code, _, err = run(capsys, *source, *given, "--out", str(out))
     assert code == 2
     assert f"{flag} is given" in err
-    assert not out.exists()
+    assert not out.exists() and not pred_out.exists()
     code, _, err = run(capsys, *source, "--out", str(out))
     assert code == 0, err
 
@@ -496,6 +502,21 @@ def test_gridsearch_unknown_axis(tmp_path, capsys):
     assert "unknown search axis" in err
 
 
+@pytest.mark.parametrize("space,axis", [("epochs=1;learning-rate=0.05;epochs=2", "epochs"),
+                                        ("learning-rate=0.05;learning_rate=0.1", "learning_rate")])
+def test_gridsearch_repeated_axis_exits_2(tmp_path, capsys, space, axis):
+    """A repeated axis, under either spelling, would silently replace the first."""
+    labeled = tmp_path / "l.conll"
+    labeled.write_text(GOLD_CONLL, encoding="utf-8")
+    code, out, err = run(
+        capsys, "gridsearch", "--model", "crf", "--train", str(labeled),
+        "--dev", str(labeled), "--space", space, "--seed", "0",
+    )
+    assert code == 2, err
+    assert f"error: search axis {axis!r} is given twice" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("axis", ["hidden_size", "layers", "embedding_dim"])
 @pytest.mark.parametrize("model", ["crf", "logreg"])
 def test_gridsearch_recurrent_axis_on_feature_model_exits_2(tmp_path, capsys, model, axis):
@@ -529,8 +550,6 @@ def test_gridsearch_rejects_a_bad_point_before_training_any(tmp_path, capsys, ca
     pytest.param("train", ["--lr", "inf"], id="lr-inf"),
     pytest.param("train", ["--clip", "nan"], id="clip-nan"),
     pytest.param("train", ["--clip", "inf"], id="clip-inf"),
-    pytest.param("train", ["--config", "learning_rate=nan"], id="config-lr-nan"),
-    pytest.param("train", ["--config", "clip_norm=nan"], id="config-clip-nan"),
     pytest.param("gridsearch", ["--space", "learning_rate=inf"], id="axis-lr-inf"),
     pytest.param("gridsearch", ["--space", "clip_norm=nan"], id="axis-clip-nan"),
 ])
@@ -540,8 +559,6 @@ def test_non_finite_training_setting_exits_2(tmp_path, capsys, command, setting)
 
 
 @pytest.mark.parametrize("command,setting,message", [
-    pytest.param("train", ["--config", "epochs=abc"],
-                 "error: --config epochs: expected an integer, got 'abc'", id="config-epochs-abc"),
     pytest.param("gridsearch", ["--space", "layers=1.5"],
                  "error: --space layers: expected an integer, got '1.5'", id="axis-layers-1.5"),
     pytest.param("gridsearch", ["--space", "clip_norm=abc"],
@@ -567,17 +584,6 @@ def run_lstm_setting(tmp_path, capsys, command, setting, message):
     assert not (tmp_path / "m.bin").exists()
 
 
-def test_config_unknown_key(tmp_path, capsys):
-    train = tmp_path / "t.conll"
-    train.write_text(GOLD_CONLL, encoding="utf-8")
-    code, _, err = run(
-        capsys, "train", "crf", "--train", str(train), "--out", str(tmp_path / "m.bin"),
-        "--seed", "0", "--config", "nope=1",
-    )
-    assert code == 2
-    assert "unknown config key" in err
-
-
 def flag_namespace(*flags):
     """The namespace `train lstm --seed 11` parses to, plus the given flags."""
     argv = ["train", "lstm", "--train", "t.conll", "--out", "m.bin", "--seed", "11", *flags]
@@ -588,13 +594,10 @@ def flag_namespace(*flags):
     pytest.param("bilm", ["--word-dropout", "0.4"], "word_dropout", id="bilm-word-dropout"),
     pytest.param("bilm", ["--variational-dropout", "0.3"], "variational_dropout",
                  id="bilm-variational-dropout"),
-    pytest.param("bilm", ["--config", "word_dropout=0"], "word_dropout", id="bilm-config"),
     pytest.param("crf", ["--variational-dropout", "0.3"], "variational_dropout",
                  id="crf-variational-dropout"),
     pytest.param("crf", ["--clip", "1"], "clip_norm", id="crf-clip"),
     pytest.param("logreg", ["--clip", "0"], "clip_norm", id="logreg-clip-0"),
-    pytest.param("logreg", ["--config", "variational-dropout=0.1"], "variational_dropout",
-                 id="logreg-config"),
 ])
 def test_train_setting_the_trainer_does_not_read_exits_2(tmp_path, capsys, kind, setting, key):
     labeled = tmp_path / "l.conll"
@@ -635,21 +638,6 @@ def test_gridsearch_base_flag_the_trainer_does_not_read_exits_2(tmp_path, capsys
     assert "error: --clip sets clip_norm, which the crf trainer does not read" in err
 
 
-@pytest.mark.parametrize("command", ["train", "gridsearch"])
-def test_config_seed_exits_2_naming_the_seed_flag(tmp_path, capsys, command):
-    """--seed is required and would win, so a --config seed is refused, not ignored."""
-    labeled = tmp_path / "l.conll"
-    labeled.write_text(GOLD_CONLL, encoding="utf-8")
-    model = tmp_path / "m.bin"
-    argv = (["train", "crf", "--train", str(labeled), "--out", str(model)] if command == "train"
-            else ["gridsearch", "--model", "crf", "--train", str(labeled), "--dev", str(labeled),
-                  "--space", "epochs=1"])
-    code, out, err = run(capsys, *argv, "--seed", "1", "--epochs", "1", "--config", "seed=5")
-    assert code == 2, err
-    assert "error: --config sets seed, which only --seed sets" in err
-    assert out == "" and not model.exists()
-
-
 def test_gridsearch_seed_axis_still_runs(tmp_path, capsys):
     labeled = tmp_path / "l.conll"
     labeled.write_text(GOLD_CONLL, encoding="utf-8")
@@ -672,9 +660,8 @@ def test_default_settings_the_trainer_does_not_read_stay_silent(tmp_path, capsys
 
 
 def test_build_config_precedence():
-    args = flag_namespace("--config", "learning_rate=0.7", "--config", "epochs=3", "--lr", "0.9")
-    cfg = cli._build_config(args)
-    assert cfg.learning_rate == 0.9  # explicit flag beats --config
+    cfg = cli._build_config(flag_namespace("--epochs", "3", "--lr", "0.9"))
+    assert cfg.learning_rate == 0.9  # each flag given beats the default
     assert cfg.epochs == 3
     assert cfg.seed == 11
     assert cfg.batch_size == 32  # untouched default
@@ -682,7 +669,6 @@ def test_build_config_precedence():
 
 def test_build_config_clip_zero_disables():
     assert cli._build_config(flag_namespace("--clip", "0")).clip_norm is None
-    assert cli._build_config(flag_namespace("--config", "clip-norm=0")).clip_norm is None
     assert cli._build_config(flag_namespace("--clip", "2.5")).clip_norm == 2.5
 
 
@@ -696,11 +682,6 @@ def test_train_zero_embedding_dim_exits_2(tmp_path, capsys):
     )
     assert code == 2, err
     assert "embedding dim=0" in err and not model.exists()
-
-
-def test_build_config_bad_pair():
-    with pytest.raises(ValueError):
-        cli._build_config(flag_namespace("--config", "learning_rate"))
 
 
 @pytest.fixture(scope="module")
@@ -1124,3 +1105,33 @@ def test_non_utf8_input_exits_4_with_file_and_line(tmp_path, capsys, command):
     code, _, err = run(capsys, *argv)
     assert code == 4, err
     assert f"{bad}:2: not UTF-8" in err
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of parser and of every subcommand below it."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _options(sub)
+    return options
+
+
+def test_readme_command_line_matches_the_parser():
+    """Every `titletag ...` example in the README's command-line section
+    parses, and every backticked --flag there is an option of some command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = cli.build_parser()
+    examples = [line for line in section.replace("\\\n", " ").splitlines()
+                if line.startswith("titletag ")]
+    assert examples
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    flags = set(re.findall(r"`(--[\w-]+)", section))
+    assert flags
+    assert flags - _options(parser) == set()

@@ -17,7 +17,6 @@ from titletag.labeling import (
     decode_bioes,
     dumps_conll,
     encode_bioes,
-    parse_conll,
     read_conll,
     write_conll,
 )
@@ -171,23 +170,28 @@ def test_conll_roundtrip(tmp_path):
     assert read_conll(path) == seqs
 
 
-def test_parse_conll_tolerates_blank_runs():
-    text = "a\tO\n\n\n\nb\tS-FUN\n"
-    seqs = parse_conll(text)
+def test_parse_conll_tolerates_blank_runs(tmp_path):
+    path = tmp_path / "blank.conll"
+    path.write_text("a\tO\n\n\n\nb\tS-FUN\n", encoding="utf-8")
+    seqs = read_conll(path)
     assert [s.tokens for s in seqs] == [("a",), ("b",)]
 
 
-def test_parse_conll_errors_carry_line_numbers():
+def test_parse_conll_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "data.conll"
+    path.write_text("a\tO\nbroken line\n", encoding="utf-8")
     with pytest.raises(FormatError) as err:
-        parse_conll("a\tO\nbroken line\n", source="data.conll")
-    assert "data.conll:2" in str(err.value)
+        read_conll(path)
+    assert f"{path}:2" in str(err.value)
 
+    path.write_text("a\tZ-RES\n", encoding="utf-8")
     with pytest.raises(FormatError) as err:
-        parse_conll("a\tZ-RES\n", source="x")
-    assert "x:1" in str(err.value)
+        read_conll(path)
+    assert f"{path}:1" in str(err.value)
 
+    path.write_text("\tO\n", encoding="utf-8")
     with pytest.raises(FormatError):
-        parse_conll("\tO\n", source="x")
+        read_conll(path)
 
 
 def test_all_labels_match_strings():
