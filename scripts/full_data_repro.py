@@ -17,11 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from titletag.crf import train_crf
-from titletag.evaluation import predict_sequences, score
-from titletag.labeling import read_conll, split_sequences
-from titletag.neural import train_lstm_crf
-from titletag.optim import TrainConfig
+from titletag.evaluation import compare_taggers
+from titletag.labeling import read_conll
 
 EXPECTED_TOTALS = {"RES": 310570, "FUN": 255974, "LOC": 9998, "O": 66948}
 EXPECTED_LENGTHS = {"min": 1, "max": 21, "avg": 3.0, "median": 3}
@@ -68,20 +65,8 @@ def main(argv=None) -> int:
     check("length.median", int(np.median(lengths)), EXPECTED_LENGTHS["median"], failures)
 
     if args.train:
-        train, _, test = split_sequences(sequences, (80, 10, 10), args.seed)
-
-        models = {
-            "crf": train_crf(train, TrainConfig(seed=args.seed)),
-            "lstm-crf": train_lstm_crf(
-                train,
-                TrainConfig(learning_rate=0.1, batch_size=128, epochs=10,
-                            optimizer="sgd", seed=args.seed,
-                            word_dropout=0.05, variational_dropout=0.5),
-                hidden_size=256, layers=1,
-            ),
-        }
-        for name, model in models.items():
-            rep = score(test, predict_sequences(model, [s.tokens for s in test]))
+        reports = compare_taggers(sequences, args.seed, lstm_epochs=10)
+        for name, rep in reports.items():
             em_ref, f1_ref = SCORE_BANDS[name]
             ok = abs(rep.em_token - em_ref) <= 0.5 and abs(rep.f1 - f1_ref) <= 0.5
             print(f"{name}: em={rep.em_token:.2f} f1={rep.f1:.2f} "

@@ -65,8 +65,9 @@ _FLAGS = {"clip_norm": "--clip"}  # where a flag is not "--" + the dashed field 
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
-def _coerce(key: str, text: str):
-    """The value of search axis key given as text; a clip_norm of 0 means None."""
+def _coerce(key: str, text):
+    """The value of setting key given as --space text or as its parsed flag;
+    a clip_norm of 0 means None."""
     caster = _AXIS_TYPES[key]
     try:
         value = caster(text)
@@ -90,7 +91,7 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
         flag = getattr(args, f.name)
         if flag is not None:
             _check_read(kind, _FLAGS.get(f.name, "--" + f.name.replace("_", "-")), f.name)
-            values[f.name] = None if f.name == "clip_norm" and flag == 0 else flag
+            values[f.name] = _coerce(f.name, flag)
     return TrainConfig(**values)
 
 

@@ -1,4 +1,5 @@
-"""Tagging metrics, human-agreement baselines and the grid-search harness.
+"""Tagging metrics, human-agreement baselines, the grid-search harness and
+the paper's tagger comparison.
 
 The primary score is token-level exact match. Precision, recall and F1 are
 micro-averaged over non-outside predictions and are prefix-sensitive: a
@@ -12,8 +13,11 @@ import logging
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
+from .crf import train_crf
 from .errors import TrainingDivergedError
-from .labeling import LabeledSequence
+from .gazetteer import Gazetteer
+from .labeling import LabeledSequence, split_sequences
+from .neural import train_lstm_crf
 from .optim import TrainConfig
 
 log = logging.getLogger(__name__)
@@ -128,6 +132,26 @@ def predict_sequences(model, token_seqs: Sequence[Sequence[str]]) -> list[Labele
             for toks, labels in zip(token_seqs, model.predict_many(token_seqs))]
 
 
+def evaluate(model, gold: Sequence[LabeledSequence]) -> MetricsReport:
+    """The model's scores against gold, on its own labeling of gold's tokens."""
+    return score(gold, predict_sequences(model, [g.tokens for g in gold]))
+
+
+def compare_taggers(labeled: Sequence[LabeledSequence], seed: int, lstm_epochs: int,
+                    gazetteer: Gazetteer | None = None, crf_epochs: int = 10,
+                    hidden: int = 256) -> dict[str, MetricsReport]:
+    """The paper's comparison: split labeled 80/10/10 with seed, train the
+    feature CRF (the TrainConfig defaults, with gazetteer features if given)
+    and a one-layer BiLSTM-CRF (batch 128) on the train part, and score both
+    on the test part. The dev part is left unused."""
+    train, dev, test = split_sequences(labeled, (80, 10, 10), seed)
+    log.info("data: %d train / %d dev / %d test titles", len(train), len(dev), len(test))
+    crf = train_crf(train, TrainConfig(epochs=crf_epochs, seed=seed), gazetteer=gazetteer)
+    lstm = train_lstm_crf(train, TrainConfig(batch_size=128, epochs=lstm_epochs, seed=seed),
+                          hidden_size=hidden, layers=1)
+    return {"crf": evaluate(crf, test), "lstm-crf": evaluate(lstm, test)}
+
+
 def human_baseline(annotations: Sequence[Sequence[LabeledSequence]]) -> MetricsReport:
     """Mean pairwise agreement between annotators, expressed as a report.
 
@@ -229,7 +253,7 @@ def grid_search(
             log.warning("grid point %s diverged", settings)
             points.append(GridPoint(settings, 0.0, 0.0, failed=True))
             continue
-        report = score(dev_gold, predict_sequences(model, [ex.tokens for ex in dev_gold]))
+        report = evaluate(model, dev_gold)
         point = GridPoint(settings, report.f1, report.em_token)
         points.append(point)
         if best is None or point.f1 > best.f1:

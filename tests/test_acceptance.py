@@ -22,11 +22,10 @@ from titletag.crf import (
     TrainConfig,
     log_partition_scores,
     nll_and_gradient,
-    train_crf,
     viterbi_path,
 )
 from titletag.errors import FormatError
-from titletag.evaluation import f1_score, score
+from titletag.evaluation import compare_taggers, f1_score, score
 from titletag.gazetteer import (
     AnnotationSet,
     CoarseTag,
@@ -44,7 +43,7 @@ from titletag.labeling import (
     encode_bioes,
     read_conll,
 )
-from titletag.neural import LstmCrfModel, TrainableEmbeddings, train_lstm_crf
+from titletag.neural import LstmCrfModel, TrainableEmbeddings
 from titletag.title2vec import (
     BiLmModel,
     Vocab,
@@ -253,38 +252,19 @@ def test_criterion_6_metric_arithmetic():
         assert abs(f1_score(91.60, 99.60) - 95.4) < 0.05
 
 
-def desk_scale_split():
-    gaz = sample_gazetteer()
-    corpus = synth_corpus(gaz, grammar_seed=42, count=5000)
-    labeled = [auto_tag(t, gaz) for t in corpus.titles]
-    order = np.random.default_rng(42).permutation(len(labeled))
-    shuffled = [labeled[int(j)] for j in order]
-    return gaz, shuffled[:4000], shuffled[4000:4500], shuffled[4500:]
-
-
 def test_criterion_7_desk_scale_pipeline():
     with criterion(7, "synthetic 5000-title pipeline reaches EM >= 99.0 and F1 >= 99.5 for both taggers"):
         t0 = perf_counter()
-        gaz, train, _dev, test = desk_scale_split()
-
-        crf_cfg = TrainConfig(learning_rate=0.1, batch_size=32, epochs=10,
-                              optimizer="sgd", seed=42)
-        crf = train_crf(train, crf_cfg, gazetteer=gaz)
-        crf_pred = [LabeledSequence(ex.tokens, crf.predict(ex.tokens)) for ex in test]
-        crf_rep = score(test, crf_pred)
-        assert crf_rep.em_token >= 99.0, f"crf em {crf_rep.em_token:.3f}"
-        assert crf_rep.f1 >= 99.5, f"crf f1 {crf_rep.f1:.3f}"
-
-        # tuned settings, with the epoch budget scaled up: 4000 titles give
-        # only 31 optimizer steps per epoch at batch 128
-        lstm_cfg = TrainConfig(learning_rate=0.1, batch_size=128, epochs=60,
-                               optimizer="sgd", seed=42,
-                               word_dropout=0.05, variational_dropout=0.5)
-        lstm = train_lstm_crf(train, lstm_cfg, hidden_size=256, layers=1)
-        lstm_pred = [LabeledSequence(ex.tokens, lstm.predict(ex.tokens)) for ex in test]
-        lstm_rep = score(test, lstm_pred)
-        assert lstm_rep.em_token >= 99.0, f"lstm-crf em {lstm_rep.em_token:.3f}"
-        assert lstm_rep.f1 >= 99.5, f"lstm-crf f1 {lstm_rep.f1:.3f}"
+        gaz = sample_gazetteer()
+        corpus = synth_corpus(gaz, grammar_seed=42, count=5000)
+        labeled = [auto_tag(t, gaz) for t in corpus.titles]
+        # the tuned settings, with the lstm-crf epoch budget scaled up: 4000
+        # titles give only 31 optimizer steps per epoch at batch 128
+        reports = compare_taggers(labeled, 42, lstm_epochs=60, gazetteer=gaz)
+        assert list(reports) == ["crf", "lstm-crf"]
+        for name, rep in reports.items():
+            assert rep.em_token >= 99.0, f"{name} em {rep.em_token:.3f}"
+            assert rep.f1 >= 99.5, f"{name} f1 {rep.f1:.3f}"
 
         assert perf_counter() - t0 < 600.0
 
@@ -311,25 +291,11 @@ def test_criterion_8_full_data_reproduction():
         assert round(float(lengths.mean()), 1) == 3.0
         assert int(np.median(lengths)) == 3
 
-        order = np.random.default_rng(42).permutation(len(sequences))
-        shuffled = [sequences[int(j)] for j in order]
-        n_train = int(len(shuffled) * 0.8)
-        n_dev = int(len(shuffled) * 0.1)
-        train = shuffled[:n_train]
-        test = shuffled[n_train + n_dev :]
-
-        crf = train_crf(train, TrainConfig(seed=42))
-        crf_rep = score(test, [LabeledSequence(s.tokens, crf.predict(s.tokens)) for s in test])
-        assert abs(crf_rep.em_token - 99.71) <= 0.5
-        assert abs(crf_rep.f1 - 99.85) <= 0.5
-
-        lstm_cfg = TrainConfig(learning_rate=0.1, batch_size=128, epochs=10,
-                               optimizer="sgd", seed=42,
-                               word_dropout=0.05, variational_dropout=0.5)
-        lstm = train_lstm_crf(train, lstm_cfg, hidden_size=256, layers=1)
-        lstm_rep = score(test, [LabeledSequence(s.tokens, lstm.predict(s.tokens)) for s in test])
-        assert abs(lstm_rep.em_token - 99.83) <= 0.5
-        assert abs(lstm_rep.f1 - 99.91) <= 0.5
+        reports = compare_taggers(sequences, 42, lstm_epochs=10)
+        assert abs(reports["crf"].em_token - 99.71) <= 0.5
+        assert abs(reports["crf"].f1 - 99.85) <= 0.5
+        assert abs(reports["lstm-crf"].em_token - 99.83) <= 0.5
+        assert abs(reports["lstm-crf"].f1 - 99.91) <= 0.5
 
 
 def test_criterion_9_language_model_sanity():

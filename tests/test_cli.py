@@ -670,6 +670,7 @@ def test_build_config_precedence():
 def test_build_config_clip_zero_disables():
     assert cli._build_config(flag_namespace("--clip", "0")).clip_norm is None
     assert cli._build_config(flag_namespace("--clip", "2.5")).clip_norm == 2.5
+    assert cli._parse_space("clip_norm=0,1", "lstm") == {"clip_norm": [None, 1.0]}
 
 
 def test_train_zero_embedding_dim_exits_2(tmp_path, capsys):
@@ -1105,6 +1106,44 @@ def test_non_utf8_input_exits_4_with_file_and_line(tmp_path, capsys, command):
     code, _, err = run(capsys, *argv)
     assert code == 4, err
     assert f"{bad}:2: not UTF-8" in err
+
+
+_CORPUS_COMMANDS = ["stats --in {bad}", "ngrams --in {bad}", "normalize --in {bad} --out {out}",
+                    "train bilm --in {bad} --out {out} --seed 0 --epochs 1 --dim 2 --hidden 2"]
+# The commands that read each format of TEXT_READERS, with {bad} for the
+# corrupted file, {good} for a well-formed one of the same format, {titles}
+# for a lines corpus and {out} for an output path.
+READER_COMMANDS = {
+    "conll": ["eval --gold {bad} --pred {good}", "eval --gold {good} --pred {bad}",
+              "train crf --train {bad} --out {out} --seed 0 --epochs 1"],
+    "gazetteer": ["tag --in {titles} --gazetteer {bad} --out {out}"],
+    "annotations": ["gazetteer build --annotations {bad} {good} {good} --out {out}"],
+    "lines": _CORPUS_COMMANDS,
+    "tsv": [command + " --in-format tsv" for command in _CORPUS_COMMANDS],
+}
+
+
+def _edited(data: bytes, draw) -> bytes:
+    """data with a drawn run of bytes replaced by drawn bytes, either maybe empty."""
+    start = draw(st.integers(0, len(data)), label="start")
+    end = draw(st.integers(start, len(data)), label="end")
+    inserted = draw(st.sampled_from([b"\t", b"\n", b"\r"]) | st.binary(max_size=4), label="new")
+    return data[:start] + inserted + data[end:]
+
+
+@given(fmt=st.sampled_from(sorted(READER_COMMANDS)), data=st.data())
+def test_corrupt_text_files_exit_0_2_or_4(fmt, data):
+    """A text input with one drawn byte edit, read by a command that reads its
+    format: it either still works or is reported as bad input, never as an
+    internal error (exit 1)."""
+    command = data.draw(st.sampled_from(READER_COMMANDS[fmt]), label="command")
+    text = TEXT_READERS[fmt][1].encode()
+    with tempfile.TemporaryDirectory() as work:
+        paths = {name: Path(work) / name for name in ("bad", "good", "titles", "out")}
+        paths["bad"].write_bytes(_edited(text, data.draw))
+        paths["good"].write_bytes(text)
+        paths["titles"].write_text(TEXT_READERS["lines"][1], encoding="utf-8")
+        assert cli.main([arg.format(**paths) for arg in command.split()]) in (0, 2, 4)
 
 
 def _options(parser: argparse.ArgumentParser) -> set[str]:

@@ -56,7 +56,8 @@ def test_full_data_repro_reports_each_check(tmp_path, capsys):
     (tmp_path / "b.conll").write_text(
         "head\tS-RES\nof\tO\nsales\tS-FUN\nasia\tB-LOC\npacific\tE-LOC\n", encoding="utf-8"
     )
-    assert load_script("full_data_repro").main(["--data-dir", str(tmp_path)]) == 1
+    repro = load_script("full_data_repro")
+    assert repro.main(["--data-dir", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
     assert out.splitlines() == [
         "read 3 titles from 2 files",
@@ -70,3 +71,10 @@ def test_full_data_repro_reports_each_check(tmp_path, capsys):
         "length.median: 3 (expected 3) ok",
     ]
     assert err == "5 check(s) failed: tokens[RES], tokens[FUN], tokens[LOC], tokens[O], length.max\n"
+
+    # --train adds a band line per tagger, trained on two titles and scored on the third.
+    assert repro.main(["--data-dir", str(tmp_path), "--train"]) == 1
+    assert capsys.readouterr().out == out + (
+        "crf: em=0.00 f1=0.00 (bands 99.71+-0.5, 99.85+-0.5) MISMATCH\n"
+        "lstm-crf: em=0.00 f1=0.00 (bands 99.83+-0.5, 99.91+-0.5) MISMATCH\n"
+    )
