@@ -9,9 +9,15 @@ pinned at zero the path score factorizes per token and Viterbi degenerates
 to a per-position argmax. The recursions take titles of any lengths in one
 packed batch, as lstm.LstmCell.run does: right-padded, sorted by length,
 longest first, so the rows still inside their title at step t are the
-first counts[t] (Appleyard et al. 2016, arXiv:1604.01946). Training runs
-each mini-batch as one such batch, one objective call over feature ids
-cached per post-dropout title, and updates only the emission rows it
+first counts[t] (Appleyard et al. 2016, arXiv:1604.01946). Feature ids come
+from per-slot caches kept in the FeatureVocab they index: one entry per
+template that reads a token, per (previous, current) token pair, per
+first/last position and per gazetteer tag value, so that a title whose
+slots all have entries gets its ids without building a feature string.
+Training runs each mini-batch as one such batch: one word-dropout draw for
+the whole batch (the numbers one scalar draw per token would give), one
+objective call over feature ids cached per post-dropout title and label
+ids computed once per example, and an update of only the emission rows it
 touches. Decoding cuts the length-sorted titles into chunks of bounded
 padded size (lstm.sorted_chunks, decode_in_chunks): each chunk gets its
 emissions in one call and its Viterbi paths in one packed call. The
@@ -22,6 +28,7 @@ in lstm, which the BiLSTM taggers and the biLM run on the same layout.
 from __future__ import annotations
 
 import itertools
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +54,67 @@ _EOS = "</s>"
 DECODE_POSITIONS = 512
 
 
+# The feature templates, in the order featurize lists a position's ids. Each
+# of these reads one token at an offset from the position, with "<s>"/"</s>"
+# sentinels past the title's ends (the normalizer strips angle brackets, so
+# real tokens never collide with them), and gives its feature strings. The
+# templates that follow them read the (previous, current) token pair, the
+# first and the last position, and, when a gazetteer is given, the token's
+# gazetteer tag. Each template's strings start with its own name, so no two
+# templates give a position the same feature and its ids need no dedup.
+_TOKEN_TEMPLATES = (
+    (0, lambda tok: (f"w0={tok}",)),
+    (-1, lambda tok: (f"w-1={tok}",)),
+    (1, lambda tok: (f"w+1={tok}",)),
+    (-2, lambda tok: (f"w-2={tok}",)),
+    (2, lambda tok: (f"w+2={tok}",)),
+    (0, lambda tok: tuple(f"{side}{k}={affix}" for k in (1, 2, 3) if len(tok) >= k
+                          for side, affix in (("p", tok[:k]), ("s", tok[-k:])))),
+)
+
+
+def _pair_features(pair: tuple[str, str]) -> tuple[str, ...]:
+    return ("w-1|w0={}|{}".format(*pair),)
+
+
+def _edge_features(edge: str) -> tuple[str, ...]:
+    return (edge,)  # "first" or "last"
+
+
+def _tag_features(tag: str) -> tuple[str, ...]:
+    return (f"gaz={tag}",)
+
+
+# The slot entries of a token that has none yet.
+_NO_SLOTS: dict = {}
+
+# Packers of n native int32 ids, for every slot size n (at most the six affixes).
+_INT32S = tuple(struct.Struct(f"={n}i") for n in range(7))
+
+
 class FeatureVocab:
-    """Dense feature-string -> id mapping; freezing rejects new features."""
+    """Dense feature-string -> id mapping; freezing rejects new features.
+
+    It also caches the ids each feature template gives each key it reads,
+    so that a title whose keys are all cached gets its ids without building
+    a feature string (CRFsuite's attribute-id precomputation, Okazaki 2007).
+    There is one cache per slot: per token, one entry for each template that
+    reads it; one per (previous, current) token pair; one for each of the
+    first and last positions; one per gazetteer tag value, so a model whose
+    gazetteer is swapped reads no stale id. An entry holds, as int32 bytes,
+    the ids of the slot's features that the vocab knows. It is stored only
+    once final: when each of them is registered, or once the vocab is
+    frozen.
+    """
 
     def __init__(self) -> None:
         self._index: dict[str, int] = {}
         self._features: list[str] = []
         self.frozen = False
+        self._token_slots: dict[str, dict[int, bytes]] = {}
+        self._pair_slots: dict[tuple[str, str], bytes] = {}
+        self._position_slots: dict[str, bytes] = {}
+        self._tag_slots: dict[str, bytes] = {}
 
     def __len__(self) -> int:
         return len(self._features)
@@ -86,41 +147,63 @@ class FeatureVocab:
             vocab.add(feature)
         return vocab
 
+    def title_ids(
+        self, tokens: Sequence[str], gazetteer: Gazetteer | None, extend: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, counts) of a title as CrfModel.featurize returns them.
 
-def extract_features(tokens: Sequence[str], i: int, gazetteer: Gazetteer | None = None) -> list[str]:
-    """Feature strings for position i, deduplicated in a deterministic order.
+        Each position's ids are its slots' entries joined in template order.
+        A slot with no entry gets one from its feature strings (_entry),
+        slot by slot in that order, so that the vocab registers features in
+        the order in which featurizing one position after another names
+        them: extend=True registers unseen features, and a slot's hits are
+        features registered before.
+        """
+        lookup = self.add if extend else self.get
+        pad = (_BOS, _BOS, *tokens, _EOS, _EOS)
+        tags = None if gazetteer is None else [gazetteer.lookup(tok).value for tok in tokens]
+        last = len(tokens) - 1
+        pairs, edges, tag_slots = self._pair_slots, self._position_slots, self._tag_slots
+        at = [self._token_slots.get(tok, _NO_SLOTS) for tok in pad]
+        rows = []
+        for i, (p2, p1, w, n1, n2, pair) in enumerate(
+            zip(at, at[1:], at[2:], at[3:], at[4:], zip(pad[1:], pad[2:]))
+        ):
+            try:
+                # the entries of _TOKEN_TEMPLATES, in order: offsets 0, -1, +1, -2, +2, 0
+                row = w[0] + p1[1] + n1[2] + p2[3] + n2[4] + w[5]
+            except KeyError:
+                row = b""
+                for r, (offset, features) in enumerate(_TOKEN_TEMPLATES):
+                    tok = pad[i + 2 + offset]
+                    row += self._entry(self._token_slots.setdefault(tok, {}), r, features, tok,
+                                       lookup)
+            hit = pairs.get(pair)
+            row += self._entry(pairs, pair, _pair_features, pair, lookup) if hit is None else hit
+            if i == 0:
+                row += self._entry(edges, "first", _edge_features, "first", lookup)
+            if i == last:
+                row += self._entry(edges, "last", _edge_features, "last", lookup)
+            if tags is not None:
+                hit = tag_slots.get(tags[i])
+                row += (self._entry(tag_slots, tags[i], _tag_features, tags[i], lookup)
+                        if hit is None else hit)
+            rows.append(row)
+        return (np.frombuffer(b"".join(rows), np.int32).copy(),
+                np.array([len(row) >> 2 for row in rows], np.int32))
 
-    Window tokens use "<s>"/"</s>" sentinels beyond the boundaries; the
-    normalizer strips angle brackets so real tokens can never collide with
-    them. The gazetteer feature appears only when a gazetteer is given.
-    """
-    n = len(tokens)
-    if not 0 <= i < n:
-        raise IndexError(f"position {i} out of range for {n} tokens")
-    tok = tokens[i]
-    prev1 = tokens[i - 1] if i >= 1 else _BOS
-    prev2 = tokens[i - 2] if i >= 2 else _BOS
-    next1 = tokens[i + 1] if i + 1 < n else _EOS
-    next2 = tokens[i + 2] if i + 2 < n else _EOS
-    feats = [
-        f"w0={tok}",
-        f"w-1={prev1}",
-        f"w+1={next1}",
-        f"w-2={prev2}",
-        f"w+2={next2}",
-    ]
-    for k in (1, 2, 3):
-        if len(tok) >= k:
-            feats.append(f"p{k}={tok[:k]}")
-            feats.append(f"s{k}={tok[-k:]}")
-    feats.append(f"w-1|w0={prev1}|{tok}")
-    if i == 0:
-        feats.append("first")
-    if i == n - 1:
-        feats.append("last")
-    if gazetteer is not None:
-        feats.append(f"gaz={gazetteer.lookup(tok).value}")
-    return list(dict.fromkeys(feats))
+    def _entry(self, slots: dict, key, features, source, lookup) -> bytes:
+        """slots[key]; if it has none, the ids that lookup (add or get) gives
+        the strings features(source), unknown ones left out, stored there
+        once final."""
+        hit = slots.get(key)
+        if hit is None:
+            found = list(map(lookup, features(source)))
+            known = [fid for fid in found if fid is not None]
+            hit = _INT32S[len(known)].pack(*known)
+            if self.frozen or len(known) == len(found):
+                slots[key] = hit
+        return hit
 
 
 # Floor of a row max used as a shift: subtracting it from a row that is all
@@ -130,7 +213,7 @@ _LOWEST = np.finfo(np.float64).min
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along axis; a row that is all -inf gives -inf."""
-    top = np.maximum(x.max(axis=axis, keepdims=True), _LOWEST)
+    top = x.max(axis=axis, keepdims=True, initial=_LOWEST)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(x - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
 
@@ -139,7 +222,7 @@ def _log_matmul(scores: np.ndarray, exp_trans: np.ndarray, shift: float) -> np.n
     """log(exp(scores) @ exp(trans)) for exp_trans = exp(trans - shift): one
     small GEMM, each row rescaled by its max before leaving log space. A label
     no finite path reaches gets log(0) = -inf; callers silence that warning."""
-    top = np.maximum(scores.max(axis=-1, keepdims=True), _LOWEST)
+    top = scores.max(axis=-1, keepdims=True, initial=_LOWEST)
     return np.log(np.exp(scores - top) @ exp_trans) + (top + shift)
 
 
@@ -211,17 +294,22 @@ def sequence_marginals(
             )
             # the rows whose last position is t
             betas[r : rows[t], t] = stop
-    last = valid_mask(rows, B).sum(axis=1) - 1
+    valid = valid_mask(rows, B)
+    last = valid.sum(axis=1) - 1
     z = _logsumexp(alphas[np.arange(B), last] + stop, axis=-1)
     logz = z.reshape(lead)[()]
     unary = np.exp(alphas + betas - z[:, None, None]).reshape(lead + (T, L))
     if not pairwise:
         return logz, unary, None
-    # in place: one (B, T-1, L, L) buffer
-    pairwise = alphas[:, :-1, :, None] + trans
-    pairwise += (emissions[:, 1:] + betas[:, 1:])[..., None, :]
-    pairwise -= z[:, None, None, None]
-    return logz, unary, np.exp(pairwise, out=pairwise).reshape(lead + (T - 1, L, L))
+    # the transitions inside a sequence, in place in one (N, L, L) buffer,
+    # scattered into zeros: the padded ones stay exactly 0
+    b_at, t_at = np.nonzero(valid[:, 1:])
+    cells = alphas[b_at, t_at][:, :, None] + trans
+    cells += (emissions[b_at, t_at + 1] + betas[b_at, t_at + 1])[:, None, :]
+    cells -= z[b_at, None, None]
+    pairwise = np.zeros((B, T - 1, L, L))
+    pairwise[b_at, t_at] = np.exp(cells, out=cells)
+    return logz, unary, pairwise.reshape(lead + (T - 1, L, L))
 
 
 def crf_nll(
@@ -375,18 +463,16 @@ class CrfModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Feature ids as (ids, counts): the ids of every position in one flat
         int32 array, in position order, and how many of them each position
-        has. extend=True registers unseen features.
+        has, read from the vocab's slot caches (FeatureVocab.title_ids).
+        extend=True registers unseen features.
 
         On a frozen vocab unseen features are silently ignored either way,
         which is the documented inference behavior.
         """
-        lookup = self.vocab.add if extend else self.vocab.get
-        rows = [[fid for fid in map(lookup, extract_features(tokens, i, self.gazetteer))
-                 if fid is not None] for i in range(len(tokens))]
+        ids, counts = self.vocab.title_ids(tokens, self.gazetteer, extend)
         if extend:
             self._ensure_capacity(len(self.vocab))
-        ids = np.array([fid for row in rows for fid in row], dtype=np.int32)
-        return ids, np.array([len(row) for row in rows], dtype=np.int32)
+        return ids, counts
 
     def emission_rows(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """(len(counts), L) emissions of the positions featurized as (ids,
@@ -476,20 +562,21 @@ def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def nll_and_gradient(
-    model: CrfModel, examples: Sequence[LabeledSequence], ids: np.ndarray, counts: np.ndarray
+    model: CrfModel, labels: Sequence[np.ndarray], ids: np.ndarray, counts: np.ndarray
 ) -> tuple[float, dict]:
     """Negative log-likelihood of examples of any lengths, sorted by length,
     longest first, summed, and its exact gradient: one crf_nll call on
     their right-padded emissions with per-step row counts.
 
-    The examples are featurized as (ids, counts) (featurize of every
-    example, concatenated in order). grads["emit"] is (touched, rows): the
-    distinct feature ids, ascending, and the gradient row of each; a "crf"
-    model also gets grads["trans"], grads["start"] and grads["stop"].
+    labels holds each example's label ids (LabeledSequence.label_ids), and
+    (ids, counts) its feature ids (featurize of every example, concatenated
+    in order). grads["emit"] is (touched, rows): the distinct feature ids,
+    ascending, and the gradient row of each; a "crf" model also gets
+    grads["trans"], grads["start"] and grads["stop"].
     """
-    valid, steps = padded_layout([ex.tokens for ex in examples])
+    valid, steps = padded_layout(labels)
     emis = to_padded(model.emission_rows(ids, counts), valid)
-    ys = to_padded(np.concatenate([ex.label_ids() for ex in examples]), valid)
+    ys = to_padded(np.concatenate(labels), valid)
     loss, grad = crf_nll(emis, ys, model.trans, model.start, model.stop,
                          transitions=model.kind == "crf", counts=steps)
     demis = grad.pop("emissions")[valid]
@@ -502,11 +589,21 @@ def viterbi_decode(model: CrfModel, tokens: Sequence[str]) -> tuple[BioesLabel, 
     return model.predict(tokens)
 
 
-def apply_word_dropout(tokens: Sequence[str], p: float, rng: np.random.Generator) -> tuple[str, ...]:
-    """Replace each token with the unknown sentinel with probability p."""
+def apply_word_dropout(
+    token_seqs: Sequence[Sequence[str]], p: float, rng: np.random.Generator
+) -> list[tuple[str, ...]]:
+    """Each token sequence with each token replaced by the unknown sentinel
+    with probability p: one rng.random call draws one number per token, in
+    order, the same numbers that one scalar draw per token gives."""
     if p <= 0.0:
-        return tuple(tokens)
-    return tuple(UNK_TOKEN if rng.random() < p else tok for tok in tokens)
+        return [tuple(tokens) for tokens in token_seqs]
+    drops = (rng.random(sum(map(len, token_seqs))) < p).tolist()
+    out, end = [], 0
+    for tokens in token_seqs:
+        start, end = end, end + len(tokens)
+        out.append(tuple(UNK_TOKEN if drops[k] else tok for k, tok in enumerate(tokens, start))
+                   if True in drops[start:end] else tuple(tokens))
+    return out
 
 
 def _apply_step(model: CrfModel, grads: dict, scale: float, cfg: TrainConfig,
@@ -537,6 +634,7 @@ def _run_training(model: CrfModel, data: list[LabeledSequence], cfg: TrainConfig
     if not data:
         raise ValueError("no training data")
     rng = np.random.default_rng(cfg.seed)
+    labels = [np.array(ex.label_ids()) for ex in data]
     # logreg pins trans/start/stop at zero, so only the CRF accumulates and updates them
     dense = ("trans", "start", "stop") if model.kind == "crf" else ()
     # (ids, counts) of each post-dropout token tuple seen in this run; only a
@@ -556,12 +654,12 @@ def _run_training(model: CrfModel, data: list[LabeledSequence], cfg: TrainConfig
 
     def batch(indices: list[int]) -> tuple[float, int]:
         # draw dropout and featurize in batch order: it fixes the rng stream and vocab order
-        feats = [features(apply_word_dropout(data[j].tokens, cfg.word_dropout, rng))
-                 for j in indices]
+        dropped = apply_word_dropout([data[j].tokens for j in indices], cfg.word_dropout, rng)
+        feats = [features(tokens) for tokens in dropped]
         # then run the batch longest first (stable), as nll_and_gradient takes it
         order = sorted(range(len(indices)), key=lambda k: -len(feats[k][1]))
         ids, counts = map(np.concatenate, zip(*(feats[k] for k in order)))
-        loss, grad = nll_and_gradient(model, [data[indices[k]] for k in order], ids, counts)
+        loss, grad = nll_and_gradient(model, [labels[indices[k]] for k in order], ids, counts)
         acc["_emit"] = grad["emit"]
         acc.update({name: (..., grad[name]) for name in dense})
         return loss, len(indices)

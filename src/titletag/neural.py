@@ -359,11 +359,13 @@ def _train_bilstm(
     # The encoder runs on float32 copies of the cells; the head stays float64.
     stack, step = mixed_precision(model._stack(), grad_of, update)
 
+    labels = [np.array(ex.label_ids()) for ex in data]
+
     def batch(indices: list[int]) -> tuple[float, int]:
-        dropped = [apply_word_dropout(data[j].tokens, cfg.word_dropout, rng) for j in indices]
+        dropped = apply_word_dropout([data[j].tokens for j in indices], cfg.word_dropout, rng)
         masks = _sample_masks(model, len(indices), cfg.variational_dropout, rng)
-        labels = [data[j].label_ids() for j in indices]
-        return model._batch_pass(dropped, labels, masks, grad_of, stack), len(indices)
+        return (model._batch_pass(dropped, [labels[j] for j in indices], masks, grad_of, stack),
+                len(indices))
 
     optim.fit(kind, len(data), cfg, rng, batch, step, model.history)
     return model

@@ -43,30 +43,74 @@ def score_path(emissions, trans, start, stop, path) -> float:
     return float(total)
 
 
+def path_scores(emissions, trans, start, stop) -> np.ndarray:
+    """score_path of every label path, in enumerate_paths (itertools.product)
+    order, as one array: the paths are the rows of one int array, scored by
+    fancy indexing with score_path's terms added in score_path's order."""
+    T, L = emissions.shape
+    index = np.arange(L ** T)
+    paths = [index // L ** (T - 1 - t) % L for t in range(T)]  # position t of every path
+    total = start[paths[0]] + stop[paths[-1]]
+    for t in range(T):
+        total += emissions[t, paths[t]]
+    for t in range(T - 1):
+        total += trans[paths[t], paths[t + 1]]
+    return total
+
+
 def brute_force_logz(emissions, trans, start, stop) -> float:
     """Partition function by summing exp(score) over every label path."""
-    T, L = emissions.shape
-    scores = [
-        score_path(emissions, trans, start, stop, path)
-        for path in enumerate_paths(T, L)
-    ]
-    m = max(scores)
-    return m + float(np.log(sum(np.exp(s - m) for s in scores)))
+    scores = path_scores(emissions, trans, start, stop)
+    m = scores.max()
+    return float(m + np.log(np.exp(scores - m).sum()))
 
 
 def brute_force_best_path(emissions, trans, start, stop):
     """Argmax path by enumeration; ties resolve to the first (lowest) path.
 
-    itertools.product yields label tuples in lexicographic order, so taking
-    a strictly-greater maximum reproduces the documented lowest-index rule.
+    Paths are scored in itertools.product order, which is lexicographic, and
+    argmax returns the first maximum, so the lowest-index rule holds.
     """
     T, L = emissions.shape
-    best, best_score = None, -np.inf
-    for path in enumerate_paths(T, L):
-        s = score_path(emissions, trans, start, stop, path)
-        if s > best_score:
-            best, best_score = list(path), s
-    return best, best_score
+    scores = path_scores(emissions, trans, start, stop)
+    best = int(np.argmax(scores))
+    return [best // L ** (T - 1 - t) % L for t in range(T)], float(scores[best])
+
+
+def extract_features(tokens, i: int, gazetteer=None) -> list:
+    """Feature strings of position i, built template by template: the string
+    path that CrfModel.featurize's cached ids must match.
+
+    Window tokens use "<s>"/"</s>" sentinels beyond the boundaries. The
+    gazetteer feature appears only when a gazetteer is given.
+    """
+    n = len(tokens)
+    if not 0 <= i < n:
+        raise IndexError(f"position {i} out of range for {n} tokens")
+    tok = tokens[i]
+    prev1 = tokens[i - 1] if i >= 1 else "<s>"
+    prev2 = tokens[i - 2] if i >= 2 else "<s>"
+    next1 = tokens[i + 1] if i + 1 < n else "</s>"
+    next2 = tokens[i + 2] if i + 2 < n else "</s>"
+    feats = [
+        f"w0={tok}",
+        f"w-1={prev1}",
+        f"w+1={next1}",
+        f"w-2={prev2}",
+        f"w+2={next2}",
+    ]
+    for k in (1, 2, 3):
+        if len(tok) >= k:
+            feats.append(f"p{k}={tok[:k]}")
+            feats.append(f"s{k}={tok[-k:]}")
+    feats.append(f"w-1|w0={prev1}|{tok}")
+    if i == 0:
+        feats.append("first")
+    if i == n - 1:
+        feats.append("last")
+    if gazetteer is not None:
+        feats.append(f"gaz={gazetteer.lookup(tok).value}")
+    return list(dict.fromkeys(feats))
 
 
 def batch_nll(model, examples) -> float:

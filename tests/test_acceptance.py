@@ -145,11 +145,11 @@ def test_criterion_4_gradient_oracles():
         crf.trans = rng.normal(scale=0.3, size=(N_LABELS, N_LABELS))
         crf.start = rng.normal(scale=0.3, size=N_LABELS)
         crf.stop = rng.normal(scale=0.3, size=N_LABELS)
-        _, grad = nll_and_gradient(crf, [ex], ids, counts)
+        _, grad = nll_and_gradient(crf, [ex.label_ids()], ids, counts)
         emit_grad = dict(zip(grad["emit"][0].tolist(), grad["emit"][1]))
 
         def crf_loss():
-            return nll_and_gradient(crf, [ex], ids, counts)[0]
+            return nll_and_gradient(crf, [ex.label_ids()], ids, counts)[0]
 
         for fid in sorted(emit_grad)[:5]:
             for y in (0, 4, 12):

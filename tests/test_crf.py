@@ -11,7 +11,6 @@ from titletag.crf import (
     TrainConfig,
     _apply_step,
     apply_word_dropout,
-    extract_features,
     crf_nll,
     nll_and_gradient,
     train_crf,
@@ -25,7 +24,8 @@ from titletag.evaluation import evaluate
 from titletag.optim import ADAM_B1, ADAM_B2, ADAM_EPS
 
 from conftest import (
-    brute_force_best_path, brute_force_logz, central_difference, enumerate_paths, score_path,
+    brute_force_best_path, brute_force_logz, central_difference, enumerate_paths, extract_features,
+    score_path,
 )
 
 N_LABELS = len(ALL_LABELS)
@@ -279,6 +279,82 @@ def test_extract_features_gazetteer(sample_gaz):
     assert not any(f.startswith("gaz=") for f in extract_features(("financial",), 0))
 
 
+def string_path_ids(vocab, tokens, gazetteer, extend):
+    """featurize's (ids, counts) through the feature strings: each
+    position's extract_features looked up in order, add when extending."""
+    lookup = vocab.add if extend else vocab.get
+    rows = [[fid for fid in map(lookup, extract_features(tokens, i, gazetteer)) if fid is not None]
+            for i in range(len(tokens))]
+    return [fid for row in rows for fid in row], [len(row) for row in rows]
+
+
+def make_gazetteer(tags: dict):
+    from titletag.gazetteer import Agreement, Gazetteer, GazetteerEntry
+
+    return Gazetteer({tok: GazetteerEntry(tag, (tag,) * 3, Agreement.UNANIMOUS)
+                      for tok, tag in tags.items()})
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["a", "ab", "abc", "abcd", "a|b", "b|", "|", "<s>", "</s>", "<unk>", "=",
+                     "w0=a", "first", "sales", "asia", "head"]),
+    st.text(alphabet="ab|<>/s=", min_size=1, max_size=5),
+)
+_TITLES = st.lists(st.lists(_TOKENS, min_size=1, max_size=7).map(tuple), min_size=1, max_size=8)
+
+
+@given(grow=_TITLES, later=_TITLES, use_gaz=st.booleans(), extend_later=st.booleans())
+def test_featurize_equals_the_string_path(grow, later, use_gaz, extend_later):
+    """featurize's cached ids equal the string path's id for id and count for
+    count: on a growing vocab, where it also registers features in the same
+    order, then on the frozen vocab over titles with unseen tokens, and after
+    a swap to a gazetteer that tags the same tokens differently."""
+    from titletag.crf import FeatureVocab
+    from titletag.gazetteer import CoarseTag
+
+    gaz = make_gazetteer({"sales": CoarseTag.FUN, "asia": CoarseTag.LOC, "a|b": CoarseTag.RES})
+    model = CrfModel(kind="crf", gazetteer=gaz if use_gaz else None)
+    oracle = FeatureVocab()
+
+    def check(tokens, extend):
+        ids, counts = model.featurize(tokens, extend=extend)
+        assert ids.dtype == counts.dtype == np.int32
+        assert (ids.tolist(), counts.tolist()) == string_path_ids(
+            oracle, tokens, model.gazetteer, extend)
+        assert model.vocab.features == oracle.features
+
+    for tokens in grow + grow[:2]:
+        check(tokens, True)
+    check(later[0], False)  # a growing vocab that is not extended stores no unknown id
+    check(later[0], True)
+    model.vocab.freeze()
+    oracle.freeze()
+    for tokens in later + grow[:2]:
+        check(tokens, extend_later)
+    if use_gaz:
+        model.gazetteer = make_gazetteer({"sales": CoarseTag.LOC, "head": CoarseTag.RES})
+        for tokens in grow + later:
+            check(tokens, False)
+
+
+def test_trained_model_featurizes_unseen_titles_as_the_string_path(sample_gaz):
+    data = [
+        example(("chief", "financial", "officer"), ("S-RES", "S-FUN", "S-RES")),
+        example(("head", "of", "sales"), ("S-RES", "O", "S-FUN")),
+        example(("asia", "pacific", "sales", "manager"), ("B-LOC", "E-LOC", "S-FUN", "S-RES")),
+    ]
+    model = train_crf(data, TrainConfig(batch_size=2, epochs=3, seed=5, word_dropout=0.3),
+                      gazetteer=sample_gaz)
+    n_vocab = len(model.vocab)
+    titles = [("chief", "asia", "officer"), ("9x7",), ("of", "of", "a|b", "<s>", "sales"),
+              ("financial",), ("head", "of", "sales")]
+    for tokens in titles + titles[::-1]:
+        ids, counts = model.featurize(tokens)
+        assert (ids.tolist(), counts.tolist()) == string_path_ids(
+            model.vocab, tokens, sample_gaz, False)
+    assert len(model.vocab) == n_vocab
+
+
 def example(tokens, label_strings):
     from titletag.labeling import BioesLabel
 
@@ -295,11 +371,11 @@ def test_nll_gradient_matches_finite_differences():
     model.start = rng.normal(scale=0.3, size=N_LABELS)
     model.stop = rng.normal(scale=0.3, size=N_LABELS)
 
-    loss, grad = nll_and_gradient(model, [ex], ids, counts)
+    loss, grad = nll_and_gradient(model, [ex.label_ids()], ids, counts)
     emit_grad = dict(zip(grad["emit"][0].tolist(), grad["emit"][1]))
 
     def f():
-        return nll_and_gradient(model, [ex], ids, counts)[0]
+        return nll_and_gradient(model, [ex.label_ids()], ids, counts)[0]
 
     touched = sorted(emit_grad)
     for fid in touched[:4] + touched[-2:]:
@@ -324,7 +400,7 @@ def test_nll_is_logz_minus_path_score():
     ex = example(("senior", "sales"), ("S-RES", "S-FUN"))
     ids, counts = model.featurize(ex.tokens, extend=True)
     model._emit[: len(model.vocab)] = rng.normal(size=(len(model.vocab), N_LABELS))
-    loss, _ = nll_and_gradient(model, [ex], ids, counts)
+    loss, _ = nll_and_gradient(model, [ex.label_ids()], ids, counts)
     emis = model.emissions(ex.tokens)
     gold = score_path(emis, model.trans, model.start, model.stop, ex.label_ids())
     logz = brute_force_logz(emis, model.trans, model.start, model.stop)
@@ -414,6 +490,21 @@ def test_packed_crf_nll_equals_sum_of_single_title_calls(data, transitions):
         np.testing.assert_array_equal(grads[name], counted[name])
 
 
+@given(st.data())
+def test_packed_pairwise_posterior_is_zero_on_padded_transitions(data):
+    """A packed sequence_marginals call gives each title the pairwise
+    posterior of its one-title call and every padded transition exactly 0."""
+    from titletag.crf import sequence_marginals
+
+    lengths, counts, emis, _, (trans, start, stop) = packed_batch(data)
+    _, _, pairwise = sequence_marginals(emis, trans, start, stop, True, counts)
+    assert pairwise.shape == (len(lengths), emis.shape[1] - 1, N_LABELS, N_LABELS)
+    for b, n in enumerate(lengths):
+        _, _, one = sequence_marginals(emis[b, :n], trans, start, stop)
+        np.testing.assert_allclose(pairwise[b, : n - 1], one, rtol=1e-12, atol=1e-15)
+        assert np.all(pairwise[b, n - 1 :] == 0.0)
+
+
 @given(st.data(), st.sampled_from(["normal", "rounded", "zero transitions"]))
 def test_packed_viterbi_equals_single_title_paths(data, scores):
     """A packed Viterbi call gives each title its one-title path exactly, also
@@ -495,14 +586,14 @@ def test_group_nll_equals_sum_of_one_title_calls():
         flat = [as_flat(r) for r in group_rows]
         assert max(np.bincount(np.concatenate([ids for ids, _ in flat]))) > 2
         loss, grad = nll_and_gradient(
-            model, group, np.concatenate([ids for ids, _ in flat]),
+            model, [ex.label_ids() for ex in group], np.concatenate([ids for ids, _ in flat]),
             np.concatenate([counts for _, counts in flat]),
         )
         want_loss = 0.0
         want = {name: np.zeros_like(grad[name]) for name in ("trans", "start", "stop")}
         want_emit: dict[int, np.ndarray] = {}
         for ex, r, (ids, counts) in zip(group, group_rows, flat):
-            one_loss, one = nll_and_gradient(model, [ex], ids, counts)
+            one_loss, one = nll_and_gradient(model, [ex.label_ids()], ids, counts)
             loop_loss, loop_emit = loop_nll(model, ex, r)
             assert one_loss == loop_loss
             assert one["emit"][0].tolist() == sorted(loop_emit)
@@ -543,12 +634,12 @@ def test_mixed_length_batch_equals_sum_of_one_title_calls(kind):
         model.start = rng.normal(size=N_LABELS)
         model.stop = rng.normal(size=N_LABELS)
     ids, counts = map(np.concatenate, zip(*feats))
-    loss, grad = nll_and_gradient(model, batch, ids, counts)
+    loss, grad = nll_and_gradient(model, [ex.label_ids() for ex in batch], ids, counts)
 
     want_loss, want_emit = 0.0, {}
     want = {name: np.zeros_like(grad[name]) for name in grad if name != "emit"}
     for ex, (one_ids, one_counts) in zip(batch, feats):
-        one_loss, one = nll_and_gradient(model, [ex], one_ids, one_counts)
+        one_loss, one = nll_and_gradient(model, [ex.label_ids()], one_ids, one_counts)
         want_loss += one_loss
         for fid, row in zip(one["emit"][0].tolist(), one["emit"][1]):
             want_emit[fid] = want_emit.get(fid, 0.0) + row
@@ -563,7 +654,7 @@ def test_mixed_length_batch_equals_sum_of_one_title_calls(kind):
     for fid, row in zip(touched.tolist(), emit_rows):
         np.testing.assert_allclose(row, want_emit[fid], rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="longest first"):
-        nll_and_gradient(model, batch[::-1], ids, counts)
+        nll_and_gradient(model, [ex.label_ids() for ex in batch[::-1]], ids, counts)
 
 
 def test_cached_training_registers_features_in_uncached_order():
@@ -580,13 +671,14 @@ def test_cached_training_registers_features_in_uncached_order():
     model = train_crf(data, cfg)
 
     # replay the draws of optim.fit: a permutation per epoch, then one
-    # dropout draw per title in batch order
+    # scalar dropout draw per token in batch order
     rng = np.random.default_rng(cfg.seed)
     uncached = CrfModel(kind="crf")
     seen = set()
     for _ in range(cfg.epochs):
         for j in rng.permutation(len(data)):
-            tokens = apply_word_dropout(data[j].tokens, cfg.word_dropout, rng)
+            tokens = tuple("<unk>" if rng.random() < cfg.word_dropout else tok
+                           for tok in data[j].tokens)
             uncached.featurize(tokens, extend=True)
             seen.add(tokens)
     assert len(seen) > len(data)  # some titles were drawn with different dropouts
@@ -727,13 +819,26 @@ def test_training_diverges_cleanly():
 def test_word_dropout():
     rng = np.random.default_rng(0)
     tokens = ("a", "b", "c", "d")
-    assert apply_word_dropout(tokens, 0.0, rng) == tokens
-    dropped = apply_word_dropout(tokens, 0.99, rng)
+    assert apply_word_dropout([tokens], 0.0, rng) == [tokens]
+    [dropped] = apply_word_dropout([tokens], 0.99, rng)
     assert "<unk>" in dropped
     assert len(dropped) == len(tokens)
-    r1 = apply_word_dropout(tokens, 0.5, np.random.default_rng(42))
-    r2 = apply_word_dropout(tokens, 0.5, np.random.default_rng(42))
+    r1 = apply_word_dropout([tokens], 0.5, np.random.default_rng(42))
+    r2 = apply_word_dropout([tokens], 0.5, np.random.default_rng(42))
     assert r1 == r2
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+def test_batch_word_dropout_equals_one_draw_per_token(p):
+    """One draw for a whole batch drops the tokens that one scalar draw per
+    token, title after title, drops, and leaves the rng at the same state."""
+    batch = [("chief", "financial", "officer"), ("vice",), ("a|b", "<s>", "x", "y"), ("z", "z")]
+    for seed in range(20):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [tuple("<unk>" if oracle.random() < p else tok for tok in tokens)
+                for tokens in batch]
+        assert apply_word_dropout(batch, p, rng) == want
+        assert rng.random() == oracle.random()
 
 
 def test_train_config_validation():
