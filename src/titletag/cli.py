@@ -37,7 +37,7 @@ from .gazetteer import (
     write_gazetteer,
 )
 from .labeling import auto_tag, dumps_conll, read_conll, split_sequences, write_conll
-from .neural import LstmCrfModel, train_lstm_crf, train_lstm_softmax
+from .neural import LstmCrfModel, train_lstm, train_lstm_crf
 from .optim import TrainConfig
 from .title2vec import (
     BiLmEmbeddings,
@@ -306,7 +306,7 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     data = read_conll(args.train)
     provider = _bilm_provider(args.embeddings)
-    trainer = train_lstm_crf if args.model_kind == "lstm-crf" else train_lstm_softmax
+    trainer = train_lstm_crf if args.model_kind == "lstm-crf" else train_lstm
     model = trainer(
         data,
         cfg,
@@ -351,8 +351,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     bilm = BiLmModel.load(args.model)
-    corpus = load_corpus(args.infile, fmt=args.in_format)
-    vectors = title2vec.embed_titles(bilm, [title.tokens for title in corpus.titles])
+    vectors = title2vec.embed_titles(bilm, _read_tokens(args.infile, args.in_format))
     records = [TitleVectors(str(i), title_vectors) for i, title_vectors in enumerate(vectors)]
     store = EmbeddingStore(bilm.contextual_dim, records)
     title2vec.write_embeddings(store, args.out)
@@ -395,7 +394,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     trainers = {
         "crf": functools.partial(train_crf, gazetteer=gaz),
         "logreg": functools.partial(train_logreg, gazetteer=gaz),
-        "lstm": train_lstm_softmax,
+        "lstm": train_lstm,
         "lstm-crf": train_lstm_crf,
     }
     result = evaluation.grid_search(trainers[args.model], space, train_data, dev_gold, base=base)
@@ -576,10 +575,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args keeps no
+    state between calls, and the tree costs milliseconds to build."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

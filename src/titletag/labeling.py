@@ -8,7 +8,7 @@ argmax tie-breaking favors the empty label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -34,18 +34,21 @@ class BioesLabel:
 
     prefix: Prefix
     tag: CoarseTag
+    # The label as .conll spells it, set once here: the writers and the
+    # scorer read it per token.
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.tag is CoarseTag.O) != (self.prefix is Prefix.NONE):
             raise ValueError(f"invalid label: prefix {self.prefix!r} with tag {self.tag!r}")
+        text = "O" if self.tag is CoarseTag.O else f"{self.prefix.value}-{self.tag.value}"
+        object.__setattr__(self, "text", text)
 
     def render(self) -> str:
-        if self.tag is CoarseTag.O:
-            return "O"
-        return f"{self.prefix.value}-{self.tag.value}"
+        return self.text
 
     def __str__(self) -> str:
-        return self.render()
+        return self.text
 
     @staticmethod
     def parse(text: str) -> "BioesLabel":
@@ -68,6 +71,9 @@ ALL_LABELS: tuple[BioesLabel, ...] = (OUTSIDE,) + tuple(
 LABEL_STRINGS: tuple[str, ...] = tuple(label.render() for label in ALL_LABELS)
 LABEL_INDEX: dict[BioesLabel, int] = {label: i for i, label in enumerate(ALL_LABELS)}
 _LABEL_BY_STRING: dict[str, BioesLabel] = dict(zip(LABEL_STRINGS, ALL_LABELS))
+_LABEL_BY_PARTS: dict[tuple[Prefix, CoarseTag], BioesLabel] = {
+    (label.prefix, label.tag): label for label in ALL_LABELS
+}
 N_LABELS = len(ALL_LABELS)
 
 
@@ -86,7 +92,7 @@ class LabeledSequence:
 
     @property
     def label_strings(self) -> tuple[str, ...]:
-        return tuple(label.render() for label in self.labels)
+        return tuple(label.text for label in self.labels)
 
     def label_ids(self) -> list[int]:
         return [LABEL_INDEX[label] for label in self.labels]
@@ -120,11 +126,11 @@ def encode_bioes(coarse: Sequence[CoarseTag]) -> tuple[BioesLabel, ...]:
         if tag is CoarseTag.O:
             out.extend([OUTSIDE] * (j - i + 1))
         elif j == i:
-            out.append(BioesLabel(Prefix.S, tag))
+            out.append(_LABEL_BY_PARTS[Prefix.S, tag])
         else:
-            out.append(BioesLabel(Prefix.B, tag))
-            out.extend(BioesLabel(Prefix.I, tag) for _ in range(i + 1, j))
-            out.append(BioesLabel(Prefix.E, tag))
+            out.append(_LABEL_BY_PARTS[Prefix.B, tag])
+            out.extend([_LABEL_BY_PARTS[Prefix.I, tag]] * (j - i - 1))
+            out.append(_LABEL_BY_PARTS[Prefix.E, tag])
         i = j + 1
     return tuple(out)
 
@@ -190,7 +196,7 @@ def dumps_conll(sequences: Sequence[LabeledSequence]) -> str:
     """Serialize sequences as token<TAB>label lines, blank line between titles."""
     blocks = []
     for seq in sequences:
-        blocks.append("".join(f"{tok}\t{label.render()}\n" for tok, label in zip(seq.tokens, seq.labels)))
+        blocks.append("".join(f"{tok}\t{label.text}\n" for tok, label in zip(seq.tokens, seq.labels)))
     return "\n".join(blocks)
 
 

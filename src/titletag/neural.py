@@ -383,7 +383,7 @@ def train_lstm_crf(
     return _train_bilstm("lstm-crf", data, cfg, hidden_size, layers, embedding_dim, provider)
 
 
-def train_lstm_softmax(
+def train_lstm(
     data: Sequence[LabeledSequence],
     cfg,
     hidden_size: int = 256,

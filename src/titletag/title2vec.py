@@ -379,7 +379,9 @@ def write_embeddings(store: EmbeddingStore, path) -> None:
     digest = hashlib.sha256(prefix + table)
     for block in blocks:
         digest.update(block)
-    with Path(path).open("wb") as fh:
+    # One record's block (8.8 KB at dim 192) outgrows the default 8 KB buffer,
+    # so each would be its own write call; a fixed 1 MB buffer batches them.
+    with Path(path).open("wb", buffering=1 << 20) as fh:
         fh.write(prefix + digest.hexdigest()[:16].encode("ascii") + b"\n")
         fh.write(table)
         for block in blocks:

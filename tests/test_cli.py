@@ -470,6 +470,37 @@ def test_embed_empty_input_writes_an_empty_store(tmp_path, capsys):
     assert store.dim == 2 + 2 * 3 and store.records == []
 
 
+def test_embed_notes_titles_that_normalize_to_nothing(tmp_path, capsys):
+    vocab = Vocab.from_counts({"chief": 1})
+    lm = tmp_path / "lm.bin"
+    BiLmModel(vocab, 2, 3, 1).save(lm)
+    raw = tmp_path / "raw.txt"
+    raw.write_text("chief officer\n!!!\nsales\n", encoding="utf-8")
+    emb = tmp_path / "vectors.emb"
+    code, _, err = run(capsys, "embed", "--model", str(lm), "--in", str(raw), "--out", str(emb))
+    assert code == 0, err
+    assert "note: skipped 1 titles that normalize to nothing" in err
+    assert "embedded 2 titles" in err
+    assert [r.title_id for r in read_embeddings(emb).records] == ["0", "1"]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """main parses with one parser per process: no value of one call leaks
+    into the next, a usage error leaves it usable, and its help is the tree's."""
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert run(capsys, "synth", "--seed", "1", "--count", "5", "--out", str(a))[0] == 0
+    assert run(capsys, "synth", "--seed", "1", "--out", str(b))[0] == 0
+    assert len(a.read_text(encoding="utf-8").splitlines()) == 5
+    assert len(b.read_text(encoding="utf-8").splitlines()) == 1000
+    code, _, err = run(capsys, "synth", "--seed", "x", "--out", str(a))
+    assert code == 2 and "invalid int value" in err
+    assert run(capsys, "synth", "--seed", "2", "--count", "3", "--out", str(a))[0] == 0
+    assert len(a.read_text(encoding="utf-8").splitlines()) == 3
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out == cli.build_parser().format_help()
+
+
 def test_gridsearch_table(tmp_path, capsys):
     gaz_path = tmp_path / "sample.gaz"
     run(capsys, "gazetteer", "build", "--sample", "--out", str(gaz_path))

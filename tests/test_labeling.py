@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from titletag.corpus import normalize_title
 from titletag.errors import FormatError
@@ -13,6 +15,7 @@ from titletag.labeling import (
     Chunk,
     IllegalTransitionError,
     LabeledSequence,
+    Prefix,
     auto_tag,
     decode_bioes,
     dumps_conll,
@@ -77,6 +80,7 @@ def test_exhaustive_roundtrip_small():
     for n in range(1, 7):
         for tags in itertools.product(TAGS, repeat=n):
             labels = encode_bioes(tags)
+            assert all(label is BioesLabel.parse(label.render()) for label in labels)  # canonical
             chunks = decode_bioes(labels)
             expected = [Chunk(tag, b, e) for tag, b, e in scan_runs(list(tags))]
             assert chunks == expected, f"tags={tags}"
@@ -168,6 +172,33 @@ def test_conll_roundtrip(tmp_path):
     path = tmp_path / "data.conll"
     write_conll(seqs, path)
     assert read_conll(path) == seqs
+
+
+def _label_text(label: BioesLabel) -> str:
+    """The label as a .conll file spells it, from the enums' values alone."""
+    if label.prefix is Prefix.NONE:
+        return CoarseTag.O.value
+    return label.prefix.value + "-" + label.tag.value
+
+
+# Fresh instances as well as the canonical ones: a caller may build its own.
+_ANY_LABEL = st.sampled_from(ALL_LABELS) | st.sampled_from(ALL_LABELS).map(
+    lambda label: BioesLabel(label.prefix, label.tag))
+
+
+@given(st.lists(st.lists(st.tuples(st.sampled_from(["chief", "of", "x-ray", "\u00e9t\u00e9"]),
+                                   _ANY_LABEL), min_size=1, max_size=6), max_size=5))
+def test_dumps_conll_matches_the_enum_oracle(rows):
+    seqs = [LabeledSequence(tuple(t for t, _ in seq), tuple(lab for _, lab in seq)) for seq in rows]
+    expected = "\n".join("".join(f"{tok}\t{_label_text(lab)}\n" for tok, lab in seq) for seq in rows)
+    assert dumps_conll(seqs) == expected
+    for seq in seqs:
+        assert seq.label_strings == tuple(_label_text(lab) for lab in seq.labels)
+
+
+def test_dumps_conll_writes_all_13_labels_as_the_oracle():
+    seq = LabeledSequence(tuple(f"t{i}" for i in range(N_LABELS)), ALL_LABELS)
+    assert dumps_conll([seq]) == "".join(f"t{i}\t{_label_text(lab)}\n" for i, lab in enumerate(ALL_LABELS))
 
 
 def test_parse_conll_tolerates_blank_runs(tmp_path):

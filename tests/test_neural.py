@@ -15,8 +15,8 @@ from titletag.neural import (
     LstmCrfModel,
     TrainableEmbeddings,
     _sample_masks,
+    train_lstm,
     train_lstm_crf,
-    train_lstm_softmax,
 )
 from titletag.title2vec import BiLmEmbeddings, BiLmModel, Vocab
 
@@ -235,7 +235,7 @@ def test_lstm_crf_memorizes_toy_data():
 def test_lstm_softmax_trains():
     cfg = TrainConfig(learning_rate=0.01, batch_size=3, epochs=60, optimizer="adam",
                       seed=2, word_dropout=0.0, variational_dropout=0.0)
-    model = train_lstm_softmax(TOY, cfg, hidden_size=12, layers=1, embedding_dim=8)
+    model = train_lstm(TOY, cfg, hidden_size=12, layers=1, embedding_dim=8)
     assert model.kind == "lstm"
     for name in ("trans", "start", "stop"):
         np.testing.assert_array_equal(getattr(model, name), 0.0)

@@ -392,6 +392,20 @@ def test_embedding_file_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(r1.vectors, r2.vectors)  # raw float64 bytes
 
 
+def test_embedding_writer_bytes_are_pinned(tmp_path):
+    """Three records at dim 192, two of them past an 8 KB write buffer: the
+    file's sha256 is pinned, so no change to how the writer buffers its
+    records may move a byte."""
+    store = EmbeddingStore(192, [
+        TitleVectors(title_id, np.arange(rows * 192).reshape(rows, 192) / 7.0 - rows)
+        for title_id, rows in (("first", 1), ("second", 6), ("third", 18))
+    ])
+    path = tmp_path / "pinned.emb"
+    write_embeddings(store, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "3eadab2bfb067c6bdc5dcf3666692313ba2223577a479d701210bd89d3955c00")
+
+
 def _write_store(path) -> bytearray:
     """Write store_fixture() and return the file bytes."""
     write_embeddings(store_fixture(), path)
