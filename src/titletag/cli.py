@@ -148,15 +148,20 @@ def _bilm_provider(path: str | None) -> BiLmEmbeddings | None:
     return BiLmEmbeddings(BiLmModel.load(path), content_hash=model_io.file_hash(path))
 
 
-def _read_tokens(path: str, fmt: str) -> list[tuple[str, ...]]:
-    """Token sequences to tag; empty titles are dropped with a note."""
-    if fmt == "conll":
-        return [seq.tokens for seq in read_conll(path)]
+def _read_corpus(path: str, fmt: str) -> corpus_mod.Corpus:
+    """The titles of a LINES or TSV file; empty titles are dropped with a note."""
     corpus = load_corpus(path, fmt=fmt)
     if corpus.empty_count:
         print(f"note: skipped {corpus.empty_count} titles that normalize to nothing",
               file=sys.stderr)
-    return [title.tokens for title in corpus.titles]
+    return corpus
+
+
+def _read_tokens(path: str, fmt: str) -> list[tuple[str, ...]]:
+    """Token sequences to tag (see _read_corpus)."""
+    if fmt == "conll":
+        return [seq.tokens for seq in read_conll(path)]
+    return [title.tokens for title in _read_corpus(path, fmt).titles]
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
@@ -304,6 +309,8 @@ def cmd_train_feature(args: argparse.Namespace) -> int:
 def cmd_train_neural(args: argparse.Namespace) -> int:
     _announce_seed(args)
     cfg = _build_config(args)
+    _reject_unread({"--embedding-dim": args.embeddings and args.embedding_dim is not None},
+                   f"the {args.model_kind} trainer with --embeddings")
     data = read_conll(args.train)
     provider = _bilm_provider(args.embeddings)
     trainer = train_lstm_crf if args.model_kind == "lstm-crf" else train_lstm
@@ -312,7 +319,7 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
         cfg,
         hidden_size=args.hidden,
         layers=args.layers,
-        embedding_dim=args.embedding_dim,
+        embedding_dim=64 if args.embedding_dim is None else args.embedding_dim,
         provider=provider,
     )
     model.save(args.out)
@@ -351,8 +358,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     bilm = BiLmModel.load(args.model)
-    vectors = title2vec.embed_titles(bilm, _read_tokens(args.infile, args.in_format))
-    records = [TitleVectors(str(i), title_vectors) for i, title_vectors in enumerate(vectors)]
+    corpus = _read_corpus(args.infile, args.in_format)
+    vectors = title2vec.embed_titles(bilm, [title.tokens for title in corpus.titles])
+    # each record is keyed by its title's input line index, so dropped lines leave gaps
+    records = [TitleVectors(str(i), title_vectors)
+               for i, title_vectors in zip(corpus.title_lines(), vectors)]
     store = EmbeddingStore(bilm.contextual_dim, records)
     title2vec.write_embeddings(store, args.out)
     print(f"embedded {len(records)} titles at dimension {store.dim}", file=sys.stderr)
@@ -387,6 +397,8 @@ def _parse_space(text: str, model: str) -> dict[str, list]:
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     _announce_seed(args)
     base = _build_config(args)
+    _reject_unread({"--gazetteer": args.gazetteer and args.model in ("lstm", "lstm-crf")},
+                   f"the {args.model} trainer")
     train_data = read_conll(args.train)
     dev_gold = read_conll(args.dev)
     space = _parse_space(args.space, args.model)
@@ -517,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         t.add_argument("--out", required=True)
         t.add_argument("--hidden", type=int, default=256)
         t.add_argument("--layers", type=int, default=1)
-        t.add_argument("--embedding-dim", type=int, default=64)
+        t.add_argument("--embedding-dim", type=int, default=None,
+                       help="trainable table dimension (default: 64)")
         t.add_argument("--embeddings", default=None,
                        help="frozen language model file instead of a trainable table")
         _add_train_flags(t)

@@ -64,12 +64,24 @@ class Title:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An immutable collection of titles plus ingestion bookkeeping."""
+    """An immutable collection of titles plus ingestion bookkeeping: the line
+    numbers of the titles that normalize to nothing and of the malformed
+    rows (with the reason), neither of which is among titles."""
 
     titles: tuple[Title, ...]
     source_label: str = ""
-    empty_count: int = 0
+    empty_lines: tuple[int, ...] = ()
     skipped_rows: tuple[tuple[int, str], ...] = ()
+
+    @property
+    def empty_count(self) -> int:
+        return len(self.empty_lines)
+
+    def title_lines(self) -> list[int]:
+        """The 0-based input line index (line number - 1) of each title: each
+        line is a title, an empty line or a skipped row, in input order."""
+        left_out = set(self.empty_lines).union(n for n, _ in self.skipped_rows)
+        return [i for i in range(len(self.titles) + len(left_out)) if i + 1 not in left_out]
 
     def __len__(self) -> int:
         return len(self.titles)
@@ -153,21 +165,21 @@ def load_corpus(path: str | Path, fmt: str = "lines") -> Corpus:
     path = Path(path)
     titles: list[Title] = []
     skipped: list[tuple[int, str]] = []
-    empty = 0
+    empty: list[int] = []
     for lineno, row in read_rows(path, fmt):
         if isinstance(row, str):
             skipped.append((lineno, row))
             log.warning("%s:%d: skipped row (%s)", path, lineno, row)
         elif row.is_empty:
-            empty += 1
+            empty.append(lineno)
         else:
             titles.append(row)
     if empty:
-        log.info("%s: excluded %d titles that normalize to nothing", path, empty)
+        log.info("%s: excluded %d titles that normalize to nothing", path, len(empty))
     return Corpus(
         titles=tuple(titles),
         source_label=str(path),
-        empty_count=empty,
+        empty_lines=tuple(empty),
         skipped_rows=tuple(skipped),
     )
 

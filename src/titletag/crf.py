@@ -244,44 +244,26 @@ def _forward(
     return alphas, exp_trans, shift
 
 
-def _batched(emissions: np.ndarray) -> np.ndarray:
-    """emissions (..., T, L) with its leading axes folded into one batch axis.
-    Results unfold with .reshape(leading axes)[()], a scalar for one sequence."""
-    return emissions.reshape((-1,) + emissions.shape[-2:])
-
-
-def log_partition_scores(
-    emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray
-) -> np.ndarray:
-    """Log-sum over all label paths; emissions may carry leading batch axes."""
-    emis = _batched(emissions)
-    with np.errstate(divide="ignore"):
-        alphas, _, _ = _forward(emis, trans, start, [len(emis)] * emis.shape[1])
-    return _logsumexp(alphas[:, -1] + stop, axis=-1).reshape(emissions.shape[:-2])[()]
-
-
 def sequence_marginals(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray,
     pairwise: bool = True, counts=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Forward-backward pass.
+    """Forward-backward pass over (B, T, L) emissions.
 
-    Returns (logZ, unary, pairwise) where unary[..., t, y] is the posterior
-    of label y at position t and pairwise[..., t, y, y'] the posterior of
-    the transition y -> y' between positions t and t+1, or None when
-    pairwise is false.
+    Returns (logZ, unary, pairwise): logZ[b] is the log-sum over all label
+    paths of row b, unary[b, t, y] the posterior of label y at position t
+    and pairwise[b, t, y, y'] the posterior of the transition y -> y'
+    between positions t and t+1, or None when pairwise is false.
 
-    counts, when given, are the per-step row counts of (B, T, L) emissions
-    of sequences sorted by length, longest first, and right-padded (as
-    lstm.LstmCell.run takes them): step t of each recursion runs only the
-    first counts[t] rows, a row's backward scores start from stop at its
-    own last position, and logZ reads its forward scores there. Padded
-    emission cells must be finite; every posterior of a padded position is
-    exactly 0. Without counts every step runs all rows.
+    counts, when given, are the per-step row counts of sequences sorted by
+    length, longest first, and right-padded (as lstm.LstmCell.run takes
+    them): step t of each recursion runs only the first counts[t] rows, a
+    row's backward scores start from stop at its own last position, and
+    logZ reads its forward scores there. Padded emission cells must be
+    finite; every posterior of a padded position is exactly 0. Without
+    counts every step runs all rows.
     """
-    lead, (T, L) = emissions.shape[:-2], emissions.shape[-2:]
-    emissions = _batched(emissions)
-    B = len(emissions)
+    B, T, L = emissions.shape
     rows, _ = packed_steps(counts, B, T)
     with np.errstate(divide="ignore"):
         alphas, exp_trans, shift = _forward(emissions, trans, start, rows)
@@ -296,9 +278,8 @@ def sequence_marginals(
             betas[r : rows[t], t] = stop
     valid = valid_mask(rows, B)
     last = valid.sum(axis=1) - 1
-    z = _logsumexp(alphas[np.arange(B), last] + stop, axis=-1)
-    logz = z.reshape(lead)[()]
-    unary = np.exp(alphas + betas - z[:, None, None]).reshape(lead + (T, L))
+    logz = _logsumexp(alphas[np.arange(B), last] + stop, axis=-1)
+    unary = np.exp(alphas + betas - logz[:, None, None])
     if not pairwise:
         return logz, unary, None
     # the transitions inside a sequence, in place in one (N, L, L) buffer,
@@ -306,10 +287,10 @@ def sequence_marginals(
     b_at, t_at = np.nonzero(valid[:, 1:])
     cells = alphas[b_at, t_at][:, :, None] + trans
     cells += (emissions[b_at, t_at + 1] + betas[b_at, t_at + 1])[:, None, :]
-    cells -= z[b_at, None, None]
+    cells -= logz[b_at, None, None]
     pairwise = np.zeros((B, T - 1, L, L))
     pairwise[b_at, t_at] = np.exp(cells, out=cells)
-    return logz, unary, pairwise.reshape(lead + (T - 1, L, L))
+    return logz, unary, pairwise
 
 
 def crf_nll(
@@ -361,36 +342,33 @@ def crf_nll(
 
 def viterbi_path(
     emissions: np.ndarray, trans: np.ndarray, start: np.ndarray, stop: np.ndarray, counts=None
-) -> list[int] | np.ndarray:
-    """Highest-scoring label path; ties resolve toward the lowest label index.
+) -> np.ndarray:
+    """(B, T) highest-scoring label paths of (B, T, L) emissions; ties
+    resolve toward the lowest label index.
 
-    emissions is (T, L) for one sequence, which gives a list of label ids, or
-    (B, T, L) for a batch, which gives a (B, T) id array. Without counts the
-    batch holds equal-length sequences. With counts it holds sequences
-    sorted by length, longest first, and right-padded, with counts[t] rows
-    inside their sequence at step t: a finished row keeps its score and
-    gets identity backpointers, so its path repeats its last label over the
-    padding. A batch row does the same adds and argmaxes as the
-    one-sequence call on that row, so the two give equal paths.
+    Without counts the batch holds equal-length sequences. With counts it
+    holds sequences sorted by length, longest first, and right-padded, with
+    counts[t] rows inside their sequence at step t: a finished row keeps its
+    score and gets identity backpointers, so its path repeats its last label
+    over the padding. A row does the same adds and argmaxes in any batch, so
+    its path does not depend on the other rows.
     """
-    single = emissions.ndim == 2
-    emis = emissions[None] if single else emissions
-    B, T, L = emis.shape
+    B, T, L = emissions.shape
     rows, _ = packed_steps(counts, B, T)
     batch, labels = np.arange(B), np.arange(L)
     back = np.empty((T, B, L), dtype=np.int64)
-    score = start + emis[:, 0]
+    score = start + emissions[:, 0]
     for t in range(1, T):
         r = rows[t]
         cand = score[:r, :, None] + trans
         back[t, :r] = np.argmax(cand, axis=1)
         back[t, r:] = labels
-        score[:r] = cand[batch[:r, None], back[t, :r], labels] + emis[:r, t]
+        score[:r] = cand[batch[:r, None], back[t, :r], labels] + emissions[:r, t]
     path = np.empty((B, T), dtype=np.int64)
     path[:, -1] = np.argmax(score + stop, axis=1)
     for t in range(T - 1, 0, -1):
         path[:, t - 1] = back[t, batch, path[:, t]]
-    return path[0].tolist() if single else path
+    return path
 
 
 def decode_in_chunks(
@@ -432,15 +410,14 @@ class CrfModel:
         kind: str = "crf",
         gazetteer: Gazetteer | None = None,
         vocab: FeatureVocab | None = None,
-        capacity: int = 1024,
     ):
         if kind not in ("crf", "logreg"):
             raise ValueError(f"kind must be 'crf' or 'logreg', got {kind!r}")
         self.kind = kind
         self.gazetteer = gazetteer
         self.vocab = vocab if vocab is not None else FeatureVocab()
-        rows = max(capacity, len(self.vocab), 1)
-        self._emit = np.zeros((rows, N_LABELS))
+        # grown by doubling as featurize registers features (_ensure_capacity)
+        self._emit = np.zeros((max(len(self.vocab), 1), N_LABELS))
         self.trans = np.zeros((N_LABELS, N_LABELS))
         self.start = np.zeros(N_LABELS)
         self.stop = np.zeros(N_LABELS)
@@ -539,7 +516,7 @@ class CrfModel:
             )
         vocab = FeatureVocab.from_features(meta["features"])
         model = cls(kind=kind, gazetteer=gazetteer if meta["uses_gazetteer"] else None,
-                    vocab=vocab, capacity=max(len(vocab), 1))
+                    vocab=vocab)
         model_io.fill_arrays(path, arrays, model._arrays())
         model.vocab.freeze()
         return model

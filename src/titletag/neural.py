@@ -154,13 +154,6 @@ class LstmCrfModel:
                              counts=counts)
         return enc[valid] @ self.proj_W + self.proj_b
 
-    def emissions(self, tokens: Sequence[str]) -> np.ndarray:
-        """Per-position label scores (T, n_labels) for one sequence, encoded
-        on float32 copies of the cells as predict_many does."""
-        if not tokens:
-            raise ValueError("empty token sequence")
-        return self._chunk_emissions([tokens], self._float32_stack())
-
     def predict(self, tokens: Sequence[str]) -> tuple[BioesLabel, ...]:
         return self.predict_many([tokens])[0]
 

@@ -20,8 +20,8 @@ from titletag.corpus import synth_corpus
 from titletag.crf import (
     CrfModel,
     TrainConfig,
-    log_partition_scores,
     nll_and_gradient,
+    sequence_marginals,
     viterbi_path,
 )
 from titletag.errors import FormatError
@@ -115,10 +115,9 @@ def test_criterion_3_crf_decoding_exactness():
             start = rng.normal(scale=1.5, size=N_LABELS)
             stop = rng.normal(scale=1.5, size=N_LABELS)
             best_ref, _ = brute_force_best_path(emis, trans, start, stop)
-            assert list(viterbi_path(emis, trans, start, stop)) == best_ref
-            assert log_partition_scores(emis, trans, start, stop) == pytest.approx(
-                brute_force_logz(emis, trans, start, stop), abs=1e-6
-            )
+            assert viterbi_path(emis[None], trans, start, stop)[0].tolist() == best_ref
+            logz, _, _ = sequence_marginals(emis[None], trans, start, stop, pairwise=False)
+            assert logz[0] == pytest.approx(brute_force_logz(emis, trans, start, stop), abs=1e-6)
 
         for _ in range(20):
             for T in (1, 2, 3, 4):

@@ -481,7 +481,25 @@ def test_embed_notes_titles_that_normalize_to_nothing(tmp_path, capsys):
     assert code == 0, err
     assert "note: skipped 1 titles that normalize to nothing" in err
     assert "embedded 2 titles" in err
-    assert [r.title_id for r in read_embeddings(emb).records] == ["0", "1"]
+    assert [r.title_id for r in read_embeddings(emb).records] == ["0", "2"]
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("lines", "chief officer\n!!!\n\nsales\n"),
+    ("tsv", "chief\tUS\tp1\nno columns\n!!!\tUS\tp2\nsales\tASIA\tp3\n"),
+], ids=["lines", "tsv"])
+def test_embed_record_ids_are_input_line_indices(tmp_path, capsys, fmt, text):
+    """A record's id is its title's 0-based input line index, whatever lines
+    before it were dropped: empty titles, and malformed TSV rows."""
+    lm = tmp_path / "lm.bin"
+    BiLmModel(Vocab.from_counts({"chief": 1}), 2, 3, 1).save(lm)
+    raw = tmp_path / "raw.txt"
+    raw.write_text(text, encoding="utf-8")
+    emb = tmp_path / "vectors.emb"
+    code, _, err = run(capsys, "embed", "--model", str(lm), "--in", str(raw), "--in-format", fmt,
+                       "--out", str(emb))
+    assert code == 0, err
+    assert [r.title_id for r in read_embeddings(emb).records] == ["0", "3"]
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
@@ -714,6 +732,36 @@ def test_train_zero_embedding_dim_exits_2(tmp_path, capsys):
     )
     assert code == 2, err
     assert "embedding dim=0" in err and not model.exists()
+
+
+@pytest.mark.parametrize("kind", ["lstm", "lstm-crf"])
+def test_embedding_dim_with_frozen_embeddings_exits_2(tmp_path, capsys, kind):
+    """--embedding-dim sizes the trainable table only: with --embeddings it
+    exits 2 before any file is read (none of these exists), and without it
+    the table keeps its default dimension, 64."""
+    missing = [str(tmp_path / name) for name in ("t.conll", "lm.bin", "m.bin")]
+    code, _, err = run(capsys, "train", kind, "--train", missing[0], "--embeddings", missing[1],
+                       "--embedding-dim", "999", "--out", missing[2], "--seed", "0")
+    assert code == 2, err
+    assert f"error: --embedding-dim is given, but the {kind} trainer with --embeddings" in err
+    train, model = tmp_path / "t.conll", tmp_path / "m.bin"
+    train.write_text(GOLD_CONLL, encoding="utf-8")
+    code, _, err = run(capsys, "train", kind, "--train", str(train), "--out", str(model),
+                       "--hidden", "2", "--epochs", "1", "--seed", "0")
+    assert code == 0, err
+    assert cli._load_tagger(str(model), None, None).provider.dim == 64
+
+
+@pytest.mark.parametrize("model", ["lstm", "lstm-crf"])
+def test_gridsearch_gazetteer_on_recurrent_model_exits_2(tmp_path, capsys, model):
+    """The recurrent taggers read no gazetteer: gridsearch exits 2 naming the
+    flag before it reads any file (none of these exists) or trains a model."""
+    train, gaz = str(tmp_path / "l.conll"), str(tmp_path / "g.tsv")
+    code, out, err = run(capsys, "gridsearch", "--model", model, "--train", train, "--dev", train,
+                         "--space", "epochs=1", "--gazetteer", gaz, "--seed", "0")
+    assert code == 2, err
+    assert f"error: --gazetteer is given, but the {model} trainer does not read it" in err
+    assert out == ""
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from titletag.corpus import synth_corpus
 from titletag.crf import (
     CrfModel,
+    FeatureVocab,
     TrainConfig,
     _apply_step,
     apply_word_dropout,
     crf_nll,
     nll_and_gradient,
+    sequence_marginals,
     train_crf,
     train_logreg,
     viterbi_path,
@@ -45,19 +47,17 @@ def test_viterbi_matches_enumeration():
     for case in range(12):
         T = int(rng.integers(1, 5))
         emis, trans, start, stop = random_params(rng, T)
-        got = viterbi_path(emis, trans, start, stop)
+        got = viterbi_path(emis[None], trans, start, stop)[0].tolist()
         want, want_score = brute_force_best_path(emis, trans, start, stop)
         assert got == want, f"case {case}"
 
 
 def test_logz_matches_enumeration():
-    from titletag.crf import log_partition_scores
-
     rng = np.random.default_rng(12)
     for case in range(12):
         T = int(rng.integers(1, 5))
         emis, trans, start, stop = random_params(rng, T)
-        got = float(log_partition_scores(emis, trans, start, stop))
+        got = float(sequence_marginals(emis[None], trans, start, stop, pairwise=False)[0][0])
         want = brute_force_logz(emis, trans, start, stop)
         assert got == pytest.approx(want, abs=1e-6), f"case {case}"
 
@@ -68,26 +68,25 @@ def test_viterbi_tie_breaks_to_lowest_index():
     trans = np.zeros((N_LABELS, N_LABELS))
     start = np.zeros(N_LABELS)
     stop = np.zeros(N_LABELS)
-    assert viterbi_path(emis, trans, start, stop) == [0, 0, 0]
+    assert viterbi_path(emis[None], trans, start, stop).tolist() == [[0, 0, 0]]
     # break the tie away from index 0 at one position only
     emis[1, 4] = 1.0
-    assert viterbi_path(emis, trans, start, stop) == [0, 4, 0]
+    assert viterbi_path(emis[None], trans, start, stop).tolist() == [[0, 4, 0]]
 
 
 def _viterbi_rows_equal(emis, trans, start, stop):
     batched = viterbi_path(emis, trans, start, stop)
     assert batched.shape == emis.shape[:2]
     for b in range(emis.shape[0]):
-        single = viterbi_path(emis[b], trans, start, stop)
-        assert isinstance(single, list)
-        assert batched[b].tolist() == single, f"row {b}"
+        single = viterbi_path(emis[b : b + 1], trans, start, stop)
+        assert batched[b].tolist() == single[0].tolist(), f"row {b}"
     return batched
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 7])
 @pytest.mark.parametrize("scores", ["normal", "integer", "blocked"])
 def test_batched_viterbi_rows_equal_single_calls(T, scores):
-    """Every batch row is exactly the one-sequence path, also under ties
+    """Every batch row is exactly the path of a batch of one, also under ties
     (integer scores) and with -inf cells."""
     rng = np.random.default_rng(100 + T)
     B = 9
@@ -122,24 +121,19 @@ def test_batched_viterbi_matches_enumeration():
 
 
 def test_batched_forward_matches_per_sequence():
-    from titletag.crf import log_partition_scores, sequence_marginals
-
     rng = np.random.default_rng(13)
     T, B = 3, 4
     emis = rng.normal(size=(B, T, N_LABELS))
     trans = rng.normal(size=(N_LABELS, N_LABELS))
     start = rng.normal(size=N_LABELS)
     stop = rng.normal(size=N_LABELS)
-    batched = log_partition_scores(emis, trans, start, stop)
-    assert batched.shape == (B,)
-    for b in range(B):
-        single = float(log_partition_scores(emis[b], trans, start, stop))
-        assert batched[b] == pytest.approx(single, abs=1e-10)
     logz, unary, pairwise = sequence_marginals(emis, trans, start, stop)
+    assert logz.shape == (B,)
     for b in range(B):
-        z1, u1, p1 = sequence_marginals(emis[b], trans, start, stop)
-        np.testing.assert_allclose(unary[b], u1, atol=1e-10)
-        np.testing.assert_allclose(pairwise[b], p1, atol=1e-10)
+        z1, u1, p1 = sequence_marginals(emis[b : b + 1], trans, start, stop)
+        assert logz[b] == pytest.approx(float(z1[0]), abs=1e-10)
+        np.testing.assert_allclose(unary[b], u1[0], atol=1e-10)
+        np.testing.assert_allclose(pairwise[b], p1[0], atol=1e-10)
     # posteriors are normalized distributions
     np.testing.assert_allclose(unary.sum(axis=-1), np.ones((B, T)), atol=1e-9)
 
@@ -163,22 +157,6 @@ def test_logsumexp_handles_infinite_and_extreme_rows():
     want = [np.log(4.0), 700.0 + np.log(2.0), -700.0 + np.log(2.0)]
     np.testing.assert_allclose(rows[1:], want, rtol=1e-15)
     np.testing.assert_array_equal(cols, rows)
-
-
-def test_lattice_without_a_finite_path_has_log_partition_minus_inf():
-    from titletag.crf import log_partition_scores
-
-    emis = np.zeros((2, 3, N_LABELS))
-    zeros = np.zeros(N_LABELS)
-    free_trans = np.zeros((N_LABELS, N_LABELS))
-    no_trans = np.full((N_LABELS, N_LABELS), -np.inf)
-    no_start = np.full(N_LABELS, -np.inf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.all(log_partition_scores(emis, no_trans, zeros, zeros) == -np.inf)
-        assert np.all(log_partition_scores(emis, free_trans, no_start, zeros) == -np.inf)
-        single = log_partition_scores(emis[0, :1], no_trans, zeros, zeros)
-    assert single == pytest.approx(np.log(N_LABELS))
 
 
 def brute_force_marginals(emissions, trans, start, stop):
@@ -221,22 +199,20 @@ def extreme_lattice(rng, shape, scale=50.0, blocked=0.3):
             return emis, trans, start, stop
 
 
-@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+@pytest.mark.parametrize("B", [1, 3], ids=["single", "batched"])
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
-def test_forward_backward_matches_enumeration_with_extreme_and_blocked_cells(T, batch):
-    from titletag.crf import log_partition_scores, sequence_marginals
-
-    rng = np.random.default_rng(100 + 10 * T + len(batch))
+def test_forward_backward_matches_enumeration_with_extreme_and_blocked_cells(T, B):
+    rng = np.random.default_rng(100 + 10 * T + (B > 1))
     for case in range(4 if T < 4 else 1):
-        emis, trans, start, stop = extreme_lattice(rng, batch + (T,), blocked=0.3 * (case % 2))
+        emis, trans, start, stop = extreme_lattice(rng, (B, T), blocked=0.3 * (case % 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logz, unary, pairwise = sequence_marginals(emis, trans, start, stop)
-            logz_only = log_partition_scores(emis, trans, start, stop)
-        assert np.shape(logz) == batch and np.shape(logz_only) == batch
-        assert unary.shape == batch + (T, N_LABELS)
-        assert pairwise.shape == batch + (T - 1, N_LABELS, N_LABELS)
-        for b in np.ndindex(batch):
+            logz_only, _, _ = sequence_marginals(emis, trans, start, stop, pairwise=False)
+        assert logz.shape == logz_only.shape == (B,)
+        assert unary.shape == (B, T, N_LABELS)
+        assert pairwise.shape == (B, T - 1, N_LABELS, N_LABELS)
+        for b in range(B):
             want_z, want_u, want_p = brute_force_marginals(emis[b], trans, start, stop)
             assert logz[b] == pytest.approx(want_z, rel=1e-12), f"case {case}"
             assert logz_only[b] == pytest.approx(want_z, rel=1e-12), f"case {case}"
@@ -309,7 +285,6 @@ def test_featurize_equals_the_string_path(grow, later, use_gaz, extend_later):
     count: on a growing vocab, where it also registers features in the same
     order, then on the frozen vocab over titles with unseen tokens, and after
     a swap to a gazetteer that tags the same tokens differently."""
-    from titletag.crf import FeatureVocab
     from titletag.gazetteer import CoarseTag
 
     gaz = make_gazetteer({"sales": CoarseTag.FUN, "asia": CoarseTag.LOC, "a|b": CoarseTag.RES})
@@ -494,14 +469,12 @@ def test_packed_crf_nll_equals_sum_of_single_title_calls(data, transitions):
 def test_packed_pairwise_posterior_is_zero_on_padded_transitions(data):
     """A packed sequence_marginals call gives each title the pairwise
     posterior of its one-title call and every padded transition exactly 0."""
-    from titletag.crf import sequence_marginals
-
     lengths, counts, emis, _, (trans, start, stop) = packed_batch(data)
     _, _, pairwise = sequence_marginals(emis, trans, start, stop, True, counts)
     assert pairwise.shape == (len(lengths), emis.shape[1] - 1, N_LABELS, N_LABELS)
     for b, n in enumerate(lengths):
-        _, _, one = sequence_marginals(emis[b, :n], trans, start, stop)
-        np.testing.assert_allclose(pairwise[b, : n - 1], one, rtol=1e-12, atol=1e-15)
+        _, _, one = sequence_marginals(emis[b : b + 1, :n], trans, start, stop)
+        np.testing.assert_allclose(pairwise[b, : n - 1], one[0], rtol=1e-12, atol=1e-15)
         assert np.all(pairwise[b, n - 1 :] == 0.0)
 
 
@@ -517,7 +490,8 @@ def test_packed_viterbi_equals_single_title_paths(data, scores):
         weights = tuple(np.zeros_like(w) for w in weights)
     paths = viterbi_path(emis, *weights, counts)
     for b, n in enumerate(lengths):
-        assert paths[b, :n].tolist() == viterbi_path(emis[b, :n], *weights)
+        one = viterbi_path(emis[b : b + 1, :n], *weights)
+        assert paths[b, :n].tolist() == one[0].tolist()
         assert np.all(paths[b, n:] == paths[b, n - 1])
     full = emis[:, : lengths[-1]]
     np.testing.assert_array_equal(viterbi_path(full, *weights),
@@ -715,9 +689,7 @@ def test_adam_updates_only_touched_rows():
     gradient, each as the one-row update would, and leaves every other row
     bit-unchanged; moments shorter than the table grow with zero rows."""
     rng = np.random.default_rng(25)
-    model = CrfModel(kind="crf", capacity=8)
-    for k in range(8):
-        model.vocab.add(f"f{k}")
+    model = CrfModel(kind="crf", vocab=FeatureVocab.from_features([f"f{k}" for k in range(8)]))
     model._emit[:] = rng.normal(size=model._emit.shape)
     moments = {"_emit": (rng.normal(size=(6, N_LABELS)), rng.random(size=(6, N_LABELS)))}
     before = {"emit": model._emit.copy()}

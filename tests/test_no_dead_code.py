@@ -25,7 +25,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 # Definitions no program code calls, each kept for a reason.
 ALLOWED = {
-    "log_partition_scores": "the forward algorithm alone, which the CRF kernel tests check",
     "decode_bioes": "the strict BIOES well-formedness oracle of the labeling tests",
     "human_baseline": "the paper's human row, to be printed in the comparison table",
 }
