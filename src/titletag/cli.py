@@ -49,14 +49,16 @@ from .title2vec import (
 
 log = logging.getLogger(__name__)
 
-_EXTRA_AXIS_TYPES = {"hidden_size": int, "layers": int, "embedding_dim": int}
-_AXIS_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)} | _EXTRA_AXIS_TYPES
-# The TrainConfig fields each trainer does not read (the lstm and lstm-crf
-# trainers read them all). Setting one explicitly, by flag or --space axis,
-# is a usage error rather than a silent no-op.
+# The --space axes: the TrainConfig fields and the recurrent trainers' sizes.
+_AXIS_TYPES = {f.name: type(f.default) for f in fields(TrainConfig)} | {
+    "hidden_size": int, "layers": int, "embedding_dim": int}
+# The settings each trainer does not read (the lstm and lstm-crf trainers
+# read them all). Setting one explicitly, by flag or --space axis, is a
+# usage error rather than a silent no-op.
+_RECURRENT_ONLY = ("variational_dropout", "clip_norm", "hidden_size", "layers", "embedding_dim")
 _UNREAD_SETTINGS = {
-    "crf": ("variational_dropout", "clip_norm"),
-    "logreg": ("variational_dropout", "clip_norm"),
+    "crf": _RECURRENT_ONLY,
+    "logreg": _RECURRENT_ONLY,
     "bilm": ("word_dropout", "variational_dropout"),
 }
 _FLAGS = {"clip_norm": "--clip"}  # where a flag is not "--" + the dashed field name
@@ -224,8 +226,6 @@ def cmd_ngrams(args: argparse.Namespace) -> int:
 def _annotation_sets(args: argparse.Namespace):
     if args.sample:
         return list(sample_annotation_sets())
-    if not args.annotations:
-        raise ValueError("pass --annotations FILE FILE FILE or --sample")
     return [read_annotations(p) for p in args.annotations]
 
 
@@ -383,14 +383,8 @@ def _parse_space(text: str, model: str) -> dict[str, list]:
             raise ValueError(f"unknown search axis {key!r}")
         if key in space:
             raise ValueError(f"search axis {key!r} is given twice")
-        if key in _EXTRA_AXIS_TYPES and model in ("crf", "logreg"):
-            raise ValueError(f"search axis {key!r} applies only to the lstm and lstm-crf models")
         _check_read(model, "--space", key)
         space[key] = [_coerce(key, v.strip()) for v in values.split(",") if v.strip()]
-        if not space[key]:
-            raise ValueError(f"axis {key!r} has no values")
-    if not space:
-        raise ValueError("empty search space")
     return space
 
 
@@ -433,6 +427,12 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 def _add_format(parser: argparse.ArgumentParser, choices=("text", "kv")) -> None:
     parser.add_argument("--format", choices=choices, default=choices[0])
+
+
+def _add_annotation_source(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--annotations", nargs=3, default=None, metavar="FILE")
+    source.add_argument("--sample", action="store_true", help="use the bundled annotation sets")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -482,16 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("gazetteer", help="build the token dictionary or report agreement")
     gaz_cmds = p.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
     b = gaz_cmds.add_parser("build", help="merge annotator files by majority vote")
-    b.add_argument("--annotations", nargs=3, default=None, metavar="FILE")
-    b.add_argument("--sample", action="store_true", help="use the bundled annotation sets")
+    _add_annotation_source(b)
     b.add_argument("--corpus", default=None,
                    help="order entries by frequency in this corpus")
     b.add_argument("--in-format", choices=("lines", "tsv"), default="lines")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_gazetteer_build)
     i = gaz_cmds.add_parser("irr", help="inter-annotator agreement report")
-    i.add_argument("--annotations", nargs=3, default=None, metavar="FILE")
-    i.add_argument("--sample", action="store_true", help="use the bundled annotation sets")
+    _add_annotation_source(i)
     _add_format(i)
     _add_out(i)
     i.set_defaults(func=cmd_gazetteer_irr)

@@ -44,15 +44,12 @@ class BioesLabel:
         text = "O" if self.tag is CoarseTag.O else f"{self.prefix.value}-{self.tag.value}"
         object.__setattr__(self, "text", text)
 
-    def render(self) -> str:
-        return self.text
-
     def __str__(self) -> str:
         return self.text
 
     @staticmethod
     def parse(text: str) -> "BioesLabel":
-        """The canonical ALL_LABELS instance that renders as text."""
+        """The canonical ALL_LABELS instance whose .text is text."""
         label = _LABEL_BY_STRING.get(text)
         if label is None:
             raise ValueError(f"not a BIOES label: {text!r}")
@@ -68,7 +65,7 @@ ALL_LABELS: tuple[BioesLabel, ...] = (OUTSIDE,) + tuple(
     for tag in ENTITY_TAGS
     for prefix in (Prefix.B, Prefix.I, Prefix.E, Prefix.S)
 )
-LABEL_STRINGS: tuple[str, ...] = tuple(label.render() for label in ALL_LABELS)
+LABEL_STRINGS: tuple[str, ...] = tuple(label.text for label in ALL_LABELS)
 LABEL_INDEX: dict[BioesLabel, int] = {label: i for i, label in enumerate(ALL_LABELS)}
 _LABEL_BY_STRING: dict[str, BioesLabel] = dict(zip(LABEL_STRINGS, ALL_LABELS))
 _LABEL_BY_PARTS: dict[tuple[Prefix, CoarseTag], BioesLabel] = {
@@ -147,14 +144,14 @@ def decode_bioes(labels: Sequence[BioesLabel]) -> list[Chunk]:
     for i, label in enumerate(labels):
         if label.prefix in (Prefix.NONE, Prefix.B, Prefix.S) and open_tag is not None:
             raise IllegalTransitionError(
-                f"{label.render()} while a {open_tag.value} chunk is open", i
+                f"{label.text} while a {open_tag.value} chunk is open", i
             )
         if label.prefix in (Prefix.I, Prefix.E):
             if open_tag is None:
-                raise IllegalTransitionError(f"{label.render()} without an open chunk", i)
+                raise IllegalTransitionError(f"{label.text} without an open chunk", i)
             if open_tag != label.tag:
                 raise IllegalTransitionError(
-                    f"{label.render()} inside an open {open_tag.value} chunk", i
+                    f"{label.text} inside an open {open_tag.value} chunk", i
                 )
         if label.prefix is Prefix.B:
             open_tag, open_start = label.tag, i

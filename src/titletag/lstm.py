@@ -62,17 +62,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Summed cross-entropy and dloss/dlogits for (B, T, V) logits with
-    integer targets (B, T)."""
+    """Summed cross-entropy and dloss/dlogits for (N, V) logits with
+    integer targets (N,)."""
     m = logits.max(axis=-1, keepdims=True)
     ex = np.exp(logits - m)
     z = ex.sum(axis=-1, keepdims=True)
     logp = logits - m - np.log(z)
-    gold = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    rows = np.arange(len(targets))
     dlogits = ex / z
-    b_idx, t_idx = np.ogrid[: targets.shape[0], : targets.shape[1]]
-    dlogits[b_idx, t_idx, targets] -= 1.0
-    return float(-gold.sum()), dlogits
+    dlogits[rows, targets] -= 1.0
+    return float(-logp[rows, targets].sum()), dlogits
 
 
 class LstmCell:

@@ -248,8 +248,7 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None,
         outputs, caches = stack_run(stack, xs, want_cache=grad_of is not None, counts=counts)
         top = outputs[-1]
         h = top[valid]
-        ce, dlogits = softmax_ce((h @ out_W + out_b)[None], targets[valid][None])
-        dlogits = dlogits[0]
+        ce, dlogits = softmax_ce(h @ out_W + out_b, targets[valid])
         total_ce += ce
         total_preds += len(h)
         if grad_of is None:

@@ -84,7 +84,7 @@ def seq(tokens, labels):
 def test_criterion_1_flagship_encoding():
     with criterion(1, "flagship coarse sequence encodes to S-RES S-FUN S-RES B-LOC E-LOC"):
         labels = encode_bioes([R, F, R, L, L])
-        assert [l.render() for l in labels] == [
+        assert [l.text for l in labels] == [
             "S-RES", "S-FUN", "S-RES", "B-LOC", "E-LOC",
         ]
 

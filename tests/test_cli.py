@@ -155,6 +155,35 @@ def test_gazetteer_requires_annotations(capsys):
     assert "--annotations" in err
 
 
+@pytest.mark.parametrize("command", ["build", "irr"])
+def test_gazetteer_annotations_with_sample_exits_2(tmp_path, capsys, command):
+    """--sample would leave the three annotation files unread."""
+    files = [str(tmp_path / name) for name in ("a.tsv", "b.tsv", "c.tsv")]
+    out_flag = ["--out", str(tmp_path / "gaz.tsv")] if command == "build" else []
+    code, out, err = run(capsys, "gazetteer", command, *out_flag, "--sample",
+                         "--annotations", *files)
+    assert code == 2, err
+    assert "argument --annotations: not allowed with argument --sample" in err
+    assert out == ""
+    assert not (tmp_path / "gaz.tsv").exists()
+
+
+def test_gazetteer_build_orders_entries_by_corpus_count(tmp_path, capsys):
+    """Most frequent in the corpus first, ties and unseen entries by token."""
+    raw = tmp_path / "raw.txt"
+    raw.write_text("sales manager\nsales director\nsales\nzzz manager\nchief officer\n",
+                   encoding="utf-8")
+    plain, ordered = tmp_path / "plain.tsv", tmp_path / "ordered.tsv"
+    assert run(capsys, "gazetteer", "build", "--sample", "--out", str(plain))[0] == 0
+    code, _, err = run(capsys, "gazetteer", "build", "--sample", "--corpus", str(raw),
+                       "--out", str(ordered))
+    assert code == 0, err
+    entries = read_gazetteer(plain).entries
+    seen = ["sales", "manager", "chief", "director", "officer"]  # counts 3, 2, 1, 1, 1
+    assert list(read_gazetteer(ordered).entries) == seen + sorted(set(entries) - set(seen))
+    assert read_gazetteer(ordered).entries == entries
+
+
 def test_tag_flagship_title(tmp_path, capsys):
     gaz_path = tmp_path / "sample.gaz"
     run(capsys, "gazetteer", "build", "--sample", "--out", str(gaz_path))
@@ -527,17 +556,29 @@ def test_gridsearch_table(tmp_path, capsys):
     labeled = tmp_path / "labeled.conll"
     run(capsys, "tag", "--in", str(raw), "--gazetteer", str(gaz_path), "--out", str(labeled))
 
-    code, out, err = run(
-        capsys, "gridsearch", "--model", "crf", "--train", str(labeled),
-        "--dev", str(labeled), "--space", "learning_rate=0.1,0.5;epochs=2",
-        "--gazetteer", str(gaz_path), "--seed", "0", "--format", "tsv",
-    )
+    argv = ["gridsearch", "--model", "crf", "--train", str(labeled), "--dev", str(labeled),
+            "--space", "learning_rate=0.1,0.5;epochs=2;optimizer=sgd,adam",
+            "--gazetteer", str(gaz_path), "--seed", "0"]
+    code, out, err = run(capsys, *argv, "--format", "tsv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "learning_rate\tepochs\tf1\tem_token\tbest"
-    assert len(lines) == 3
+    assert lines[0] == "learning_rate\tepochs\toptimizer\tf1\tem_token\tbest"
+    assert len(lines) == 5  # 2 learning rates x 1 epoch budget x 2 optimizers
     assert sum(line.endswith("*") for line in lines[1:]) == 1
     assert "best:" in err
+
+    # text is the same table, each column starting where its header does
+    code, text, text_err = run(capsys, *argv, "--format", "text")
+    assert code == 0 and text_err == err
+    header, *rows = text.splitlines()
+    assert header.split() == lines[0].split("\t")
+    assert header.startswith("learning_rate  epochs  optimizer  f1 ")
+    starts = [header.index(name) for name in lines[0].split("\t")]
+    assert len(rows) == len(lines) - 1
+    for row, line in zip(rows, lines[1:]):
+        cells = line.split("\t")
+        assert [row[start:].split(" ", 1)[0] for start in starts] == cells
+        assert row == row.rstrip()
 
 
 def test_gridsearch_unknown_axis(tmp_path, capsys):
@@ -564,19 +605,6 @@ def test_gridsearch_repeated_axis_exits_2(tmp_path, capsys, space, axis):
     assert code == 2, err
     assert f"error: search axis {axis!r} is given twice" in err
     assert out == ""
-
-
-@pytest.mark.parametrize("axis", ["hidden_size", "layers", "embedding_dim"])
-@pytest.mark.parametrize("model", ["crf", "logreg"])
-def test_gridsearch_recurrent_axis_on_feature_model_exits_2(tmp_path, capsys, model, axis):
-    labeled = tmp_path / "l.conll"
-    labeled.write_text(GOLD_CONLL, encoding="utf-8")
-    code, _, err = run(
-        capsys, "gridsearch", "--model", model, "--train", str(labeled),
-        "--dev", str(labeled), "--space", f"{axis}=2", "--seed", "0",
-    )
-    assert code == 2, err
-    assert f"search axis {axis!r} applies only to the lstm and lstm-crf models" in err
 
 
 def test_gridsearch_rejects_a_bad_point_before_training_any(tmp_path, capsys, caplog):
@@ -663,6 +691,8 @@ def test_train_setting_the_trainer_does_not_read_exits_2(tmp_path, capsys, kind,
 @pytest.mark.parametrize("model,space,key", [
     ("crf", "variational_dropout=0.1,0.5;clip_norm=1,5", "variational_dropout"),
     ("logreg", "learning_rate=0.1;clip_norm=1,5", "clip_norm"),
+    *(pytest.param(model, f"{axis}=2", axis, id=f"{model}-{axis}")
+      for model in ("crf", "logreg") for axis in ("embedding_dim", "hidden_size", "layers")),
 ])
 def test_gridsearch_axis_the_trainer_does_not_read_exits_2(tmp_path, capsys, model, space, key):
     labeled = tmp_path / "l.conll"
@@ -817,6 +847,7 @@ def _drop_sentinel(vocab):
                      id="crf-feature-count"),
         pytest.param("crf", lambda m, a: _set(a, "start", a["start"][:-1]),
                      id="crf-label-count"),
+        pytest.param("crf", lambda m, a: _set(a, "extra", np.zeros(2)), id="crf-extra-array"),
         pytest.param("lstm-crf", lambda m, a: m.pop("labels"), id="lstm-no-labels"),
         pytest.param("lstm-crf", lambda m, a: m.pop("provider"), id="lstm-no-provider"),
         pytest.param("lstm-crf", lambda m, a: m["provider"].pop("vocab"), id="lstm-no-vocab"),
@@ -837,6 +868,8 @@ def _drop_sentinel(vocab):
                      id="lstm-no-sentinel"),
         pytest.param("lstm-crf", lambda m, a: _set(m["provider"], "type", "foo"),
                      id="lstm-provider-type"),
+        pytest.param("lstm-crf", lambda m, a: _set(a, "extra", np.zeros(2)),
+                     id="lstm-extra-array"),
     ],
 )
 def test_tag_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, kind, edit):
@@ -858,6 +891,7 @@ def test_tag_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, kind, e
         pytest.param(lambda m, a: m["vocab"].append({"token": "zzz"}), id="vocab-object"),
         pytest.param(lambda m, a: _duplicate_token(m["vocab"]), id="duplicate-token"),
         pytest.param(lambda m, a: _drop_sentinel(m["vocab"]), id="no-sentinel"),
+        pytest.param(lambda m, a: _set(a, "extra", np.zeros(2)), id="extra-array"),
     ],
 )
 def test_embed_with_bad_model_meta_exits_4(tmp_path, capsys, small_models, edit):
@@ -902,6 +936,26 @@ def test_non_string_model_kind_exits_4(tmp_path, capsys, small_models, kind, com
     code, _, err = run(capsys, *argv)
     assert code == 4, err
     assert str(model) in err and "model kind" in err
+
+
+@pytest.mark.parametrize("command", ["tag", "eval"])
+def test_tagging_with_a_language_model_exits_2(capsys, small_models, command):
+    source = ["--in", str(small_models["raw"])] if command == "tag" else [
+        "--gold", str(small_models["gold"])]
+    code, out, err = run(capsys, command, *source, "--model", str(small_models["bilm"]))
+    assert code == 2, err
+    assert f"error: {small_models['bilm']}: model kind 'bilm' cannot tag token sequences" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_unsupported_format_version_exits_4(tmp_path, capsys, small_models, version):
+    model = tmp_path / "bad.model"
+    model.write_bytes(_rewrite_header(small_models["crf"].read_bytes(),
+                                      lambda header: _set(header, "format_version", version)))
+    code, _, err = run(capsys, "tag", "--in", str(small_models["raw"]), "--model", str(model))
+    assert code == 4, err
+    assert f"{model}: unsupported format version {version!r}" in err
 
 
 def _meta_edited_command(tmp_path, small_models, kind, edit):
@@ -994,6 +1048,16 @@ def test_non_finite_weights_exit_4(tmp_path, capsys, small_models, kind, array, 
     assert "bad.model" in err and repr(array) in err
 
 
+def _rewrite_header(data: bytes, edit) -> bytes:
+    """The model file data with its JSON header changed in place by edit."""
+    start = len(model_io.MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[len(model_io.MAGIC) : start])
+    header = json.loads(data[start : start + length])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return model_io.MAGIC + struct.pack("<Q", len(blob)) + blob + data[start + length :]
+
+
 def _json_paths(node, path=()):
     """The path of every object member and list item under a JSON value."""
     if isinstance(node, (dict, list)):
@@ -1015,19 +1079,18 @@ def _mutated(data: bytes, draw) -> bytes:
         return data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
     if mutation == "truncate":
         return data[: draw(st.integers(0, len(data) - 1), label="length")]
-    start = len(model_io.MAGIC) + 8
-    (length,) = struct.unpack("<Q", data[len(model_io.MAGIC) : start])
-    header = json.loads(data[start : start + length])
-    *parents, key = draw(st.sampled_from(list(_json_paths(header))), label="path")
-    owner = header
-    for parent in parents:
-        owner = owner[parent]
-    if draw(st.booleans(), label="drop"):
-        del owner[key]
-    else:
-        owner[key] = draw(st.sampled_from(_ODD_JSON), label="value")
-    blob = json.dumps(header).encode("utf-8")
-    return model_io.MAGIC + struct.pack("<Q", len(blob)) + blob + data[start + length :]
+
+    def edit(header):
+        *parents, key = draw(st.sampled_from(list(_json_paths(header))), label="path")
+        owner = header
+        for parent in parents:
+            owner = owner[parent]
+        if draw(st.booleans(), label="drop"):
+            del owner[key]
+        else:
+            owner[key] = draw(st.sampled_from(_ODD_JSON), label="value")
+
+    return _rewrite_header(data, edit)
 
 
 @given(kind=st.sampled_from(["crf", "lstm", "lstm-crf", "bilm"]), data=st.data())

@@ -30,7 +30,7 @@ TAGS = [CoarseTag.RES, CoarseTag.FUN, CoarseTag.LOC, CoarseTag.O]
 
 
 def as_strings(labels):
-    return [lab.render() for lab in labels]
+    return [lab.text for lab in labels]
 
 
 def test_label_inventory_order():
@@ -48,7 +48,7 @@ def test_label_inventory_order():
 def test_label_parse_render_roundtrip():
     for label, s in zip(ALL_LABELS, LABEL_STRINGS):
         assert BioesLabel.parse(s) is label  # the canonical instance
-        assert label.render() == s
+        assert label.text == s
     for s in ("B-XYZ", "Q-RES", "B-O", "b-RES", "O ", ""):
         with pytest.raises(ValueError) as info:
             BioesLabel.parse(s)
@@ -80,7 +80,7 @@ def test_exhaustive_roundtrip_small():
     for n in range(1, 7):
         for tags in itertools.product(TAGS, repeat=n):
             labels = encode_bioes(tags)
-            assert all(label is BioesLabel.parse(label.render()) for label in labels)  # canonical
+            assert all(label is BioesLabel.parse(label.text) for label in labels)  # canonical
             chunks = decode_bioes(labels)
             expected = [Chunk(tag, b, e) for tag, b, e in scan_runs(list(tags))]
             assert chunks == expected, f"tags={tags}"
@@ -226,4 +226,4 @@ def test_parse_conll_errors_carry_line_numbers(tmp_path):
 
 
 def test_all_labels_match_strings():
-    assert tuple(lab.render() for lab in ALL_LABELS) == LABEL_STRINGS
+    assert tuple(lab.text for lab in ALL_LABELS) == LABEL_STRINGS

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function, class and public method of the package
+has a caller.
 
 A definition counts as used when src/, scripts/ or perfbench/*.py names it
 outside its own body: as an attribute, an imported name, a bare name that
@@ -10,6 +11,12 @@ by a name string among one call's arguments (Target("crf",
 "viterbi_path")). Other words of a string do not count, so a message such
 as "final perplexity:" names nothing. Docstrings do not count, and neither
 do the tests, so a function that only the tests call fails here.
+
+A public method (a function in a module-level class whose name does not
+start with "_") counts as used only where its name follows a dot outside
+its own body: as an attribute (`model.predict`) or in one of those string
+forms ("crf.CrfModel.featurize"). A bare name or an import of the same
+name does not count.
 """
 
 import ast
@@ -47,6 +54,19 @@ def module_bindings(tree: ast.Module) -> set:
 def names_in(node, bound: set) -> Counter:
     """How often each identifier is named under node, docstrings aside; a
     bare name counts only when it is in bound (see module_bindings)."""
+    found = dotted_names_in(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if sub.id in bound:
+                found[sub.id] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rpartition(".")[2]] += 1
+    return found
+
+
+def dotted_names_in(node) -> Counter:
+    """How often each identifier follows a dot under node: as an attribute,
+    or in a string naming it after a package module, docstrings aside."""
     docstrings = set()
     for sub in ast.walk(node):
         if isinstance(sub, (ast.Module, ast.ClassDef, ast.FunctionDef)):
@@ -55,13 +75,8 @@ def names_in(node, bound: set) -> Counter:
                 docstrings.add(id(doc.value))
     found: Counter = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            if sub.id in bound:
-                found[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             found[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
-            found[sub.name.rpartition(".")[2]] += 1
         elif isinstance(sub, ast.Call):
             args = [arg.value if isinstance(arg, ast.Constant) else None for arg in sub.args]
             for module, name in zip(args, args[1:]):
@@ -91,6 +106,21 @@ def test_every_package_definition_is_named_by_the_program():
     assert sorted(uncalled[name] for name in set(uncalled) - set(ALLOWED)) == []
     # An allowed definition that gains a caller leaves the list.
     assert set(ALLOWED) - set(uncalled) == set()
+
+
+def test_every_public_method_is_named_by_the_program():
+    named = sum((dotted_names_in(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in PROGRAM), Counter())
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and named[node.name] == dotted_names_in(node)[node.name]):
+                    uncalled.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert uncalled == []
 
 
 def parsed_names(source: str) -> Counter:
@@ -125,3 +155,14 @@ def test_local_variables_do_not_count():
     assert found["LIMIT"] == found["top"] == 2  # the assignment and the use
     assert found["crf"] == found["c"] == 1  # the import names crf, the use c
     assert found["run"] == 1
+
+
+def test_only_names_after_a_dot_count_for_methods():
+    found = dotted_names_in(ast.parse(
+        "from titletag.crf import predict\n"
+        "predict(model)\n"
+        "model.run()\n"
+        'Target("crf", "CrfModel.featurize")\n'
+    ))
+    assert found["predict"] == 0
+    assert found["run"] == found["featurize"] == 1
