@@ -1,7 +1,10 @@
-"""Smoke tests of the example scripts under scripts/."""
+"""Smoke tests of the example scripts under scripts/ and of the README's
+grid search recipe."""
 
 import importlib.util
 from pathlib import Path
+
+from titletag import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -11,6 +14,36 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_grid_search_demo_prints_an_aligned_table(tmp_path, capsys):
+    """The README's seeded sweep (synth, gazetteer build, tag, split,
+    gridsearch --format text), here on 60 titles."""
+    gaz, raw, conll = tmp_path / "sweep.gaz", tmp_path / "sweep.txt", tmp_path / "sweep.conll"
+    prefix = tmp_path / "sweep"
+    for argv in (
+        ["synth", "--seed", "0", "--count", "60", "--out", str(raw)],
+        ["gazetteer", "build", "--sample", "--out", str(gaz)],
+        ["tag", "--in", str(raw), "--gazetteer", str(gaz), "--out", str(conll)],
+        ["split", "--in", str(conll), "--ratios", "80/0/20", "--seed", "0",
+         "--out-prefix", str(prefix)],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main([
+        "gridsearch", "--model", "crf", "--train", f"{prefix}.train.conll",
+        "--dev", f"{prefix}.test.conll", "--gazetteer", str(gaz), "--seed", "0",
+        "--format", "text", "--space", "learning_rate=0.05,0.1,0.5;epochs=2,5;optimizer=sgd,adam",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, rows = lines[0], lines[1:]
+    assert header.split() == ["learning_rate", "epochs", "optimizer", "f1", "em_token", "best"]
+    assert header.startswith("learning_rate  epochs  optimizer  ")
+    assert len(rows) == 12  # 3 learning rates x 2 epoch budgets x 2 optimizers
+    for row in rows:
+        assert row[: len("learning_rate")].rstrip() in ("0.05", "0.1", "0.5")
+        assert row[len("learning_rate") : len("learning_rate  ")] == "  "
+    assert sum(row.endswith("*") for row in rows) == 1
 
 
 def test_desk_pipeline_prints_both_taggers_deterministically(capsys):
