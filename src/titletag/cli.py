@@ -393,9 +393,9 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     base = _build_config(args)
     _reject_unread({"--gazetteer": args.gazetteer and args.model in ("lstm", "lstm-crf")},
                    f"the {args.model} trainer")
+    space = _parse_space(args.space, args.model)
     train_data = read_conll(args.train)
     dev_gold = read_conll(args.dev)
-    space = _parse_space(args.space, args.model)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else None
     trainers = {
         "crf": functools.partial(train_crf, gazetteer=gaz),

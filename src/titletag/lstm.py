@@ -29,15 +29,19 @@ column block (input, recurrent), db as one sum and the input gradients as
 one GEMM. tanh(c_t) is recomputed there rather than cached. A run without
 caches keeps only the previous step's cell state.
 
-A cell computes in the dtype of the inputs it is given: run's buffers and
-caches take the dtype of xs, and backprop's that of the caches, with masks
-and incoming gradients cast to it. Give a cell weights of the same dtype
-(LstmCell.astype) so its products run in that precision too. A copy whose
-W is column-major makes the recurrent block W[:, D:].T a C-contiguous
-matrix; with OpenBLAS a product of a few rows by it runs several times
-faster than by the transposed row-major block, for example 31 against
-252 us at 2 rows and 216 against 307 us at 34 rows (float32, H = 256,
-one thread of a 2-CPU x86-64 host with AVX-512).
+A cell's weights are float32 from construction (uniform32), and training
+updates them in place: master weights (Micikevicius et al. 2018,
+arXiv:1710.03740) keep fp16 updates from underflowing, and float32 ones do
+not underflow at these learning rates. A cell computes in the dtype of the
+inputs it is given: run's buffers and caches take the dtype of xs, and
+backprop's that of the caches, with masks and incoming gradients cast to
+it. LstmCell.astype gives a copy of other dtype or memory order, such as
+the float64 cells that finite-difference checks need. A copy whose W is
+column-major makes the recurrent block W[:, D:].T a C-contiguous matrix;
+with OpenBLAS a product of a few rows by it runs several times faster than
+by the transposed row-major block, for example 31 against 252 us at 2 rows
+and 216 against 307 us at 34 rows (float32, H = 256, one thread of a 2-CPU
+x86-64 host with AVX-512).
 
 The sigmoid is the plain 1 / (1 + exp(-x)) with overflow ignored: for
 x < -709 exp(-x) overflows to inf and the result is the exact limit 0, and
@@ -74,23 +78,31 @@ def softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarr
     return float(-logp[rows, targets].sum()), dlogits
 
 
+def uniform32(rng, bound: float, shape) -> np.ndarray:
+    """rng's uniform(-bound, bound) draws of the given shape, cast to float32:
+    the draws, and so the generator's state after them, are those of a
+    float64 array."""
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32, copy=False)
+
+
 class LstmCell:
-    """One LSTM layer; W maps [x_t, h_{t-1}] (input_dim + hidden) to 4*hidden."""
+    """One LSTM layer; W maps [x_t, h_{t-1}] (input_dim + hidden) to 4*hidden.
+    W and b are float32."""
 
     def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden = hidden
         bound = 1.0 / np.sqrt(hidden)
-        self.W = rng.uniform(-bound, bound, size=(4 * hidden, input_dim + hidden))
-        self.b = np.zeros(4 * hidden)
+        self.W = uniform32(rng, bound, (4 * hidden, input_dim + hidden))
+        self.b = np.zeros(4 * hidden, np.float32)
         # Forget-gate bias starts at 1 so early training keeps memory open.
         self.b[hidden : 2 * hidden] = 1.0
 
     def astype(self, dtype, order: str = "K") -> "LstmCell":
         """A cell of the same shape holding dtype copies of this cell's W and
         b, W in the given memory order (numpy's astype)."""
-        # A shallow copy, not a new LstmCell, which would allocate a float64
-        # W only to free it: freeing a block that large raises glibc's mmap
+        # A shallow copy, not a new LstmCell, which would allocate a W only
+        # to free it: freeing a block that large raises glibc's mmap
         # threshold, and the peak RSS of later tagging in the same process
         # rose by 1.4 MB.
         cast = copy.copy(self)
@@ -313,32 +325,6 @@ def cast_stack(stack: list[tuple], dtype, order: str = "K") -> list[tuple]:
     """Copies of a stack's cells holding dtype weights in the given memory
     order (LstmCell.astype), in the layout of stack."""
     return [tuple(cell.astype(dtype, order) for cell in cells) for cells in stack]
-
-
-def mixed_precision(stack: list[tuple], grad_of: dict, update):
-    """Float32 copies of a stack's cells, and the optimizer step that keeps
-    them current (Micikevicius et al. 2018, arXiv:1710.03740).
-
-    The copies, in the layout of stack, run the recurrent compute, while the
-    parameters, the optimizer state and the gradient sums stay float64: a
-    copy's weight gradients add into the float64 buffers of the cell it
-    copies (grad_of gains aliases for the copies). The returned step runs
-    update(scale), then refreshes every copy from its cell, and returns what
-    update returned.
-    """
-    copies = cast_stack(stack, np.float32)
-    pairs = [pair for cells, casts in zip(stack, copies) for pair in zip(cells, casts)]
-    for cell, cast in pairs:
-        grad_of[id(cast.W)], grad_of[id(cast.b)] = grad_of[id(cell.W)], grad_of[id(cell.b)]
-
-    def step(scale: float):
-        result = update(scale)
-        for cell, cast in pairs:
-            cast.W[...] = cell.W
-            cast.b[...] = cell.b
-        return result
-
-    return copies, step
 
 
 def direction_cells(

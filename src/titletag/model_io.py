@@ -45,13 +45,16 @@ def save_model(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.nda
 
 
 def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a model container back as (kind, meta, arrays as float64).
+    """Read a model container back as (kind, meta, arrays).
 
-    Every array must hold finite values only: a NaN or infinite weight would
-    otherwise load and decode silently into meaningless labels or vectors.
+    The arrays are the payload's float32 values, writable views of one
+    buffer that holds the file, so loading makes no wider copy; a model
+    widens only the arrays it keeps in float64 (fill_arrays). Every array
+    must hold finite values only: a NaN or infinite weight would otherwise
+    load and decode silently into meaningless labels or vectors.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = bytearray(path.read_bytes())
     if len(data) < len(MAGIC) + 8:
         raise FormatError("file too short to be a model container", path=str(path))
     if data[: len(MAGIC)] != MAGIC:
@@ -95,7 +98,7 @@ def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(flat).all():
             raise FormatError(f"array {name!r} holds NaN or infinite values", path=str(path))
-        arrays[name] = flat.reshape(shape).astype(np.float64)
+        arrays[name] = flat.reshape(shape)
         offset += nbytes
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after the last array", path=str(path))
@@ -143,11 +146,13 @@ def check_shapes(path: str | Path, stored: dict[str, np.ndarray], implied: Itera
 class _Unfilled:
     """Stands in for the random generator of a model built to be loaded:
     uniform() allocates without drawing, and fill_arrays then overwrites
-    every array of the model."""
+    every array of the model. Its arrays are float32, the dtype of the
+    recurrent models' drawn arrays (lstm.uniform32), so loading them
+    allocates no float64 block."""
 
     @staticmethod
     def uniform(low: float, high: float, size) -> np.ndarray:
-        return np.empty(size)
+        return np.empty(size, np.float32)
 
 
 UNFILLED = _Unfilled()
@@ -155,8 +160,9 @@ UNFILLED = _Unfilled()
 
 def fill_arrays(path: str | Path, stored: dict[str, np.ndarray], model: dict) -> None:
     """Copy stored arrays into the same-named arrays of a model built from its
-    metadata (with rng=UNFILLED); FormatError if one is missing or its shape
-    disagrees, or if the model holds an array the file does not store."""
+    metadata (with rng=UNFILLED), each in the dtype of the model's array;
+    FormatError if one is missing or its shape disagrees, or if the model
+    holds an array the file does not store."""
     check_shapes(path, stored, ((name, target.shape) for name, target in model.items()))
     for name, target in model.items():
         target[...] = stored[name]

@@ -11,9 +11,14 @@ Training and decoding both cut their titles into chunks of length-sorted
 titles (lstm.sorted_chunks) and run each chunk as a packed batch: each
 direction of each layer is one LSTM call over the right-padded chunk, each
 step on the rows still inside their title (lstm.stack_run and
-lstm.stack_backprop with counts), and the float64 head sees only the valid
+lstm.stack_backprop with counts), and the head sees only the valid
 positions. The CRF loss and Viterbi run once per chunk, on the
 emissions right-padded with the same per-step row counts.
+
+The embedding table and the encoder's cells are float32, and training
+updates them in place. The 13-label head (proj, trans, start, stop) is
+float64, as is the CRF it feeds: the float32 encoding widens at the
+projection.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .crf import sequence_marginals  # noqa: F401
 from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
-    cast_stack, cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_layout,
-    sorted_chunks, stack_backprop, stack_run, to_padded,
+    cast_stack, cell_arrays, cell_shapes, direction_cells, padded_layout, sorted_chunks,
+    stack_backprop, stack_run, to_padded, uniform32,
 )
 from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 
@@ -48,14 +53,15 @@ TRAIN_POSITIONS = 256
 
 
 class TrainableEmbeddings:
-    """Token lookup table trained with the tagger; rows start uniform(-0.1, 0.1)."""
+    """Token lookup table trained with the tagger: float32 rows that start
+    uniform(-0.1, 0.1)."""
 
     trainable = True
 
     def __init__(self, vocab: Vocab, dim: int, rng: np.random.Generator):
         self.vocab = vocab
         self._dim = dim
-        self.table = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
+        self.table = uniform32(rng, 0.1, (vocab.size, dim))
 
     @property
     def dim(self) -> int:
@@ -91,7 +97,9 @@ class LstmCrfModel:
         self.fwd_cells = direction_cells(provider.dim, 2 * hidden_size, hidden_size, layers, rng)
         self.bwd_cells = direction_cells(provider.dim, 2 * hidden_size, hidden_size, layers, rng)
         bound = 1.0 / np.sqrt(2 * hidden_size)
-        self.proj_W = rng.uniform(-bound, bound, size=(2 * hidden_size, N_LABELS))
+        # float64 also when rng is model_io.UNFILLED, whose arrays are float32.
+        self.proj_W = rng.uniform(-bound, bound, size=(2 * hidden_size, N_LABELS)).astype(
+            np.float64, copy=False)
         self.proj_b = np.zeros(N_LABELS)
         self.trans = np.zeros((N_LABELS, N_LABELS))
         self.start = np.zeros(N_LABELS)
@@ -148,7 +156,7 @@ class LstmCrfModel:
         """Label scores (total length, n_labels) of sequences sorted by
         length, longest first, in order. They are encoded as one right-padded
         batch on stack's cells, each step on the rows still inside their
-        sequence; the head computes in float64 on the valid positions."""
+        sequence; the float64 head computes on the valid positions."""
         valid, counts = padded_layout(token_group)
         enc, _ = self.encode(self._embed_group(token_group, valid)[0], stack=stack,
                              counts=counts)
@@ -160,21 +168,20 @@ class LstmCrfModel:
     def predict_many(self, seqs: Sequence[Sequence[str]]) -> list[tuple[BioesLabel, ...]]:
         """Decode each sequence, in input order.
 
-        The encoder runs on float32 copies of the cells, made once per call
-        and shared by every chunk; the inputs are cast to float32, and the
-        output head and Viterbi compute in float64. Each chunk of
-        length-sorted sequences (crf.decode_in_chunks) is encoded as one
-        padded batch, each direction in one LSTM call per layer. A
-        sequence's encoding does not depend on the others in its chunk up to
-        float32 rounding (its emissions move by about 1e-7 of their
-        magnitude), so its labels equal those of decoding it alone unless
-        two paths tie that closely.
+        The encoder runs on column-major float32 copies of the cells, made
+        once per call and shared by every chunk, and the output head and
+        Viterbi compute in float64. Each chunk of length-sorted sequences
+        (crf.decode_in_chunks) is encoded as one padded batch, each
+        direction in one LSTM call per layer. A sequence's encoding does not
+        depend on the others in its chunk up to float32 rounding (its
+        emissions move by about 1e-7 of their magnitude), so its labels
+        equal those of decoding it alone unless two paths tie that closely.
         """
         stack = self._float32_stack()
         return decode_in_chunks(seqs, lambda chunk: self._chunk_emissions(chunk, stack),
                                 self.trans, self.start, self.stop)
 
-    def _batch_pass(self, token_seqs, label_seqs, masks, grad_of, stack=None) -> float:
+    def _batch_pass(self, token_seqs, label_seqs, masks, grad_of) -> float:
         """Loss summed over a batch of sequences of any lengths and, when
         grad_of is given, its gradients added into grad_of (keyed by
         parameter id).
@@ -188,12 +195,11 @@ class LstmCrfModel:
         inside their sequence (encode with counts), and backpropagated the
         same way. The head runs on the valid positions only, and crf_nll
         once per chunk, on the emissions right-padded with the chunk's
-        per-step row counts. stack, when given, replaces the model's own
-        cells (see encode); the head computes in float64 either way.
+        per-step row counts.
         """
         want_grads = grad_of is not None
         transitions = want_grads and self.kind == "lstm-crf"
-        stack = stack or self._stack()
+        stack = self._stack()
         loss = 0.0
         for chunk in sorted_chunks(token_seqs, TRAIN_POSITIONS):
             tokens = [token_seqs[j] for j in chunk]
@@ -219,10 +225,8 @@ class LstmCrfModel:
             del h
             dx = stack_backprop(stack, caches, enc, grad_of, chunk_masks, counts)
             if ids is not None:
-                # Valid positions only: padded ones read table row 0. ufunc.at
-                # is several times slower on mixed dtypes.
-                np.add.at(grad_of[id(self.provider.table)], ids[valid],
-                          dx[valid].astype(np.float64, copy=False))
+                # Valid positions only: padded ones read table row 0.
+                np.add.at(grad_of[id(self.provider.table)], ids[valid], dx[valid])
         return loss
 
     def _arrays(self) -> dict[str, np.ndarray]:
@@ -349,18 +353,16 @@ def _train_bilstm(
         provider = TrainableEmbeddings(Vocab.from_counts(counts), embedding_dim, rng)
     model = LstmCrfModel(provider, hidden_size=hidden_size, layers=layers, kind=kind, rng=rng)
     grad_of, update = optim.dense_update(cfg, model.parameters())
-    # The encoder runs on float32 copies of the cells; the head stays float64.
-    stack, step = mixed_precision(model._stack(), grad_of, update)
 
     labels = [np.array(ex.label_ids()) for ex in data]
 
     def batch(indices: list[int]) -> tuple[float, int]:
         dropped = apply_word_dropout([data[j].tokens for j in indices], cfg.word_dropout, rng)
         masks = _sample_masks(model, len(indices), cfg.variational_dropout, rng)
-        return (model._batch_pass(dropped, [labels[j] for j in indices], masks, grad_of, stack),
+        return (model._batch_pass(dropped, [labels[j] for j in indices], masks, grad_of),
                 len(indices))
 
-    optim.fit(kind, len(data), cfg, rng, batch, step, model.history)
+    optim.fit(kind, len(data), cfg, rng, batch, update, model.history)
     return model
 
 

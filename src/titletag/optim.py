@@ -3,7 +3,8 @@
 gradient clipping of the recurrent models.
 
 Parameters are updated in place; callers pass the same parameter list in the
-same order on every step.
+same order on every step. Gradient buffers and optimizer state take each
+parameter's dtype, so float32 parameters train in float32.
 """
 
 from __future__ import annotations
@@ -90,10 +91,17 @@ def fit(name: str, n: int, cfg: TrainConfig, rng: np.random.Generator,
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
+    """The L2 norm of all grads together. Each buffer's sum of squares is one
+    dot product in its own dtype, with no g * g temporary; a float32 sum
+    that overflows is summed again in float64."""
     total = 0.0
     for g in grads:
-        total += float((g * g).sum())
-    return float(np.sqrt(total))
+        square = float(np.vdot(g, g))
+        if not math.isfinite(square):
+            g = g.astype(np.float64)
+            square = float(np.vdot(g, g))
+        total += square
+    return math.sqrt(total)
 
 
 def clip_grads_(grads: list[np.ndarray], max_norm: float | None) -> float:

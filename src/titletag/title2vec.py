@@ -3,8 +3,10 @@
 Two independent stacked LSTM language models (one per direction) share a
 token embedding table. A token's contextual vector concatenates its input
 embedding with every layer's hidden state from both directions, giving
-dimension D + 2*H*L. Vectors serialize to `.emb` files: a text header and
-record table, then one little-endian float64 block, under one hash that
+dimension D + 2*H*L. The table, the cells and the output layers are
+float32, and so are the vectors computed from them. Vectors serialize to
+`.emb` files: a text header and record table, then one little-endian
+float64 block (the float32 values widened exactly), under one hash that
 covers all three.
 """
 
@@ -23,8 +25,8 @@ from . import model_io, optim
 from .corpus import Corpus
 from .errors import FormatError
 from .lstm import (
-    cell_arrays, cell_shapes, direction_cells, mixed_precision, padded_blocks, softmax_ce,
-    stack_backprop, stack_run,
+    cell_arrays, cell_shapes, direction_cells, padded_blocks, softmax_ce, stack_backprop,
+    stack_run, uniform32,
 )
 
 UNK = "<unk>"
@@ -106,14 +108,14 @@ class BiLmModel:
         self.layers = layers
         if rng is None:
             rng = np.random.default_rng(0)
-        self.embed = rng.uniform(-0.1, 0.1, size=(vocab.size, dim))
+        self.embed = uniform32(rng, 0.1, (vocab.size, dim))
         self.fwd_cells = direction_cells(dim, hidden, hidden, layers, rng)
         self.bwd_cells = direction_cells(dim, hidden, hidden, layers, rng)
         bound = 1.0 / np.sqrt(hidden)
-        self.fwd_out_W = rng.uniform(-bound, bound, size=(hidden, vocab.size))
-        self.fwd_out_b = np.zeros(vocab.size)
-        self.bwd_out_W = rng.uniform(-bound, bound, size=(hidden, vocab.size))
-        self.bwd_out_b = np.zeros(vocab.size)
+        self.fwd_out_W = uniform32(rng, bound, (hidden, vocab.size))
+        self.fwd_out_b = np.zeros(vocab.size, np.float32)
+        self.bwd_out_W = uniform32(rng, bound, (hidden, vocab.size))
+        self.bwd_out_b = np.zeros(vocab.size, np.float32)
         self.history: list[float] = []
 
     @property
@@ -196,9 +198,8 @@ def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int =
     Loss is mean cross-entropy per prediction over both directions; the
     per-epoch mean is logged and recorded in model.history (perplexity is
     its exp). Each mini-batch runs as one packed batch per direction
-    (_bilm_batch), on float32 copies of the cells (lstm.mixed_precision);
-    the embedding table, the output layers, the gradient sums and the
-    optimizer state stay float64. The dropout fields of the training config
+    (_bilm_batch), in float32 on the model's own arrays, which the
+    optimizer updates in place. The dropout fields of the training config
     are not read.
     """
     dim, hidden, layers = dims
@@ -209,18 +210,15 @@ def train_bilm(corpus: Corpus, dims: tuple[int, int, int], cfg, min_count: int =
     model = BiLmModel(vocab, dim, hidden, layers, rng=rng)
     sequences = [vocab.ids(title.tokens) for title in corpus.titles]
     grad_of, update = optim.dense_update(cfg, model.parameters())
-    copies, step = mixed_precision(model._direction(False)[0] + model._direction(True)[0],
-                                   grad_of, update)
-    stacks = (copies[:layers], copies[layers:])
 
     def batch(indices: list[int]) -> tuple[float, int]:
-        return _bilm_batch(model, [sequences[j] for j in indices], grad_of, stacks)
+        return _bilm_batch(model, [sequences[j] for j in indices], grad_of)
 
-    optim.fit("bilm", len(sequences), cfg, rng, batch, step, model.history)
+    optim.fit("bilm", len(sequences), cfg, rng, batch, update, model.history)
     return model
 
 
-def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None, stacks=None):
+def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None):
     """Summed CE over one batch of id sequences of any lengths; adds the
     gradients into grad_of (keyed by parameter id) when given.
 
@@ -229,23 +227,19 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None,
     as lstm.LstmCell.run takes it: step t runs only the counts[t] rows
     still inside their sequence, so no padded position is multiplied. The
     output layer sees only valid positions, so the result is the sum over
-    the batch's length groups up to rounding. stacks, when given, is the
-    (forward, backward) pair of one-direction stacks to run instead of the
-    model's own cells, and the inputs are cast to the dtype of their
-    weights; the output layers compute in float64 either way. Returns
-    (ce_sum, prediction_count).
+    the batch's length groups up to rounding. Returns (ce_sum,
+    prediction_count).
     """
     bos, eos = model.vocab.id(BOS), model.vocab.id(EOS)
     batch = sorted(batch, key=len, reverse=True)
     total_ce = 0.0
     total_preds = 0
     for reverse in (False, True):
-        own_stack, out_W, out_b = model._direction(reverse)
-        stack = stacks[reverse] if stacks else own_stack
+        stack, out_W, out_b = model._direction(reverse)
         inputs, targets, valid = _direction_batches(batch, bos, eos, reverse)
         counts = valid.sum(axis=0)
-        xs = model.embed[inputs].astype(stack[0][0].W.dtype, copy=False)
-        outputs, caches = stack_run(stack, xs, want_cache=grad_of is not None, counts=counts)
+        outputs, caches = stack_run(stack, model.embed[inputs], want_cache=grad_of is not None,
+                                    counts=counts)
         top = outputs[-1]
         h = top[valid]
         ce, dlogits = softmax_ce(h @ out_W + out_b, targets[valid])
@@ -258,9 +252,7 @@ def _bilm_batch(model: BiLmModel, batch: list[np.ndarray], grad_of: dict | None,
         d_top = np.zeros_like(top)
         d_top[valid] = dlogits @ out_W.T
         dxs = stack_backprop(stack, caches, d_top, grad_of, counts=counts)
-        # ufunc.at is several times slower on mixed dtypes.
-        np.add.at(grad_of[id(model.embed)], inputs[valid],
-                  dxs[valid].astype(np.float64, copy=False))
+        np.add.at(grad_of[id(model.embed)], inputs[valid], dxs[valid])
     return total_ce, total_preds
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 from titletag.gazetteer import sample_annotation_sets, sample_gazetteer
-from titletag.title2vec import EMBED_BLOCK, _bilm_batch
+from titletag.title2vec import EMBED_BLOCK, BiLmModel, _bilm_batch
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -141,6 +141,23 @@ def perplexity(model, corpus) -> float:
     """exp(mean per-prediction cross-entropy) of a BiLmModel over a corpus,
     both directions."""
     return float(np.exp(batch_ce(model, [t.tokens for t in corpus.titles])))
+
+
+def as_float64(model):
+    """Cast an LstmCrfModel or a BiLmModel to float64 in place and return it:
+    every cell, the embedding table (a frozen biLM provider's too) and the
+    biLM's output layers, which are float32. Central differences at eps=1e-5
+    need float64 arithmetic; float32 would round them away."""
+    model.fwd_cells = [cell.astype(np.float64) for cell in model.fwd_cells]
+    model.bwd_cells = [cell.astype(np.float64) for cell in model.bwd_cells]
+    if isinstance(model, BiLmModel):
+        for name in ("embed", "fwd_out_W", "fwd_out_b", "bwd_out_W", "bwd_out_b"):
+            setattr(model, name, getattr(model, name).astype(np.float64))
+    elif model.provider.trainable:
+        model.provider.table = model.provider.table.astype(np.float64)
+    else:
+        as_float64(model.provider.model)
+    return model
 
 
 def central_difference(f, param: np.ndarray, index, eps: float = 1e-5) -> float:

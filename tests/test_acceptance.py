@@ -53,6 +53,7 @@ from titletag.title2vec import (
 )
 
 from conftest import (
+    as_float64,
     batch_nll,
     brute_force_best_path,
     brute_force_logz,
@@ -170,7 +171,8 @@ def test_criterion_4_gradient_oracles():
         for kind in ("lstm-crf", "lstm"):
             rng = np.random.default_rng(4)
             provider = TrainableEmbeddings(Vocab.from_counts(counts), 4, rng)
-            model = LstmCrfModel(provider, hidden_size=4, layers=2, kind=kind, rng=rng)
+            model = as_float64(LstmCrfModel(provider, hidden_size=4, layers=2, kind=kind,
+                                            rng=rng))
             params = model.parameters()
             grads = [np.zeros_like(p) for p in params]
             grad_of = {id(p): g for p, g in zip(params, grads)}
@@ -187,7 +189,8 @@ def test_criterion_4_gradient_oracles():
 
         # language model
         lm_vocab = Vocab.from_counts({"alpha": 4, "beta": 3, "gamma": 2, "delta": 1})
-        lm = BiLmModel(lm_vocab, dim=3, hidden=3, layers=2, rng=np.random.default_rng(4))
+        lm = as_float64(BiLmModel(lm_vocab, dim=3, hidden=3, layers=2,
+                                  rng=np.random.default_rng(4)))
         # Three lengths in one batch, so the padded rows are exercised too.
         batch = [lm_vocab.ids(("alpha", "beta", "gamma")), lm_vocab.ids(("delta", "alpha")),
                  lm_vocab.ids(("beta",))]

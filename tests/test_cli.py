@@ -592,6 +592,18 @@ def test_gridsearch_unknown_axis(tmp_path, capsys):
     assert "unknown search axis" in err
 
 
+def test_gridsearch_rejects_a_bad_space_before_reading_its_inputs(tmp_path, capsys):
+    """--space needs only the argv, so a bad axis exits 2 even when the
+    inputs are missing."""
+    code, out, err = run(
+        capsys, "gridsearch", "--model", "crf", "--train", str(tmp_path / "nonexist.conll"),
+        "--dev", str(tmp_path / "nonexist2.conll"), "--space", "bogus=1", "--seed", "0",
+    )
+    assert code == 2, err
+    assert "error: unknown search axis 'bogus'" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("space,axis", [("epochs=1;learning-rate=0.05;epochs=2", "epochs"),
                                         ("learning-rate=0.05;learning_rate=0.1", "learning_rate")])
 def test_gridsearch_repeated_axis_exits_2(tmp_path, capsys, space, axis):
@@ -966,9 +978,10 @@ def _meta_edited_command(tmp_path, small_models, kind, edit):
     return ["tag", "--in", str(small_models["raw"]), "--model", str(model)]
 
 
-# Bytes that building the small models' stacks from the edited meta would take:
-# lstm-crf has hidden 8 over 4-dim embeddings, bilm hidden 4 over dim 4; a
-# cell's W is (4*hidden, input + hidden) float64.
+# Bytes that building the small models' stacks from the edited meta would take
+# at 8 bytes a value (the cells hold float32, half that): lstm-crf has hidden 8
+# over 4-dim embeddings, bilm hidden 4 over dim 4; a cell's W is
+# (4*hidden, input + hidden).
 @pytest.mark.parametrize(
     "kind,edit,implied_bytes",
     [
@@ -1316,3 +1329,33 @@ def test_readme_command_line_matches_the_parser():
     flags = set(re.findall(r"`(--[\w-]+)", section))
     assert flags
     assert flags - _options(parser) == set()
+
+
+def test_readme_sweep_recipe_prints_an_aligned_table(tmp_path, capsys):
+    """The README's seeded sweep (synth, gazetteer build, tag, split,
+    gridsearch --format text), here on 60 titles."""
+    gaz, raw, conll = tmp_path / "sweep.gaz", tmp_path / "sweep.txt", tmp_path / "sweep.conll"
+    prefix = tmp_path / "sweep"
+    for argv in (
+        ["synth", "--seed", "0", "--count", "60", "--out", str(raw)],
+        ["gazetteer", "build", "--sample", "--out", str(gaz)],
+        ["tag", "--in", str(raw), "--gazetteer", str(gaz), "--out", str(conll)],
+        ["split", "--in", str(conll), "--ratios", "80/0/20", "--seed", "0",
+         "--out-prefix", str(prefix)],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main([
+        "gridsearch", "--model", "crf", "--train", f"{prefix}.train.conll",
+        "--dev", f"{prefix}.test.conll", "--gazetteer", str(gaz), "--seed", "0",
+        "--format", "text", "--space", "learning_rate=0.05,0.1,0.5;epochs=2,5;optimizer=sgd,adam",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, rows = lines[0], lines[1:]
+    assert header.split() == ["learning_rate", "epochs", "optimizer", "f1", "em_token", "best"]
+    assert header.startswith("learning_rate  epochs  optimizer  ")
+    assert len(rows) == 12  # 3 learning rates x 2 epoch budgets x 2 optimizers
+    for row in rows:
+        assert row[: len("learning_rate")].rstrip() in ("0.05", "0.1", "0.5")
+        assert row[len("learning_rate") : len("learning_rate  ")] == "  "
+    assert sum(row.endswith("*") for row in rows) == 1

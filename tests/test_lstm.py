@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from titletag.lstm import LstmCell, mixed_precision, sigmoid, stack_run
+from titletag.lstm import LstmCell, sigmoid, stack_run
 
 
 def masked_sigmoid(x):
@@ -85,7 +85,7 @@ def reference_backprop(W, b, caches, dhs, mask):
 def test_cell_matches_step_by_step_reference(B, T, masked, reversed_view):
     D, H = 5, 4
     rng = np.random.default_rng(100 * B + 10 * T + 2 * masked + reversed_view)
-    cell = LstmCell(D, H, rng)
+    cell = LstmCell(D, H, rng).astype(np.float64)
     # Large enough weights that some gates saturate.
     cell.W *= 3.0
     cell.b = rng.normal(size=4 * H)
@@ -250,7 +250,7 @@ def assert_close_in_float32(got, want):
 def test_float32_cell_matches_float64_cell(B, T, masked):
     D, H = 64, 256
     rng = np.random.default_rng(1000 * B + 10 * T + masked)
-    cell = LstmCell(D, H, rng)
+    cell = LstmCell(D, H, rng).astype(np.float64)
     cell32 = cell.astype(np.float32)
     assert cell32.W.dtype == cell32.b.dtype == np.float32
     np.testing.assert_array_equal(cell32.W, cell.W.astype(np.float32))
@@ -266,30 +266,3 @@ def test_float32_cell_matches_float64_cell(B, T, masked):
     for got, want in zip(cell32.backprop(caches32, dhs, mask=mask),
                          cell.backprop(caches, dhs, mask=mask)):
         assert_close_in_float32(got, want)
-
-
-def test_mixed_precision_aliases_gradients_and_refreshes_copies():
-    rng = np.random.default_rng(5)
-    stack = [(LstmCell(3, 2, rng), LstmCell(3, 2, rng)), (LstmCell(4, 2, rng), LstmCell(4, 2, rng))]
-    cells = [cell for layer in stack for cell in layer]
-    grad_of = {id(p): np.zeros_like(p) for cell in cells for p in (cell.W, cell.b)}
-
-    def update(scale):
-        for cell in cells:
-            cell.W -= scale * grad_of[id(cell.W)]
-            cell.b -= scale * grad_of[id(cell.b)]
-        return "norm"
-
-    copies, step = mixed_precision(stack, grad_of, update)
-    assert [len(layer) for layer in copies] == [2, 2]
-    casts = [cast for layer in copies for cast in layer]
-    for cell, cast in zip(cells, casts):
-        assert cast.W.dtype == cast.b.dtype == np.float32
-        assert grad_of[id(cast.W)] is grad_of[id(cell.W)]
-        assert grad_of[id(cast.b)] is grad_of[id(cell.b)]
-        grad_of[id(cast.W)] += rng.normal(size=cell.W.shape)
-    assert step(0.5) == "norm"
-    for cell, cast in zip(cells, casts):
-        assert cell.W.dtype == np.float64
-        np.testing.assert_array_equal(cast.W, cell.W.astype(np.float32))
-        np.testing.assert_array_equal(cast.b, cell.b.astype(np.float32))

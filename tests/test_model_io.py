@@ -26,7 +26,7 @@ def test_roundtrip(tmp_path):
     for name in arrays:
         assert arrays2[name].shape == arrays[name].shape
         np.testing.assert_allclose(arrays2[name], arrays[name], atol=1e-6)
-    assert arrays2["weights"].dtype == np.float64
+        assert arrays2[name].dtype == np.float32 and arrays2[name].flags.writeable
 
 
 def test_float32_quantization(tmp_path):
@@ -167,10 +167,16 @@ def test_non_string_kind_is_a_format_error(tmp_path, kind):
     assert str(path) in str(info.value)
 
 
+# The BiLSTM's 13-label head, the one part of a recurrent model kept in float64.
+HEAD = {"proj.W", "proj.b", "trans", "start", "stop"}
+
+
 @pytest.mark.parametrize("kind", ["lstm-crf", "lstm", "bilm"])
 def test_loading_draws_no_random_numbers(tmp_path, monkeypatch, kind):
     """A loaded model is built without drawing initial weights, and every
-    one of its arrays holds the saved float32 values."""
+    one of its arrays holds the saved float32 values: its cells and tables
+    are the payload's float32 arrays bit for bit, and saving it again
+    writes the same bytes."""
     vocab = Vocab.from_counts({"chief": 2, "officer": 1})
     rng = np.random.default_rng(5)
     if kind == "bilm":
@@ -191,7 +197,13 @@ def test_loading_draws_no_random_numbers(tmp_path, monkeypatch, kind):
     loaded = cls.load(path)
     monkeypatch.undo()
     saved, got = model._arrays(), loaded._arrays()
+    _, _, payload = load_model(path)
     assert list(got) == list(saved)
     for name, arr in got.items():
-        assert arr.dtype == np.float64
         np.testing.assert_array_equal(arr, saved[name].astype(np.float32), err_msg=name)
+        if name in HEAD:
+            assert arr.dtype == np.float64, name
+        else:
+            assert arr.dtype == np.float32 and arr.tobytes() == payload[name].tobytes(), name
+    loaded.save(tmp_path / "again.model")
+    assert (tmp_path / "again.model").read_bytes() == path.read_bytes()

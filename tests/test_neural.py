@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from titletag import neural
+from titletag import neural, optim
+from titletag.corpus import synth_corpus
 from titletag.crf import TrainConfig, crf_nll, viterbi_path
 from titletag.labeling import ALL_LABELS, BioesLabel, LabeledSequence
-from titletag.lstm import LstmCell, padded_layout, softmax_ce
+from titletag.lstm import LstmCell, cast_stack, padded_layout, softmax_ce
 from titletag.neural import (
     LstmCrfModel,
     TrainableEmbeddings,
@@ -18,9 +19,9 @@ from titletag.neural import (
     train_lstm,
     train_lstm_crf,
 )
-from titletag.title2vec import BiLmEmbeddings, BiLmModel, Vocab
+from titletag.title2vec import BiLmEmbeddings, BiLmModel, Vocab, train_bilm
 
-from conftest import batch_nll, central_difference
+from conftest import as_float64, batch_nll, central_difference
 
 N_LABELS = len(ALL_LABELS)
 
@@ -80,7 +81,7 @@ def collect_grads(model, examples, masks=None):
 
 @pytest.mark.parametrize("kind", ["lstm-crf", "lstm"])
 def test_gradients_match_finite_differences(kind):
-    model = build_model(kind)
+    model = as_float64(build_model(kind))
     examples = TOY[:4]  # two lengths (three 3-token, one 2-token) in one packed batch
     params, grads = collect_grads(model, examples)
 
@@ -109,7 +110,7 @@ def test_packed_batch_gradients_match_finite_differences(kind, frozen, positions
     """One batch of 1- to 4-token titles through two layers with dropout
     masks, as one packed chunk or, at 8 positions, as four."""
     monkeypatch.setattr(neural, "TRAIN_POSITIONS", positions)
-    model = build_model(kind, frozen=frozen)
+    model = as_float64(build_model(kind, frozen=frozen))
     masks = _sample_masks(model, len(MIXED), 0.3, np.random.default_rng(1))
     params, grads = collect_grads(model, MIXED, masks)
     probes = [(p, g, np.unravel_index(int(k), p.shape))
@@ -125,7 +126,7 @@ def test_packed_batch_equals_the_sum_of_its_titles(kind):
     """Padding adds nothing: a mixed-length batch gives each title's own loss
     and gradients, summed. Its padded positions read table row 0 (<unk>),
     which no title reads, so that row's gradient stays exactly zero."""
-    model = build_model(kind)
+    model = as_float64(build_model(kind))
     masks = _sample_masks(model, len(MIXED), 0.3, np.random.default_rng(2))
     params, grads = collect_grads(model, MIXED, masks)
     summed = [np.zeros_like(p) for p in params]
@@ -197,7 +198,7 @@ def test_emissions_are_contextual():
 
 
 def test_encoding_independent_of_batch_composition():
-    model = build_model("lstm-crf", seed=7)
+    model = as_float64(build_model("lstm-crf", seed=7))
     t1 = ("chief", "financial", "officer")
     t2 = ("head", "of", "marketing")
     xs1, _ = model._embed_group([t1], padded_layout([t1])[0])
@@ -337,31 +338,59 @@ def test_batch_nll_empty():
         batch_nll(model, [])
 
 
-def test_training_runs_float32_cells_on_float64_master_weights(monkeypatch):
-    seen = []
-    run = LstmCell.run
-
-    def spy(cell, xs, *args, **kwargs):
-        seen.append((cell.W.dtype.name, cell.b.dtype.name, xs.dtype.name))
-        return run(cell, xs, *args, **kwargs)
-
-    monkeypatch.setattr(LstmCell, "run", spy)
+@pytest.mark.parametrize("kind", ["lstm-crf", "bilm"])
+def test_adam_trains_float32_arrays_in_place(monkeypatch, tmp_path, sample_gaz, kind):
+    """Every parameter, gradient buffer and Adam moment is float32, but for
+    the lstm-crf's float64 head; every LSTM run is on one of the model's own
+    cells; and a seeded rerun gives the same history and the same bytes."""
     cfg = TrainConfig(learning_rate=0.05, batch_size=3, epochs=2, optimizer="adam",
                       seed=3, word_dropout=0.1, variational_dropout=0.5)
-    model = train_lstm_crf(TOY, cfg, hidden_size=6, layers=2, embedding_dim=4)
-    assert seen and set(seen) == {("float32",) * 3}
-    assert all(p.dtype == np.float64 for p in model.parameters())
-    # Inference runs float32 copies of the cells on float32 inputs.
-    seen.clear()
-    model.predict(TOY[0].tokens)
-    assert seen and set(seen) == {("float32",) * 3}
-    assert all(p.dtype == np.float64 for p in model.parameters())
+    corpus = synth_corpus(sample_gaz, grammar_seed=3, count=12)
+
+    def train():
+        if kind == "bilm":
+            return train_bilm(corpus, (5, 4, 2), cfg)
+        return train_lstm_crf(TOY, cfg, hidden_size=6, layers=2, embedding_dim=4)
+
+    cells, steps = [], []
+    run, adam_step = LstmCell.run, optim.Adam.step
+
+    def run_spy(cell, *args, **kwargs):
+        cells.append(cell)
+        return run(cell, *args, **kwargs)
+
+    def step_spy(opt, params, grads):
+        steps.append([(p, g.dtype, m.dtype, v.dtype)
+                      for p, g, m, v in zip(params, grads, opt.m, opt.v)])
+        return adam_step(opt, params, grads)
+
+    monkeypatch.setattr(LstmCell, "run", run_spy)
+    monkeypatch.setattr(optim.Adam, "step", step_spy)
+    model = train()
+    monkeypatch.undo()
+    head = [] if kind == "bilm" else [model.proj_W, model.proj_b, model.trans, model.start,
+                                      model.stop]
+    assert steps and cells
+    params = model.parameters()
+    for step in steps:
+        assert len(step) == len(params)
+        for (p, *dtypes), param in zip(step, params):
+            assert p is param
+            want = np.float64 if any(p is h for h in head) else np.float32
+            assert p.dtype == want and dtypes == [want] * 3
+    own = model.fwd_cells + model.bwd_cells
+    assert all(any(cell is c for c in own) for cell in cells)
+    again = train()
+    assert again.history == model.history
+    model.save(tmp_path / "a.model")
+    again.save(tmp_path / "b.model")
+    assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
 
 
 def test_float32_emissions_match_the_float64_encode():
-    """Decoding encodes on float32 copies of the cells. Hidden states lie in
-    (-1, 1), and the float32 ones stay within 1e-6 (about 8 float32 ulps
-    of 1) of the float64 encoder's, so the float64 head moves each emission
+    """Decoding encodes in float32. Hidden states lie in (-1, 1), and the
+    float32 ones stay within 1e-6 (about 8 float32 ulps of 1) of a float64
+    encoder's on the same weights, so the float64 head moves each emission
     by at most 1e-6 times the largest column sum of |proj_W|."""
     cfg = TrainConfig(learning_rate=0.01, batch_size=3, epochs=40, optimizer="adam",
                       seed=1, word_dropout=0.0, variational_dropout=0.0)
@@ -369,7 +398,7 @@ def test_float32_emissions_match_the_float64_encode():
     bound = 1e-6 * np.abs(model.proj_W).sum(axis=0).max()
     for ex in TOY:
         xs, _ = model._embed_group([ex.tokens], padded_layout([ex.tokens])[0])
-        enc, _ = model.encode(xs)
+        enc, _ = model.encode(xs, stack=cast_stack(model._stack(), np.float64))
         assert enc.dtype == np.float64
         enc32, _ = model.encode(xs, stack=model._float32_stack())
         assert enc32.dtype == np.float32

@@ -1,9 +1,11 @@
 """Closed-form checks of the optimizer rules in titletag.optim."""
 
+import math
+
 import numpy as np
 import pytest
 
-from titletag.optim import ADAM_B1, ADAM_B2, ADAM_EPS, Adam, Sgd, adam_step
+from titletag.optim import ADAM_B1, ADAM_B2, ADAM_EPS, Adam, Sgd, adam_step, global_norm
 
 
 @pytest.mark.parametrize("steps", [1, 3])
@@ -50,3 +52,13 @@ def test_dense_optimizers_match_the_unrolled_rules(steps):
         np.testing.assert_array_equal(adam_params[k], want_adam)
         np.testing.assert_array_equal(adam.m[k], m)
         np.testing.assert_array_equal(adam.v[k], v)
+
+
+def test_global_norm_of_an_overflowing_float32_sum_is_the_float64_norm():
+    """Entries of 1e20 square past float32's 3.4e38: such a buffer is summed
+    again in float64, so the norm stays finite."""
+    grads = [np.full((3, 4), 1e20, np.float32), np.linspace(-2, 2, 5, dtype=np.float32)]
+    want = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+    norm = global_norm(grads)
+    assert math.isfinite(norm)
+    assert norm == pytest.approx(want, rel=1e-6, abs=0)

@@ -27,7 +27,7 @@ from titletag.title2vec import (
     write_embeddings,
 )
 
-from conftest import batch_ce, central_difference, perplexity
+from conftest import as_float64, batch_ce, central_difference, perplexity
 
 
 def make_corpus(token_lists):
@@ -106,7 +106,7 @@ def logprobs(model, tokens, reverse):
 
 
 def test_forward_causality():
-    model = tiny_model(layers=2)
+    model = as_float64(tiny_model(layers=2))
     base = ("alpha", "beta", "gamma")
     changed = ("alpha", "beta", "delta")
     lp_base = logprobs(model, base, reverse=False)
@@ -190,18 +190,19 @@ def test_padded_blocks_fill_whole_blocks_in_length_groups():
 ])
 def test_block_gemms_are_row_independent(dim, hidden, steps):
     """The product rows that embed_titles relies on do not depend on the other
-    rows of the block or on a row's position in it, at the exact shapes and
-    strides of LstmCell.run. A BLAS whose kernels break this fails here."""
+    rows of the block or on a row's position in it, at the exact shapes,
+    strides and dtype (float32) of LstmCell.run. A BLAS whose kernels break
+    this fails here."""
     rng = np.random.default_rng(dim + hidden)
-    W = rng.normal(size=(4 * hidden, dim + hidden))
+    W = rng.normal(size=(4 * hidden, dim + hidden)).astype(np.float32)
     W_x, W_h = W[:, :dim].T, W[:, dim:].T
     for rows, weights in [(n * EMBED_BLOCK, W_x) for n in steps] + [(EMBED_BLOCK, W_h)]:
-        x = rng.normal(size=(rows, weights.shape[0]))
+        x = rng.normal(size=(rows, weights.shape[0])).astype(np.float32)
         base = x @ weights
         for trial in range(3):
             order = rng.permutation(rows)
             kept = rng.random(rows) < 0.5
-            other = rng.normal(size=x.shape)
+            other = rng.normal(size=x.shape).astype(np.float32)
             other[kept] = x[order][kept]
             again = other @ weights
             assert np.array_equal(again[kept], base[order][kept]), (rows, trial)
@@ -215,7 +216,7 @@ def grad_buffers(model):
 
 
 def test_bilm_gradients_match_finite_differences():
-    model = tiny_model(dim=3, hidden=3, layers=2, seed=4)
+    model = as_float64(tiny_model(dim=3, hidden=3, layers=2, seed=4))
     seqs = [model.vocab.ids(("alpha", "beta", "gamma")), model.vocab.ids(("delta", "alpha")),
             model.vocab.ids(("gamma",))]
     params = model.parameters()
@@ -237,7 +238,7 @@ def test_bilm_gradients_match_finite_differences():
 
 
 def test_padded_batch_equals_its_length_groups():
-    model = tiny_model(dim=3, hidden=4, layers=2, seed=6)
+    model = as_float64(tiny_model(dim=3, hidden=4, layers=2, seed=6))
     rng = np.random.default_rng(2)
     # Lengths 1-5 in mixed order, a 1-token title first.
     batch = [np.array([5])] + [rng.integers(0, model.vocab.size, size=int(n))
@@ -256,35 +257,6 @@ def test_padded_batch_equals_its_length_groups():
     assert ce == pytest.approx(group_ce, rel=0, abs=1e-12)
     for g, want in zip(grads, group_grads):
         np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
-
-
-def test_train_bilm_runs_float32_cells_on_float64_master_weights(monkeypatch, sample_gaz,
-                                                                 tmp_path):
-    corpus = synth_corpus(sample_gaz, grammar_seed=3, count=40)
-    cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=2, optimizer="adam", seed=7)
-    run = LstmCell.run
-    cells = {}
-
-    def spy(cell, xs, *args, **kwargs):
-        cells[id(cell)] = cell
-        assert cell.W.dtype == cell.b.dtype == xs.dtype == np.float32
-        return run(cell, xs, *args, **kwargs)
-
-    monkeypatch.setattr(LstmCell, "run", spy)
-    model = train_bilm(corpus, (5, 4, 2), cfg)
-    monkeypatch.undo()
-    assert all(p.dtype == np.float64 for p in model.parameters())
-    # One float32 copy per cell, equal to its refreshed master after the last step.
-    masters = model.fwd_cells + model.bwd_cells
-    assert len(cells) == len(masters)
-    for copy in cells.values():
-        assert sum(np.array_equal(copy.W, m.W.astype(np.float32))
-                   and np.array_equal(copy.b, m.b.astype(np.float32)) for m in masters) == 1
-    again = train_bilm(corpus, (5, 4, 2), cfg)
-    assert again.history == model.history
-    model.save(tmp_path / "a.model")
-    again.save(tmp_path / "b.model")
-    assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
 
 
 def test_train_bilm_runs_packed(monkeypatch, sample_gaz):
