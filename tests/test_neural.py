@@ -338,11 +338,12 @@ def test_batch_nll_empty():
         batch_nll(model, [])
 
 
-@pytest.mark.parametrize("kind", ["lstm-crf", "bilm"])
+@pytest.mark.parametrize("kind", ["lstm-crf", "lstm", "bilm"])
 def test_adam_trains_float32_arrays_in_place(monkeypatch, tmp_path, sample_gaz, kind):
     """Every parameter, gradient buffer and Adam moment is float32, but for
-    the lstm-crf's float64 head; every LSTM run is on one of the model's own
-    cells; and a seeded rerun gives the same history and the same bytes."""
+    the BiLSTM taggers' float64 head; every LSTM run is on one of the
+    model's own cells; and a seeded rerun gives the same history and the
+    same bytes."""
     cfg = TrainConfig(learning_rate=0.05, batch_size=3, epochs=2, optimizer="adam",
                       seed=3, word_dropout=0.1, variational_dropout=0.5)
     corpus = synth_corpus(sample_gaz, grammar_seed=3, count=12)
@@ -350,7 +351,8 @@ def test_adam_trains_float32_arrays_in_place(monkeypatch, tmp_path, sample_gaz, 
     def train():
         if kind == "bilm":
             return train_bilm(corpus, (5, 4, 2), cfg)
-        return train_lstm_crf(TOY, cfg, hidden_size=6, layers=2, embedding_dim=4)
+        trainer = train_lstm_crf if kind == "lstm-crf" else train_lstm
+        return trainer(TOY, cfg, hidden_size=6, layers=2, embedding_dim=4)
 
     cells, steps = [], []
     run, adam_step = LstmCell.run, optim.Adam.step
