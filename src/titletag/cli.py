@@ -3,7 +3,8 @@
 One executable with a subcommand per pipeline stage: corpus normalization
 and statistics, gazetteer construction and agreement reporting, dictionary
 tagging, dataset splitting, model training, evaluation, contextual
-embedding dumps, grid search and synthetic corpus generation.
+embedding dumps, grid search, the paper's tagger comparison and synthetic
+corpus generation.
 
 Exit codes: 0 success, 2 usage or invalid value, 3 missing file,
 4 malformed file content, 5 training diverged, 1 anything else.
@@ -209,9 +210,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_ngrams(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.infile, fmt=args.in_format)
     if args.top < 0:
         raise ValueError(f"--top must be >= 0, got {args.top}")
+    corpus = load_corpus(args.infile, fmt=args.in_format)
     table = corpus_mod.ngram_counts(corpus, args.n)
     entries = table.entries if args.top == 0 else table.entries[: args.top]
     if args.format == "tsv":
@@ -394,6 +395,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     _reject_unread({"--gazetteer": args.gazetteer and args.model in ("lstm", "lstm-crf")},
                    f"the {args.model} trainer")
     space = _parse_space(args.space, args.model)
+    evaluation.grid_plan(space, base)  # checks every point before the first read
     train_data = read_conll(args.train)
     dev_gold = read_conll(args.dev)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else None
@@ -410,6 +412,15 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         text = evaluation.align_columns([line.split("\t") for line in result.to_tsv().splitlines()])
     _write_text(args.out, text)
     print(f"best: {dict(result.best.settings)} f1={result.best.f1:.2f}", file=sys.stderr)
+    return 0
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    _announce_seed(args)
+    labeled = read_conll(args.infile)
+    gaz = read_gazetteer(args.gazetteer) if args.gazetteer else None
+    reports = evaluation.compare_taggers(labeled, args.seed, gazetteer=gaz)
+    _write_text(args.out, evaluation.compare_models(reports))
     return 0
 
 
@@ -574,6 +585,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_gridsearch)
+
+    p = commands.add_parser("compare", help="train the crf and lstm-crf taggers on one "
+                            "seeded split and compare their test scores")
+    p.add_argument("--in", dest="infile", required=True, help="labeled data (token TAB label)")
+    p.add_argument("--seed", type=int, required=True, help="split and training seed")
+    p.add_argument("--gazetteer", default=None, help="lookup features for the crf")
+    _add_out(p)
+    p.set_defaults(func=cmd_compare)
 
     p = commands.add_parser("synth", help="generate a synthetic labeled-grammar corpus")
     p.add_argument("--gazetteer", default=None, help="default: built-in sample dictionary")

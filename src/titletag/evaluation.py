@@ -137,18 +137,23 @@ def evaluate(model, gold: Sequence[LabeledSequence]) -> MetricsReport:
     return score(gold, predict_sequences(model, [g.tokens for g in gold]))
 
 
-def compare_taggers(labeled: Sequence[LabeledSequence], seed: int, lstm_epochs: int,
-                    gazetteer: Gazetteer | None = None, crf_epochs: int = 10,
-                    hidden: int = 256) -> dict[str, MetricsReport]:
+# The comparison's recurrent recipe: Adam (Kingma & Ba 2015) at lr 0.01, batch
+# 128, 5 epochs, on train_lstm_crf's default one-layer h = 256 BiLSTM-CRF.
+LSTM_CRF_RECIPE = TrainConfig(learning_rate=0.01, batch_size=128, epochs=5, optimizer="adam")
+
+
+def compare_taggers(labeled: Sequence[LabeledSequence], seed: int,
+                    gazetteer: Gazetteer | None = None,
+                    lstm_config: TrainConfig = LSTM_CRF_RECIPE) -> dict[str, MetricsReport]:
     """The paper's comparison: split labeled 80/10/10 with seed, train the
     feature CRF (the TrainConfig defaults, with gazetteer features if given)
-    and a one-layer BiLSTM-CRF (batch 128) on the train part, and score both
-    on the test part. The dev part is left unused."""
+    and a one-layer h = 256 BiLSTM-CRF (lstm_config) on the train part, both
+    seeded with seed, and score both on the test part. The dev part is left
+    unused."""
     train, dev, test = split_sequences(labeled, (80, 10, 10), seed)
     log.info("data: %d train / %d dev / %d test titles", len(train), len(dev), len(test))
-    crf = train_crf(train, TrainConfig(epochs=crf_epochs, seed=seed), gazetteer=gazetteer)
-    lstm = train_lstm_crf(train, TrainConfig(batch_size=128, epochs=lstm_epochs, seed=seed),
-                          hidden_size=hidden, layers=1)
+    crf = train_crf(train, TrainConfig(seed=seed), gazetteer=gazetteer)
+    lstm = train_lstm_crf(train, replace(lstm_config, seed=seed))
     return {"crf": evaluate(crf, test), "lstm-crf": evaluate(lstm, test)}
 
 
@@ -216,6 +221,29 @@ class GridSearchResult:
 _CFG_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
+def grid_plan(space: Mapping[str, Sequence[object]], base: TrainConfig | None = None
+              ) -> list[tuple[dict, TrainConfig, dict]]:
+    """Each point of the sweep over space as (settings, config, trainer
+    keyword arguments), in grid_search's order. The axes that are
+    TrainConfig fields override base (default: the TrainConfig defaults).
+    An empty space, an axis without values or a point whose config does
+    not validate is a ValueError."""
+    if not space:
+        raise ValueError("empty search space")
+    if base is None:
+        base = TrainConfig()
+    axes = list(space)
+    empty = [a for a in axes if not space[a]]
+    if empty:
+        raise ValueError(f"axis {empty[0]!r} has no values")
+    plan = []
+    for combo in itertools.product(*(space[a] for a in axes)):
+        settings = dict(zip(axes, combo))
+        cfg = replace(base, **{k: v for k, v in settings.items() if k in _CFG_FIELDS})
+        plan.append((settings, cfg, {k: v for k, v in settings.items() if k not in _CFG_FIELDS}))
+    return plan
+
+
 def grid_search(
     trainer: Callable[..., object],
     space: Mapping[str, Sequence[object]],
@@ -228,25 +256,12 @@ def grid_search(
     Axis names matching training-config fields go into the config; the rest
     are passed to the trainer as keyword arguments. Axes iterate in insertion
     order with the last axis fastest. The best point wins on strictly higher
-    dev F1, so earlier points keep ties.
+    dev F1, so earlier points keep ties. Every point's config is built, and
+    so checked, before the first trains (grid_plan).
     """
-    if not space:
-        raise ValueError("empty search space")
-    if base is None:
-        base = TrainConfig()
-    axes = list(space)
-    empty = [a for a in axes if not space[a]]
-    if empty:
-        raise ValueError(f"axis {empty[0]!r} has no values")
-    # Every point's config is built, and so validated, before the first trains.
-    plan = []
-    for combo in itertools.product(*(space[a] for a in axes)):
-        settings = dict(zip(axes, combo))
-        cfg = replace(base, **{k: v for k, v in settings.items() if k in _CFG_FIELDS})
-        plan.append((settings, cfg, {k: v for k, v in settings.items() if k not in _CFG_FIELDS}))
     points: list[GridPoint] = []
     best: GridPoint | None = None
-    for settings, cfg, extra in plan:
+    for settings, cfg, extra in grid_plan(space, base):
         try:
             model = trainer(train_data, cfg, **extra)
         except TrainingDivergedError:

@@ -148,11 +148,12 @@ class _Unfilled:
     uniform() allocates without drawing, and fill_arrays then overwrites
     every array of the model. Its arrays are float32, the dtype of the
     recurrent models' drawn arrays (lstm.uniform32), so loading them
-    allocates no float64 block."""
+    allocates no float64 block. They are zeros, not np.empty's leftover
+    bytes, which may hold a signalling NaN that warns when widened."""
 
     @staticmethod
     def uniform(low: float, high: float, size) -> np.ndarray:
-        return np.empty(size, np.float32)
+        return np.zeros(size, np.float32)
 
 
 UNFILLED = _Unfilled()

@@ -113,9 +113,10 @@ class LstmCrfModel:
     def _stack(self) -> list[tuple]:
         return list(zip(self.fwd_cells, self.bwd_cells))
 
-    def _float32_stack(self) -> list[tuple]:
+    def _decode_stack(self) -> list[tuple]:
         """Float32 copies of the cells, W column-major (see lstm), the stack
-        every decode runs on.
+        every decode runs on. A model's cells are float32 already, so the
+        copy exists only to make W column-major.
 
         Built per call, not cached: a cache would go stale when the cells are
         replaced or their weights edited in place.
@@ -168,16 +169,16 @@ class LstmCrfModel:
     def predict_many(self, seqs: Sequence[Sequence[str]]) -> list[tuple[BioesLabel, ...]]:
         """Decode each sequence, in input order.
 
-        The encoder runs on column-major float32 copies of the cells, made
-        once per call and shared by every chunk, and the output head and
-        Viterbi compute in float64. Each chunk of length-sorted sequences
+        The encoder runs on one copy of the float32 cells per call, shared by
+        every chunk; the copy exists only to make W column-major. The output
+        head and Viterbi compute in float64. Each chunk of length-sorted sequences
         (crf.decode_in_chunks) is encoded as one padded batch, each
         direction in one LSTM call per layer. A sequence's encoding does not
         depend on the others in its chunk up to float32 rounding (its
         emissions move by about 1e-7 of their magnitude), so its labels
         equal those of decoding it alone unless two paths tie that closely.
         """
-        stack = self._float32_stack()
+        stack = self._decode_stack()
         return decode_in_chunks(seqs, lambda chunk: self._chunk_emissions(chunk, stack),
                                 self.trans, self.start, self.stop)
 

@@ -365,18 +365,16 @@ def write_embeddings(store: EmbeddingStore, path) -> None:
     before the hash, then the table bytes, then the block bytes.
     """
     table = "".join(f"{rec.title_id} {len(rec.vectors)}\n" for rec in store.records).encode("utf-8")
-    blocks = [np.ascontiguousarray(rec.vectors, dtype="<f8") for rec in store.records]
-    prefix = f"ipod-emb v3 {store.dim} {len(blocks)} ".encode("ascii")
+    # Every record widened to float64 at once; the (0, dim) head keeps an empty store valid.
+    block = np.concatenate([np.empty((0, store.dim)), *(rec.vectors for rec in store.records)],
+                           dtype="<f8")
+    prefix = f"ipod-emb v3 {store.dim} {len(store.records)} ".encode("ascii")
     digest = hashlib.sha256(prefix + table)
-    for block in blocks:
-        digest.update(block)
-    # One record's block (8.8 KB at dim 192) outgrows the default 8 KB buffer,
-    # so each would be its own write call; a fixed 1 MB buffer batches them.
-    with Path(path).open("wb", buffering=1 << 20) as fh:
+    digest.update(block)
+    with Path(path).open("wb") as fh:
         fh.write(prefix + digest.hexdigest()[:16].encode("ascii") + b"\n")
         fh.write(table)
-        for block in blocks:
-            fh.write(block)
+        fh.write(block)
 
 
 def read_embeddings(path) -> EmbeddingStore:

@@ -237,7 +237,7 @@ def test_split_counts_and_determinism(tmp_path, capsys):
         "--ratios", "80/10/10", "--seed", "1",
     )
     assert (tmp_path / "ds.train.conll").read_bytes() == first
-    # the same split the scripts take
+    # the same split compare takes
     shared = split_sequences(read_conll(labeled), (80, 10, 10), 1)
     for name, want in zip(("train", "dev", "test"), shared):
         assert read_conll(tmp_path / f"ds.{name}.conll") == want
@@ -601,6 +601,26 @@ def test_gridsearch_rejects_a_bad_space_before_reading_its_inputs(tmp_path, caps
     )
     assert code == 2, err
     assert "error: unknown search axis 'bogus'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["gridsearch", "--model", "crf", "--space", "learning_rate=-1"],
+                 "error: learning_rate must be > 0, got -1.0", id="gridsearch-bad-point"),
+    pytest.param(["gridsearch", "--model", "crf", "--space", ";"],
+                 "error: empty search space", id="gridsearch-empty-space"),
+    pytest.param(["gridsearch", "--model", "crf", "--space", "epochs="],
+                 "error: axis 'epochs' has no values", id="gridsearch-empty-axis"),
+    pytest.param(["ngrams", "--top", "-1"], "error: --top must be >= 0, got -1", id="ngrams-top"),
+])
+def test_usage_error_comes_before_reading_missing_inputs(tmp_path, capsys, argv, message):
+    """A check that needs only the argv exits 2 even when every input is missing."""
+    missing = str(tmp_path / "missing")
+    inputs = (["--train", missing, "--dev", missing, "--gazetteer", missing, "--seed", "0"]
+              if argv[0] == "gridsearch" else ["--in", missing])
+    code, out, err = run(capsys, *argv, *inputs)
+    assert code == 2, err
+    assert message in err
     assert out == ""
 
 
@@ -1359,3 +1379,27 @@ def test_readme_sweep_recipe_prints_an_aligned_table(tmp_path, capsys):
         assert row[: len("learning_rate")].rstrip() in ("0.05", "0.1", "0.5")
         assert row[len("learning_rate") : len("learning_rate  ")] == "  "
     assert sum(row.endswith("*") for row in rows) == 1
+
+
+def test_compare_prints_both_taggers_deterministically(tmp_path, capsys):
+    """`compare` on 100 dictionary-tagged synthetic titles: the seed on
+    stderr, then the same crf and lstm-crf table on every run."""
+    gaz, raw, conll = tmp_path / "s.gaz", tmp_path / "s.txt", tmp_path / "s.conll"
+    for argv in (["synth", "--seed", "42", "--count", "100", "--out", str(raw)],
+                 ["gazetteer", "build", "--sample", "--out", str(gaz)],
+                 ["tag", "--in", str(raw), "--gazetteer", str(gaz), "--out", str(conll)]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    outs = []
+    for _ in range(2):
+        code, out, err = run(capsys, "compare", "--in", str(conll), "--seed", "42",
+                             "--gazetteer", str(gaz))
+        assert code == 0, err
+        assert err == "seed: 42\n"
+        outs.append(out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    header, rows = lines[0], lines[1:]
+    assert header.split() == ["system", "P", "R", "EM", "F1", "FUN-EM", "FUN-F1",
+                              "LOC-EM", "LOC-F1", "RES-EM", "RES-F1"]
+    assert [row.split()[0] for row in rows] == ["crf", "lstm-crf"]

@@ -1,11 +1,12 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from titletag.errors import FormatError
-from titletag.model_io import file_hash, load_model, save_model
+from titletag.model_io import UNFILLED, file_hash, load_model, save_model
 from titletag.neural import LstmCrfModel, TrainableEmbeddings
 from titletag.title2vec import BiLmModel, Vocab
 
@@ -207,3 +208,15 @@ def test_loading_draws_no_random_numbers(tmp_path, monkeypatch, kind):
             assert arr.dtype == np.float32 and arr.tobytes() == payload[name].tobytes(), name
     loaded.save(tmp_path / "again.model")
     assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
+
+def test_unfilled_arrays_widen_without_a_warning():
+    """The BiLSTM widens its UNFILLED head to float64 before the file's
+    values fill it. Leftover bytes that hold signalling NaNs would warn
+    there, on stderr, by chance; the freed block below is one numpy hands
+    out again for the next array of its size."""
+    poison = np.full((16, 13), 0x7FA00000, dtype=np.uint32).view(np.float32)
+    del poison
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        UNFILLED.uniform(-1.0, 1.0, (16, 13)).astype(np.float64)

@@ -55,7 +55,7 @@ MIXED = TOY + [
 def emissions(model, tokens):
     """Per-position label scores (T, n_labels) of one title, as predict_many
     computes them: a chunk of one on float32 copies of the cells."""
-    return model._chunk_emissions([tokens], model._float32_stack())
+    return model._chunk_emissions([tokens], model._decode_stack())
 
 
 def build_model(kind, hidden=4, layers=2, dim=4, seed=0, frozen=False):
@@ -402,7 +402,7 @@ def test_float32_emissions_match_the_float64_encode():
         xs, _ = model._embed_group([ex.tokens], padded_layout([ex.tokens])[0])
         enc, _ = model.encode(xs, stack=cast_stack(model._stack(), np.float64))
         assert enc.dtype == np.float64
-        enc32, _ = model.encode(xs, stack=model._float32_stack())
+        enc32, _ = model.encode(xs, stack=model._decode_stack())
         assert enc32.dtype == np.float32
         np.testing.assert_allclose(enc32, enc, rtol=0, atol=1e-6)
         emis = emissions(model, ex.tokens)

@@ -1,7 +1,7 @@
 """Every module-level function, class and public method of the package
 has a caller.
 
-A definition counts as used when src/, scripts/ or perfbench/*.py names it
+A definition counts as used when src/ or perfbench/*.py names it
 outside its own body: as an attribute, an imported name, a bare name that
 its file imports or binds at module level (a local variable of the same
 name does not count), or a `module.name` reference in strings, the forms
@@ -26,8 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "titletag"
-PROGRAM = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
-           *(ROOT / "perfbench").glob("*.py")]
+PROGRAM = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 # Definitions no program code calls, each kept for a reason.
