@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import evaluation, model_io, title2vec
-from .corpus import REGION_ORDER, load_corpus, synth_corpus
+from . import evaluation, labeling, model_io, neural, title2vec
+from .corpus import load_corpus, synth_corpus
 from .crf import CrfModel, train_crf, train_logreg
 from .errors import FormatError, TrainingDivergedError
 from .gazetteer import (
@@ -186,25 +186,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
         ("empty_excluded", str(corpus.empty_count)),
         ("skipped_rows", str(len(corpus.skipped_rows))),
     ]
-    stats = corpus_mod.length_stats(corpus)
-    hist = corpus_mod.length_histogram(corpus)
-
-    def length_rows(prefix: str, summary: corpus_mod.LengthSummary) -> None:
-        rows.append((f"{prefix}length.min", str(summary.min)))
-        rows.append((f"{prefix}length.max", str(summary.max)))
-        rows.append((f"{prefix}length.avg", f"{summary.avg:.4f}"))
-        rows.append((f"{prefix}length.median", f"{summary.median:.4f}"))
-
-    length_rows("", stats.overall)
-    for length in sorted(hist.overall):
-        rows.append((f"hist.{length}", f"{hist.overall[length]:.4f}"))
-    for region in REGION_ORDER:
-        if region not in stats.per_region:
-            continue
-        prefix = f"region.{region.value.lower()}."
-        length_rows(prefix, stats.per_region[region])
-        for length in sorted(hist.per_region[region]):
-            rows.append((f"{prefix}hist.{length}", f"{hist.per_region[region][length]:.4f}"))
+    for region, summary in corpus_mod.length_summaries(corpus).items():
+        prefix = "" if region is None else f"region.{region.value.lower()}."
+        rows += [(f"{prefix}length.min", str(summary.min)),
+                 (f"{prefix}length.max", str(summary.max)),
+                 (f"{prefix}length.avg", f"{summary.avg:.4f}"),
+                 (f"{prefix}length.median", f"{summary.median:.4f}")]
+        rows += [(f"{prefix}hist.{n}", f"{pct:.4f}") for n, pct in summary.histogram.items()]
     _write_text(args.out, _render_rows(rows, args.format))
     return 0
 
@@ -212,9 +200,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_ngrams(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be >= 0, got {args.top}")
+    corpus_mod.check_ngram_order(args.n)
     corpus = load_corpus(args.infile, fmt=args.in_format)
-    table = corpus_mod.ngram_counts(corpus, args.n)
-    entries = table.entries if args.top == 0 else table.entries[: args.top]
+    entries = corpus_mod.ngram_counts(corpus, args.n)[: args.top or None]
     if args.format == "tsv":
         text = "".join(f"{' '.join(gram)}\t{count}\n" for gram, count in entries)
     else:
@@ -281,12 +269,13 @@ def cmd_tag(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     _announce_seed(args)
-    sequences = read_conll(args.infile)
     try:
-        splits = split_sequences(sequences, [float(p) for p in args.ratios.split("/")], args.seed)
+        shares = [float(p) for p in args.ratios.split("/")]
+        labeling.check_shares(shares)
     except ValueError:
         raise ValueError("--ratios expects train/dev/test as three finite non-negative shares "
                          f"with a positive sum, got {args.ratios!r}") from None
+    splits = split_sequences(read_conll(args.infile), shares, args.seed)
     for name, chunk in zip(("train", "dev", "test"), splits):
         path = f"{args.out_prefix}.{name}.conll"
         write_conll(chunk, path)
@@ -312,6 +301,8 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _reject_unread({"--embedding-dim": args.embeddings and args.embedding_dim is not None},
                    f"the {args.model_kind} trainer with --embeddings")
+    embedding_dim = 64 if args.embedding_dim is None else args.embedding_dim
+    neural.check_dims(args.hidden, args.layers, embedding_dim)
     data = read_conll(args.train)
     provider = _bilm_provider(args.embeddings)
     trainer = train_lstm_crf if args.model_kind == "lstm-crf" else train_lstm
@@ -320,7 +311,7 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
         cfg,
         hidden_size=args.hidden,
         layers=args.layers,
-        embedding_dim=64 if args.embedding_dim is None else args.embedding_dim,
+        embedding_dim=embedding_dim,
         provider=provider,
     )
     model.save(args.out)
@@ -332,6 +323,8 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
 def cmd_train_bilm(args: argparse.Namespace) -> int:
     _announce_seed(args)
     cfg = _build_config(args)
+    title2vec.check_dims(args.dim, args.hidden, args.layers)
+    title2vec.check_min_count(args.min_count)
     corpus = load_corpus(args.infile, fmt=args.in_format)
     model = train_bilm(corpus, (args.dim, args.hidden, args.layers), cfg,
                        min_count=args.min_count)
@@ -342,10 +335,11 @@ def cmd_train_bilm(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold = read_conll(args.gold)
     if args.pred:
         _reject_unread({"--gazetteer": args.gazetteer, "--embeddings": args.embeddings,
                         "--pred-out": args.pred_out}, f"eval --pred {args.pred}")
+    gold = read_conll(args.gold)
+    if args.pred:
         pred = read_conll(args.pred)
     else:
         model = _load_tagger(args.model, args.gazetteer, args.embeddings)
@@ -426,6 +420,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _announce_seed(args)
+    corpus_mod.check_count(args.count)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else sample_gazetteer()
     corpus = synth_corpus(gaz, args.seed, args.count)
     _write_text(args.out, corpus_mod.dumps_corpus(corpus.titles, args.out_format))

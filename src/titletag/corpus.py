@@ -26,6 +26,10 @@ log = logging.getLogger(__name__)
 # free-standing "&" becomes the word "and".
 _DROP_RE = re.compile(r"[^a-z0-9&\s]")
 
+# The taggers' and the language model's sentinel tokens (unknown word, title
+# start, title end): the filter above deletes "<", ">" and "/", so no token equals one.
+UNK, BOS, EOS = "<unk>", "<s>", "</s>"
+
 
 class Region(str, Enum):
     """Geographic origin of a profile; unrecognized strings map to UNKNOWN."""
@@ -92,32 +96,14 @@ class Corpus:
 
 @dataclass(frozen=True)
 class LengthSummary:
+    """Word counts of one group of titles; histogram maps each word count,
+    ascending, to its percent of the group's titles."""
+
     min: int
     max: int
     avg: float
     median: float
-
-
-@dataclass(frozen=True)
-class LengthStats:
-    overall: LengthSummary
-    per_region: dict[Region, LengthSummary]
-
-
-@dataclass(frozen=True)
-class LengthHistogram:
-    """Share of titles (percent) per word count, overall and per region."""
-
-    overall: dict[int, float]
-    per_region: dict[Region, dict[int, float]]
-
-
-@dataclass(frozen=True)
-class NgramTable:
-    """N-gram frequencies sorted by descending count, lexicographic on ties."""
-
-    n: int
-    entries: tuple[tuple[tuple[str, ...], int], ...]
+    histogram: dict[int, float]
 
 
 def normalize_title(raw: str, *, region: Region = Region.UNKNOWN, profile_id: str = "") -> Title:
@@ -203,64 +189,44 @@ def write_corpus(corpus: Corpus, path: str | Path, fmt: str = "lines") -> None:
     Path(path).write_text(dumps_corpus(corpus.titles, fmt), encoding="utf-8")
 
 
-def _summarize(lengths: list[int]) -> LengthSummary:
-    return LengthSummary(
-        min=min(lengths),
-        max=max(lengths),
-        avg=sum(lengths) / len(lengths),
-        median=float(statistics.median(lengths)),
-    )
-
-
-def _by_region(corpus: Corpus) -> dict[Region, list[int]]:
-    grouped: dict[Region, list[int]] = {}
+def length_summaries(corpus: Corpus) -> dict[Region | None, LengthSummary]:
+    """Title word counts summarized over all titles (key None), then over
+    each region that has titles, in REGION_ORDER."""
+    if not corpus.titles:
+        raise ValueError(f"{corpus.source_label or 'corpus'} has no titles")
+    groups: dict[Region | None, list[int]] = {None: [], **{r: [] for r in REGION_ORDER}}
     for title in corpus.titles:
-        grouped.setdefault(title.region, []).append(len(title.tokens))
-    return {r: grouped[r] for r in REGION_ORDER if r in grouped}
+        groups[None].append(len(title.tokens))
+        groups[title.region].append(len(title.tokens))
+    return {key: LengthSummary(min=min(v), max=max(v), avg=sum(v) / len(v),
+                               median=float(statistics.median(v)),
+                               histogram={n: 100.0 * c / len(v) for n, c in sorted(Counter(v).items())})
+            for key, v in groups.items() if v}
 
 
-def length_stats(corpus: Corpus) -> LengthStats:
-    """Min / max / mean / median word counts, overall and per region."""
-    if not corpus.titles:
-        raise ValueError("length_stats: corpus has no titles")
-    lengths = [len(t.tokens) for t in corpus.titles]
-    return LengthStats(
-        overall=_summarize(lengths),
-        per_region={r: _summarize(v) for r, v in _by_region(corpus).items()},
-    )
-
-
-def length_histogram(corpus: Corpus) -> LengthHistogram:
-    """Percentage of titles per word count; each distribution sums to 100."""
-    if not corpus.titles:
-        raise ValueError("length_histogram: corpus has no titles")
-
-    def pct(lengths: list[int]) -> dict[int, float]:
-        counts = Counter(lengths)
-        total = len(lengths)
-        return {n: 100.0 * c / total for n, c in sorted(counts.items())}
-
-    lengths = [len(t.tokens) for t in corpus.titles]
-    return LengthHistogram(
-        overall=pct(lengths),
-        per_region={r: pct(v) for r, v in _by_region(corpus).items()},
-    )
-
-
-def ngram_counts(corpus: Corpus, n: int) -> NgramTable:
-    """Count contiguous n-grams, once per occurrence (repeats in one title count).
-
-    An n larger than every title simply yields an empty table.
-    """
+def check_ngram_order(n: int) -> None:
+    """ValueError unless n is an n-gram order, at least 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def ngram_counts(corpus: Corpus, n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """(n-gram, count) pairs of the contiguous n-grams, counted once per
+    occurrence (repeats in one title count), by descending count and
+    lexicographic on ties; an n longer than every title yields none."""
+    check_ngram_order(n)
     counts: Counter[tuple[str, ...]] = Counter()
     for title in corpus.titles:
         toks = title.tokens
         for i in range(len(toks) - n + 1):
             counts[toks[i : i + n]] += 1
-    entries = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-    return NgramTable(n=n, entries=entries)
+    return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def check_count(count: int) -> None:
+    """ValueError unless count, a number of titles to synthesize, is at least 0."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
 
 
 # Each template is (weight, slot sequence); a slot names the coarse-tag pool
@@ -290,8 +256,7 @@ def synth_corpus(gazetteer: "Gazetteer", grammar_seed: int, count: int) -> Corpu
     labeling oracle for the output. The same seed always reproduces the same
     corpus.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    check_count(count)
     pools: dict[str, list[str]] = {"RES": [], "FUN": [], "LOC": [], "O": []}
     for token, entry in gazetteer.entries.items():
         pools[entry.tag.value].append(token)

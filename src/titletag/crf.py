@@ -34,14 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from . import model_io
+from .corpus import BOS, EOS, UNK
 from .gazetteer import Gazetteer
 from .labeling import ALL_LABELS, LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import packed_steps, padded_layout, sorted_chunks, to_padded, valid_mask
 from .optim import TrainConfig, adam_step, fit
-
-UNK_TOKEN = "<unk>"
-_BOS = "<s>"
-_EOS = "</s>"
 
 # Most positions decoded in one chunk (lstm.sorted_chunks), each title counted as
 # padded to the longest in its chunk. It bounds the memory of a batched
@@ -160,7 +157,7 @@ class FeatureVocab:
         features registered before.
         """
         lookup = self.add if extend else self.get
-        pad = (_BOS, _BOS, *tokens, _EOS, _EOS)
+        pad = (BOS, BOS, *tokens, EOS, EOS)
         tags = None if gazetteer is None else [gazetteer.lookup(tok).value for tok in tokens]
         last = len(tokens) - 1
         pairs, edges, tag_slots = self._pair_slots, self._position_slots, self._tag_slots
@@ -578,7 +575,7 @@ def apply_word_dropout(
     out, end = [], 0
     for tokens in token_seqs:
         start, end = end, end + len(tokens)
-        out.append(tuple(UNK_TOKEN if drops[k] else tok for k, tok in enumerate(tokens, start))
+        out.append(tuple(UNK if drops[k] else tok for k, tok in enumerate(tokens, start))
                    if True in drops[start:end] else tuple(tokens))
     return out
 

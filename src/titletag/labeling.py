@@ -173,16 +173,22 @@ def auto_tag(title: Title, gazetteer: Gazetteer) -> LabeledSequence:
     return LabeledSequence(tokens=title.tokens, labels=encode_bioes(coarse))
 
 
+def check_shares(shares: Sequence[float]) -> None:
+    """ValueError unless shares are three finite non-negative numbers with a
+    positive sum: the train, dev and test shares of split_sequences."""
+    if len(shares) != 3 or not all(0 <= s < math.inf for s in shares) or not 0 < sum(shares) < math.inf:
+        raise ValueError(f"expected three finite non-negative shares with a positive sum, got {shares!r}")
+
+
 def split_sequences(seqs: Sequence[LabeledSequence], shares: Sequence[float], seed: int):
     """Seeded (train, dev, test) split of seqs in the given shares.
 
     One permutation from default_rng(seed) orders seqs; train and dev take
     the floor of their shares of it and test takes the rest. shares are three
-    finite non-negative numbers with a positive sum, else a ValueError.
+    finite non-negative numbers with a positive sum (check_shares).
     """
+    check_shares(shares)
     total = sum(shares)
-    if len(shares) != 3 or not all(0 <= s < math.inf for s in shares) or not 0 < total < math.inf:
-        raise ValueError(f"expected three finite non-negative shares with a positive sum, got {shares!r}")
     shuffled = [seqs[int(j)] for j in np.random.default_rng(seed).permutation(len(seqs))]
     n_train = int(len(seqs) * shares[0] / total)
     n_dev = int(len(seqs) * shares[1] / total)

@@ -65,7 +65,7 @@ def load_model(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
         raise FormatError("declared header length exceeds the file size", path=str(path))
     try:
         header = json.loads(data[header_start : header_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"unreadable header: {exc}", path=str(path)) from None
     if not isinstance(header, dict):
         raise FormatError("header is not a JSON object", path=str(path))

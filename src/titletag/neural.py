@@ -71,6 +71,13 @@ class TrainableEmbeddings:
         return self.vocab.ids(tokens)
 
 
+def check_dims(hidden_size: int, layers: int, embedding_dim: int) -> None:
+    """ValueError unless each size of a BiLSTM tagger is at least 1."""
+    if min(hidden_size, layers, embedding_dim) < 1:
+        raise ValueError(f"bad dimensions: hidden_size={hidden_size} layers={layers} "
+                         f"embedding dim={embedding_dim}")
+
+
 class LstmCrfModel:
     """Stacked BiLSTM encoder with a CRF output head; kind "lstm" pins its
     transitions at zero."""
@@ -85,9 +92,7 @@ class LstmCrfModel:
     ):
         if kind not in ("lstm-crf", "lstm"):
             raise ValueError(f"kind must be 'lstm-crf' or 'lstm', got {kind!r}")
-        if hidden_size < 1 or layers < 1 or provider.dim < 1:
-            raise ValueError(f"bad dimensions: hidden_size={hidden_size} layers={layers} "
-                             f"embedding dim={provider.dim}")
+        check_dims(hidden_size, layers, provider.dim)
         self.provider = provider
         self.hidden_size = hidden_size
         self.layers = layers

@@ -22,17 +22,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import model_io, optim
-from .corpus import Corpus
+from .corpus import BOS, EOS, UNK, Corpus
 from .errors import FormatError
 from .lstm import (
     cell_arrays, cell_shapes, direction_cells, padded_blocks, softmax_ce, stack_backprop,
     stack_run, uniform32,
 )
 
-UNK = "<unk>"
-BOS = "<s>"
-EOS = "</s>"
 _SENTINELS = (UNK, BOS, EOS)
+
+
+def check_min_count(min_count: int) -> None:
+    """ValueError unless min_count, the fewest occurrences that keep a token
+    in a vocabulary, is at least 1."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
 
 
 class Vocab:
@@ -64,8 +68,7 @@ class Vocab:
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], min_count: int = 1) -> "Vocab":
-        if min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {min_count}")
+        check_min_count(min_count)
         kept = [
             (c, t) for t, c in counts.items() if c >= min_count and t not in _SENTINELS
         ]
@@ -89,6 +92,12 @@ def build_vocab(corpus: Corpus, min_count: int = 1) -> Vocab:
     return Vocab.from_counts(counts, min_count=min_count)
 
 
+def check_dims(dim: int, hidden: int, layers: int) -> None:
+    """ValueError unless each size of a language model is at least 1."""
+    if min(dim, hidden, layers) < 1:
+        raise ValueError(f"dims must be positive, got dim={dim} hidden={hidden} layers={layers}")
+
+
 class BiLmModel:
     """Forward and backward LSTM language models over a shared embedding table."""
 
@@ -100,8 +109,7 @@ class BiLmModel:
         layers: int,
         rng: np.random.Generator | None = None,
     ):
-        if dim < 1 or hidden < 1 or layers < 1:
-            raise ValueError(f"dims must be positive, got dim={dim} hidden={hidden} layers={layers}")
+        check_dims(dim, hidden, layers)
         self.vocab = vocab
         self.dim = dim
         self.hidden = hidden

@@ -118,6 +118,117 @@ def test_stats_output(tmp_path, capsys):
     assert rows["length.avg"] == "1.5000"
 
 
+# US, Asia and unknown regions in several spellings, a title that normalizes
+# to nothing (line 5) and a malformed row (line 6).
+_REGIONS_TSV = (
+    "Chief Financial Officer\tUnited States\tp1\n"
+    "sales manager\tasia\tp2\n"
+    "VP, Sales & Marketing\tAsian\tp3\n"
+    "head of r&d\tmars\tp4\n"
+    "!!!\tUnited States\tp5\n"
+    "malformed row without tabs\n"
+    "software engineer\tUS\tp6\n"
+    "director\tasia\tp7\n"
+    "senior sales manager asia pacific\tasia\tp8\n"
+)
+_REGIONS_STATS_KV = (
+    "source={src}\n"
+    "titles=7\n"
+    "empty_excluded=1\n"
+    "skipped_rows=1\n"
+    "length.min=1\n"
+    "length.max=5\n"
+    "length.avg=2.8571\n"
+    "length.median=3.0000\n"
+    "hist.1=14.2857\n"
+    "hist.2=28.5714\n"
+    "hist.3=28.5714\n"
+    "hist.4=14.2857\n"
+    "hist.5=14.2857\n"
+    "region.us.length.min=2\n"
+    "region.us.length.max=3\n"
+    "region.us.length.avg=2.5000\n"
+    "region.us.length.median=2.5000\n"
+    "region.us.hist.2=50.0000\n"
+    "region.us.hist.3=50.0000\n"
+    "region.asia.length.min=1\n"
+    "region.asia.length.max=5\n"
+    "region.asia.length.avg=3.0000\n"
+    "region.asia.length.median=3.0000\n"
+    "region.asia.hist.1=25.0000\n"
+    "region.asia.hist.2=25.0000\n"
+    "region.asia.hist.4=25.0000\n"
+    "region.asia.hist.5=25.0000\n"
+    "region.unknown.length.min=3\n"
+    "region.unknown.length.max=3\n"
+    "region.unknown.length.avg=3.0000\n"
+    "region.unknown.length.median=3.0000\n"
+    "region.unknown.hist.3=100.0000\n"
+)
+_REGIONS_STATS_TEXT = (
+    "source                        {src}\n"
+    "titles                        7\n"
+    "empty_excluded                1\n"
+    "skipped_rows                  1\n"
+    "length.min                    1\n"
+    "length.max                    5\n"
+    "length.avg                    2.8571\n"
+    "length.median                 3.0000\n"
+    "hist.1                        14.2857\n"
+    "hist.2                        28.5714\n"
+    "hist.3                        28.5714\n"
+    "hist.4                        14.2857\n"
+    "hist.5                        14.2857\n"
+    "region.us.length.min          2\n"
+    "region.us.length.max          3\n"
+    "region.us.length.avg          2.5000\n"
+    "region.us.length.median       2.5000\n"
+    "region.us.hist.2              50.0000\n"
+    "region.us.hist.3              50.0000\n"
+    "region.asia.length.min        1\n"
+    "region.asia.length.max        5\n"
+    "region.asia.length.avg        3.0000\n"
+    "region.asia.length.median     3.0000\n"
+    "region.asia.hist.1            25.0000\n"
+    "region.asia.hist.2            25.0000\n"
+    "region.asia.hist.4            25.0000\n"
+    "region.asia.hist.5            25.0000\n"
+    "region.unknown.length.min     3\n"
+    "region.unknown.length.max     3\n"
+    "region.unknown.length.avg     3.0000\n"
+    "region.unknown.length.median  3.0000\n"
+    "region.unknown.hist.3         100.0000\n"
+)
+_REGIONS_BIGRAMS = (
+    "2  sales manager\n"
+    "1  and marketing\n"
+    "1  asia pacific\n"
+    "1  chief financial\n"
+    "1  financial officer\n"
+    "1  head of\n"
+    "1  manager asia\n"
+    "1  of r&d\n"
+    "1  sales and\n"
+    "1  senior sales\n"
+    "1  software engineer\n"
+    "1  vp sales\n"
+)
+
+
+def test_stats_and_ngrams_print_every_row_of_a_multi_region_file(tmp_path, capsys):
+    src = tmp_path / "titles.tsv"
+    src.write_text(_REGIONS_TSV, encoding="utf-8")
+    for fmt, want in (("kv", _REGIONS_STATS_KV), ("text", _REGIONS_STATS_TEXT)):
+        code, out, err = run(capsys, "stats", "--in", str(src), "--in-format", "tsv",
+                             "--format", fmt)
+        assert code == 0, err
+        assert out == want.replace("{src}", str(src))
+    code, out, err = run(capsys, "ngrams", "--in", str(src), "--in-format", "tsv",
+                         "-n", "2", "--top", "0")
+    assert code == 0, err
+    assert out == _REGIONS_BIGRAMS
+
+
 def test_ngrams_output(tmp_path, capsys):
     src = tmp_path / "t.txt"
     src.write_text("alpha beta\nalpha\n", encoding="utf-8")
@@ -604,21 +715,40 @@ def test_gridsearch_rejects_a_bad_space_before_reading_its_inputs(tmp_path, caps
     assert out == ""
 
 
+_GRID_INPUTS = "--train {m} --dev {m} --gazetteer {m} --seed 0"
+
+
 @pytest.mark.parametrize("argv,message", [
-    pytest.param(["gridsearch", "--model", "crf", "--space", "learning_rate=-1"],
+    pytest.param(f"gridsearch --model crf --space learning_rate=-1 {_GRID_INPUTS}",
                  "error: learning_rate must be > 0, got -1.0", id="gridsearch-bad-point"),
-    pytest.param(["gridsearch", "--model", "crf", "--space", ";"],
+    pytest.param(f"gridsearch --model crf --space ; {_GRID_INPUTS}",
                  "error: empty search space", id="gridsearch-empty-space"),
-    pytest.param(["gridsearch", "--model", "crf", "--space", "epochs="],
+    pytest.param(f"gridsearch --model crf --space epochs= {_GRID_INPUTS}",
                  "error: axis 'epochs' has no values", id="gridsearch-empty-axis"),
-    pytest.param(["ngrams", "--top", "-1"], "error: --top must be >= 0, got -1", id="ngrams-top"),
+    pytest.param("ngrams --top -1 --in {m}", "error: --top must be >= 0, got -1", id="ngrams-top"),
+    pytest.param("ngrams -n 0 --in {m}", "error: n must be >= 1, got 0", id="ngrams-order"),
+    pytest.param("split --ratios 80/10 --in {m} --out-prefix {m} --seed 0",
+                 "error: --ratios expects train/dev/test", id="split-two-shares"),
+    pytest.param("split --ratios a/b/c --in {m} --out-prefix {m} --seed 0",
+                 "error: --ratios expects train/dev/test", id="split-unparsable-shares"),
+    pytest.param("train bilm --dim 0 --in {m} --out {m} --seed 0",
+                 "error: dims must be positive, got dim=0", id="bilm-dim"),
+    pytest.param("train bilm --min-count 0 --in {m} --out {m} --seed 0",
+                 "error: min_count must be >= 1, got 0", id="bilm-min-count"),
+    pytest.param("train lstm-crf --hidden 0 --train {m} --out {m} --seed 0",
+                 "error: bad dimensions: hidden_size=0", id="lstm-crf-hidden"),
+    pytest.param("train lstm-crf --embedding-dim 0 --train {m} --out {m} --seed 0",
+                 "embedding dim=0", id="lstm-crf-embedding-dim"),
+    pytest.param("train lstm --layers 0 --train {m} --out {m} --seed 0",
+                 "layers=0", id="lstm-layers"),
+    pytest.param("eval --gold {m} --pred {m} --gazetteer {m}",
+                 "error: --gazetteer is given, but eval --pred", id="eval-pred-gazetteer"),
+    pytest.param("synth --count -1 --gazetteer {m} --seed 0",
+                 "error: count must be >= 0, got -1", id="synth-count"),
 ])
 def test_usage_error_comes_before_reading_missing_inputs(tmp_path, capsys, argv, message):
     """A check that needs only the argv exits 2 even when every input is missing."""
-    missing = str(tmp_path / "missing")
-    inputs = (["--train", missing, "--dev", missing, "--gazetteer", missing, "--seed", "0"]
-              if argv[0] == "gridsearch" else ["--in", missing])
-    code, out, err = run(capsys, *argv, *inputs)
+    code, out, err = run(capsys, *argv.format(m=tmp_path / "missing").split())
     assert code == 2, err
     assert message in err
     assert out == ""
@@ -990,6 +1120,21 @@ def test_unsupported_format_version_exits_4(tmp_path, capsys, small_models, vers
     assert f"{model}: unsupported format version {version!r}" in err
 
 
+@pytest.mark.parametrize("command", ["tag", "embed"])
+def test_deeply_nested_model_header_exits_4(tmp_path, capsys, small_models, command):
+    """A header nested deeper than the JSON parser recurses is unreadable,
+    not an internal error."""
+    blob = b"[" * 200_000 + b"]" * 200_000
+    model = tmp_path / "deep.model"
+    model.write_bytes(model_io.MAGIC + struct.pack("<Q", len(blob)) + blob)
+    argv = {"tag": ["tag", "--in", str(small_models["raw"]), "--model", str(model)],
+            "embed": ["embed", "--model", str(model), "--in", str(small_models["raw"]),
+                      "--out", str(tmp_path / "v.emb")]}[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 4, err
+    assert f"{model}: unreadable header" in err
+
+
 def _meta_edited_command(tmp_path, small_models, kind, edit):
     model = _edited_copy(small_models[kind], tmp_path / "bad.model", edit)
     if kind == "bilm":
@@ -1350,6 +1495,16 @@ def test_readme_command_line_matches_the_parser():
     assert flags
     assert flags - _options(parser) == set()
 
+
+
+def test_readme_module_table_lists_every_module():
+    """README's Library layout table has one row per module of the package,
+    __init__ aside."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    modules = [path.stem for path in Path(cli.__file__).parent.glob("*.py")]
+    assert sorted(listed) == sorted(set(modules) - {"__init__"})
 
 def test_readme_sweep_recipe_prints_an_aligned_table(tmp_path, capsys):
     """The README's seeded sweep (synth, gazetteer build, tag, split,

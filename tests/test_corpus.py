@@ -7,8 +7,7 @@ from titletag.corpus import (
     Region,
     Title,
     canonical_line,
-    length_histogram,
-    length_stats,
+    length_summaries,
     load_corpus,
     ngram_counts,
     normalize_title,
@@ -134,27 +133,27 @@ def _corpus(lengths_by_region):
 
 
 def test_length_stats_and_histogram():
-    corpus = _corpus({Region.US: [1, 2, 3, 2], Region.ASIA: [4, 2]})
-    stats = length_stats(corpus)
-    assert stats.overall.min == 1
-    assert stats.overall.max == 4
-    assert stats.overall.avg == pytest.approx(14 / 6)
-    assert stats.overall.median == 2.0
-    assert stats.per_region[Region.US].avg == pytest.approx(2.0)
-    assert stats.per_region[Region.ASIA].median == pytest.approx(3.0)
-    assert Region.UNKNOWN not in stats.per_region
+    corpus = _corpus({Region.ASIA: [4, 2], Region.US: [1, 2, 3, 2]})
+    summaries = length_summaries(corpus)
+    # all titles first, then the regions that have titles, in REGION_ORDER
+    assert list(summaries) == [None, Region.US, Region.ASIA]
+    overall = summaries[None]
+    assert overall.min == 1
+    assert overall.max == 4
+    assert overall.avg == pytest.approx(14 / 6)
+    assert overall.median == 2.0
+    assert summaries[Region.US].avg == pytest.approx(2.0)
+    assert summaries[Region.ASIA].median == pytest.approx(3.0)
 
-    hist = length_histogram(corpus)
-    assert hist.overall[2] == pytest.approx(50.0)
-    assert sum(hist.overall.values()) == pytest.approx(100.0)
-    assert sum(hist.per_region[Region.US].values()) == pytest.approx(100.0)
+    assert list(overall.histogram) == [1, 2, 3, 4]
+    assert overall.histogram[2] == pytest.approx(50.0)
+    assert sum(overall.histogram.values()) == pytest.approx(100.0)
+    assert sum(summaries[Region.US].histogram.values()) == pytest.approx(100.0)
 
 
 def test_length_stats_empty_corpus():
-    with pytest.raises(ValueError):
-        length_stats(Corpus(titles=()))
-    with pytest.raises(ValueError):
-        length_histogram(Corpus(titles=()))
+    with pytest.raises(ValueError, match="titles.txt has no titles"):
+        length_summaries(Corpus(titles=(), source_label="titles.txt"))
 
 
 def test_ngram_counts_ordering():
@@ -162,22 +161,19 @@ def test_ngram_counts_ordering():
         Title(raw="", tokens=t)
         for t in [("a", "b"), ("a", "b"), ("b", "a"), ("a",)]
     )
-    table = ngram_counts(Corpus(titles=titles), 1)
-    assert table.entries == ((("a",), 4), (("b",), 3))
-
-    table2 = ngram_counts(Corpus(titles=titles), 2)
-    assert table2.entries == ((("a", "b"), 2), (("b", "a"), 1))
+    assert ngram_counts(Corpus(titles=titles), 1) == ((("a",), 4), (("b",), 3))
+    assert ngram_counts(Corpus(titles=titles), 2) == ((("a", "b"), 2), (("b", "a"), 1))
 
     # ties break lexicographically
     tied = Corpus(titles=(Title(raw="", tokens=("z", "c")),))
-    assert ngram_counts(tied, 1).entries == ((("c",), 1), (("z",), 1))
+    assert ngram_counts(tied, 1) == ((("c",), 1), (("z",), 1))
 
 
 def test_ngram_counts_validation():
     corpus = Corpus(titles=(Title(raw="", tokens=("a",)),))
     with pytest.raises(ValueError):
         ngram_counts(corpus, 0)
-    assert ngram_counts(corpus, 3).entries == ()
+    assert ngram_counts(corpus, 3) == ()
 
 
 def test_synth_corpus_shape(sample_gaz):
