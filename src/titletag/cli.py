@@ -251,13 +251,13 @@ def cmd_gazetteer_irr(args: argparse.Namespace) -> int:
 def cmd_tag(args: argparse.Namespace) -> int:
     if not args.model and not args.gazetteer:
         raise ValueError("pass --gazetteer for dictionary tagging or --model for a trained tagger")
+    _reject_unread({"--embeddings": not args.model and args.embeddings}, "dictionary tagging")
     token_seqs = _read_tokens(args.infile, args.in_format)
     if args.model:
         # With a model, --gazetteer only supplies its lookup features.
         model = _load_tagger(args.model, args.gazetteer, args.embeddings)
         sequences = evaluation.predict_sequences(model, token_seqs)
     else:
-        _reject_unread({"--embeddings": args.embeddings}, "dictionary tagging")
         gaz = read_gazetteer(args.gazetteer)
         sequences = [
             auto_tag(corpus_mod.Title(raw=" ".join(toks), tokens=toks), gaz)
@@ -301,7 +301,8 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _reject_unread({"--embedding-dim": args.embeddings and args.embedding_dim is not None},
                    f"the {args.model_kind} trainer with --embeddings")
-    embedding_dim = 64 if args.embedding_dim is None else args.embedding_dim
+    embedding_dim = (neural.DEFAULT_SIZES["embedding_dim"] if args.embedding_dim is None
+                     else args.embedding_dim)
     neural.check_dims(args.hidden, args.layers, embedding_dim)
     data = read_conll(args.train)
     provider = _bilm_provider(args.embeddings)
@@ -389,7 +390,10 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     _reject_unread({"--gazetteer": args.gazetteer and args.model in ("lstm", "lstm-crf")},
                    f"the {args.model} trainer")
     space = _parse_space(args.space, args.model)
-    evaluation.grid_plan(space, base)  # checks every point before the first read
+    # Every point's config and, for the recurrent trainers, its sizes (the
+    # axes that are not config fields) are checked before the first read.
+    for _, _, sizes in evaluation.grid_plan(space, base):
+        neural.check_dims(**neural.DEFAULT_SIZES | sizes)
     train_data = read_conll(args.train)
     dev_gold = read_conll(args.dev)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else None
@@ -531,10 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
         t = kinds.add_parser(kind, help=f"recurrent {kind} tagger")
         t.add_argument("--train", required=True)
         t.add_argument("--out", required=True)
-        t.add_argument("--hidden", type=int, default=256)
-        t.add_argument("--layers", type=int, default=1)
+        t.add_argument("--hidden", type=int, default=neural.DEFAULT_SIZES["hidden_size"])
+        t.add_argument("--layers", type=int, default=neural.DEFAULT_SIZES["layers"])
         t.add_argument("--embedding-dim", type=int, default=None,
-                       help="trainable table dimension (default: 64)")
+                       help="trainable table dimension (default: "
+                       f"{neural.DEFAULT_SIZES['embedding_dim']})")
         t.add_argument("--embeddings", default=None,
                        help="frozen language model file instead of a trainable table")
         _add_train_flags(t)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -92,7 +93,9 @@ class LstmCell:
     def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden = hidden
-        bound = 1.0 / np.sqrt(hidden)
+        # math.sqrt rounds as np.sqrt does, and it also takes an int beyond
+        # int64, as a hostile model file's metadata may hold.
+        bound = 1.0 / math.sqrt(hidden)
         self.W = uniform32(rng, bound, (4 * hidden, input_dim + hidden))
         self.b = np.zeros(4 * hidden, np.float32)
         # Forget-gate bias starts at 1 so early training keeps memory open.
@@ -343,15 +346,6 @@ def cell_arrays(fwd_cells: list[LstmCell], bwd_cells: list[LstmCell]) -> dict[st
             arrays[f"{prefix}{l}.W"] = cell.W
             arrays[f"{prefix}{l}.b"] = cell.b
     return arrays
-
-
-def cell_shapes(input_dim: int, upper_dim: int, hidden: int, layers: int):
-    """(name, shape) of each cell_arrays entry of two direction_cells stacks
-    with these dimensions, in the same order; computed lazily, per layer."""
-    for l in range(layers):
-        for prefix in ("fwd", "bwd"):
-            yield f"{prefix}{l}.W", (4 * hidden, (input_dim if l == 0 else upper_dim) + hidden)
-            yield f"{prefix}{l}.b", (4 * hidden,)
 
 
 def sorted_chunks(seqs: Sequence[Sequence], positions: int):

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -115,56 +115,63 @@ def check_meta(path: str | Path, meta: dict, fields: dict[str, type]) -> None:
             raise FormatError(f"model metadata {key!r} is missing or not a {what}", path=str(path))
 
 
-def check_positive(path: str | Path, dims: dict[str, int]) -> None:
-    """Raise FormatError unless every model dimension in dims is at least 1."""
-    for name, value in dims.items():
-        if value < 1:
-            raise FormatError(f"model metadata {name!r} must be at least 1, got {value}",
-                              path=str(path))
+def checked(path: str | Path, build, *args, **kwargs):
+    """build(*args, **kwargs), a constructor or a check of its arguments,
+    run on a model file's metadata. The ValueError of a size or vocabulary
+    it rejects, or the OverflowError of a size too large for a float,
+    becomes a FormatError naming path."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"bad metadata: {exc}", path=str(path)) from None
 
 
-def check_shapes(path: str | Path, stored: dict[str, np.ndarray], implied: Iterable) -> None:
-    """FormatError unless the (name, shape) pairs of implied are exactly the
-    stored arrays. implied may be a generator over a model's metadata,
-    checked before the model is built, so metadata alone cannot size an
-    allocation: the first missing or misshapen array stops the check."""
-    unmatched = set(stored)
-    for name, shape in implied:
-        found = stored.get(name)
-        if found is None or found.shape != tuple(shape):
-            got = "missing" if found is None else f"of shape {list(found.shape)}"
-            raise FormatError(
-                f"array {name!r} is {got}; the metadata implies shape {list(shape)}",
-                path=str(path),
-            )
-        unmatched.discard(name)
-    if unmatched:
-        raise FormatError(f"arrays {sorted(unmatched)} are not implied by the metadata",
-                          path=str(path))
+class Unfilled:
+    """Stands in for the random generator of a model built from a file's
+    metadata, whose arrays fill_arrays then overwrites.
 
+    Each uniform() call takes one stored array and as many stored values
+    as it allocates; a call past either count is a FormatError naming the
+    file, raised before it allocates. A model draws every metadata-sized
+    array before anything sized from it, so loading builds no more arrays
+    than the file stores and allocates at most a small multiple of its
+    values. The arrays are float32 zeros: the dtype of the recurrent
+    models' drawn arrays (lstm.uniform32), and not np.empty's leftover
+    bytes, which may hold a signalling NaN that warns when widened.
+    """
 
-class _Unfilled:
-    """Stands in for the random generator of a model built to be loaded:
-    uniform() allocates without drawing, and fill_arrays then overwrites
-    every array of the model. Its arrays are float32, the dtype of the
-    recurrent models' drawn arrays (lstm.uniform32), so loading them
-    allocates no float64 block. They are zeros, not np.empty's leftover
-    bytes, which may hold a signalling NaN that warns when widened."""
+    def __init__(self, path: str | Path, stored: dict[str, np.ndarray]):
+        self.path = str(path)
+        self.arrays = len(stored)
+        self.values = sum(arr.size for arr in stored.values())
+        self.drawn_arrays = self.drawn_values = 0
 
-    @staticmethod
-    def uniform(low: float, high: float, size) -> np.ndarray:
+    def uniform(self, low: float, high: float, size: tuple) -> np.ndarray:
+        self.drawn_arrays += 1
+        self.drawn_values += math.prod(size)
+        if self.drawn_arrays > self.arrays or self.drawn_values > self.values:
+            raise FormatError(f"the metadata implies more than the {self.arrays} arrays of "
+                              f"{self.values} values the file stores", path=self.path)
         return np.zeros(size, np.float32)
 
 
-UNFILLED = _Unfilled()
-
-
 def fill_arrays(path: str | Path, stored: dict[str, np.ndarray], model: dict) -> None:
-    """Copy stored arrays into the same-named arrays of a model built from its
-    metadata (with rng=UNFILLED), each in the dtype of the model's array;
-    FormatError if one is missing or its shape disagrees, or if the model
-    holds an array the file does not store."""
-    check_shapes(path, stored, ((name, target.shape) for name, target in model.items()))
+    """Copy stored arrays into the same-named arrays of a model built from
+    its metadata, each in the dtype of the model's array; FormatError if
+    one is missing or its shape disagrees, or if the file stores an array
+    the model does not hold."""
+    for name, target in model.items():
+        found = stored.get(name)
+        if found is None or found.shape != target.shape:
+            got = "missing" if found is None else f"of shape {list(found.shape)}"
+            raise FormatError(
+                f"array {name!r} is {got}; the metadata implies shape {list(target.shape)}",
+                path=str(path),
+            )
+    unmatched = set(stored) - set(model)
+    if unmatched:
+        raise FormatError(f"arrays {sorted(unmatched)} are not implied by the metadata",
+                          path=str(path))
     for name, target in model.items():
         target[...] = stored[name]
 

@@ -24,6 +24,7 @@ projection.
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +37,10 @@ from .crf import sequence_marginals  # noqa: F401
 from .errors import FormatError
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
-    cast_stack, cell_arrays, cell_shapes, direction_cells, padded_layout, sorted_chunks,
-    stack_backprop, stack_run, to_padded, uniform32,
+    cast_stack, cell_arrays, direction_cells, padded_layout, sorted_chunks, stack_backprop,
+    stack_run, to_padded, uniform32,
 )
-from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
+from .title2vec import BiLmEmbeddings, Vocab
 
 # Most positions in one training chunk (lstm.sorted_chunks), each title
 # counted as padded to the longest in its chunk; it bounds the memory of a
@@ -50,6 +51,9 @@ from .title2vec import BiLmEmbeddings, Vocab, stored_vocab
 # within 2 % (12 alternating rounds, one OpenBLAS thread of a 2-CPU x86-64
 # host).
 TRAIN_POSITIONS = 256
+
+# The BiLSTM taggers' sizes when none is given, for their trainers and the CLI.
+DEFAULT_SIZES = {"hidden_size": 256, "layers": 1, "embedding_dim": 64}
 
 
 class TrainableEmbeddings:
@@ -85,8 +89,8 @@ class LstmCrfModel:
     def __init__(
         self,
         provider,
-        hidden_size: int = 256,
-        layers: int = 1,
+        hidden_size: int = DEFAULT_SIZES["hidden_size"],
+        layers: int = DEFAULT_SIZES["layers"],
         kind: str = "lstm-crf",
         rng: np.random.Generator | None = None,
     ):
@@ -102,7 +106,7 @@ class LstmCrfModel:
         self.fwd_cells = direction_cells(provider.dim, 2 * hidden_size, hidden_size, layers, rng)
         self.bwd_cells = direction_cells(provider.dim, 2 * hidden_size, hidden_size, layers, rng)
         bound = 1.0 / np.sqrt(2 * hidden_size)
-        # float64 also when rng is model_io.UNFILLED, whose arrays are float32.
+        # float64 also when rng is a model_io.Unfilled, whose arrays are float32.
         self.proj_W = rng.uniform(-bound, bound, size=(2 * hidden_size, N_LABELS)).astype(
             np.float64, copy=False)
         self.proj_b = np.zeros(N_LABELS)
@@ -281,51 +285,38 @@ class LstmCrfModel:
             raise ValueError(f"{path}: label set does not match this build")
         spec = meta["provider"]
         model_io.check_meta(path, spec, {"type": str, "dim": int})
-        model_io.check_positive(path, {"hidden": meta["hidden"], "layers": meta["layers"],
-                                       "provider.dim": spec["dim"]})
+        model_io.checked(path, check_dims, meta["hidden"], meta["layers"], spec["dim"])
+        # The file is checked against itself, so built with the provider it
+        # stores, before a frozen one is paired with the language model given.
+        rng = model_io.Unfilled(path, arrays)
         if spec["type"] == "table":
             model_io.check_meta(path, spec, {"vocab": list, "min_count": int})
-            vocab = stored_vocab(path, spec["vocab"], spec["min_count"])
+            vocab = model_io.checked(path, Vocab, spec["vocab"], spec["min_count"])
+            stored = TrainableEmbeddings(vocab, spec["dim"], rng)
         elif spec["type"] == "bilm":
-            if provider is None:
-                raise ValueError(
-                    f"{path}: model uses frozen embeddings from the language model with content "
-                    f"hash {spec.get('content_hash')}; pass that language-model file"
-                )
-            if provider.dim != spec["dim"]:
-                raise ValueError(
-                    f"{path}: provider dimension {provider.dim} != stored {spec['dim']}"
-                )
-            stored_hash = spec.get("content_hash")
-            given_hash = getattr(provider, "content_hash", None)
-            if stored_hash and given_hash and stored_hash != given_hash:
-                raise ValueError(
-                    f"{path}: embedding provider hash mismatch: model expects {stored_hash}"
-                )
+            stored = SimpleNamespace(trainable=False, dim=spec["dim"])
         else:
             raise FormatError(f"unknown embedding provider type {spec['type']!r}", path=str(path))
-        table_rows = vocab.size if spec["type"] == "table" else None
-        model_io.check_shapes(path, arrays, cls._array_shapes(
-            kind, meta["hidden"], meta["layers"], spec["dim"], table_rows))
-        if table_rows is not None:
-            provider = TrainableEmbeddings(vocab, spec["dim"], model_io.UNFILLED)
-        model = cls(provider, hidden_size=meta["hidden"], layers=meta["layers"], kind=kind,
-                    rng=model_io.UNFILLED)
+        model = model_io.checked(path, cls, stored, hidden_size=meta["hidden"],
+                                 layers=meta["layers"], kind=kind, rng=rng)
         model_io.fill_arrays(path, arrays, model._arrays())
+        if stored.trainable:
+            return model
+        if provider is None:
+            raise ValueError(
+                f"{path}: model uses frozen embeddings from the language model with content "
+                f"hash {spec.get('content_hash')}; pass that language-model file"
+            )
+        if provider.dim != spec["dim"]:
+            raise ValueError(f"{path}: provider dimension {provider.dim} != stored {spec['dim']}")
+        stored_hash = spec.get("content_hash")
+        given_hash = getattr(provider, "content_hash", None)
+        if stored_hash and given_hash and stored_hash != given_hash:
+            raise ValueError(
+                f"{path}: embedding provider hash mismatch: model expects {stored_hash}"
+            )
+        model.provider = provider
         return model
-
-    @staticmethod
-    def _array_shapes(kind: str, hidden: int, layers: int, dim: int, table_rows: int | None):
-        """(name, shape) of each _arrays entry of a model with these
-        dimensions, in the same order, without building it."""
-        if table_rows is not None:
-            yield "embed", (table_rows, dim)
-        yield from cell_shapes(dim, 2 * hidden, hidden, layers)
-        yield "proj.W", (2 * hidden, N_LABELS)
-        yield "proj.b", (N_LABELS,)
-        if kind == "lstm-crf":
-            yield from (("trans", (N_LABELS, N_LABELS)), ("start", (N_LABELS,)),
-                        ("stop", (N_LABELS,)))
 
 
 def _sample_masks(model: LstmCrfModel, batch_size: int, p: float, rng: np.random.Generator):
@@ -375,9 +366,9 @@ def _train_bilstm(
 def train_lstm_crf(
     data: Sequence[LabeledSequence],
     cfg,
-    hidden_size: int = 256,
-    layers: int = 1,
-    embedding_dim: int = 64,
+    hidden_size: int = DEFAULT_SIZES["hidden_size"],
+    layers: int = DEFAULT_SIZES["layers"],
+    embedding_dim: int = DEFAULT_SIZES["embedding_dim"],
     provider=None,
 ) -> LstmCrfModel:
     """Train the BiLSTM-CRF tagger with word and variational dropout."""
@@ -387,9 +378,9 @@ def train_lstm_crf(
 def train_lstm(
     data: Sequence[LabeledSequence],
     cfg,
-    hidden_size: int = 256,
-    layers: int = 1,
-    embedding_dim: int = 64,
+    hidden_size: int = DEFAULT_SIZES["hidden_size"],
+    layers: int = DEFAULT_SIZES["layers"],
+    embedding_dim: int = DEFAULT_SIZES["embedding_dim"],
     provider=None,
 ) -> LstmCrfModel:
     """Train the plain BiLSTM tagger: the BiLSTM-CRF with its transitions

@@ -25,8 +25,8 @@ from . import model_io, optim
 from .corpus import BOS, EOS, UNK, Corpus
 from .errors import FormatError
 from .lstm import (
-    cell_arrays, cell_shapes, direction_cells, padded_blocks, softmax_ce, stack_backprop,
-    stack_run, uniform32,
+    cell_arrays, direction_cells, padded_blocks, softmax_ce, stack_backprop, stack_run,
+    uniform32,
 )
 
 _SENTINELS = (UNK, BOS, EOS)
@@ -74,14 +74,6 @@ class Vocab:
         ]
         ordered = tuple(t for _, t in sorted(kept, key=lambda ct: (-ct[0], ct[1])))
         return cls(_SENTINELS + ordered, min_count=min_count)
-
-
-def stored_vocab(path, tokens: Sequence[str], min_count: int) -> Vocab:
-    """The vocabulary a model file stores; FormatError if it is malformed."""
-    try:
-        return Vocab(tokens, min_count=min_count)
-    except ValueError as exc:
-        raise FormatError(f"bad vocabulary: {exc}", path=str(path)) from None
 
 
 def build_vocab(corpus: Corpus, min_count: int = 1) -> Vocab:
@@ -162,23 +154,11 @@ class BiLmModel:
             raise ValueError(f"{path}: expected a bilm model, found {kind!r}")
         model_io.check_meta(path, meta, {"vocab": list, "min_count": int, "dim": int,
                                          "hidden": int, "layers": int})
-        model_io.check_positive(path, {key: meta[key] for key in ("dim", "hidden", "layers")})
-        vocab = stored_vocab(path, meta["vocab"], meta["min_count"])
-        model_io.check_shapes(path, arrays, cls._array_shapes(
-            vocab.size, meta["dim"], meta["hidden"], meta["layers"]))
-        model = cls(vocab, meta["dim"], meta["hidden"], meta["layers"], rng=model_io.UNFILLED)
+        vocab = model_io.checked(path, Vocab, meta["vocab"], meta["min_count"])
+        model = model_io.checked(path, cls, vocab, meta["dim"], meta["hidden"], meta["layers"],
+                                 rng=model_io.Unfilled(path, arrays))
         model_io.fill_arrays(path, arrays, model._arrays())
         return model
-
-    @staticmethod
-    def _array_shapes(vocab_size: int, dim: int, hidden: int, layers: int):
-        """(name, shape) of each _arrays entry of a model with these
-        dimensions, in the same order, without building it."""
-        yield "embed", (vocab_size, dim)
-        yield from cell_shapes(dim, hidden, hidden, layers)
-        for prefix in ("fwd_out", "bwd_out"):
-            yield f"{prefix}.W", (hidden, vocab_size)
-            yield f"{prefix}.b", (vocab_size,)
 
 
 def _direction_batches(seqs, bos: int, eos: int, reverse: bool):

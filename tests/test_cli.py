@@ -718,13 +718,19 @@ def test_gridsearch_rejects_a_bad_space_before_reading_its_inputs(tmp_path, caps
 _GRID_INPUTS = "--train {m} --dev {m} --gazetteer {m} --seed 0"
 
 
-@pytest.mark.parametrize("argv,message", [
+_USAGE_ERRORS = [
     pytest.param(f"gridsearch --model crf --space learning_rate=-1 {_GRID_INPUTS}",
                  "error: learning_rate must be > 0, got -1.0", id="gridsearch-bad-point"),
     pytest.param(f"gridsearch --model crf --space ; {_GRID_INPUTS}",
                  "error: empty search space", id="gridsearch-empty-space"),
     pytest.param(f"gridsearch --model crf --space epochs= {_GRID_INPUTS}",
                  "error: axis 'epochs' has no values", id="gridsearch-empty-axis"),
+    pytest.param("gridsearch --model lstm --space hidden_size=8,0 --train {m} --dev {m} --seed 0",
+                 "error: bad dimensions: hidden_size=0", id="gridsearch-hidden"),
+    pytest.param("gridsearch --model lstm-crf --space layers=0 --train {m} --dev {m} --seed 0",
+                 "error: bad dimensions: hidden_size=256 layers=0", id="gridsearch-layers"),
+    pytest.param("gridsearch --model lstm --space embedding_dim=0 --train {m} --dev {m} --seed 0",
+                 "embedding dim=0", id="gridsearch-embedding-dim"),
     pytest.param("ngrams --top -1 --in {m}", "error: --top must be >= 0, got -1", id="ngrams-top"),
     pytest.param("ngrams -n 0 --in {m}", "error: n must be >= 1, got 0", id="ngrams-order"),
     pytest.param("split --ratios 80/10 --in {m} --out-prefix {m} --seed 0",
@@ -741,17 +747,67 @@ _GRID_INPUTS = "--train {m} --dev {m} --gazetteer {m} --seed 0"
                  "embedding dim=0", id="lstm-crf-embedding-dim"),
     pytest.param("train lstm --layers 0 --train {m} --out {m} --seed 0",
                  "layers=0", id="lstm-layers"),
+    # The checks of _build_config: the TrainConfig bounds and an unread setting.
+    pytest.param("train crf --lr 0 --train {m} --out {m} --seed 0",
+                 "error: learning_rate must be > 0, got 0.0", id="crf-learning-rate"),
+    pytest.param("train logreg --batch-size 0 --train {m} --out {m} --seed 0",
+                 "error: batch_size must be >= 1, got 0", id="logreg-batch-size"),
+    pytest.param("train lstm --epochs -1 --train {m} --out {m} --seed 0",
+                 "error: epochs must be >= 0, got -1", id="lstm-epochs"),
+    pytest.param("train lstm-crf --word-dropout 1 --train {m} --out {m} --seed 0",
+                 "error: word_dropout must lie in [0, 1), got 1.0", id="lstm-crf-word-dropout"),
+    pytest.param("train lstm-crf --variational-dropout -0.5 --train {m} --out {m} --seed 0",
+                 "error: variational_dropout must lie in [0, 1), got -0.5",
+                 id="lstm-crf-variational-dropout"),
+    pytest.param("train bilm --clip inf --in {m} --out {m} --seed 0",
+                 "error: clip_norm must be positive or None, got inf", id="bilm-clip"),
+    pytest.param("train crf --clip 1 --train {m} --out {m} --seed 0",
+                 "error: --clip sets clip_norm, which the crf trainer does not read",
+                 id="crf-unread-clip"),
     pytest.param("eval --gold {m} --pred {m} --gazetteer {m}",
                  "error: --gazetteer is given, but eval --pred", id="eval-pred-gazetteer"),
+    pytest.param("tag --in {m}", "error: pass --gazetteer for dictionary tagging",
+                 id="tag-no-tagger"),
+    pytest.param("tag --in {m} --gazetteer {m} --embeddings {m}",
+                 "error: --embeddings is given, but dictionary tagging", id="tag-dictionary-embeddings"),
     pytest.param("synth --count -1 --gazetteer {m} --seed 0",
                  "error: count must be >= 0, got -1", id="synth-count"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,message", _USAGE_ERRORS)
 def test_usage_error_comes_before_reading_missing_inputs(tmp_path, capsys, argv, message):
     """A check that needs only the argv exits 2 even when every input is missing."""
     code, out, err = run(capsys, *argv.format(m=tmp_path / "missing").split())
     assert code == 2, err
     assert message in err
     assert out == ""
+
+
+# The commands that check no value from the argv alone.
+_NO_ARGV_CHECKS = {"normalize", "stats", "gazetteer build", "gazetteer irr", "embed", "compare"}
+
+
+def _commands(parser, prefix=""):
+    """The full name of each command build_parser() takes, such as "train crf"."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield prefix
+        return
+    for name, sub in subparsers[0].choices.items():
+        yield from _commands(sub, f"{prefix} {name}".strip())
+
+
+def test_every_command_that_checks_its_argv_has_a_usage_error_case():
+    """A command is either listed as checking nothing from the argv alone or
+    has a case above, so a new command cannot skip the argv-first rule
+    unseen."""
+    commands = set(_commands(cli.build_parser()))
+    covered = {next(c for c in commands if case.values[0].startswith(c + " "))
+               for case in _USAGE_ERRORS}
+    assert covered.isdisjoint(_NO_ARGV_CHECKS)
+    assert sorted(commands - _NO_ARGV_CHECKS - covered) == []
+    assert _NO_ARGV_CHECKS <= commands
 
 
 @pytest.mark.parametrize("space,axis", [("epochs=1;learning-rate=0.05;epochs=2", "epochs"),
@@ -958,7 +1014,8 @@ def test_gridsearch_gazetteer_on_recurrent_model_exits_2(tmp_path, capsys, model
 
 @pytest.fixture(scope="module")
 def small_models(tmp_path_factory):
-    """One tiny trained model of each container kind the CLI reads."""
+    """One tiny trained model of each container kind the CLI reads, and an
+    lstm-crf on the biLM's frozen embeddings."""
     work = tmp_path_factory.mktemp("models")
     gold = work / "gold.conll"
     gold.write_text(GOLD_CONLL, encoding="utf-8")
@@ -970,6 +1027,8 @@ def small_models(tmp_path_factory):
                      "--embedding-dim", "4"],
         "lstm": ["train", "lstm", "--train", str(gold), "--hidden", "8", "--embedding-dim", "4"],
         "bilm": ["train", "bilm", "--in", str(raw), "--dim", "4", "--hidden", "4"],
+        "frozen": ["train", "lstm-crf", "--train", str(gold), "--hidden", "8",
+                   "--embeddings", str(work / "bilm.model")],
     }
     paths = {"gold": gold, "raw": raw}
     for kind, argv in commands.items():
@@ -1140,7 +1199,8 @@ def _meta_edited_command(tmp_path, small_models, kind, edit):
     if kind == "bilm":
         return ["embed", "--model", str(model), "--in", str(small_models["raw"]),
                 "--out", str(tmp_path / "v.txt")]
-    return ["tag", "--in", str(small_models["raw"]), "--model", str(model)]
+    frozen = ["--embeddings", str(small_models["bilm"])] if kind == "frozen" else []
+    return ["tag", "--in", str(small_models["raw"]), "--model", str(model), *frozen]
 
 
 # Bytes that building the small models' stacks from the edited meta would take
@@ -1175,42 +1235,55 @@ def test_large_meta_dims_exit_4_before_allocating(tmp_path, capsys, small_models
     assert peak < implied_bytes / 16, f"peak {peak} B against {implied_bytes} B implied"
 
 
+def _set_dim(kind, key, value):
+    """An edit that sets the model size key of a kind's metadata to value."""
+    def edit(meta, arrays):
+        (meta["provider"] if key == "dim" and kind != "bilm" else meta)[key] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "kind,key",
-    [("lstm-crf", "hidden"), ("lstm-crf", "dim"), ("bilm", "hidden"), ("bilm", "dim")],
+    [("lstm-crf", "hidden"), ("lstm-crf", "dim"), ("bilm", "hidden"), ("bilm", "dim"),
+     ("lstm-crf", "layers"), ("bilm", "layers"), ("frozen", "dim")],
 )
 def test_huge_meta_dims_exit_4(tmp_path, capsys, small_models, kind, key):
-    def edit(meta, arrays):
-        (meta["provider"] if key == "dim" and kind == "lstm-crf" else meta)[key] = 10**12
-
-    code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
+    """Only the file's array count stops a huge layers value, since each
+    layer's cells alone fit in its values."""
+    argv = _meta_edited_command(tmp_path, small_models, kind, _set_dim(kind, key, 10**12))
+    code, _, err = run(capsys, *argv)
     assert code == 4, err
+    assert "bad.model: the metadata implies more than the" in err
+
+
+@pytest.mark.parametrize("kind", ["lstm-crf", "frozen", "bilm"])
+def test_meta_dims_beyond_a_float_exit_4(tmp_path, capsys, small_models, kind):
+    """A hidden size too large to convert to a float is bad input too."""
+    argv = _meta_edited_command(tmp_path, small_models, kind, _set_dim(kind, "hidden", 10**400))
+    code, _, err = run(capsys, *argv)
+    assert code == 4, err
+    assert "bad.model: bad metadata: int too large to convert to float" in err
+
+
+# The fragment of each constructor's size check naming the size at 0.
+_ZERO_SIZE = {("lstm-crf", "hidden"): "hidden_size=0", ("lstm-crf", "layers"): "layers=0",
+              ("lstm-crf", "dim"): "embedding dim=0", ("frozen", "dim"): "embedding dim=0",
+              ("bilm", "hidden"): "hidden=0", ("bilm", "layers"): "layers=0",
+              ("bilm", "dim"): "dim=0"}
 
 
 @pytest.mark.parametrize(
     "kind,key",
     [("lstm-crf", "hidden"), ("lstm-crf", "layers"), ("lstm-crf", "dim"),
-     ("bilm", "hidden"), ("bilm", "layers"), ("bilm", "dim")],
+     ("bilm", "hidden"), ("bilm", "layers"), ("bilm", "dim"), ("frozen", "dim")],
 )
 def test_zero_meta_dims_with_matching_arrays_exit_4(tmp_path, capsys, small_models, kind, key):
-    """A dimension of 0 with every array resized to match passes the shape
-    checks; the range check still names the file."""
-    def edit(meta, arrays):
-        if kind == "bilm":
-            meta[key] = 0
-            shapes = BiLmModel._array_shapes(len(meta["vocab"]), meta["dim"], meta["hidden"],
-                                             meta["layers"])
-        else:
-            (meta["provider"] if key == "dim" else meta)[key] = 0
-            shapes = LstmCrfModel._array_shapes(kind, meta["hidden"], meta["layers"],
-                                                meta["provider"]["dim"],
-                                                len(meta["provider"]["vocab"]))
-        arrays.clear()
-        arrays.update((name, np.zeros(shape)) for name, shape in shapes)
-
-    code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
+    """A size of 0 fails the constructor's own check before any array is
+    built, and the message names the file."""
+    argv = _meta_edited_command(tmp_path, small_models, kind, _set_dim(kind, key, 0))
+    code, _, err = run(capsys, *argv)
     assert code == 4, err
-    assert "bad.model" in err and f"{key}' must be at least 1, got 0" in err
+    assert "bad.model: bad metadata: " in err and _ZERO_SIZE[kind, key] in err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

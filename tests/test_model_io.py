@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from titletag.errors import FormatError
-from titletag.model_io import UNFILLED, file_hash, load_model, save_model
+from titletag.model_io import Unfilled, file_hash, load_model, save_model
 from titletag.neural import LstmCrfModel, TrainableEmbeddings
 from titletag.title2vec import BiLmModel, Vocab
 
@@ -211,12 +211,13 @@ def test_loading_draws_no_random_numbers(tmp_path, monkeypatch, kind):
 
 
 def test_unfilled_arrays_widen_without_a_warning():
-    """The BiLSTM widens its UNFILLED head to float64 before the file's
+    """The BiLSTM widens its unfilled head to float64 before the file's
     values fill it. Leftover bytes that hold signalling NaNs would warn
     there, on stderr, by chance; the freed block below is one numpy hands
     out again for the next array of its size."""
     poison = np.full((16, 13), 0x7FA00000, dtype=np.uint32).view(np.float32)
     del poison
+    stand_in = Unfilled("m.model", {"proj.W": np.zeros((16, 13), np.float32)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        UNFILLED.uniform(-1.0, 1.0, (16, 13)).astype(np.float64)
+        stand_in.uniform(-1.0, 1.0, (16, 13)).astype(np.float64)

@@ -616,11 +616,3 @@ def test_model_dim_validation():
         BiLmModel(vocab, dim=0, hidden=4, layers=1)
     with pytest.raises(ValueError):
         BiLmModel(vocab, dim=4, hidden=4, layers=0)
-
-
-@pytest.mark.parametrize("layers", [1, 3])
-def test_array_shapes_match_built_model(layers):
-    vocab = Vocab(("<unk>", "<s>", "</s>", "chief", "officer"))
-    model = BiLmModel(vocab, dim=5, hidden=7, layers=layers)
-    built = [(name, arr.shape) for name, arr in model._arrays().items()]
-    assert list(BiLmModel._array_shapes(vocab.size, 5, 7, layers)) == built
