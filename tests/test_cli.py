@@ -22,7 +22,6 @@ from titletag.corpus import load_corpus
 from titletag.errors import FormatError, read_lines
 from titletag.gazetteer import read_annotations, read_gazetteer
 from titletag.labeling import read_conll, split_sequences
-from titletag.neural import LstmCrfModel
 from titletag.title2vec import BiLmModel, Vocab, read_embeddings
 
 GOLD_CONLL = (
@@ -769,7 +768,8 @@ _USAGE_ERRORS = [
     pytest.param("tag --in {m}", "error: pass --gazetteer for dictionary tagging",
                  id="tag-no-tagger"),
     pytest.param("tag --in {m} --gazetteer {m} --embeddings {m}",
-                 "error: --embeddings is given, but dictionary tagging", id="tag-dictionary-embeddings"),
+                 "error: --embeddings is given, but dictionary tagging",
+                 id="tag-dictionary-embeddings"),
     pytest.param("synth --count -1 --gazetteer {m} --seed 0",
                  "error: count must be >= 0, got -1", id="synth-count"),
 ]
@@ -1248,8 +1248,8 @@ def _set_dim(kind, key, value):
      ("lstm-crf", "layers"), ("bilm", "layers"), ("frozen", "dim")],
 )
 def test_huge_meta_dims_exit_4(tmp_path, capsys, small_models, kind, key):
-    """Only the file's array count stops a huge layers value, since each
-    layer's cells alone fit in its values."""
+    """A huge layers value builds its cells one by one, each within the
+    file's values; the file's array and value counts stop it."""
     argv = _meta_edited_command(tmp_path, small_models, kind, _set_dim(kind, key, 10**12))
     code, _, err = run(capsys, *argv)
     assert code == 4, err
