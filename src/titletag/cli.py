@@ -26,7 +26,7 @@ from . import corpus as corpus_mod
 from . import evaluation, labeling, model_io, neural, title2vec
 from .corpus import load_corpus, synth_corpus
 from .crf import CrfModel, train_crf, train_logreg
-from .errors import FormatError, TrainingDivergedError
+from .errors import FormatError, TrainingDivergedError, check_at_least
 from .gazetteer import (
     Gazetteer,
     irr_report,
@@ -99,6 +99,9 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _announce_seed(args: argparse.Namespace) -> None:
+    """Echo --seed to stderr; ValueError if it is negative, which numpy's
+    generators reject. Each seeded command calls this before its first read."""
+    check_at_least(0, seed=args.seed)
     print(f"seed: {args.seed}", file=sys.stderr)
 
 
@@ -198,9 +201,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_ngrams(args: argparse.Namespace) -> int:
-    if args.top < 0:
-        raise ValueError(f"--top must be >= 0, got {args.top}")
-    corpus_mod.check_ngram_order(args.n)
+    check_at_least(0, **{"--top": args.top})
+    check_at_least(1, n=args.n)
     corpus = load_corpus(args.infile, fmt=args.in_format)
     entries = corpus_mod.ngram_counts(corpus, args.n)[: args.top or None]
     if args.format == "tsv":
@@ -303,7 +305,7 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
                    f"the {args.model_kind} trainer with --embeddings")
     embedding_dim = (neural.DEFAULT_SIZES["embedding_dim"] if args.embedding_dim is None
                      else args.embedding_dim)
-    neural.check_dims(args.hidden, args.layers, embedding_dim)
+    check_at_least(1, hidden_size=args.hidden, layers=args.layers, embedding_dim=embedding_dim)
     data = read_conll(args.train)
     provider = _bilm_provider(args.embeddings)
     trainer = train_lstm_crf if args.model_kind == "lstm-crf" else train_lstm
@@ -324,8 +326,8 @@ def cmd_train_neural(args: argparse.Namespace) -> int:
 def cmd_train_bilm(args: argparse.Namespace) -> int:
     _announce_seed(args)
     cfg = _build_config(args)
-    title2vec.check_dims(args.dim, args.hidden, args.layers)
-    title2vec.check_min_count(args.min_count)
+    check_at_least(1, dim=args.dim, hidden=args.hidden, layers=args.layers,
+                   min_count=args.min_count)
     corpus = load_corpus(args.infile, fmt=args.in_format)
     model = train_bilm(corpus, (args.dim, args.hidden, args.layers), cfg,
                        min_count=args.min_count)
@@ -393,7 +395,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     # Every point's config and, for the recurrent trainers, its sizes (the
     # axes that are not config fields) are checked before the first read.
     for _, _, sizes in evaluation.grid_plan(space, base):
-        neural.check_dims(**neural.DEFAULT_SIZES | sizes)
+        check_at_least(1, **neural.DEFAULT_SIZES | sizes)
     train_data = read_conll(args.train)
     dev_gold = read_conll(args.dev)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else None
@@ -424,7 +426,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _announce_seed(args)
-    corpus_mod.check_count(args.count)
+    check_at_least(0, count=args.count)
     gaz = read_gazetteer(args.gazetteer) if args.gazetteer else sample_gazetteer()
     corpus = synth_corpus(gaz, args.seed, args.count)
     _write_text(args.out, corpus_mod.dumps_corpus(corpus.titles, args.out_format))

@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import read_lines
+from .errors import check_at_least, read_lines
 
 if TYPE_CHECKING:
     from .gazetteer import Gazetteer
@@ -204,29 +204,17 @@ def length_summaries(corpus: Corpus) -> dict[Region | None, LengthSummary]:
             for key, v in groups.items() if v}
 
 
-def check_ngram_order(n: int) -> None:
-    """ValueError unless n is an n-gram order, at least 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
-
 def ngram_counts(corpus: Corpus, n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
     """(n-gram, count) pairs of the contiguous n-grams, counted once per
     occurrence (repeats in one title count), by descending count and
     lexicographic on ties; an n longer than every title yields none."""
-    check_ngram_order(n)
+    check_at_least(1, n=n)
     counts: Counter[tuple[str, ...]] = Counter()
     for title in corpus.titles:
         toks = title.tokens
         for i in range(len(toks) - n + 1):
             counts[toks[i : i + n]] += 1
     return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-
-
-def check_count(count: int) -> None:
-    """ValueError unless count, a number of titles to synthesize, is at least 0."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
 
 
 # Each template is (weight, slot sequence); a slot names the coarse-tag pool
@@ -256,7 +244,7 @@ def synth_corpus(gazetteer: "Gazetteer", grammar_seed: int, count: int) -> Corpu
     labeling oracle for the output. The same seed always reproduces the same
     corpus.
     """
-    check_count(count)
+    check_at_least(0, count=count)
     pools: dict[str, list[str]] = {"RES": [], "FUN": [], "LOC": [], "O": []}
     for token, entry in gazetteer.entries.items():
         pools[entry.tag.value].append(token)

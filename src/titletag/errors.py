@@ -22,6 +22,14 @@ class FormatError(TitletagError):
         super().__init__(prefix + message)
 
 
+def check_at_least(least: int, **values: int) -> None:
+    """ValueError naming the first of the named values below least: the one
+    bound check of every size, count and seed."""
+    for name, value in values.items():
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def decode_text(path, data: bytes) -> str:
     """UTF-8 text with universal newlines, as Path.read_text returns it.
     Bytes that are not UTF-8 raise FormatError naming the path and line."""

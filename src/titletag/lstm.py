@@ -72,11 +72,11 @@ def softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarr
     m = logits.max(axis=-1, keepdims=True)
     ex = np.exp(logits - m)
     z = ex.sum(axis=-1, keepdims=True)
-    logp = logits - m - np.log(z)
     rows = np.arange(len(targets))
-    dlogits = ex / z
-    dlogits[rows, targets] -= 1.0
-    return float(-logp[rows, targets].sum()), dlogits
+    loss = -(logits[rows, targets] - m[:, 0] - np.log(z[:, 0])).sum()
+    ex /= z
+    ex[rows, targets] -= 1.0
+    return float(loss), ex
 
 
 def uniform32(rng, bound: float, shape) -> np.ndarray:

@@ -34,7 +34,7 @@ from .crf import apply_word_dropout, crf_nll, decode_in_chunks
 # Unused here since crf_nll calls it, but perfbench/tests asserts that its
 # span tracer wraps this by-name binding.
 from .crf import sequence_marginals  # noqa: F401
-from .errors import FormatError
+from .errors import FormatError, check_at_least
 from .labeling import LABEL_STRINGS, N_LABELS, BioesLabel, LabeledSequence
 from .lstm import (
     cast_stack, cell_arrays, direction_cells, padded_layout, sorted_chunks, stack_backprop,
@@ -75,13 +75,6 @@ class TrainableEmbeddings:
         return self.vocab.ids(tokens)
 
 
-def check_dims(hidden_size: int, layers: int, embedding_dim: int) -> None:
-    """ValueError unless each size of a BiLSTM tagger is at least 1."""
-    if min(hidden_size, layers, embedding_dim) < 1:
-        raise ValueError(f"bad dimensions: hidden_size={hidden_size} layers={layers} "
-                         f"embedding dim={embedding_dim}")
-
-
 class LstmCrfModel:
     """Stacked BiLSTM encoder with a CRF output head; kind "lstm" pins its
     transitions at zero."""
@@ -96,7 +89,7 @@ class LstmCrfModel:
     ):
         if kind not in ("lstm-crf", "lstm"):
             raise ValueError(f"kind must be 'lstm-crf' or 'lstm', got {kind!r}")
-        check_dims(hidden_size, layers, provider.dim)
+        check_at_least(1, hidden_size=hidden_size, layers=layers, embedding_dim=provider.dim)
         self.provider = provider
         self.hidden_size = hidden_size
         self.layers = layers
@@ -285,7 +278,8 @@ class LstmCrfModel:
             raise ValueError(f"{path}: label set does not match this build")
         spec = meta["provider"]
         model_io.check_meta(path, spec, {"type": str, "dim": int})
-        model_io.checked(path, check_dims, meta["hidden"], meta["layers"], spec["dim"])
+        model_io.checked(path, check_at_least, 1, hidden=meta["hidden"], layers=meta["layers"],
+                         dim=spec["dim"])
         # The file is checked against itself, so built with the provider it
         # stores, before a frozen one is paired with the language model given.
         rng = model_io.Unfilled(path, arrays)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import TrainingDivergedError, check_at_least
 
 log = logging.getLogger(__name__)
 
@@ -37,10 +37,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        check_at_least(1, batch_size=self.batch_size)
+        check_at_least(0, epochs=self.epochs, seed=self.seed)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         for name in ("word_dropout", "variational_dropout"):

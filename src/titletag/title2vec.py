@@ -23,20 +23,13 @@ import numpy as np
 
 from . import model_io, optim
 from .corpus import BOS, EOS, UNK, Corpus
-from .errors import FormatError
+from .errors import FormatError, check_at_least
 from .lstm import (
     cell_arrays, direction_cells, padded_blocks, softmax_ce, stack_backprop, stack_run,
     uniform32,
 )
 
 _SENTINELS = (UNK, BOS, EOS)
-
-
-def check_min_count(min_count: int) -> None:
-    """ValueError unless min_count, the fewest occurrences that keep a token
-    in a vocabulary, is at least 1."""
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
 
 
 class Vocab:
@@ -47,6 +40,7 @@ class Vocab:
     """
 
     def __init__(self, tokens: Sequence[str], min_count: int = 1):
+        check_at_least(1, min_count=min_count)
         tokens = tuple(tokens)
         if tokens[:3] != _SENTINELS:
             raise ValueError(f"vocab must start with the sentinels {_SENTINELS}")
@@ -68,7 +62,6 @@ class Vocab:
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], min_count: int = 1) -> "Vocab":
-        check_min_count(min_count)
         kept = [
             (c, t) for t, c in counts.items() if c >= min_count and t not in _SENTINELS
         ]
@@ -84,12 +77,6 @@ def build_vocab(corpus: Corpus, min_count: int = 1) -> Vocab:
     return Vocab.from_counts(counts, min_count=min_count)
 
 
-def check_dims(dim: int, hidden: int, layers: int) -> None:
-    """ValueError unless each size of a language model is at least 1."""
-    if min(dim, hidden, layers) < 1:
-        raise ValueError(f"dims must be positive, got dim={dim} hidden={hidden} layers={layers}")
-
-
 class BiLmModel:
     """Forward and backward LSTM language models over a shared embedding table."""
 
@@ -101,7 +88,7 @@ class BiLmModel:
         layers: int,
         rng: np.random.Generator | None = None,
     ):
-        check_dims(dim, hidden, layers)
+        check_at_least(1, dim=dim, hidden=hidden, layers=layers)
         self.vocab = vocab
         self.dim = dim
         self.hidden = hidden
@@ -324,8 +311,7 @@ class EmbeddingStore:
     """In-memory set of per-title contextual vectors with a fixed dimension."""
 
     def __init__(self, dim: int, records: Sequence[TitleVectors]):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+        check_at_least(1, dim=dim)
         self.dim = dim
         self.records = list(records)
         for rec in self.records:

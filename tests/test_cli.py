@@ -725,11 +725,11 @@ _USAGE_ERRORS = [
     pytest.param(f"gridsearch --model crf --space epochs= {_GRID_INPUTS}",
                  "error: axis 'epochs' has no values", id="gridsearch-empty-axis"),
     pytest.param("gridsearch --model lstm --space hidden_size=8,0 --train {m} --dev {m} --seed 0",
-                 "error: bad dimensions: hidden_size=0", id="gridsearch-hidden"),
+                 "error: hidden_size must be >= 1, got 0", id="gridsearch-hidden"),
     pytest.param("gridsearch --model lstm-crf --space layers=0 --train {m} --dev {m} --seed 0",
-                 "error: bad dimensions: hidden_size=256 layers=0", id="gridsearch-layers"),
+                 "error: layers must be >= 1, got 0", id="gridsearch-layers"),
     pytest.param("gridsearch --model lstm --space embedding_dim=0 --train {m} --dev {m} --seed 0",
-                 "embedding dim=0", id="gridsearch-embedding-dim"),
+                 "error: embedding_dim must be >= 1, got 0", id="gridsearch-embedding-dim"),
     pytest.param("ngrams --top -1 --in {m}", "error: --top must be >= 0, got -1", id="ngrams-top"),
     pytest.param("ngrams -n 0 --in {m}", "error: n must be >= 1, got 0", id="ngrams-order"),
     pytest.param("split --ratios 80/10 --in {m} --out-prefix {m} --seed 0",
@@ -737,15 +737,15 @@ _USAGE_ERRORS = [
     pytest.param("split --ratios a/b/c --in {m} --out-prefix {m} --seed 0",
                  "error: --ratios expects train/dev/test", id="split-unparsable-shares"),
     pytest.param("train bilm --dim 0 --in {m} --out {m} --seed 0",
-                 "error: dims must be positive, got dim=0", id="bilm-dim"),
+                 "error: dim must be >= 1, got 0", id="bilm-dim"),
     pytest.param("train bilm --min-count 0 --in {m} --out {m} --seed 0",
                  "error: min_count must be >= 1, got 0", id="bilm-min-count"),
     pytest.param("train lstm-crf --hidden 0 --train {m} --out {m} --seed 0",
-                 "error: bad dimensions: hidden_size=0", id="lstm-crf-hidden"),
+                 "error: hidden_size must be >= 1, got 0", id="lstm-crf-hidden"),
     pytest.param("train lstm-crf --embedding-dim 0 --train {m} --out {m} --seed 0",
-                 "embedding dim=0", id="lstm-crf-embedding-dim"),
+                 "error: embedding_dim must be >= 1, got 0", id="lstm-crf-embedding-dim"),
     pytest.param("train lstm --layers 0 --train {m} --out {m} --seed 0",
-                 "layers=0", id="lstm-layers"),
+                 "error: layers must be >= 1, got 0", id="lstm-layers"),
     # The checks of _build_config: the TrainConfig bounds and an unread setting.
     pytest.param("train crf --lr 0 --train {m} --out {m} --seed 0",
                  "error: learning_rate must be > 0, got 0.0", id="crf-learning-rate"),
@@ -772,6 +772,18 @@ _USAGE_ERRORS = [
                  id="tag-dictionary-embeddings"),
     pytest.param("synth --count -1 --gazetteer {m} --seed 0",
                  "error: count must be >= 0, got -1", id="synth-count"),
+    # A negative --seed, which no generator takes, in the commands that read
+    # it and as a --space axis.
+    pytest.param("train crf --seed -1 --train {m} --out {m}",
+                 "error: seed must be >= 0, got -1", id="crf-seed"),
+    pytest.param("split --seed -1 --in {m} --out-prefix {m}",
+                 "error: seed must be >= 0, got -1", id="split-seed"),
+    pytest.param("compare --seed -1 --in {m}", "error: seed must be >= 0, got -1",
+                 id="compare-seed"),
+    pytest.param("synth --seed -1 --gazetteer {m}", "error: seed must be >= 0, got -1",
+                 id="synth-seed"),
+    pytest.param(f"gridsearch --model crf --space seed=0,-1 {_GRID_INPUTS}",
+                 "error: seed must be >= 0, got -1", id="gridsearch-seed"),
 ]
 
 
@@ -785,7 +797,7 @@ def test_usage_error_comes_before_reading_missing_inputs(tmp_path, capsys, argv,
 
 
 # The commands that check no value from the argv alone.
-_NO_ARGV_CHECKS = {"normalize", "stats", "gazetteer build", "gazetteer irr", "embed", "compare"}
+_NO_ARGV_CHECKS = {"normalize", "stats", "gazetteer build", "gazetteer irr", "embed"}
 
 
 def _commands(parser, prefix=""):
@@ -979,7 +991,7 @@ def test_train_zero_embedding_dim_exits_2(tmp_path, capsys):
         "--hidden", "2", "--embedding-dim", "0", "--seed", "0", "--epochs", "1",
     )
     assert code == 2, err
-    assert "embedding dim=0" in err and not model.exists()
+    assert "error: embedding_dim must be >= 1, got 0" in err and not model.exists()
 
 
 @pytest.mark.parametrize("kind", ["lstm", "lstm-crf"])
@@ -1265,11 +1277,14 @@ def test_meta_dims_beyond_a_float_exit_4(tmp_path, capsys, small_models, kind):
     assert "bad.model: bad metadata: int too large to convert to float" in err
 
 
-# The fragment of each constructor's size check naming the size at 0.
-_ZERO_SIZE = {("lstm-crf", "hidden"): "hidden_size=0", ("lstm-crf", "layers"): "layers=0",
-              ("lstm-crf", "dim"): "embedding dim=0", ("frozen", "dim"): "embedding dim=0",
-              ("bilm", "hidden"): "hidden=0", ("bilm", "layers"): "layers=0",
-              ("bilm", "dim"): "dim=0"}
+# The message of each size check, naming the metadata key at 0.
+_ZERO_SIZE = {("lstm-crf", "hidden"): "hidden must be >= 1, got 0",
+              ("lstm-crf", "layers"): "layers must be >= 1, got 0",
+              ("lstm-crf", "dim"): "dim must be >= 1, got 0",
+              ("frozen", "dim"): "dim must be >= 1, got 0",
+              ("bilm", "hidden"): "hidden must be >= 1, got 0",
+              ("bilm", "layers"): "layers must be >= 1, got 0",
+              ("bilm", "dim"): "dim must be >= 1, got 0"}
 
 
 @pytest.mark.parametrize(
@@ -1283,7 +1298,21 @@ def test_zero_meta_dims_with_matching_arrays_exit_4(tmp_path, capsys, small_mode
     argv = _meta_edited_command(tmp_path, small_models, kind, _set_dim(kind, key, 0))
     code, _, err = run(capsys, *argv)
     assert code == 4, err
-    assert "bad.model: bad metadata: " in err and _ZERO_SIZE[kind, key] in err
+    assert f"bad.model: bad metadata: {_ZERO_SIZE[kind, key]}" in err
+
+
+@pytest.mark.parametrize(
+    "kind,value", [("bilm", 0), ("bilm", -3), ("lstm-crf", 0)],
+)
+def test_stored_min_count_below_1_exits_4(tmp_path, capsys, small_models, kind, value):
+    """A vocabulary's min_count is checked where it is built, so a model
+    file storing one below 1 fails to load, naming the file."""
+    def edit(meta, arrays):
+        (meta if kind == "bilm" else meta["provider"])["min_count"] = value
+
+    code, _, err = run(capsys, *_meta_edited_command(tmp_path, small_models, kind, edit))
+    assert code == 4, err
+    assert f"bad.model: bad metadata: min_count must be >= 1, got {value}" in err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -5,6 +5,7 @@ the whole W, accumulates dW one step at a time and uses a sigmoid that
 branches on the sign of its input. The cell under test hoists the input
 projection and the weight gradients out of the time loop, so the two sum
 in different orders and are compared at a tolerance, not for equality.
+softmax_ce is compared with the full log-softmax form, for bit equality.
 """
 
 import math
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from titletag.lstm import LstmCell, sigmoid, stack_run
+from titletag.lstm import LstmCell, sigmoid, softmax_ce, stack_run
 
 
 def masked_sigmoid(x):
@@ -266,3 +267,29 @@ def test_float32_cell_matches_float64_cell(B, T, masked):
     for got, want in zip(cell32.backprop(caches32, dhs, mask=mask),
                          cell.backprop(caches, dhs, mask=mask)):
         assert_close_in_float32(got, want)
+
+
+def reference_softmax_ce(logits, targets):
+    """The full (N, V) log-softmax form that softmax_ce reads at the targets only."""
+    m = logits.max(axis=-1, keepdims=True)
+    ex = np.exp(logits - m)
+    z = ex.sum(axis=-1, keepdims=True)
+    logp = logits - m - np.log(z)
+    rows = np.arange(len(targets))
+    dlogits = ex / z
+    dlogits[rows, targets] -= 1.0
+    return float(-logp[rows, targets].sum()), dlogits
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("N,V", [(1, 3), (7, 13), (500, 2000)])
+def test_softmax_ce_is_bit_equal_to_the_full_log_softmax(dtype, N, V):
+    rng = np.random.default_rng(N * V)
+    targets = rng.integers(0, V, size=N)
+    for scale in (1.0, 1e2, 1e4):
+        logits = (scale * rng.normal(size=(N, V))).astype(dtype)
+        loss, dlogits = softmax_ce(logits, targets)
+        want_loss, want_dlogits = reference_softmax_ce(logits, targets)
+        assert loss == want_loss
+        assert dlogits.dtype == want_dlogits.dtype == dtype
+        np.testing.assert_array_equal(dlogits, want_dlogits)
